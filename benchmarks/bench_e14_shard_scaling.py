@@ -10,13 +10,20 @@ shard count, both written to ``BENCH_e14.json``:
   shard count; the number is reported for honesty, not asserted.
 * **critical-path seconds** — per-phase maxima of per-shard task times
   (measured with the ``serial`` pool, so tasks never interleave) plus
-  merge time: the wall time of a machine with one core per shard.  The
-  acceptance bound asserts **>= 1.8x** speedup at 4 shards over the
-  single-shard evaluator, with the merge overhead reported alongside.
+  merge time: the wall time of a machine with one core per shard — a
+  model, not a measurement — with the merge overhead reported alongside.
+
+Neither is asserted.  The >= 1.8x critical-path bound this file used to
+carry was sized for the tree-walking interpreter and went with it: the
+compiled kernels shrink per-shard work several-fold but not the
+``Region``-object merge, so at this corpus size the merge is most of the
+critical path and sharding does not pay (see EXPERIMENTS.md E14).  The
+gated numbers for the sharded path are ``serve_sharded/queries_per_s``
+and ``shard.executor.overhead_ratio`` in ``bench/``.
 
 The ``benchmark``-fixture functions chart the per-shard-count latency;
-the bound function is a plain assert so the file also runs (and gates)
-under ``pytest --benchmark-disable``.
+the report function is plain timing code so the file also runs under
+``pytest --benchmark-disable``.
 """
 
 from __future__ import annotations
@@ -65,8 +72,8 @@ def expr():
     return parse(QUERY)
 
 
-def _baseline_seconds(instance, expr, vm: bool = False) -> float:
-    evaluator = Evaluator("indexed", vm=vm)
+def _baseline_seconds(instance, expr) -> float:
+    evaluator = Evaluator("indexed")
     evaluator.evaluate(expr, instance)  # warm caches
     best = float("inf")
     for _ in range(ROUNDS):
@@ -76,17 +83,10 @@ def _baseline_seconds(instance, expr, vm: bool = False) -> float:
     return best
 
 
-def _sharded_measurements(instance, expr, shards: int, vm: bool = False) -> dict:
-    """Min-of-N wall (thread pool) and critical-path (serial) times.
-
-    ``vm`` defaults off: the scaling bound measures the partition /
-    exchange / merge machinery against the interpreter it was sized
-    for.  The compiled rows ride along in the JSON for comparison (the
-    kernels shrink per-shard work but not the merge, so the *scaling*
-    ratio is not asserted there).
-    """
+def _sharded_measurements(instance, expr, shards: int) -> dict:
+    """Min-of-N wall (thread pool) and critical-path (serial) times."""
     wall = float("inf")
-    with ShardExecutor(instance, shards, pool="thread", vm=vm) as executor:
+    with ShardExecutor(instance, shards, pool="thread") as executor:
         executor.run(expr)  # warm the pool and caches
         for _ in range(ROUNDS):
             started = perf_counter()
@@ -94,7 +94,7 @@ def _sharded_measurements(instance, expr, shards: int, vm: bool = False) -> dict
             wall = min(wall, perf_counter() - started)
     critical = float("inf")
     merge = 0.0
-    with ShardExecutor(instance, shards, pool="serial", vm=vm) as executor:
+    with ShardExecutor(instance, shards, pool="serial") as executor:
         executor.run(expr)
         for _ in range(ROUNDS):
             started = perf_counter()
@@ -130,11 +130,11 @@ def bench_e14_latency(benchmark, instance, expr, shards):
 
 
 # ----------------------------------------------------------------------
-# The acceptance assertion + JSON artifact.
+# The JSON artifact.
 # ----------------------------------------------------------------------
 
 
-def bench_e14_scaling_bound(instance, expr):
+def bench_e14_scaling_report(instance, expr):
     baseline = _baseline_seconds(instance, expr)
     rows = [
         _sharded_measurements(instance, expr, shards)
@@ -144,18 +144,6 @@ def bench_e14_scaling_bound(instance, expr):
         row["wall_speedup"] = baseline / row["wall_seconds"]
         row["critical_path_speedup"] = baseline / row["critical_path_seconds"]
         row["merge_share"] = row["merge_seconds"] / row["critical_path_seconds"]
-    # Additive comparison: the same ladder on the compiled (repro.vm)
-    # path, reported but not bounded — bench E19 owns the VM's bound.
-    vm_baseline = _baseline_seconds(instance, expr, vm=True)
-    vm_rows = [
-        _sharded_measurements(instance, expr, shards, vm=True)
-        for shards in SHARD_COUNTS
-    ]
-    for row in vm_rows:
-        row["wall_speedup"] = vm_baseline / row["wall_seconds"]
-        row["critical_path_speedup"] = (
-            vm_baseline / row["critical_path_seconds"]
-        )
     report = {
         "experiment": "e14-shard-scaling",
         "query": QUERY,
@@ -164,8 +152,6 @@ def bench_e14_scaling_bound(instance, expr):
         "baseline_seconds": baseline,
         "rounds": ROUNDS,
         "results": rows,
-        "compiled_baseline_seconds": vm_baseline,
-        "compiled_results": vm_rows,
     }
     out = Path(__file__).resolve().parents[1] / "BENCH_e14.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -174,12 +160,3 @@ def bench_e14_scaling_bound(instance, expr):
     expected = Evaluator("indexed").evaluate(expr, instance)
     with ShardExecutor(instance, 4) as executor:
         assert list(executor.run(expr)) == list(expected)
-
-    at_four = next(r for r in rows if r["shards"] == 4)
-    assert at_four["critical_path_speedup"] >= 1.8, (
-        f"critical-path speedup at 4 shards is only "
-        f"{at_four['critical_path_speedup']:.2f}x (bound: 1.8x; baseline "
-        f"{baseline * 1e3:.2f} ms, critical path "
-        f"{at_four['critical_path_seconds'] * 1e3:.2f} ms, merge "
-        f"{at_four['merge_seconds'] * 1e3:.2f} ms)"
-    )

@@ -6,21 +6,23 @@ cumulative wall time.  The report feeds the cost model's calibration
 tests (estimated vs actual cardinalities) and makes the engine's
 behaviour inspectable from the CLI and examples.
 
-Since the observability layer landed this is a thin view over a trace:
-:func:`profile` runs the ordinary :class:`Evaluator` under an enabled
-:class:`~repro.obs.trace.Tracer` and flattens the span tree, pre-order,
-into :class:`NodeProfile` rows.  Memoization stays **on** — matching
+This is a thin view over a trace: :func:`profile` runs the ordinary
+:class:`Evaluator` under an enabled :class:`~repro.obs.trace.Tracer`,
+which records one ``eval.*`` span per executed VM instruction, and walks
+the expression pre-order over those measurements into
+:class:`NodeProfile` rows.  Memoization stays **on** — matching
 production behaviour on DAG-shaped queries — so a repeated
-sub-expression shows up as a cache hit (``cache_hit=True``, near-zero
-time) rather than being re-timed as if the engine recomputed it.
+sub-expression shows up as a cache hit (``cache_hit=True``, zero time)
+rather than being re-timed as if the engine recomputed it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.algebra import ast as A
-from repro.algebra.evaluator import Evaluator, Strategy
+from repro.algebra.evaluator import Evaluator
 from repro.algebra.parser import parse
 from repro.algebra.printer import to_text
 from repro.core.instance import Instance
@@ -78,44 +80,52 @@ class QueryProfile:
 
 
 def profile_from_span(root: Span, result: RegionSet) -> QueryProfile:
-    """Flatten an evaluator span tree into a :class:`QueryProfile`.
+    """Rebuild the per-node rows from an evaluator span tree.
 
-    Only ``eval.*`` spans carry node data; other spans (``query``,
-    ``parse``, …) are transparent — their children are walked at the
-    same depth.
+    Only ``eval.*`` spans carry data — one per executed instruction, in
+    execution order, the last being the whole expression.  Walking that
+    expression pre-order, a node's first visit takes the next unused
+    measurement of its expression (inclusive time = its kernel time plus
+    its operands' rows); a visit with none left was a register re-read
+    and becomes a ``cache_hit`` row with no children.
     """
-    nodes: list[NodeProfile] = []
-    _flatten(root, 0, nodes)
-    return QueryProfile(result=result, nodes=nodes)
+    pending: dict[A.Expr, deque[Span]] = {}
+    last: Span | None = None
+    for span in root.walk():
+        if span.name.startswith("eval.") and "expression" in span.attributes:
+            pending.setdefault(span.attributes["expression"], deque()).append(span)
+            last = span
+    if last is None:
+        return QueryProfile(result=result)
+    cardinality: dict[A.Expr, int] = {}
 
-
-def _flatten(span: Span, depth: int, out: list[NodeProfile]) -> None:
-    if span.name.startswith("eval.") and "expression" in span.attributes:
-        out.append(
-            NodeProfile(
-                expression=span.attributes["expression"],
-                cardinality=span.attributes.get("cardinality", 0),
-                seconds=span.duration,
-                depth=depth,
-                cache_hit=bool(span.attributes.get("cached", False)),
-            )
+    def visit(expr: A.Expr, depth: int) -> list[NodeProfile]:
+        queue = pending.get(expr)
+        if not queue:
+            return [NodeProfile(expr, cardinality.get(expr, 0), 0.0, depth, True)]
+        span = queue.popleft()
+        cardinality[expr] = span.attributes.get("cardinality", 0)
+        below = [
+            row for child in A.children(expr) for row in visit(child, depth + 1)
+        ]
+        seconds = span.duration + sum(
+            row.seconds for row in below if row.depth == depth + 1
         )
-        depth += 1
-    for child in span.children:
-        _flatten(child, depth, out)
+        return [NodeProfile(expr, cardinality[expr], seconds, depth), *below]
+
+    return QueryProfile(result=result, nodes=visit(last.attributes["expression"], 0))
 
 
 def profile(
     expr: A.Expr | str,
     instance: Instance,
-    strategy: Strategy = "indexed",
     memoize: bool = True,
 ) -> QueryProfile:
     """Evaluate ``expr`` and return the per-node breakdown."""
     if isinstance(expr, str):
         expr = parse(expr)
     tracer = Tracer(enabled=True)
-    evaluator = Evaluator(strategy, memoize=memoize, tracer=tracer)
+    evaluator = Evaluator(memoize=memoize, tracer=tracer)
     result = evaluator.evaluate(expr, instance)
     root = tracer.last_root
     if root is None:  # pragma: no cover - evaluate always opens a span

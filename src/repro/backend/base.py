@@ -36,15 +36,15 @@ from time import perf_counter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.algebra import ast as A
+from repro.algebra.evaluator import Evaluator
 from repro.algebra.parser import parse
 from repro.algebra.printer import to_text
 from repro.core.instance import Instance
 from repro.core.regionset import RegionSet
 from repro.core.wordindex import TextWordIndex
 from repro.errors import BackendUnsupportedError
-from repro.shard.merge import summarize_result
 from repro.shard.partition import Segment, partition_instance
-from repro.shard.rewrite import ShardEvaluator, rewrite
+from repro.shard.rewrite import rewrite
 
 __all__ = [
     "BackendResult",
@@ -178,7 +178,7 @@ class ShardSlice:
     group: int
     groups: int
     generation: int
-    evaluator: ShardEvaluator
+    evaluator: Evaluator
 
 
 class SliceProvider:
@@ -195,14 +195,10 @@ class SliceProvider:
     def __init__(
         self,
         lookup: Callable[[str], tuple[Instance, int]],
-        strategy: str = "indexed",
         tracer: Any = None,
-        vm: bool = True,
     ):
         self._lookup = lookup
-        self._strategy = strategy
         self._tracer = tracer
-        self._vm = vm
         self._lock = threading.Lock()
         #: (corpus, groups) ->
         #:     (generation, partition, evaluator, empty segment | None)
@@ -221,9 +217,7 @@ class SliceProvider:
                 _, partition, evaluator, empty = cached
             else:
                 partition = partition_instance(instance, groups)
-                evaluator = ShardEvaluator(
-                    self._strategy, tracer=self._tracer, vm=self._vm
-                )
+                evaluator = Evaluator(tracer=self._tracer)
                 empty = None
                 cached = [generation, partition, evaluator, empty]
                 self._cache[key] = cached
@@ -329,16 +323,15 @@ def evaluate_slice(
                     if resolved is not _UNRESOLVED:
                         node_bounds[node] = resolved
     points = _route_points(slice_, patterns)
-    memo: dict[A.Expr, Any] = {}
     payload: list[Any] = []
     started = perf_counter()
     for expr in exprs:
         rewritten = rewrite(expr, node_bounds, points)
-        result = slice_.evaluator.evaluate_with(
-            rewritten, slice_.segment.instance, memo, deadline=deadline
+        result = slice_.evaluator.evaluate(
+            rewritten, slice_.segment.instance, deadline=deadline
         )
         if want == "exchange":
-            payload.append(list(summarize_result(result)))
+            payload.append(list(result.extremes()))
         else:
             payload.append([[r.left, r.right] for r in result])
     return payload, perf_counter() - started

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
-from repro.core.wordindex import LabelWordIndex, WordIndex
-from repro.errors import HierarchyError, UnknownRegionNameError
+from repro.core.wordindex import LabelWordIndex, TextWordIndex, WordIndex
+from repro.errors import EvaluationError, HierarchyError, UnknownRegionNameError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.forest import Forest
@@ -128,6 +128,15 @@ class Instance:
     def matches(self, region: Region, pattern: str) -> bool:
         """The word-index predicate ``W(region, pattern)``."""
         return self._word_index.matches(region, pattern)
+
+    def match_points(self, pattern: str) -> RegionSet:
+        """The word-index occurrences of ``pattern`` as degenerate regions."""
+        if not isinstance(self._word_index, TextWordIndex):
+            raise EvaluationError(
+                "match-point queries need a text-backed word index; "
+                "this instance carries an abstract label index"
+            )
+        return self._word_index.match_points(pattern)
 
     def forest(self) -> "Forest":
         """The direct-inclusion forest over all regions (cached)."""

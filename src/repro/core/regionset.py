@@ -4,32 +4,35 @@
 (Definition 2.2/2.3).  Internally a set is a *struct of arrays*: two
 parallel int lists ``_lefts``/``_rights`` sorted by ``(left, right)``
 with duplicates removed.  That flat layout is what the PAT engine's
-efficiency rests on — every structural semi-join below runs in
-``O((n + m) log m)`` using binary search plus prefix/suffix extreme
-tables, and the :mod:`repro.vm` kernels consume the arrays directly
-without touching per-region Python objects.
+efficiency rests on: every operator below is one pass over the sorted
+endpoint arrays that returns through :meth:`RegionSet._from_arrays`, so
+no per-region Python object is created on the hot path.
+
+The operator methods are the *indexed table*: the one array body per
+operator, executed by the compiled :mod:`repro.vm` program
+(:mod:`repro.vm.kernels` re-exports the same function objects).  The
+definitions they must agree with — Definition 2.3 and Section 5
+verbatim — live in :mod:`repro.algebra.oracle`, which calls none of
+them.
 
 The tuple of :class:`Region` objects (the *object view*) is materialised
-lazily on first access through :attr:`regions` / iteration, so existing
-region-at-a-time callers keep working unchanged while array-to-array
-pipelines never pay for it.
+lazily on first access through :attr:`regions` / iteration, so
+region-at-a-time callers keep working while array-to-array pipelines
+never pay for it.
 
-Two implementations of each structural operator are provided:
-
-* the *indexed* ones (``including``, ``included_in``, ``preceding``,
-  ``following``) used by the production evaluator, and
-* ``*_naive`` variants that transcribe Definition 2.3 literally and serve
-  as the semantic oracle for the test suite.
-
-The correctness argument for the indexed containment joins: with ``S``
-sorted by left endpoint, ``r ⊃ s`` holds for some ``s ∈ S`` iff
+The correctness argument for the containment joins: with ``S`` sorted by
+left endpoint, ``r ⊃ s`` holds for some ``s ∈ S`` iff
 
 * (A) some ``s`` has ``left(s) > left(r)`` and ``right(s) <= right(r)``, or
 * (B) some ``s`` has ``left(s) >= left(r)`` and ``right(s) < right(r)``,
 
 and each disjunct asks whether the *minimum* right endpoint over a suffix
 of the sorted order clears a threshold — a suffix-minimum query.  The
-``⊂`` join is symmetric with prefix-maximum queries.
+``⊂`` join is symmetric with prefix-maximum queries.  The probe lefts
+ascend, so each bisect position is monotone non-decreasing and is found
+by *galloping* (exponential) search from the previous one: ``O(log gap)``
+instead of ``O(log m)`` from scratch, ``O(n + m)`` total when the sets
+interleave densely, never worse than the plain bisect.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator
 
 from repro.core.region import Region
+from repro.core.sparse import RangeMin
 
 __all__ = ["RegionSet"]
 
@@ -142,9 +146,9 @@ class RegionSet:
     def _from_arrays(cls, lefts: list[int], rights: list[int]) -> "RegionSet":
         """Wrap parallel endpoint arrays already sorted and duplicate-free.
 
-        This is the :mod:`repro.vm` kernel output path: no Region objects
-        are created until someone asks for the object view.  Callers must
-        uphold the ``(left, right)``-sorted, no-duplicates invariant.
+        This is the operator output path: no Region objects are created
+        until someone asks for the object view.  Callers must uphold the
+        ``(left, right)``-sorted, no-duplicates invariant.
         """
         out = cls.__new__(cls)
         out._regions = None
@@ -216,35 +220,101 @@ class RegionSet:
         return self._regions
 
     # ------------------------------------------------------------------
-    # Set-theoretic operations (Definition 2.3, first group).
+    # Set-theoretic operations (Definition 2.3, first group): linear
+    # merges over the sorted (left, right) keys.
     # ------------------------------------------------------------------
 
     def union(self, other: "RegionSet") -> "RegionSet":
-        if not other:
-            return self
-        if not self:
+        al, ar = self._lefts, self._rights
+        bl, br = other._lefts, other._rights
+        if not al:
             return other
-        return RegionSet(self.regions + other.regions)
+        if not bl:
+            return self
+        out_l: list[int] = []
+        out_r: list[int] = []
+        push_l, push_r = out_l.append, out_r.append
+        i = j = 0
+        n, m = len(al), len(bl)
+        while i < n and j < m:
+            la, ra = al[i], ar[i]
+            lb, rb = bl[j], br[j]
+            if la < lb or (la == lb and ra < rb):
+                push_l(la)
+                push_r(ra)
+                i += 1
+            elif la == lb and ra == rb:
+                push_l(la)
+                push_r(ra)
+                i += 1
+                j += 1
+            else:
+                push_l(lb)
+                push_r(rb)
+                j += 1
+        out_l.extend(al[i:])
+        out_r.extend(ar[i:])
+        out_l.extend(bl[j:])
+        out_r.extend(br[j:])
+        return RegionSet._from_arrays(out_l, out_r)
 
     def intersection(self, other: "RegionSet") -> "RegionSet":
-        if not self or not other:
+        al, ar = self._lefts, self._rights
+        bl, br = other._lefts, other._rights
+        if not al or not bl:
             return _EMPTY
-        small, large = (self, other) if len(self) <= len(other) else (other, self)
-        return RegionSet(r for r in small if r in large)
+        out_l: list[int] = []
+        out_r: list[int] = []
+        i = j = 0
+        n, m = len(al), len(bl)
+        while i < n and j < m:
+            la, ra = al[i], ar[i]
+            lb, rb = bl[j], br[j]
+            if la == lb and ra == rb:
+                out_l.append(la)
+                out_r.append(ra)
+                i += 1
+                j += 1
+            elif la < lb or (la == lb and ra < rb):
+                i += 1
+            else:
+                j += 1
+        return RegionSet._from_arrays(out_l, out_r)
 
     def difference(self, other: "RegionSet") -> "RegionSet":
-        if not self:
+        al, ar = self._lefts, self._rights
+        bl, br = other._lefts, other._rights
+        if not al:
             return _EMPTY
-        if not other:
+        if not bl:
             return self
-        return RegionSet(r for r in self if r not in other)
+        out_l: list[int] = []
+        out_r: list[int] = []
+        i = j = 0
+        n, m = len(al), len(bl)
+        while i < n and j < m:
+            la, ra = al[i], ar[i]
+            lb, rb = bl[j], br[j]
+            if la == lb and ra == rb:
+                i += 1
+                j += 1
+            elif la < lb or (la == lb and ra < rb):
+                out_l.append(la)
+                out_r.append(ra)
+                i += 1
+            else:
+                j += 1
+        out_l.extend(al[i:])
+        out_r.extend(ar[i:])
+        return RegionSet._from_arrays(out_l, out_r)
 
     __or__ = union
     __and__ = intersection
     __sub__ = difference
 
     # ------------------------------------------------------------------
-    # Indexed structural semi-joins (Definition 2.3, second group).
+    # Containment semi-joins (Definition 2.3, second group): extreme
+    # tables + galloping search (see the module docstring).
     # ------------------------------------------------------------------
 
     def _ensure_suffix_min(self) -> list[int]:
@@ -257,39 +327,97 @@ class RegionSet:
             self._prefix_max_right = _prefix_max(self._rights)
         return self._prefix_max_right
 
-    def _contains_region_inside(self, r: Region) -> bool:
-        """Does this set contain some ``s`` with ``r ⊃ s``?"""
-        suffix = self._ensure_suffix_min()
-        # (A) left(s) > left(r) and right(s) <= right(r)
-        i = bisect_right(self._lefts, r.left)
-        if suffix[i] <= r.right:
-            return True
-        # (B) left(s) >= left(r) and right(s) < right(r)
-        j = bisect_left(self._lefts, r.left)
-        return suffix[j] < r.right
-
-    def _contains_region_outside(self, r: Region) -> bool:
-        """Does this set contain some ``s`` with ``r ⊂ s``?"""
-        prefix = self._ensure_prefix_max()
-        # (A) left(s) < left(r) and right(s) >= right(r)
-        i = bisect_left(self._lefts, r.left)
-        if prefix[i] >= r.right:
-            return True
-        # (B) left(s) <= left(r) and right(s) > right(r)
-        j = bisect_right(self._lefts, r.left)
-        return prefix[j] > r.right
-
     def including(self, other: "RegionSet") -> "RegionSet":
         """``R ⊃ S = {r ∈ R : ∃ s ∈ S, r ⊃ s}``."""
-        if not self or not other:
+        al, ar = self._lefts, self._rights
+        bl = other._lefts
+        if not al or not bl:
             return _EMPTY
-        return RegionSet(r for r in self if other._contains_region_inside(r))
+        suffix = other._ensure_suffix_min()
+        out_l: list[int] = []
+        out_r: list[int] = []
+        push_l, push_r = out_l.append, out_r.append
+        m = len(bl)
+        hi = lo = 0
+        for left, right in zip(al, ar):
+            # (A) left(s) > left(r) and right(s) <= right(r).  The gallop
+            # is inlined: the already-positioned frontier is the hot case.
+            if hi < m and bl[hi] <= left:
+                prev, step = hi, 1
+                while hi + step < m and bl[hi + step] <= left:
+                    prev = hi + step
+                    step <<= 1
+                hi = bisect_right(bl, left, prev + 1, min(hi + step, m))
+            if suffix[hi] <= right:
+                push_l(left)
+                push_r(right)
+                continue
+            # (B) left(s) >= left(r) and right(s) < right(r)
+            if lo < m and bl[lo] < left:
+                prev, step = lo, 1
+                while lo + step < m and bl[lo + step] < left:
+                    prev = lo + step
+                    step <<= 1
+                lo = bisect_left(bl, left, prev + 1, min(lo + step, m))
+            if suffix[lo] < right:
+                push_l(left)
+                push_r(right)
+        return RegionSet._from_arrays(out_l, out_r)
 
     def included_in(self, other: "RegionSet") -> "RegionSet":
         """``R ⊂ S = {r ∈ R : ∃ s ∈ S, r ⊂ s}``."""
-        if not self or not other:
+        al, ar = self._lefts, self._rights
+        bl = other._lefts
+        if not al or not bl:
             return _EMPTY
-        return RegionSet(r for r in self if other._contains_region_outside(r))
+        prefix = other._ensure_prefix_max()
+        out_l: list[int] = []
+        out_r: list[int] = []
+        push_l, push_r = out_l.append, out_r.append
+        m = len(bl)
+        hi = lo = 0
+        for left, right in zip(al, ar):
+            # (A) left(s) < left(r) and right(s) >= right(r)
+            if lo < m and bl[lo] < left:
+                prev, step = lo, 1
+                while lo + step < m and bl[lo + step] < left:
+                    prev = lo + step
+                    step <<= 1
+                lo = bisect_left(bl, left, prev + 1, min(lo + step, m))
+            if prefix[lo] >= right:
+                push_l(left)
+                push_r(right)
+                continue
+            # (B) left(s) <= left(r) and right(s) > right(r)
+            if hi < m and bl[hi] <= left:
+                prev, step = hi, 1
+                while hi + step < m and bl[hi + step] <= left:
+                    prev = hi + step
+                    step <<= 1
+                hi = bisect_right(bl, left, prev + 1, min(hi + step, m))
+            if prefix[hi] > right:
+                push_l(left)
+                push_r(right)
+        return RegionSet._from_arrays(out_l, out_r)
+
+    # ------------------------------------------------------------------
+    # Order semi-joins: folded to one scalar extreme of the right operand.
+    # ------------------------------------------------------------------
+
+    def extremes(self) -> tuple[int | None, int | None]:
+        """``(max left endpoint, min right endpoint)``; ``(None, None)`` when empty.
+
+        The only two values an order semi-join needs from its right
+        operand, and therefore all that crosses shard — and, in the
+        backend layer, process — boundaries during exchange rounds.
+        """
+        if not self._lefts:
+            return (None, None)
+        suffix = self._suffix_min_right
+        return (
+            self._lefts[-1],
+            suffix[0] if suffix is not None else min(self._rights),
+        )
 
     def preceding(self, other: "RegionSet") -> "RegionSet":
         """``R < S = {r ∈ R : ∃ s ∈ S, r < s}``.
@@ -297,10 +425,11 @@ class RegionSet:
         ``r < s`` means ``right(r) < left(s)``, so ``r`` qualifies exactly
         when the *maximum* left endpoint in ``S`` exceeds ``right(r)``.
         """
-        if not self or not other:
+        if not self._lefts or not other._lefts:
             return _EMPTY
-        max_left = other._lefts[-1]
-        return RegionSet(r for r in self if r.right < max_left)
+        # extremes()[0], read directly: the pair's other half can cost a
+        # pass over ``other`` that ``<`` has no use for.
+        return self.ending_before(other._lefts[-1])
 
     def following(self, other: "RegionSet") -> "RegionSet":
         """``R > S = {r ∈ R : ∃ s ∈ S, r > s}``.
@@ -308,41 +437,77 @@ class RegionSet:
         ``r`` qualifies exactly when the *minimum* right endpoint in ``S``
         is below ``left(r)``.
         """
-        if not self or not other:
+        if not self._lefts or not other._lefts:
             return _EMPTY
-        min_right = min(other._rights)
-        return RegionSet(r for r in self if min_right < r.left)
+        return self.starting_after(other.extremes()[1])
+
+    def ending_before(self, bound: int) -> "RegionSet":
+        """The regions with ``right(r) < bound`` (scalar form of ``<``)."""
+        al, ar = self._lefts, self._rights
+        out_l: list[int] = []
+        out_r: list[int] = []
+        for k in range(len(al)):
+            if ar[k] < bound:
+                out_l.append(al[k])
+                out_r.append(ar[k])
+        return RegionSet._from_arrays(out_l, out_r)
+
+    def starting_after(self, bound: int) -> "RegionSet":
+        """The regions with ``left(r) > bound`` (scalar form of ``>``):
+        one bisect plus a slice."""
+        idx = bisect_right(self._lefts, bound)
+        if idx == 0:
+            return self
+        return RegionSet._from_arrays(self._lefts[idx:], self._rights[idx:])
 
     # ------------------------------------------------------------------
-    # Naive oracle variants (Definition 2.3 transcribed literally).
+    # Both-included (Definition 5.2) and selection.
     # ------------------------------------------------------------------
 
-    def _semi_join_naive(
-        self, other: "RegionSet", predicate: Callable[[Region, Region], bool]
-    ) -> "RegionSet":
-        return RegionSet(
-            r for r in self if any(predicate(r, s) for s in other)
-        )
+    def both_included(self, first: "RegionSet", second: "RegionSet") -> "RegionSet":
+        """``R BI (S, T)`` via two containment-window probes per R-region.
 
-    def including_naive(self, other: "RegionSet") -> "RegionSet":
-        return self._semi_join_naive(other, Region.includes)
-
-    def included_in_naive(self, other: "RegionSet") -> "RegionSet":
-        return self._semi_join_naive(other, Region.included_in)
-
-    def preceding_naive(self, other: "RegionSet") -> "RegionSet":
-        return self._semi_join_naive(other, Region.precedes)
-
-    def following_naive(self, other: "RegionSet") -> "RegionSet":
-        return self._semi_join_naive(other, Region.follows)
-
-    # ------------------------------------------------------------------
-    # Selection and misc helpers.
-    # ------------------------------------------------------------------
+        A window probe is the minimum right endpoint over the members of
+        a set with left endpoint in a range — two-sided, so it needs a
+        range-minimum table rather than the suffix extremes.  For each
+        ``r`` the best witness ``s`` is the contained S-region with the
+        smallest right endpoint ``m``; ``r`` qualifies iff some T-region
+        with ``left > m`` is contained in ``r`` as well.
+        """
+        if not self._lefts or not first._lefts or not second._lefts:
+            return _EMPTY
+        s_lefts, s_min = first._lefts, RangeMin(first._rights)
+        t_lefts, t_min = second._lefts, RangeMin(second._rights)
+        out_l: list[int] = []
+        out_r: list[int] = []
+        for left, right in zip(self._lefts, self._rights):
+            m = s_min.query(bisect_left(s_lefts, left), bisect_right(s_lefts, right))
+            # m == right can only be witnessed by s sharing r's right endpoint,
+            # after which no contained t can start beyond it — treat as failure.
+            if m is None or m >= right:
+                continue
+            t = t_min.query(bisect_right(t_lefts, m), bisect_right(t_lefts, right))
+            if t is not None and t <= right:
+                out_l.append(left)
+                out_r.append(right)
+        return RegionSet._from_arrays(out_l, out_r)
 
     def select(self, predicate: Callable[[Region], bool]) -> "RegionSet":
-        """Keep the regions satisfying ``predicate`` (used for ``σ_p``)."""
-        return RegionSet(r for r in self if predicate(r))
+        """Keep the regions satisfying ``predicate`` (used for ``σ_p``).
+
+        The predicate needs the object view; the output skips the sort.
+        """
+        out_l: list[int] = []
+        out_r: list[int] = []
+        for r in self.regions:
+            if predicate(r):
+                out_l.append(r.left)
+                out_r.append(r.right)
+        return RegionSet._from_arrays(out_l, out_r)
+
+    # ------------------------------------------------------------------
+    # Misc helpers.
+    # ------------------------------------------------------------------
 
     def spanning(self, position: int) -> "RegionSet":
         """The regions containing text position ``position``."""

@@ -1,9 +1,9 @@
 """Sparse-table range-minimum queries.
 
-Built in ``O(n log n)``, answers ``min(values[i:j])`` in ``O(1)``.  The
-indexed evaluator uses this for the ``both-included`` operator, whose
-containment windows are two-sided and therefore not answerable with the
-prefix/suffix extreme tables that suffice for ``⊃``/``⊂``.
+Built in ``O(n log n)``, answers ``min(values[i:j])`` in ``O(1)``.
+:meth:`RegionSet.both_included` uses this: its containment windows are
+two-sided and therefore not answerable with the prefix/suffix extreme
+tables that suffice for ``⊃``/``⊂``.
 """
 
 from __future__ import annotations

@@ -193,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     serve.add_argument(
-        "--no-vm",
-        action="store_true",
-        help="disable compiled plan execution (repro.vm); always interpret",
-    )
-    serve.add_argument(
         "--deadline",
         type=float,
         default=5.0,
@@ -580,8 +575,6 @@ def _span_tree_lines(span, depth: int, lines: list[str]) -> None:
     attrs = span.attributes
     if "cardinality" in attrs:
         label += f" -> {attrs['cardinality']} region(s)"
-    if attrs.get("cached"):
-        label += " (cached)"
     lines.append(f"{'  ' * depth}{label}  {span.duration * 1e6:.0f} µs")
     for child in span.children:
         _span_tree_lines(child, depth + 1, lines)
@@ -605,7 +598,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         s for s in root.walk() if s.name.startswith("eval.")
     ]
     total = root.duration
-    evaluated = sum(s.duration for s in eval_spans if s.parent_id == root.span_id)
+    evaluated = sum(s.duration for s in root.walk() if s.name == "vm.execute")
     print(
         f"{len(result)} region(s) in {total * 1e6:.0f} µs "
         f"({len(eval_spans)} operator span(s), "
@@ -727,7 +720,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         optimize_default=args.optimize,
         tracing=args.trace,
         trace_sample_rate=args.trace_sample,
-        vm_enabled=not args.no_vm,
         corpora=tuple(specs),
         shards=args.shards,
         backend_nodes=nodes,

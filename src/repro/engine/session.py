@@ -35,13 +35,12 @@ from typing import Any
 
 from repro.algebra import ast as A
 from repro.algebra.cost import CostModel
-from repro.algebra.evaluator import CancelToken, EvalStats, Evaluator, Strategy
+from repro.algebra.evaluator import CancelToken, EvalStats, Evaluator
 from repro.algebra.parser import parse
 from repro.algebra.printer import to_text
 from repro.core.instance import Instance
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
-from repro.core.wordindex import TextWordIndex
 from repro.errors import EvaluationError, UnknownRegionNameError
 from repro.faults import registry as _faults
 from repro.obs import Telemetry
@@ -65,11 +64,12 @@ __all__ = ["Engine", "QueryPlan"]
 class QueryPlan:
     """What ``explain`` returns: the plan for one query.
 
-    ``compiled`` says the optimized expression lowers to a
-    :mod:`repro.vm` program; ``program`` is its listing (one line per
-    instruction).  Both are deterministic functions of the plan, so two
-    ``explain`` calls for the same query compare equal regardless of
-    what the caches did in between.
+    ``program`` is the listing of the :mod:`repro.vm` program the
+    optimized expression lowers to (one line per instruction);
+    ``compiled`` is true of every plan an engine builds and stays in the
+    ``explain`` envelope for its readers.  Both are deterministic
+    functions of the plan, so two ``explain`` calls for the same query
+    compare equal regardless of what the caches did in between.
     """
 
     original: A.Expr
@@ -102,21 +102,16 @@ class Engine:
         instance: Instance,
         text: str | None = None,
         rig: RegionInclusionGraph | None = None,
-        strategy: Strategy = "indexed",
         telemetry: Telemetry | None = None,
         shards: int | None = None,
         shard_pool: str = "thread",
-        vm: bool = True,
     ):
         self._instance = instance
         self._text = text
         self._rig = rig
         self._telemetry = telemetry if telemetry is not None else Telemetry()
         self._evaluator = Evaluator(
-            strategy,
-            tracer=self._telemetry.tracer,
-            metrics=self._telemetry.metrics,
-            vm=vm,
+            tracer=self._telemetry.tracer, metrics=self._telemetry.metrics
         )
         self._views: dict[str, A.Expr] = {}
         self._cost_model: CostModel | None = None
@@ -128,10 +123,8 @@ class Engine:
                 instance,
                 shards,
                 pool=shard_pool,
-                strategy=strategy,
                 tracer=self._telemetry.tracer,
                 metrics=self._telemetry.metrics,
-                vm=vm,
             )
 
     # ------------------------------------------------------------------
@@ -406,20 +399,17 @@ class Engine:
             tracer=self._telemetry.tracer,
             metrics=self._telemetry.metrics,
         )
-        program = None
-        program_cached = False
-        if self._evaluator.vm_enabled:
-            program, program_cached = self._evaluator.compiled_program(
-                result.expression
-            )
+        program, program_cached = self._evaluator.compiled_program(
+            result.expression
+        )
         plan = QueryPlan(
             original=expr,
             optimized=result.expression,
             original_cost=result.original_cost,
             optimized_cost=result.optimized_cost,
             steps=result.steps,
-            compiled=program is not None,
-            program=program.listing() if program is not None else (),
+            compiled=True,
+            program=program.listing(),
         )
         return plan, program_cached
 
@@ -481,12 +471,7 @@ class Engine:
 
     def match_points(self, pattern: str) -> RegionSet:
         """The word-index match points of a pattern (PAT word queries)."""
-        word_index = self._instance.word_index
-        if not isinstance(word_index, TextWordIndex):
-            raise EvaluationError(
-                "match points require a text-backed word index"
-            )
-        return word_index.match_points(pattern)
+        return self._instance.match_points(pattern)
 
     def extract(self, region: Region) -> str:
         """The raw text a region covers (requires the source text)."""

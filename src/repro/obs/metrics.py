@@ -51,7 +51,6 @@ __all__ = [
     "INDEX_BUILD_SECONDS",
     "OPTIMIZER_RULE_FIRES_TOTAL",
     "VM_COMPILE_TOTAL",
-    "VM_FALLBACK_TOTAL",
     "VM_KERNEL_INVOCATIONS_TOTAL",
     "VM_EXEC_SECONDS",
     "SERVER_REQUESTS_TOTAL",
@@ -129,7 +128,6 @@ OPTIMIZER_RULE_FIRES_TOTAL = "optimizer_rule_fires_total"
 
 # The compiled execution engine (repro.vm) — see docs/internals.md.
 VM_COMPILE_TOTAL = "vm_compile_total"
-VM_FALLBACK_TOTAL = "vm_fallback_total"
 VM_KERNEL_INVOCATIONS_TOTAL = "vm_kernel_invocations_total"
 VM_EXEC_SECONDS = "vm_exec_seconds"
 

@@ -252,9 +252,6 @@ class ServerConfig:
     health_min_samples: int = 10
     probe_interval: int = 10
     stale_when_degraded: bool = True
-    #: Compiled plan execution (repro.vm); ``--no-vm`` forces the
-    #: AST interpreter everywhere (engines, shard workers, backends).
-    vm_enabled: bool = True
     shards: int = 1
     backend_nodes: int = 0
     backend_groups: int = 2
@@ -393,7 +390,6 @@ class ServerConfig:
             "degraded_threshold": self.degraded_threshold,
             "unhealthy_threshold": self.unhealthy_threshold,
             "stale_when_degraded": self.stale_when_degraded,
-            "vm_enabled": self.vm_enabled,
             "shards": self.shards,
             "backend_nodes": self.backend_nodes,
             "backend_groups": self.backend_groups,

@@ -134,7 +134,6 @@ def _build_engine(
     spec: CorpusSpec,
     telemetry: Telemetry,
     shards: int | None = None,
-    vm: bool = True,
 ) -> Engine:
     """Load one corpus per its spec, sharing the service telemetry."""
     from pathlib import Path
@@ -153,7 +152,6 @@ def _build_engine(
             rig=document_engine.rig,
             telemetry=telemetry,
             shards=shards,
-            vm=vm,
         )
         return engine
     text = None
@@ -177,16 +175,13 @@ def _build_engine(
         document = parse_source(text)
         instance, text = document.instance, document.text
         rig = figure_1_rig()
-    return Engine(
-        instance, text=text, rig=rig, telemetry=telemetry, shards=shards, vm=vm
-    )
+    return Engine(instance, text=text, rig=rig, telemetry=telemetry, shards=shards)
 
 
 def _rebuild_engine(
     spec: CorpusSpec,
     telemetry: Telemetry,
     shards: int | None = None,
-    vm: bool = True,
 ) -> Engine:
     """Rebuild an ``index`` corpus from its source document and try to
     re-save the index file (best-effort) — the corruption-recovery path."""
@@ -212,7 +207,6 @@ def _rebuild_engine(
         rig=rig,
         telemetry=telemetry,
         shards=shards,
-        vm=vm,
     )
     try:
         save_instance(engine.instance, spec.path)
@@ -557,9 +551,7 @@ class QueryService:
         # ``/shard/query`` endpoint when *this* process is someone
         # else's backend.
         self._slice_provider = SliceProvider(
-            self._slice_lookup,
-            tracer=self.telemetry.tracer,
-            vm=self.config.vm_enabled,
+            self._slice_lookup, tracer=self.telemetry.tracer
         )
         self._frontier_fallback = metrics.counter(
             FRONTIER_FALLBACK_TOTAL,
@@ -655,8 +647,6 @@ class QueryService:
                     "--trace-sample",
                     str(config.trace_sample_rate),
                 ]
-            if not config.vm_enabled:
-                extra_args.append("--no-vm")
             self.supervisor = BackendSupervisor(
                 corpora=config.corpora,
                 count=config.backend_nodes,
@@ -832,7 +822,6 @@ class QueryService:
             rig=replica.rig,
             telemetry=self.telemetry,
             shards=self._shards_for(handle.spec),
-            vm=self.config.vm_enabled,
         )
         return handle.install(engine, generation=generation)
 
@@ -973,9 +962,7 @@ class QueryService:
 
         try:
             return retry_call(
-                lambda: _build_engine(
-                    spec, self.telemetry, shards, vm=self.config.vm_enabled
-                ),
+                lambda: _build_engine(spec, self.telemetry, shards),
                 policy=self._retry_policy,
                 retry_on=_RETRYABLE_LOAD,
                 op=f"load:{spec.name}",
@@ -988,9 +975,7 @@ class QueryService:
             from repro.engine.storage import quarantine_index
 
             quarantine_index(spec.path)
-            engine = _rebuild_engine(
-                spec, self.telemetry, shards, vm=self.config.vm_enabled
-            )
+            engine = _rebuild_engine(spec, self.telemetry, shards)
             self._rebuilds.inc(corpus=spec.name)
             return engine
 
@@ -1056,7 +1041,6 @@ class QueryService:
             rig=state.rig,
             telemetry=self.telemetry,
             shards=self._shards_for(spec),
-            vm=self.config.vm_enabled,
         )
 
     def _ingest_state(self, name: str) -> _IngestState:

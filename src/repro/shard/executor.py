@@ -43,7 +43,7 @@ from time import monotonic, perf_counter
 from typing import TYPE_CHECKING, Any
 
 from repro.algebra import ast as A
-from repro.algebra.evaluator import CancelToken
+from repro.algebra.evaluator import CancelToken, Evaluator
 from repro.algebra.parser import parse
 from repro.core.instance import Instance
 from repro.core.regionset import RegionSet
@@ -58,10 +58,10 @@ from repro.errors import (
 from repro.faults import registry as _faults
 from repro.obs import context as _trace_context
 from repro.obs.trace import maybe_span
-from repro.shard.merge import merge_region_sets, summarize_result as _summarize
+from repro.shard.merge import merge_region_sets
 from repro.shard.partition import Partition, partition_instance
 from repro.shard.planner import ShardPlan, classify
-from repro.shard.rewrite import ShardEvaluator, rewrite
+from repro.shard.rewrite import rewrite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -135,15 +135,33 @@ def _remaining(deadline_at: float | None, budget: float | None) -> float | None:
 # ----------------------------------------------------------------------
 
 _PROCESS_SEGMENTS: tuple[Instance, ...] | None = None
-_PROCESS_EVALUATOR: ShardEvaluator | None = None
+_PROCESS_EVALUATOR: Evaluator | None = None
 
 
-def _process_init(
-    segments: tuple[Instance, ...], strategy: str, vm: bool = True
-) -> None:
+def _process_init(segments: tuple[Instance, ...]) -> None:
     global _PROCESS_SEGMENTS, _PROCESS_EVALUATOR
     _PROCESS_SEGMENTS = segments
-    _PROCESS_EVALUATOR = ShardEvaluator(strategy, vm=vm)
+    _PROCESS_EVALUATOR = Evaluator()
+
+
+def _evaluate_all(
+    evaluator: Evaluator,
+    exprs: list[A.Expr],
+    instance: Instance,
+    want: str,
+    deadline_at: float | None,
+    budget: float | None,
+    cancel: CancelToken | None = None,
+) -> list[Any]:
+    """One shard task's payload: each rewritten expression's result set,
+    or just its two exchange scalars when ``want == "exchange"``."""
+    out: list[Any] = []
+    for expr in exprs:
+        result = evaluator.evaluate(
+            expr, instance, deadline=_remaining(deadline_at, budget), cancel=cancel
+        )
+        out.append(result.extremes() if want == "exchange" else result)
+    return out
 
 
 def _process_task(
@@ -164,37 +182,27 @@ def _process_task(
     """
     assert _PROCESS_SEGMENTS is not None and _PROCESS_EVALUATOR is not None
     instance = _PROCESS_SEGMENTS[index]
-    memo: dict[A.Expr, RegionSet] = {}
+    deadline_at = monotonic() + deadline if deadline is not None else None
     if trace is None:
         started = perf_counter()
-        out: list[Any] = []
-        for expr in exprs:
-            result = _PROCESS_EVALUATOR.evaluate_with(
-                expr, instance, memo, deadline=deadline
-            )
-            out.append(_summarize(result) if want == "exchange" else result)
+        out = _evaluate_all(
+            _PROCESS_EVALUATOR, exprs, instance, want, deadline_at, deadline
+        )
         return (perf_counter() - started, out, None)
 
     from repro.obs.trace import Tracer, span_to_dict
 
     tracer = Tracer(enabled=True)
-    evaluator = ShardEvaluator(
-        _PROCESS_EVALUATOR.strategy,
-        tracer=tracer,
-        vm=_PROCESS_EVALUATOR.vm_enabled,
-    )
+    evaluator = Evaluator(tracer=tracer)
     token = _trace_context.activate(
         _trace_context.TraceContext.from_dict(trace)
     )
     try:
         with tracer.span("shard.task", shard=index) as span:
             started = perf_counter()
-            out = []
-            for expr in exprs:
-                result = evaluator.evaluate_with(
-                    expr, instance, memo, deadline=deadline
-                )
-                out.append(_summarize(result) if want == "exchange" else result)
+            out = _evaluate_all(
+                evaluator, exprs, instance, want, deadline_at, deadline
+            )
             seconds = perf_counter() - started
         return (seconds, out, span_to_dict(span))
     finally:
@@ -209,11 +217,9 @@ class ShardExecutor:
         instance: Instance,
         shards: int,
         pool: str = "thread",
-        strategy: str = "indexed",
         max_workers: int | None = None,
         tracer: "Tracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        vm: bool = True,
     ):
         if pool not in POOL_KINDS:
             raise ReproError(
@@ -221,14 +227,10 @@ class ShardExecutor:
             )
         self.partition: Partition = partition_instance(instance, shards)
         self.pool_kind = pool
-        self.strategy = strategy
         self.tracer = tracer
         self.metrics = metrics
-        self.vm = vm
         self._instance = instance
-        self._evaluator = ShardEvaluator(
-            strategy, tracer=tracer, metrics=metrics, vm=vm
-        )
+        self._evaluator = Evaluator(tracer=tracer, metrics=metrics)
         self._max_workers = max_workers or max(len(self.partition), 1)
         self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -271,7 +273,7 @@ class ShardExecutor:
                     self._pool = ProcessPoolExecutor(
                         max_workers=self._max_workers,
                         initializer=_process_init,
-                        initargs=(segments, self.strategy, self.vm),
+                        initargs=(segments,),
                     )
             return self._pool
 
@@ -340,7 +342,6 @@ class ShardExecutor:
                 self._fallback_total.inc(reason=reason)
             return self._single_shard(expr, budget, deadline_at, cancel)
         token = _CombinedToken(cancel)
-        memos: list[dict[A.Expr, RegionSet]] = [{} for _ in self.partition.segments]
         bounds: dict[A.Expr, int | None] = {}
         try:
             for round_no in range(1, plan.rounds + 1):
@@ -357,7 +358,6 @@ class ShardExecutor:
                     budget,
                     deadline_at,
                     token,
-                    memos,
                     stats,
                 )
                 for j, right in enumerate(rights):
@@ -381,7 +381,7 @@ class ShardExecutor:
                 for i in range(len(self.partition))
             ]
             per_shard = self._run_phase(
-                "final", final_exprs, "sets", budget, deadline_at, token, memos, stats
+                "final", final_exprs, "sets", budget, deadline_at, token, stats
             )
         except _Degrade:
             token.internal.set()  # stop whatever siblings are still running
@@ -446,7 +446,7 @@ class ShardExecutor:
     # ------------------------------------------------------------------
 
     def _run_phase(
-        self, phase, shard_exprs, want, budget, deadline_at, token, memos, stats
+        self, phase, shard_exprs, want, budget, deadline_at, token, stats
     ) -> list[list[Any]]:
         k = len(self.partition)
         timings = [0.0] * k
@@ -470,18 +470,15 @@ class ShardExecutor:
                     if _faults._active is not None:
                         _faults._active.fire("shard.task")
                     started = perf_counter()
-                    out: list[Any] = []
-                    for expr in shard_exprs[i]:
-                        result = evaluator.evaluate_with(
-                            expr,
-                            segments[i].instance,
-                            memos[i],
-                            deadline=_remaining(deadline_at, budget),
-                            cancel=token,
-                        )
-                        out.append(
-                            _summarize(result) if want == "exchange" else result
-                        )
+                    out = _evaluate_all(
+                        evaluator,
+                        shard_exprs[i],
+                        segments[i].instance,
+                        want,
+                        deadline_at,
+                        budget,
+                        token,
+                    )
                     return (perf_counter() - started, out)
                 except FaultInjected:
                     if span is not None:

@@ -18,21 +18,7 @@ from typing import Sequence
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 
-__all__ = ["merge_region_sets", "summarize_result"]
-
-
-def summarize_result(result: RegionSet) -> tuple[int | None, int | None]:
-    """The two exchange scalars of a per-shard result: (max left
-    endpoint, min right endpoint), ``None``\\ s when empty.
-
-    These are the only values an ordering semi-join needs from the
-    global right operand, and they are what crosses shard — and, in the
-    multi-process backend layer, process — boundaries during exchange
-    rounds."""
-    regions = result.regions
-    if not regions:
-        return (None, None)
-    return (regions[-1].left, min(r.right for r in regions))
+__all__ = ["merge_region_sets"]
 
 
 def merge_region_sets(sets: Sequence[RegionSet]) -> RegionSet:

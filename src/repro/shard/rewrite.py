@@ -1,8 +1,8 @@
-"""Per-shard expression rewriting and the evaluator that runs it.
+"""Per-shard expression rewriting.
 
 The executor never teaches shards about each other; instead it rewrites
-the query per shard so the ordinary evaluator machinery produces the
-shard's slice of the global answer:
+the query per shard so the ordinary evaluator produces the shard's slice
+of the global answer:
 
 * a :class:`RegionLiteral` replaces a match-point leaf with the
   occurrences *routed to this shard* by the partitioner's ownership
@@ -10,14 +10,14 @@ shard's slice of the global answer:
 * an :class:`OrderBound` replaces a resolved ``<``/``>`` node: the
   right operand disappears entirely, leaving a filter of the (still
   per-shard) left operand against the globally exchanged scalar —
-  ``right(r) < bound`` for ``<``, ``left(r) > bound`` for ``>`` —
-  mirroring the indexed single-shard implementations exactly;
+  ``right(r) < bound`` for ``<``, ``left(r) > bound`` for ``>`` — the
+  scalar forms the single-shard ``<``/``>`` bodies themselves fold to;
 * a resolved ordering node whose right operand was globally empty
   becomes :class:`~repro.algebra.ast.Empty` (``R < ∅ = ∅``).
 
 Both node types are private to the shard layer: they are produced only
-here, evaluated only by :class:`ShardEvaluator`, and never escape into
-user-visible plans.
+here, lowered by :mod:`repro.vm.compiler` to ``load_const`` and
+``order_bound_*`` instructions, and never escape into user-visible plans.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.algebra import ast as A
-from repro.algebra.evaluator import CancelToken, Evaluator, _Limits
-from repro.core.instance import Instance
 from repro.core.region import Region
-from repro.core.regionset import RegionSet
 
-__all__ = ["RegionLiteral", "OrderBound", "ShardEvaluator", "rewrite"]
+__all__ = ["RegionLiteral", "OrderBound", "rewrite"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,67 +78,3 @@ def rewrite(
         if new is not child:
             out = A.replace_child(out, i, new)
     return out
-
-
-class ShardEvaluator(Evaluator):
-    """An :class:`Evaluator` that also understands the shard-only nodes."""
-
-    def _dispatch(
-        self, expr: A.Expr, instance: Instance, memo: dict[A.Expr, RegionSet]
-    ) -> RegionSet:
-        if isinstance(expr, RegionLiteral):
-            limits = getattr(self._local, "limits", None)
-            if limits is not None:
-                limits.check()
-            return RegionSet(expr.regions)
-        if isinstance(expr, OrderBound):
-            limits = getattr(self._local, "limits", None)
-            if limits is not None:
-                limits.check()
-            child = self._eval(expr.child, instance, memo)
-            bound = expr.bound
-            if expr.kind == "preceding":
-                return child.select(lambda r: r.right < bound)
-            return child.select(lambda r: r.left > bound)
-        return super()._dispatch(expr, instance, memo)
-
-    def evaluate_with(
-        self,
-        expr: A.Expr,
-        instance: Instance,
-        memo: dict[A.Expr, RegionSet],
-        deadline: float | None = None,
-        cancel: CancelToken | None = None,
-    ) -> RegionSet:
-        """Like :meth:`evaluate`, but against a caller-owned memo.
-
-        The executor evaluates several rewritten expressions per shard
-        within one query (one per exchange round plus the final
-        scatter); a shared memo lets later phases reuse the unchanged
-        subtrees earlier phases already computed.
-        """
-        limited = deadline is not None or cancel is not None
-        if limited:
-            self._local.limits = limits = _Limits(deadline, cancel)
-        try:
-            if limited:
-                limits.check()
-            if self.vm_enabled and self.memoize and memo.get(expr) is None:
-                program = self._vm_program(expr)
-                if program is not None:
-                    if self._observed:
-                        from repro.algebra.evaluator import EvalStats
-
-                        stats = self.last_stats
-                        if stats is None:
-                            self.last_stats = stats = EvalStats()
-                        stats.nodes_evaluated += program.size + program.cse_hits
-                        stats.memo_hits += program.cse_hits
-                        stats.compiled = True
-                    result = self._run_program(program, instance)
-                    memo[expr] = result
-                    return result
-            return self._eval(expr, instance, memo)
-        finally:
-            if limited:
-                self._local.limits = None

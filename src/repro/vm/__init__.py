@@ -4,11 +4,12 @@ and a register plan VM.
 The paper claims the region algebra admits "a very efficient evaluation
 engine"; this package takes that claim seriously.  Optimized plans from
 :mod:`repro.optimize` are lowered once (:mod:`repro.vm.compiler`) into
-straight-line register programs (:mod:`repro.vm.program`) of
-set-at-a-time kernels over flat endpoint arrays (:mod:`repro.vm.kernels`)
-and executed by a tiny VM (:mod:`repro.vm.machine`).  The AST
-interpreter in :mod:`repro.algebra.evaluator` remains both the fallback
-for uncompilable plans and the bit-identical equivalence oracle.
+straight-line register programs (:mod:`repro.vm.program`) and executed
+by a tiny VM (:mod:`repro.vm.machine`) whose kernels are the indexed
+operator bodies of :class:`~repro.core.regionset.RegionSet`
+(:mod:`repro.vm.kernels` names them).  This is the only executor of the
+indexed table; the paper's definitions verbatim are a separate table,
+:mod:`repro.algebra.oracle`, which the VM never calls.
 """
 
 from repro.vm.compiler import compile_expr

@@ -1,25 +1,23 @@
 """Lowering optimized algebra expressions into VM programs.
 
-The compiler walks the expression DFS in the *same child order* as the
-interpreter's ``_dispatch`` (Select → child; BothIncluded → source,
-first, second; binary ops → left, right), emitting one instruction per
-distinct sub-expression.  A repeated sub-expression compiles to a
-register re-read and bumps ``cse_hits`` — exactly the visits the
-interpreter would satisfy from its memo table — so
+The compiler walks the expression DFS, children left to right (Select →
+child; BothIncluded → source, first, second; binary ops → left, right),
+emitting one instruction per distinct sub-expression.  A repeated
+sub-expression compiles to a register re-read and bumps ``cse_hits``, so
 
-    ``instructions + cse_hits == interpreter nodes_evaluated``
-    ``cse_hits == interpreter memo_hits``
+    ``instructions + cse_hits == nodes of the expression tree``
 
-and the executed-program statistics mirror ``EvalStats`` bit for bit.
+With ``cse=False`` (the ``memoize=False`` ablation) every visit emits its
+own instruction and ``cse_hits`` stays 0.
 
-:func:`compile_expr` returns ``None`` for expressions containing node
-types the VM has no kernel for; the caller falls back to the
-interpreter (which stays the semantics oracle).
+A node type the VM has no opcode for is an :class:`EvaluationError` at
+compile time — there is no second executor to hand it to.
 """
 
 from __future__ import annotations
 
 from repro.algebra import ast as A
+from repro.errors import EvaluationError
 from repro.vm import program as P
 from repro.vm.program import Instr, Program
 
@@ -38,62 +36,48 @@ _BINARY_OPS = {
 }
 
 
-class _Uncompilable(Exception):
-    pass
-
-
-def compile_expr(expr: A.Expr) -> Program | None:
-    """Lower ``expr`` to a :class:`Program`, or ``None`` if any node has
-    no kernel (the interpreter fallback handles it)."""
+def compile_expr(expr: A.Expr, cse: bool = True) -> Program:
+    """Lower ``expr`` to a :class:`Program`."""
     instrs: list[Instr] = []
     registers: dict[A.Expr, int] = {}
     constants: list[object] = []
     cse_hits = 0
 
-    def emit(op: int, a: int = -1, b: int = -1, c: int = -1,
-             arg: object = None, label: str = "", fires: bool = True) -> int:
+    def emit(e: A.Expr, op: int, a: int = -1, b: int = -1, c: int = -1,
+             arg: object = None) -> int:
         dest = len(instrs)
-        instrs.append(Instr(op=op, dest=dest, a=a, b=b, c=c,
-                            arg=arg, label=label, fires=fires))
+        instrs.append(Instr(op=op, dest=dest, expr=e, a=a, b=b, c=c, arg=arg))
         return dest
 
     def lower(e: A.Expr) -> int:
         nonlocal cse_hits
-        reg = registers.get(e)
+        reg = registers.get(e) if cse else None
         if reg is not None:
             cse_hits += 1
             return reg
         if isinstance(e, A.NameRef):
-            reg = emit(P.OP_LOAD_NAME, arg=e.name, label="NameRef")
+            reg = emit(e, P.OP_LOAD_NAME, arg=e.name)
         elif isinstance(e, A.Empty):
-            reg = emit(P.OP_LOAD_EMPTY, label="Empty")
+            reg = emit(e, P.OP_LOAD_EMPTY)
         elif isinstance(e, A.Select):
-            child = lower(e.child)
-            reg = emit(P.OP_SELECT, a=child, arg=e.pattern, label="Select")
+            reg = emit(e, P.OP_SELECT, a=lower(e.child), arg=e.pattern)
         elif isinstance(e, A.MatchPoints):
-            reg = emit(P.OP_MATCH_POINTS, arg=e.pattern, label="MatchPoints")
+            reg = emit(e, P.OP_MATCH_POINTS, arg=e.pattern)
         elif isinstance(e, A.BothIncluded):
             source = lower(e.source)
             first = lower(e.first)
             second = lower(e.second)
-            reg = emit(P.OP_BOTH_INCLUDED, a=source, b=first, c=second,
-                       label="BothIncluded")
-        elif isinstance(e, A.BinaryOp):
+            reg = emit(e, P.OP_BOTH_INCLUDED, a=source, b=first, c=second)
+        elif type(e) in _BINARY_OPS:
             left = lower(e.left)
             right = lower(e.right)
-            op = _BINARY_OPS.get(type(e))
-            if op is None:
-                raise _Uncompilable(type(e).__name__)
-            reg = emit(op, a=left, b=right, label=type(e).__name__)
+            reg = emit(e, _BINARY_OPS[type(e)], a=left, b=right)
         else:
             reg = _lower_shard_node(e, lower, emit, constants)
         registers[e] = reg
         return reg
 
-    try:
-        lower(expr)
-    except _Uncompilable:
-        return None
+    lower(expr)
     op_counts: dict[str, int] = {}
     for ins in instrs:
         op_counts[ins.label] = op_counts.get(ins.label, 0) + 1
@@ -113,10 +97,9 @@ def _lower_shard_node(e, lower, emit, constants) -> int:
 
     if isinstance(e, RegionLiteral):
         constants.append(RegionSet(e.regions))
-        return emit(P.OP_LOAD_CONST, arg=len(constants) - 1,
-                    label="RegionLiteral", fires=False)
+        return emit(e, P.OP_LOAD_CONST, arg=len(constants) - 1)
     if isinstance(e, OrderBound):
         child = lower(e.child)
         op = P.OP_ORDER_BOUND_PRE if e.kind == "preceding" else P.OP_ORDER_BOUND_FOL
-        return emit(op, a=child, arg=e.bound, label="OrderBound", fires=False)
-    raise _Uncompilable(type(e).__name__)
+        return emit(e, op, a=child, arg=e.bound)
+    raise EvaluationError(f"cannot evaluate node {type(e).__name__}")

@@ -1,11 +1,15 @@
 """The register VM: execute a compiled :class:`Program` over an instance.
 
 One pass over the instruction list; each step checks cooperative
-deadline/cancel limits, fires the fault points the interpreter would
-(``evaluator.step`` per AST node, plus the VM's own ``vm.kernel`` per
-kernel execution), and dispatches to a set-at-a-time kernel.  With a
-metrics histogram attached, each kernel is timed individually under the
-same per-op labels the interpreter uses.
+deadline/cancel limits, fires the ``evaluator.step`` and ``vm.kernel``
+fault points, and dispatches to the operator's indexed body — a
+:class:`~repro.core.regionset.RegionSet` method, or the instance forest
+for the direct operators.  With a metrics histogram attached each
+instruction is timed under its per-op label; with a tracer attached
+(the caller passes one only for detail-sampled requests) each
+instruction also records one ``eval.<label>`` span carrying its
+expression, output cardinality and kernel time under the caller's open
+span.  Register re-reads (CSE) record nothing: nothing ran.
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 from repro.core.regionset import RegionSet
-from repro.core.wordindex import TextWordIndex
 from repro.errors import EvaluationError
 from repro.faults import registry as _faults
-from repro.vm import kernels as K
 from repro.vm import program as P
 from repro.vm.program import Program
 
@@ -26,50 +28,58 @@ if TYPE_CHECKING:
 
 __all__ = ["execute"]
 
-_both_included = None
-
 
 def execute(
     program: Program,
     instance: "Instance",
     limits: Any = None,
     node_hist: Any = None,
+    tracer: Any = None,
 ) -> RegionSet:
     """Run ``program`` against ``instance`` and return the final register."""
     regs: list[RegionSet | None] = [None] * len(program.instructions)
+    timed = node_hist is not None or tracer is not None
     for ins in program.instructions:
         if limits is not None:
             limits.check()
         active = _faults._active
         if active is not None:
-            if ins.fires:
-                active.fire("evaluator.step")
+            active.fire("evaluator.step")
             active.fire("vm.kernel")
-        if node_hist is None:
+        if not timed:
             regs[ins.dest] = _step(ins, regs, instance, program.constants)
-        else:
-            started = perf_counter()
-            regs[ins.dest] = _step(ins, regs, instance, program.constants)
-            node_hist.observe(perf_counter() - started, op=ins.label)
+            continue
+        started = perf_counter()
+        regs[ins.dest] = result = _step(ins, regs, instance, program.constants)
+        elapsed = perf_counter() - started
+        if node_hist is not None:
+            node_hist.observe(elapsed, op=ins.label)
+        if tracer is not None:
+            tracer.record_span(
+                f"eval.{ins.label}",
+                elapsed,
+                expression=ins.expr,
+                cardinality=len(result),
+            )
     return regs[-1]
 
 
 def _step(ins, regs, instance, constants) -> RegionSet:
     op = ins.op
     if op == P.OP_INCLUDING:
-        return K.including(regs[ins.a], regs[ins.b])
+        return regs[ins.a].including(regs[ins.b])
     if op == P.OP_INCLUDED_IN:
-        return K.included_in(regs[ins.a], regs[ins.b])
+        return regs[ins.a].included_in(regs[ins.b])
     if op == P.OP_PRECEDING:
-        return K.preceding(regs[ins.a], regs[ins.b])
+        return regs[ins.a].preceding(regs[ins.b])
     if op == P.OP_FOLLOWING:
-        return K.following(regs[ins.a], regs[ins.b])
+        return regs[ins.a].following(regs[ins.b])
     if op == P.OP_UNION:
-        return K.union(regs[ins.a], regs[ins.b])
+        return regs[ins.a].union(regs[ins.b])
     if op == P.OP_INTERSECT:
-        return K.intersection(regs[ins.a], regs[ins.b])
+        return regs[ins.a].intersection(regs[ins.b])
     if op == P.OP_DIFFERENCE:
-        return K.difference(regs[ins.a], regs[ins.b])
+        return regs[ins.a].difference(regs[ins.b])
     if op == P.OP_LOAD_NAME:
         return instance.region_set(ins.arg)
     if op == P.OP_LOAD_EMPTY:
@@ -78,27 +88,17 @@ def _step(ins, regs, instance, constants) -> RegionSet:
         return constants[ins.arg]
     if op == P.OP_SELECT:
         pattern = ins.arg
-        return K.select(regs[ins.a], lambda r: instance.matches(r, pattern))
+        return regs[ins.a].select(lambda r: instance.matches(r, pattern))
     if op == P.OP_MATCH_POINTS:
-        word_index = instance.word_index
-        if not isinstance(word_index, TextWordIndex):
-            raise EvaluationError(
-                "match-point queries need a text-backed word index; "
-                "this instance carries an abstract label index"
-            )
-        return word_index.match_points(ins.arg)
+        return instance.match_points(ins.arg)
     if op == P.OP_ORDER_BOUND_PRE:
-        return K.order_bound_preceding(regs[ins.a], ins.arg)
+        return regs[ins.a].ending_before(ins.arg)
     if op == P.OP_ORDER_BOUND_FOL:
-        return K.order_bound_following(regs[ins.a], ins.arg)
+        return regs[ins.a].starting_after(ins.arg)
     if op == P.OP_DIRECT_INCLUDING:
         return instance.forest().directly_including(regs[ins.a], regs[ins.b])
     if op == P.OP_DIRECT_INCLUDED:
         return instance.forest().directly_included(regs[ins.a], regs[ins.b])
     if op == P.OP_BOTH_INCLUDED:
-        global _both_included
-        if _both_included is None:
-            from repro.algebra.evaluator import _both_included_indexed
-            _both_included = _both_included_indexed
-        return _both_included(regs[ins.a], regs[ins.b], regs[ins.c])
+        return regs[ins.a].both_included(regs[ins.b], regs[ins.c])
     raise EvaluationError(f"unknown VM opcode {op}")  # pragma: no cover

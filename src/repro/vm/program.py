@@ -4,10 +4,9 @@ A :class:`Program` is a straight-line sequence of :class:`Instr`
 records.  Instruction ``i`` writes register ``i`` (registers are in SSA
 form — assigned exactly once, never reused), and the last register holds
 the query result.  Common sub-expressions are compiled once and read
-from their register thereafter, mirroring the interpreter's memo table;
-the number of elided re-evaluations is recorded in
-:attr:`Program.cse_hits` so executed-program statistics stay
-bit-compatible with the interpreter's ``EvalStats``.
+from their register thereafter; the number of elided re-evaluations is
+recorded in :attr:`Program.cse_hits`, which is what ``EvalStats`` reports
+as memo hits.
 """
 
 from __future__ import annotations
@@ -64,20 +63,22 @@ OP_NAMES = {
 class Instr:
     """One VM instruction: ``r<dest> = op(operands…)``.
 
-    ``label`` carries the source AST node's class name so per-op metrics
-    and histograms line up with the interpreter's.  ``fires`` marks
-    whether the interpreter would fire the ``evaluator.step`` fault point
-    for this node (shard-planner literals and order bounds do not).
+    ``expr`` is the sub-expression the instruction computes: per-op
+    metrics are labelled with its class name (:attr:`label`) and sampled
+    traces attach it to the instruction's ``eval.<label>`` span.
     """
 
     op: int
     dest: int
+    expr: Any
     a: int = -1
     b: int = -1
     c: int = -1
     arg: Any = None
-    label: str = ""
-    fires: bool = True
+
+    @property
+    def label(self) -> str:
+        return type(self.expr).__name__
 
     def render(self) -> str:
         name = OP_NAMES[self.op]

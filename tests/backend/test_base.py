@@ -15,7 +15,7 @@ from repro.algebra.parser import parse
 from repro.backend.base import SliceProvider, evaluate_slice
 from repro.engine.corpus import Corpus
 from repro.errors import BackendUnsupportedError
-from repro.shard.merge import merge_region_sets, summarize_result
+from repro.shard.merge import merge_region_sets
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from repro.workloads.corpora import generate_play
@@ -84,8 +84,8 @@ class TestSliceEvaluation:
 
     def test_exchange_scalars_fold_to_global_summary(self, provider, instance):
         query = "speech dwithin scene"
-        global_summary = summarize_result(
-            Evaluator("indexed").evaluate(parse(query), instance)
+        global_summary = (
+            Evaluator("indexed").evaluate(parse(query), instance).extremes()
         )
         max_left = None
         min_right = None

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 
+from repro.algebra import oracle
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from tests.conftest import hierarchical_instances, region_lists
@@ -109,23 +110,33 @@ class TestStructuralJoins:
     @settings(max_examples=300)
     def test_including_matches_oracle(self, xs, ys):
         a, b = RegionSet(xs), RegionSet(ys)
-        assert a.including(b) == a.including_naive(b)
+        assert a.including(b) == oracle.including(a, b)
 
     @given(region_lists(), region_lists())
     @settings(max_examples=300)
     def test_included_in_matches_oracle(self, xs, ys):
         a, b = RegionSet(xs), RegionSet(ys)
-        assert a.included_in(b) == a.included_in_naive(b)
+        assert a.included_in(b) == oracle.included_in(a, b)
 
     @given(region_lists(), region_lists())
     def test_preceding_matches_oracle(self, xs, ys):
         a, b = RegionSet(xs), RegionSet(ys)
-        assert a.preceding(b) == a.preceding_naive(b)
+        assert a.preceding(b) == oracle.preceding(a, b)
 
     @given(region_lists(), region_lists())
     def test_following_matches_oracle(self, xs, ys):
         a, b = RegionSet(xs), RegionSet(ys)
-        assert a.following(b) == a.following_naive(b)
+        assert a.following(b) == oracle.following(a, b)
+
+    @given(region_lists())
+    def test_extremes_are_the_order_join_scalars(self, xs):
+        rs = RegionSet(xs)
+        expected = (
+            (max(r.left for r in xs), min(r.right for r in xs)) if xs else (None, None)
+        )
+        assert rs.extremes() == expected
+        rs.including(rs)  # builds the suffix table the accessor may read
+        assert rs.extremes() == expected
 
     @given(region_lists(), region_lists())
     def test_inclusion_duality(self, xs, ys):

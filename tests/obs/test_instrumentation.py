@@ -72,14 +72,22 @@ class TestEvaluatorObserved:
         assert hist.count(op="NameRef") == 2
 
     def test_span_tree_mirrors_expression(self, engine):
+        # One eval.* span per executed instruction, in execution order,
+        # under vm.execute; the repeated subtree is a register re-read
+        # and records nothing because nothing ran.
         tracer = Tracer()
-        Evaluator("indexed", tracer=tracer).evaluate(SHARED, engine.instance)
+        expr = parse(SHARED)
+        Evaluator("indexed", tracer=tracer).evaluate(expr, engine.instance)
         root = tracer.last_root
-        assert root.name == "eval.Union"
+        assert root.name == "vm.execute"
+        assert root.attributes["instructions"] == 4
+        assert root.attributes["cse_hits"] == 1
         kids = [c.name for c in root.children]
-        assert kids == ["eval.IncludedIn", "eval.IncludedIn"]
-        assert root.children[1].attributes["cached"] is True
-        assert root.children[1].children == []  # cached: subtree not re-run
+        assert kids == ["eval.NameRef", "eval.NameRef", "eval.IncludedIn", "eval.Union"]
+        assert all(c.children == [] for c in root.children)
+        assert root.children[2].attributes["expression"] == expr.left
+        assert root.children[3].attributes["expression"] == expr
+        assert root.children[3].attributes["cardinality"] == root.attributes["cardinality"]
 
     def test_span_times_sum_consistently(self, engine):
         tracer = Tracer()
@@ -184,7 +192,12 @@ class TestEngineTelemetry:
         names = [c.name for c in root.children]
         assert names[0] == "parse"
         assert "optimize" in names
-        assert any(n.startswith("eval.") for n in names)
+        execute = root.children[names.index("vm.execute")]
+        assert [c.name for c in execute.children] == [
+            "eval.NameRef",
+            "eval.NameRef",
+            "eval.IncludedIn",
+        ]
         for span in root.walk():
             assert sum(c.duration for c in span.children) <= span.duration
 

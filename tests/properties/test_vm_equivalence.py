@@ -1,10 +1,12 @@
-"""ISSUE 10 property: VM ≡ interpreter ≡ sharded execution.
+"""Three-way property: oracle ≡ VM ≡ sharded execution.
 
-Random expressions over random instances, three executors, one answer.
-``random_expression`` is shared with the shard equivalence suite so the
-VM sees the same operator mix (including ``<``/``>``-heavy trees and
-the extended direct-nesting operators) that already exercises the
-scatter-gather machinery.
+Random expressions over random instances; the paper's definitions
+verbatim (``Evaluator("naive")``) are the reference for the compiled
+program and for scatter-gather at K ∈ {1, 2, 4}.  ``random_expression``
+is shared with the shard equivalence suite so the VM sees the same
+operator mix (including ``<``/``>``-heavy trees and the extended
+direct-nesting operators) that already exercises the scatter-gather
+machinery.  Instances stay ≤ 45 nodes, so the cubic oracle is cheap.
 """
 
 import random
@@ -18,16 +20,16 @@ SHARD_COUNTS = (1, 2, 4)
 
 
 def assert_three_way(instance, expr, case):
-    interpreter = Evaluator("indexed", vm=False).evaluate(expr, instance)
+    oracle = Evaluator("naive").evaluate(expr, instance)
     compiled = Evaluator("indexed").evaluate(expr, instance)
-    assert list(compiled) == list(interpreter), f"case={case} expr={expr}"
+    assert list(compiled) == list(oracle), f"case={case} expr={expr}"
     for shards in SHARD_COUNTS:
         executor = ShardExecutor(instance, shards, pool="serial")
         try:
             sharded = executor.run(expr)
         finally:
             executor.close()
-        assert list(sharded) == list(interpreter), (
+        assert list(sharded) == list(oracle), (
             f"case={case} shards={shards} expr={expr}"
         )
 
@@ -66,24 +68,3 @@ class TestThreeWayEquivalence:
             )
             expr = random_expression(rng, order_bias=0.3)
             assert_three_way(instance, expr, case)
-
-    def test_vm_shard_workers_match_interpreter_shards(self):
-        # Both executors run with their defaults (VM on) elsewhere in
-        # the suite; here the sharded VM answer is pinned against a
-        # sharded run with the VM explicitly off.
-        rng = random.Random(77)
-        for case in range(10):
-            instance = random_instance(
-                rng, NAMES, max_nodes=45, patterns=PATTERNS
-            )
-            expr = random_expression(rng, order_bias=0.4)
-            for shards in SHARD_COUNTS:
-                on = ShardExecutor(instance, shards, pool="serial")
-                off = ShardExecutor(instance, shards, pool="serial", vm=False)
-                try:
-                    assert list(on.run(expr)) == list(off.run(expr)), (
-                        f"case={case} shards={shards} expr={expr}"
-                    )
-                finally:
-                    on.close()
-                    off.close()

@@ -1,19 +1,17 @@
-"""Set-at-a-time kernels vs the RegionSet reference implementations.
+"""The indexed operator bodies vs the oracle table.
 
-Every kernel in :mod:`repro.vm.kernels` must be bit-identical to the
-corresponding :class:`RegionSet` method (and, transitively, to the
-naive quadratic oracles) — on random sets and, per ISSUE 10, on the
-boundary shapes where galloping search earns its keep: empty operands,
-single-region sets, fully-nested same-name towers, and the k-reduced
-instances of Theorem 4.4.
+Every name in :mod:`repro.vm.kernels` *is* the corresponding
+:class:`RegionSet` method (one body, not two), and each must be
+bit-identical to the paper's definition in :mod:`repro.algebra.oracle` —
+on random sets and on the boundary shapes where galloping search earns
+its keep: empty operands, single-region sets, fully-nested same-name
+towers, and the k-reduced instances of Theorem 4.4.
 """
 
 import random
-from bisect import bisect_left, bisect_right
 
-import pytest
-
-from repro.core.regionset import Region, RegionSet
+from repro.algebra import oracle
+from repro.core.regionset import RegionSet
 from repro.properties.reduction import (
     isomorphic_sibling_pairs,
     reduce_regions,
@@ -25,19 +23,21 @@ from repro.workloads.generators import (
     random_instance,
 )
 
-# (kernel, RegionSet method name, naive oracle name) for the semi-joins.
+# (indexed body, oracle definition) per operator.
 SEMI_JOINS = [
-    (kernels.including, "including", "including_naive"),
-    (kernels.included_in, "included_in", "included_in_naive"),
-    (kernels.preceding, "preceding", "preceding_naive"),
-    (kernels.following, "following", "following_naive"),
+    (kernels.including, oracle.including),
+    (kernels.included_in, oracle.included_in),
+    (kernels.preceding, oracle.preceding),
+    (kernels.following, oracle.following),
 ]
 
 SET_OPS = [
-    (kernels.union, "union"),
-    (kernels.intersection, "intersection"),
-    (kernels.difference, "difference"),
+    (kernels.union, oracle.union),
+    (kernels.intersection, oracle.intersection),
+    (kernels.difference, oracle.difference),
 ]
+
+BINARY = SEMI_JOINS + SET_OPS
 
 
 def random_set(rng, max_regions=30, span=60):
@@ -55,34 +55,19 @@ def assert_same(got: RegionSet, expected: RegionSet, label: str):
     assert got == expected, label
 
 
-class TestGallop:
-    def test_gallop_right_matches_bisect(self):
-        rng = random.Random(41)
-        for _ in range(200):
-            arr = sorted(rng.randrange(50) for _ in range(rng.randrange(40)))
-            x = rng.randrange(-5, 55)
-            lo = rng.randrange(len(arr) + 1)
-            assert kernels.gallop_right(arr, x, lo) == max(
-                lo, bisect_right(arr, x)
-            ), (arr, x, lo)
-
-    def test_gallop_left_matches_bisect(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            arr = sorted(rng.randrange(50) for _ in range(rng.randrange(40)))
-            x = rng.randrange(-5, 55)
-            lo = rng.randrange(len(arr) + 1)
-            assert kernels.gallop_left(arr, x, lo) == max(
-                lo, bisect_left(arr, x)
-            ), (arr, x, lo)
-
-    def test_gallop_past_end(self):
-        arr = [1, 2, 3]
-        assert kernels.gallop_right(arr, 10, 0) == 3
-        assert kernels.gallop_left(arr, 10, 0) == 3
-        assert kernels.gallop_right(arr, 10, 3) == 3
-        assert kernels.gallop_right([], 0, 0) == 0
-        assert kernels.gallop_left([], 0, 0) == 0
+class TestOneBody:
+    def test_kernel_names_are_the_regionset_methods(self):
+        for name in (
+            "union",
+            "intersection",
+            "difference",
+            "including",
+            "included_in",
+            "preceding",
+            "following",
+            "select",
+        ):
+            assert getattr(RegionSet, name) is getattr(kernels, name), name
 
 
 class TestRandomSets:
@@ -90,22 +75,30 @@ class TestRandomSets:
         rng = random.Random(1995)
         for case in range(80):
             a, b = random_set(rng), random_set(rng)
-            for kernel, method in SET_OPS:
+            for kernel, definition in SET_OPS:
                 assert_same(
                     kernel(a, b),
-                    getattr(a, method)(b),
-                    f"case={case} op={method} a={a!r} b={b!r}",
+                    definition(a, b),
+                    f"case={case} op={kernel.__name__} a={a!r} b={b!r}",
                 )
 
     def test_semi_joins_match_reference_and_naive(self):
         rng = random.Random(2026)
         for case in range(80):
             a, b = random_set(rng), random_set(rng)
-            for kernel, method, naive in SEMI_JOINS:
-                got = kernel(a, b)
-                label = f"case={case} op={method} a={a!r} b={b!r}"
-                assert_same(got, getattr(a, method)(b), label)
-                assert_same(got, getattr(a, naive)(b), label)
+            for kernel, definition in SEMI_JOINS:
+                label = f"case={case} op={kernel.__name__} a={a!r} b={b!r}"
+                assert_same(kernel(a, b), definition(a, b), label)
+
+    def test_both_included_matches_definition(self):
+        rng = random.Random(52)
+        for case in range(60):
+            r, s, t = (random_set(rng, max_regions=12, span=30) for _ in range(3))
+            assert_same(
+                kernels.both_included(r, s, t),
+                oracle.both_included(r, s, t),
+                f"case={case} r={r!r} s={s!r} t={t!r}",
+            )
 
     def test_order_bounds_match_scan(self):
         rng = random.Random(7)
@@ -122,7 +115,7 @@ class TestRandomSets:
         for _ in range(40):
             a = random_set(rng)
             pred = lambda r: (r.left + r.right) % 3 == 0
-            assert_same(kernels.select(a, pred), a.select(pred), repr(a))
+            assert_same(kernels.select(a, pred), oracle.select(a, pred), repr(a))
 
 
 class TestBoundaries:
@@ -131,11 +124,10 @@ class TestBoundaries:
     def test_empty_operands(self):
         empty = RegionSet.empty()
         full = RegionSet.of((0, 3), (1, 2), (5, 9))
-        for kernel, method in SET_OPS:
-            assert_same(kernel(empty, full), getattr(empty, method)(full), method)
-            assert_same(kernel(full, empty), getattr(full, method)(empty), method)
-            assert_same(kernel(empty, empty), getattr(empty, method)(empty), method)
-        for kernel, method, _ in SEMI_JOINS:
+        for kernel, definition in SET_OPS:
+            for a, b in ((empty, full), (full, empty), (empty, empty)):
+                assert_same(kernel(a, b), definition(a, b), kernel.__name__)
+        for kernel, _ in SEMI_JOINS:
             assert kernel(empty, full) == RegionSet.empty()
             assert kernel(full, empty) == RegionSet.empty()
             assert kernel(empty, empty) == RegionSet.empty()
@@ -150,10 +142,8 @@ class TestBoundaries:
             (RegionSet.of((2, 5)), RegionSet.of((4, 9))),  # overlap
         ]
         for a, b in cases:
-            for kernel, method in SET_OPS:
-                assert_same(kernel(a, b), getattr(a, method)(b), method)
-            for kernel, method, naive in SEMI_JOINS:
-                assert_same(kernel(a, b), getattr(a, naive)(b), method)
+            for kernel, definition in BINARY:
+                assert_same(kernel(a, b), definition(a, b), kernel.__name__)
 
     def test_fully_nested_same_name_tower(self):
         # depth-24 chain of one name: every region contains every deeper
@@ -161,9 +151,9 @@ class TestBoundaries:
         instance = nested_tower(24, ("R",))
         tower = instance.region_set("R")
         assert len(tower) == 24
-        for kernel, method, naive in SEMI_JOINS:
+        for kernel, definition in SEMI_JOINS:
             assert_same(
-                kernel(tower, tower), getattr(tower, naive)(tower), method
+                kernel(tower, tower), definition(tower, tower), kernel.__name__
             )
         # All but the innermost region contain another; all but the
         # outermost are contained in another.
@@ -183,8 +173,8 @@ class TestBoundaries:
 
     def test_k_reduced_instances(self):
         # Theorem 4.4: reduction sequences shrink an instance while
-        # preserving (k ctr)-expressible behaviour.  The kernels must
-        # agree with the naive oracles at every step of the sequence.
+        # preserving (k ctr)-expressible behaviour.  The indexed bodies
+        # must agree with the oracle table at every step of the sequence.
         rng = random.Random(44)
         instance = random_instance(
             rng, ("R0", "R1"), max_nodes=40, max_depth=3, max_children=4
@@ -197,15 +187,11 @@ class TestBoundaries:
             instance, _ = reduce_regions(instance, keep, remove)
             a = instance.region_set("R0")
             b = instance.region_set("R1")
-            for kernel, method, naive in SEMI_JOINS:
+            for kernel, definition in BINARY:
                 assert_same(
                     kernel(a, b),
-                    getattr(a, naive)(b),
-                    f"step={step} op={method}",
-                )
-            for kernel, method in SET_OPS:
-                assert_same(
-                    kernel(a, b), getattr(a, method)(b), f"step={step}"
+                    definition(a, b),
+                    f"step={step} op={kernel.__name__}",
                 )
 
 

@@ -1,8 +1,9 @@
-"""The plan VM: compiler, program cache, stats mirroring, fallbacks.
+"""The plan VM: compiler, program cache, stats, traced execution.
 
-The compiled path must be an invisible substitution for the memoizing
-interpreter: same results, same ``EvalStats``, same error behaviour —
-plus an inspectable program listing through ``explain``.
+The compiled program is the only executor of the indexed strategy: it
+must return what the oracle tree walk (``Evaluator("naive")``) returns,
+report ``EvalStats`` that count the expression tree, and expose an
+inspectable program listing through ``explain``.
 """
 
 import pytest
@@ -14,10 +15,10 @@ from repro.engine.session import Engine
 from repro.errors import EvaluationError
 from repro.obs.metrics import (
     VM_COMPILE_TOTAL,
-    VM_FALLBACK_TOTAL,
     VM_KERNEL_INVOCATIONS_TOTAL,
     MetricsRegistry,
 )
+from repro.obs.trace import Tracer
 from repro.vm import compile_expr, execute
 from repro.workloads.generators import random_instance
 
@@ -31,7 +32,7 @@ SOURCE = """program Main {
 """
 
 # (Var ⊂ Proc) ∪ (Var ⊂ Proc): the right operand repeats the left, so
-# the interpreter memoizes it and the compiler CSEs it to one register.
+# the compiler CSEs it to one register.
 SHARED = A.Union(
     A.IncludedIn(A.NameRef("Var"), A.NameRef("Proc")),
     A.IncludedIn(A.NameRef("Var"), A.NameRef("Proc")),
@@ -74,7 +75,7 @@ class TestCompiler:
     def test_op_counts(self):
         program = compile_expr(SHARED)
         # Keyed by AST node label so vm_kernel_invocations_total lines
-        # up with the interpreter's eval_node_seconds{op=...} labels.
+        # up with the eval_node_seconds{op=...} labels.
         assert program.op_counts == {
             "NameRef": 2,
             "IncludedIn": 1,
@@ -85,21 +86,27 @@ class TestCompiler:
         class Exotic(A.Expr):
             pass
 
-        assert compile_expr(Exotic()) is None
-        assert compile_expr(A.Union(A.NameRef("Var"), Exotic())) is None
+        for expr in (Exotic(), A.Union(A.NameRef("Var"), Exotic())):
+            with pytest.raises(EvaluationError, match="cannot evaluate node Exotic"):
+                compile_expr(expr)
+
+    def test_compile_without_cse(self):
+        program = compile_expr(SHARED, cse=False)
+        assert program.size == 7
+        assert program.cse_hits == 0
+        assert program.listing()[6] == "r6 = union r2, r5"
 
     def test_execute_matches_interpreter(self, instance):
-        interp = Evaluator("indexed", vm=False)
+        interp = Evaluator("naive")
         for expr in QUERIES:
             program = compile_expr(expr)
-            assert program is not None, expr
             got = execute(program, instance)
             expected = interp.evaluate(expr, instance)
             assert list(got) == list(expected), expr
 
     def test_match_points_error_parity(self):
         # Abstract instances reject match-point queries with the same
-        # message on both paths.
+        # message from both tables.
         import random
 
         abstract = random_instance(random.Random(3), ("R0",), max_nodes=5)
@@ -107,31 +114,35 @@ class TestCompiler:
         with pytest.raises(EvaluationError, match="text-backed"):
             execute(program, abstract)
         with pytest.raises(EvaluationError, match="text-backed"):
-            Evaluator("indexed", vm=False).evaluate(A.MatchPoints("var"), abstract)
+            Evaluator("naive").evaluate(A.MatchPoints("var"), abstract)
 
     def test_match_points_on_text_instance(self, instance):
-        # Text-backed instances answer match points on both paths.
+        # Text-backed instances answer match points from both tables.
         program = compile_expr(A.MatchPoints("var"))
         got = execute(program, instance)
-        want = Evaluator("indexed", vm=False).evaluate(A.MatchPoints("var"), instance)
+        want = Evaluator("naive").evaluate(A.MatchPoints("var"), instance)
         assert list(got) == list(want)
 
 
 class TestEvaluatorIntegration:
-    def test_vm_enabled_gating(self):
-        assert Evaluator("indexed").vm_enabled
-        assert not Evaluator("indexed", vm=False).vm_enabled
-        assert not Evaluator("naive").vm_enabled
-
     def test_stats_mirror_interpreter(self, instance):
+        # What a memoizing tree walk would count: one visit per node of
+        # the tree down to (and including) each repeated sub-expression.
+        def visits(expr, seen):
+            if expr in seen:
+                return 1, 1
+            seen.add(expr)
+            nodes, hits = 1, 0
+            for child in A.children(expr):
+                n, h = visits(child, seen)
+                nodes, hits = nodes + n, hits + h
+            return nodes, hits
+
         vm = Evaluator("indexed", metrics=MetricsRegistry())
-        interp = Evaluator("indexed", metrics=MetricsRegistry(), vm=False)
         for expr in QUERIES:
-            assert vm.evaluate(expr, instance) == interp.evaluate(expr, instance)
-            got, want = vm.last_stats, interp.last_stats
-            assert got.compiled and not want.compiled
-            assert got.nodes_evaluated == want.nodes_evaluated, expr
-            assert got.memo_hits == want.memo_hits, expr
+            vm.evaluate(expr, instance)
+            nodes, hits = visits(expr, set())
+            assert vm.last_stats == EvalStats(nodes, hits, compiled=True), expr
 
     def test_shared_query_stats(self, instance):
         vm = Evaluator("indexed", metrics=MetricsRegistry())
@@ -161,16 +172,18 @@ class TestEvaluatorIntegration:
         assert not ev.program_cached(exprs[1])
         assert all(ev.program_cached(e) for e in exprs[2:])
 
-    def test_memoize_off_falls_back(self, instance):
+    def test_memoize_off_compiles_without_cse(self, instance):
         ev = Evaluator("indexed", memoize=False, metrics=MetricsRegistry())
-        ev.evaluate(SHARED, instance)
-        assert not ev.last_stats.compiled
+        assert ev.evaluate(SHARED, instance) == Evaluator().evaluate(SHARED, instance)
         # Without memoization the repeated subtree re-evaluates: more
         # nodes, no memo hits — the VM must not silently regain CSE.
-        assert ev.last_stats.memo_hits == 0
-        assert ev.metrics.counter(VM_FALLBACK_TOTAL).value(reason="memoize-off") == 1
+        program, cached = ev.compiled_program(SHARED)
+        assert cached and program.size == 7 and program.cse_hits == 0
+        assert ev.last_stats == EvalStats(
+            nodes_evaluated=7, memo_hits=0, compiled=True
+        )
 
-    def test_uncompilable_falls_back(self, instance):
+    def test_unknown_node_raises_evaluation_error(self, instance):
         class Exotic(A.Expr):
             def __eq__(self, other):
                 return isinstance(other, Exotic)
@@ -179,13 +192,31 @@ class TestEvaluatorIntegration:
                 return hash(Exotic)
 
         ev = Evaluator("indexed", metrics=MetricsRegistry())
-        with pytest.raises(EvaluationError, match="cannot evaluate"):
-            ev.evaluate(Exotic(), instance)
-        assert ev.metrics.counter(VM_FALLBACK_TOTAL).value(reason="uncompilable") == 1
-        # The miss is cached: no recompilation on the next call.
-        with pytest.raises(EvaluationError, match="cannot evaluate"):
-            ev.evaluate(Exotic(), instance)
-        assert ev.metrics.counter(VM_COMPILE_TOTAL).value(outcome="hit") == 1
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="cannot evaluate node Exotic"):
+                ev.evaluate(Exotic(), instance)
+        assert not ev.program_cached(Exotic())
+        assert ev.metrics.counter(VM_COMPILE_TOTAL).total() == 0
+
+    def test_detail_tracing_runs_the_cached_program(self, instance):
+        tracer = Tracer(enabled=True)
+        ev = Evaluator("indexed", tracer=tracer)
+        untraced = Evaluator().evaluate(SHARED, instance)
+        program, _ = ev.compiled_program(SHARED)
+        assert ev.evaluate(SHARED, instance) == untraced
+        assert ev.last_stats.compiled is True
+        again, cached = ev.compiled_program(SHARED)
+        assert again is program and cached
+        root = tracer.last_root
+        assert root.name == "vm.execute"
+        spans = [span for span in root.walk() if span.name.startswith("eval.")]
+        assert spans == root.children
+        assert [span.name for span in spans] == [
+            f"eval.{ins.label}" for ins in program.instructions
+        ]
+        assert [span.attributes["expression"] for span in spans] == [
+            ins.expr for ins in program.instructions
+        ]
 
     def test_kernel_invocation_metrics(self, instance):
         ev = Evaluator("indexed", metrics=MetricsRegistry())
@@ -220,14 +251,6 @@ class TestEngineExplain:
         _, caches = engine.explain_with_caches("Proc containing Var")
         assert caches == {"plan_cache_hit": True, "program_cache_hit": False}
 
-    def test_vm_off_engine_interprets(self):
-        engine = Engine.from_source(SOURCE)
-        off = Engine(engine.instance, vm=False)
-        plan = off.explain("Var within Proc")
-        assert not plan.compiled
-        assert plan.program == ()
-        assert off.query("Var within Proc") == engine.query("Var within Proc")
-
 
 class TestRandomInstances:
     def test_vm_matches_interpreter_on_random_instances(self):
@@ -235,7 +258,7 @@ class TestRandomInstances:
 
         rng = random.Random(19)
         vm = Evaluator("indexed")
-        interp = Evaluator("indexed", vm=False)
+        interp = Evaluator("naive")
         for _ in range(6):
             instance = random_instance(
                 rng, ("R0", "R1", "R2"), max_nodes=60, patterns=("x", "y")
