@@ -6,7 +6,7 @@ Each pair isolates one implementation decision the library makes:
 * **extreme tables** — the indexed semi-joins vs the definitional scan
   (the core of the "efficient evaluation engine" claim, complementing
   E2 with a common-subexpression-heavy query);
-* **windowed BI** — the sparse-table both-included vs the triple loop;
+* **windowed BI** — the bisected-window both-included vs the triple loop;
 * **forest reuse** — direct operators on a cached instance forest vs
   rebuilding it per query.
 """

@@ -1,7 +1,7 @@
 """E7 — Figure 3 / Theorem 5.3: the both-included counter-example.
 
 Reproduced shape: on the ``4k+1``-sibling family the windowed
-(sparse-table) ``BI`` implementation scales near-linearly while the
+(bisected-slice minimum) ``BI`` implementation scales linearly while the
 definitional triple loop is cubic; the reduce step of the proof (merging
 the two isomorphic middle ``A`` regions) is cheap and flips the result.
 """

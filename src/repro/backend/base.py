@@ -19,9 +19,10 @@ protocol over a text wire format:
 * ``want`` — ``"sets"`` for region results, ``"exchange"`` for the two
   scalars per query that exchange rounds fold.
 
-Match points route exactly as in the in-process executor: the word
-index is position-keyed and shared by every restriction, so a backend
-keeps only the occurrences whose left endpoint its group owns; an
+Match points route through the in-process executor's own router
+(:meth:`~repro.shard.partition.Segment.route`): the word index is
+position-keyed and shared by every restriction, so a backend keeps only
+the occurrences whose left endpoint its group owns; an
 occurrence spanning a cut raises
 :class:`~repro.errors.BackendUnsupportedError`, which the frontier
 answers with the always-correct local fallback rather than failover
@@ -267,9 +268,9 @@ def _empty_segment(instance: Instance) -> Segment:
     )
 
 
-def _route_points(slice_: ShardSlice, patterns: set[str]) -> dict[str, tuple]:
-    """This slice's share of each pattern's occurrences, by ownership of
-    the left endpoint — the backend-side half of the executor's router."""
+def _route_points(slice_: ShardSlice, patterns: set[str]) -> dict[str, RegionSet]:
+    """This slice's share of each pattern's occurrences
+    (:meth:`~repro.shard.partition.Segment.route`)."""
     if not patterns:
         return {}
     word_index = slice_.segment.instance.word_index
@@ -277,21 +278,16 @@ def _route_points(slice_: ShardSlice, patterns: set[str]) -> dict[str, tuple]:
         raise BackendUnsupportedError(
             "match points need a text-backed word index"
         )
-    segment = slice_.segment
-    routed: dict[str, tuple] = {}
+    routed: dict[str, RegionSet] = {}
     for pattern in patterns:
-        kept = []
-        for region in word_index.match_points(pattern):
-            if not segment.owns(region.left):
-                continue
-            if segment.own_right is not None and region.right > segment.own_right:
-                # The occurrence crosses a cut: no slice can host it
-                # soundly, so the whole query must go single-process.
-                raise BackendUnsupportedError(
-                    f"occurrence of {pattern!r} spans a partition cut"
-                )
-            kept.append(region)
-        routed[pattern] = tuple(kept)
+        share = slice_.segment.route(word_index.match_points(pattern))
+        if share is None:
+            # No slice can host the occurrence soundly, so the whole
+            # query must go single-process.
+            raise BackendUnsupportedError(
+                f"occurrence of {pattern!r} spans a partition cut"
+            )
+        routed[pattern] = share
     return routed
 
 
@@ -333,7 +329,7 @@ def evaluate_slice(
         if want == "exchange":
             payload.append(list(result.extremes()))
         else:
-            payload.append([[r.left, r.right] for r in result])
+            payload.append(result.pairs())
     return payload, perf_counter() - started
 
 

@@ -17,6 +17,8 @@ structural questions the rest of the library needs:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
 from typing import Iterable, Iterator
 
 from repro.core.region import Region
@@ -25,45 +27,45 @@ from repro.core.regionset import RegionSet
 __all__ = ["Forest"]
 
 
+def _kept(regions: RegionSet, keep: list) -> RegionSet:
+    """The members of ``regions`` flagged in ``keep``, order preserved."""
+    return RegionSet._from_arrays(
+        list(compress(regions._lefts, keep)), list(compress(regions._rights, keep))
+    )
+
+
 class Forest:
-    """An ordered forest over regions, built with a single stack sweep."""
+    """An ordered forest over regions, built with a single stack sweep.
 
-    __slots__ = ("_order", "_parent", "_children", "_index", "_depth")
+    Everything is a column indexed by a region's position in the
+    ``(left, right)`` order every :class:`RegionSet` keeps:
+    ``_lefts``/``_rights``/``_parent_pos`` (``-1`` marks a root) are what
+    the direct operators read — an operand and the universe are in the
+    same order, so its members are found by one monotone walk and no
+    :class:`Region` is built — and ``_regions``/``_children``/``_depth``/
+    ``_index`` serve the region-keyed navigation API beside them.
+    """
 
-    def __init__(
-        self,
-        order: tuple[Region, ...],
-        parent: list[int | None],
-        children: list[list[int]],
-    ):
-        self._order = order
-        self._parent = parent
-        self._children = children
-        self._index = {region: i for i, region in enumerate(order)}
-        self._depth: list[int] = [0] * len(order)
-        for i, p in enumerate(parent):
-            self._depth[i] = 0 if p is None else self._depth[p] + 1
+    __slots__ = (
+        "_regions", "_lefts", "_rights", "_parent_pos",
+        "_children", "_depth", "_index", "_order",
+    )
+
+    def __init__(self) -> None:
+        """The empty forest; :meth:`from_regions` grows a real one."""
+        self._regions: tuple[Region, ...] = ()
+        self._lefts: list[int] = []
+        self._rights: list[int] = []
+        self._parent_pos: list[int] = []
+        self._children: list[list[int]] = []
+        self._depth: list[int] = []
+        self._index: dict[Region, int] = {}
+        self._order: tuple[Region, ...] = ()  # the regions in pre-order
 
     @classmethod
     def from_regions(cls, regions: Iterable[Region]) -> "Forest":
-        """Build the forest for a hierarchical collection of regions.
-
-        Sorting by ``(left, -right)`` visits regions in pre-order: every
-        region appears after all its ancestors, so a stack of currently
-        open regions yields each region's parent directly.
-        """
-        order = tuple(sorted(regions, key=lambda r: (r.left, -r.right)))
-        parent: list[int | None] = [None] * len(order)
-        children: list[list[int]] = [[] for _ in order]
-        stack: list[int] = []
-        for i, region in enumerate(order):
-            while stack and not order[stack[-1]].includes(region):
-                stack.pop()
-            if stack:
-                parent[i] = stack[-1]
-                children[stack[-1]].append(i)
-            stack.append(i)
-        return cls(order, parent, children)
+        """Build the forest for a hierarchical collection of regions."""
+        return cls().appended(regions)
 
     def appended(self, regions: Iterable[Region]) -> "Forest":
         """A new forest with ``regions`` appended *after* every existing
@@ -72,43 +74,50 @@ class Forest:
         validates).
 
         No new region can attach below an existing one, so the old
-        ``parent``/``children``/``depth`` entries are reused verbatim
-        (the shared child lists are never mutated — appended regions
-        only ever parent other appended regions) and the stack sweep
-        runs over the new suffix alone.  This keeps the live-ingestion
-        commit path's forest warm-up proportional to the new segment
-        instead of the whole corpus.
+        columns are reused verbatim (the shared child lists are never
+        mutated — appended regions only ever parent other appended
+        regions) and the stack sweep runs over the new suffix alone,
+        straight off its endpoint arrays: a live commit's forest warm-up
+        is proportional to the new segment, not the corpus.  The sweep
+        is in pre-order — by left endpoint, a run of equal lefts (a
+        tower) outermost first, i.e. backwards — so the top of the stack
+        of currently open regions is each region's parent.
         """
-        new_order = sorted(regions, key=lambda r: (r.left, -r.right))
-        if not new_order:
+        new = regions if isinstance(regions, RegionSet) else RegionSet(regions)
+        if not new:
             return self
-        base = len(self._order)
-        order = self._order + tuple(new_order)
-        parent = list(self._parent)
-        children = list(self._children)
-        index = dict(self._index)
-        depth = list(self._depth)
-        stack: list[int] = []
-        for offset, region in enumerate(new_order):
-            i = base + offset
-            while stack and not order[stack[-1]].includes(region):
-                stack.pop()
-            if stack:
-                parent.append(stack[-1])
-                children[stack[-1]].append(i)
-                depth.append(depth[stack[-1]] + 1)
-            else:
-                parent.append(None)
-                depth.append(0)
-            children.append([])
-            index[region] = i
-            stack.append(i)
-        clone = Forest.__new__(Forest)
-        clone._order = order
-        clone._parent = parent
-        clone._children = children
-        clone._index = index
-        clone._depth = depth
+        base = len(self._regions)
+        lefts = self._lefts + new._lefts
+        rights = self._rights + new._rights
+        total = len(lefts)
+        parent_pos = self._parent_pos + [-1] * len(new)
+        children = self._children + [[] for _ in new._lefts]
+        depth = self._depth + [0] * len(new)
+        visit: list[int] = []  # the new positions, in pre-order
+        stack: list[int] = []  # the open regions' positions
+        start = base
+        while start < total:
+            stop = start + 1
+            while stop < total and lefts[stop] == lefts[start]:
+                stop += 1
+            for pos in range(stop - 1, start - 1, -1):
+                right = rights[pos]
+                while stack and rights[stack[-1]] < right:
+                    stack.pop()
+                if stack:
+                    above = parent_pos[pos] = stack[-1]
+                    children[above].append(pos)
+                    depth[pos] = depth[above] + 1
+                stack.append(pos)
+                visit.append(pos)
+            start = stop
+        clone = Forest()
+        clone._regions = self._regions + new.regions
+        clone._lefts, clone._rights, clone._parent_pos = lefts, rights, parent_pos
+        clone._children, clone._depth = children, depth
+        clone._index = dict(self._index)
+        clone._index.update(zip(new.regions, range(base, total)))
+        clone._order = self._order + tuple([clone._regions[pos] for pos in visit])
         return clone
 
     # ------------------------------------------------------------------
@@ -116,7 +125,7 @@ class Forest:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._regions)
 
     def __contains__(self, region: object) -> bool:
         return region in self._index
@@ -127,16 +136,16 @@ class Forest:
         return self._order
 
     def roots(self) -> list[Region]:
-        return [r for i, r in enumerate(self._order) if self._parent[i] is None]
+        return [r for r, p in zip(self._regions, self._parent_pos) if p < 0]
 
     def parent_of(self, region: Region) -> Region | None:
         """The region that *directly includes* ``region``, if any."""
-        p = self._parent[self._index[region]]
-        return None if p is None else self._order[p]
+        p = self._parent_pos[self._index[region]]
+        return None if p < 0 else self._regions[p]
 
     def children_of(self, region: Region) -> list[Region]:
         """The regions directly included in ``region``, in document order."""
-        return [self._order[c] for c in self._children[self._index[region]]]
+        return [self._regions[c] for c in self._children[self._index[region]]]
 
     def depth_of(self, region: Region) -> int:
         """Root regions have depth 0."""
@@ -145,10 +154,10 @@ class Forest:
     def ancestors_of(self, region: Region) -> list[Region]:
         """Proper ancestors, innermost first."""
         out: list[Region] = []
-        p = self._parent[self._index[region]]
-        while p is not None:
-            out.append(self._order[p])
-            p = self._parent[p]
+        p = self._parent_pos[self._index[region]]
+        while p >= 0:
+            out.append(self._regions[p])
+            p = self._parent_pos[p]
         return out
 
     def subtree_of(self, region: Region) -> list[Region]:
@@ -157,7 +166,7 @@ class Forest:
         stack = [self._index[region]]
         while stack:
             i = stack.pop()
-            out.append(self._order[i])
+            out.append(self._regions[i])
             stack.extend(reversed(self._children[i]))
         return out
 
@@ -168,10 +177,10 @@ class Forest:
     def sibling_rank(self, region: Region) -> int:
         """Position among the region's siblings (0-based, document order)."""
         i = self._index[region]
-        p = self._parent[i]
+        p = self._parent_pos[i]
         siblings = (
-            [j for j, q in enumerate(self._parent) if q is None]
-            if p is None
+            [j for j, q in enumerate(self._parent_pos) if q < 0]
+            if p < 0
             else self._children[p]
         )
         return siblings.index(i)
@@ -186,38 +195,90 @@ class Forest:
 
     def iter_edges(self) -> Iterator[tuple[Region, Region]]:
         """All (parent, child) direct-inclusion pairs."""
-        for i, p in enumerate(self._parent):
-            if p is not None:
-                yield self._order[p], self._order[i]
+        for child, p in zip(self._regions, self._parent_pos):
+            if p >= 0:
+                yield self._regions[p], child
 
     # ------------------------------------------------------------------
     # Direct operators (Section 5.1) and layers (Section 6).
     # ------------------------------------------------------------------
+
+    def _locate(self, members: RegionSet) -> list[int]:
+        """Each member's position in the columns, or ``-1 - q`` for its
+        insertion point ``q`` when it is not an instance region (a match
+        point).  Both sides are sorted alike: the bisect floor only rises."""
+        lefts, rights = self._lefts, self._rights
+        n = len(lefts)
+        out: list[int] = []
+        q = 0
+        for left, right in zip(members._lefts, members._rights):
+            q = bisect_left(lefts, left, q)
+            while q < n and lefts[q] == left and rights[q] < right:
+                q += 1
+            found = q < n and lefts[q] == left and rights[q] == right
+            out.append(q if found else -1 - q)
+        return out
+
+    def _enclosing(self, q: int, left: int, right: int) -> int:
+        """The innermost instance region strictly enclosing a region
+        ``[left, right]`` that is *not* one and would insert at ``q``;
+        ``-1`` when nothing encloses it.
+
+        An encloser sharing ``left`` sits at ``q`` itself (the smallest
+        of them).  Any other starts further left, hence contains the
+        region just before ``q`` and every smaller one sharing *its*
+        left endpoint: walk up from the bottom of that tower until one
+        reaches ``right``.
+        """
+        lefts, rights, parent_pos = self._lefts, self._rights, self._parent_pos
+        if q < len(lefts) and lefts[q] == left:
+            return q
+        j = q - 1
+        while j > 0 and lefts[j - 1] == lefts[j]:
+            j -= 1
+        while j >= 0 and rights[j] < right:
+            j = parent_pos[j]
+        return j
+
+    def _parents(self, members: RegionSet) -> list[int]:
+        """Per member, the position of the innermost instance region
+        strictly enclosing it (``-1``: none) — Definition 5.1's "no
+        other region in between", for instance regions the parent."""
+        parent_pos = self._parent_pos
+        return [
+            parent_pos[q] if q >= 0 else self._enclosing(-1 - q, left, right)
+            for q, left, right in zip(
+                self._locate(members), members._lefts, members._rights
+            )
+        ]
 
     def directly_including(self, r_set: RegionSet, s_set: RegionSet) -> RegionSet:
         """``R ⊃_d S``: the R-regions that are parents of some S-region.
 
         Direct inclusion quantifies over *all* regions of the instance
         ("no other region resides in between"), which is exactly the
-        parent relation of this forest.
+        parent relation of this forest — extended to an S-region that is
+        not an instance region (a match point) by :meth:`_parents`.
+        Only instance regions are parents: an occurrence in a parsed
+        text contains no region.
         """
-        parents = set()
-        for s in s_set:
-            if s in self._index:
-                p = self.parent_of(s)
-                if p is not None:
-                    parents.add(p)
-        return RegionSet(r for r in r_set if r in parents)
+        if not r_set or not s_set:
+            return RegionSet.empty()
+        is_parent = bytearray(len(self._lefts))
+        for p in self._parents(s_set):
+            if p >= 0:
+                is_parent[p] = 1
+        return _kept(r_set, [q >= 0 and is_parent[q] for q in self._locate(r_set)])
 
     def directly_included(self, r_set: RegionSet, s_set: RegionSet) -> RegionSet:
         """``R ⊂_d S``: the R-regions whose parent is an S-region."""
-        out = []
-        for r in r_set:
-            if r in self._index:
-                p = self.parent_of(r)
-                if p is not None and p in s_set:
-                    out.append(r)
-        return RegionSet(out)
+        if not r_set or not s_set:
+            return RegionSet.empty()
+        in_s = bytearray(len(self._lefts))
+        for q in self._locate(s_set):
+            if q >= 0:
+                in_s[q] = 1
+        return _kept(r_set, [p >= 0 and in_s[p] for p in self._parents(r_set)])
 
     def layers(self) -> list[RegionSet]:
         """Regions grouped by depth: ``layers()[0]`` is the outermost layer.
@@ -225,13 +286,13 @@ class Forest:
         The Section 6 programs peel these layers one at a time; the number
         of layers is the nesting depth of the instance.
         """
-        if not self._order:
+        if not self._regions:
             return []
         buckets: list[list[Region]] = [[] for _ in range(max(self._depth) + 1)]
-        for i, region in enumerate(self._order):
-            buckets[self._depth[i]].append(region)
+        for region, depth in zip(self._regions, self._depth):
+            buckets[depth].append(region)
         return [RegionSet(b) for b in buckets]
 
     def max_depth(self) -> int:
         """The nesting depth (number of layers); 0 for an empty forest."""
-        return max(self._depth) + 1 if self._order else 0
+        return max(self._depth) + 1 if self._regions else 0

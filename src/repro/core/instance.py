@@ -129,6 +129,10 @@ class Instance:
         """The word-index predicate ``W(region, pattern)``."""
         return self._word_index.matches(region, pattern)
 
+    def select(self, regions: RegionSet, pattern: str) -> RegionSet:
+        """``σ_pattern(regions)``, by whichever body the word index has."""
+        return self._word_index.select(regions, pattern)
+
     def match_points(self, pattern: str) -> RegionSet:
         """The word-index occurrences of ``pattern`` as degenerate regions."""
         if not isinstance(self._word_index, TextWordIndex):

@@ -41,7 +41,6 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator
 
 from repro.core.region import Region
-from repro.core.sparse import RangeMin
 
 __all__ = ["RegionSet"]
 
@@ -218,6 +217,11 @@ class RegionSet:
         if self._regions is None:
             self._regions = tuple(map(Region, self._lefts, self._rights))
         return self._regions
+
+    def pairs(self) -> list[list[int]]:
+        """``[[left, right], …]`` in canonical order, read off the
+        arrays: the JSON form of a result, with no object view built."""
+        return [[left, right] for left, right in zip(self._lefts, self._rights)]
 
     # ------------------------------------------------------------------
     # Set-theoretic operations (Definition 2.3, first group): linear
@@ -400,6 +404,35 @@ class RegionSet:
                 push_r(right)
         return RegionSet._from_arrays(out_l, out_r)
 
+    def covering(self, other: "RegionSet") -> "RegionSet":
+        """``{r ∈ R : ∃ s ∈ S, left(s) ≥ left(r) ∧ right(s) ≤ right(r)}``.
+
+        The body of ``σ_p`` over a text: ``S`` is the pattern's sorted
+        match points.  *Non-strict* — ``W(r, p)`` admits an occurrence
+        that *is* the region — so this is case (B) of :meth:`including`
+        alone, with ``<=``.
+        """
+        al, ar = self._lefts, self._rights
+        bl = other._lefts
+        if not al or not bl:
+            return _EMPTY
+        suffix = other._ensure_suffix_min()
+        out_l: list[int] = []
+        out_r: list[int] = []
+        m = len(bl)
+        lo = 0
+        for left, right in zip(al, ar):
+            if lo < m and bl[lo] < left:
+                prev, step = lo, 1
+                while lo + step < m and bl[lo + step] < left:
+                    prev = lo + step
+                    step <<= 1
+                lo = bisect_left(bl, left, prev + 1, min(lo + step, m))
+            if suffix[lo] <= right:
+                out_l.append(left)
+                out_r.append(right)
+        return RegionSet._from_arrays(out_l, out_r)
+
     # ------------------------------------------------------------------
     # Order semi-joins: folded to one scalar extreme of the right operand.
     # ------------------------------------------------------------------
@@ -468,32 +501,38 @@ class RegionSet:
         """``R BI (S, T)`` via two containment-window probes per R-region.
 
         A window probe is the minimum right endpoint over the members of
-        a set with left endpoint in a range — two-sided, so it needs a
-        range-minimum table rather than the suffix extremes.  For each
-        ``r`` the best witness ``s`` is the contained S-region with the
+        a set with left endpoint in a range: a C-level ``min`` over the
+        bisected slice.  On a hierarchical source the windows of nested
+        regions nest and those of disjoint regions are disjoint, so the
+        slices total at most ``(|S| + |T|) · depth(R)``.  For each ``r``
+        the best witness ``s`` is the contained S-region with the
         smallest right endpoint ``m``; ``r`` qualifies iff some T-region
         with ``left > m`` is contained in ``r`` as well.
         """
         if not self._lefts or not first._lefts or not second._lefts:
             return _EMPTY
-        s_lefts, s_min = first._lefts, RangeMin(first._rights)
-        t_lefts, t_min = second._lefts, RangeMin(second._rights)
+        s_lefts, s_rights = first._lefts, first._rights
+        t_lefts, t_rights = second._lefts, second._rights
         out_l: list[int] = []
         out_r: list[int] = []
         for left, right in zip(self._lefts, self._rights):
-            m = s_min.query(bisect_left(s_lefts, left), bisect_right(s_lefts, right))
+            lo, hi = bisect_left(s_lefts, left), bisect_right(s_lefts, right)
+            if lo == hi:
+                continue
+            m = min(s_rights[lo:hi])
             # m == right can only be witnessed by s sharing r's right endpoint,
             # after which no contained t can start beyond it — treat as failure.
-            if m is None or m >= right:
+            if m >= right:
                 continue
-            t = t_min.query(bisect_right(t_lefts, m), bisect_right(t_lefts, right))
-            if t is not None and t <= right:
+            lo, hi = bisect_right(t_lefts, m), bisect_right(t_lefts, right)
+            if lo < hi and min(t_rights[lo:hi]) <= right:
                 out_l.append(left)
                 out_r.append(right)
         return RegionSet._from_arrays(out_l, out_r)
 
     def select(self, predicate: Callable[[Region], bool]) -> "RegionSet":
-        """Keep the regions satisfying ``predicate`` (used for ``σ_p``).
+        """Keep the regions satisfying ``predicate``: ``σ_p`` under an
+        abstract ``W`` (:class:`~repro.core.wordindex.LabelWordIndex`).
 
         The predicate needs the object view; the output skips the sort.
         """

@@ -12,14 +12,19 @@ Two interchangeable implementations are provided behind the small
   instances used by the counter-example constructions and generators
   need exactly this freedom.
 
-Both support :meth:`~WordIndex.matches`; the text-backed index
-additionally exposes the *match points* of a pattern (the entries of the
-PAT word index) as a :class:`~repro.core.RegionSet`.
+``W`` has exactly these two realisations, and each answers it a region
+at a time (:meth:`~WordIndex.matches`) and a set at a time
+(:meth:`~WordIndex.select` — what ``σ_p`` compiles to): the text-backed
+index as a containment semi-join against the pattern's *match points*
+(the entries of the PAT word index, which it also serves as a
+:class:`~repro.core.RegionSet` operand), the label index by asking the
+predicate per region.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 from repro.core.patterns import Pattern, parse_pattern
@@ -56,38 +61,54 @@ def tokenize(text: str) -> list[Token]:
 
 @runtime_checkable
 class WordIndex(Protocol):
-    """The minimal interface the evaluator needs: the predicate ``W``."""
+    """The interface the evaluator needs: ``W``, one region and one set
+    at a time."""
 
     def matches(self, region: Region, pattern: str) -> bool:
         """``W(region, pattern)`` — does the region satisfy the pattern?"""
         ...
 
+    def select(self, regions: RegionSet, pattern: str) -> RegionSet:
+        """``σ_pattern(regions) = {r ∈ regions : W(r, pattern)}``."""
+        ...
+
+
+#: Merged match-point sets memoized per index (see ``match_points``).
+_POINTS_MEMO_CAPACITY = 256
+
+
+def _posting(occurrences: list[tuple[int, int]]) -> RegionSet:
+    pairs = sorted(occurrences)  # a tokenized text arrives sorted: O(n)
+    if any(map(eq, pairs, pairs[1:])):  # only hand-built tokens repeat
+        pairs = list(dict.fromkeys(pairs))
+    return RegionSet._from_arrays([l for l, _ in pairs], [r for _, r in pairs])
+
+
+def _by_token(tokens: Iterable[Token]) -> dict[str, list[tuple[int, int]]]:
+    out: dict[str, list[tuple[int, int]]] = {}
+    for text, left, right in tokens:
+        out.setdefault(text, []).append((left, right))
+    return out
+
 
 class TextWordIndex:
     """An inverted index over token occurrences in a text.
 
-    ``matches(r, p)`` asks whether *some* occurrence of a token matching
-    ``p`` lies inside ``r``.  Occurrences of each distinct token are kept
-    sorted by left endpoint with a suffix-minimum table of right
-    endpoints, so each containment probe is ``O(log n)``.
+    Each distinct token's *posting* — its occurrences — is a
+    :class:`RegionSet`: endpoint arrays sorted by left endpoint, with the
+    set's lazy suffix-minimum table of right endpoints.  ``matches(r, p)``
+    asks whether *some* occurrence of a token matching ``p`` lies inside
+    ``r``, one ``O(log n)`` probe per matching token; ``select`` answers
+    the same question for a whole region set in one pass.
     """
 
     def __init__(self, tokens: Iterable[Token]):
-        by_token: dict[str, list[tuple[int, int]]] = {}
-        for text, left, right in tokens:
-            by_token.setdefault(text, []).append((left, right))
-        self._occurrences: dict[str, tuple[list[int], list[int], list[int]]] = {}
-        for text, occs in by_token.items():
-            occs.sort()
-            lefts = [l for l, _ in occs]
-            rights = [r for _, r in occs]
-            suffix = rights[:]
-            for i in range(len(suffix) - 2, -1, -1):
-                if suffix[i + 1] < suffix[i]:
-                    suffix[i] = suffix[i + 1]
-            self._occurrences[text] = (lefts, rights, suffix)
-        self._vocabulary = sorted(self._occurrences)
+        self._postings: dict[str, RegionSet] = {
+            text: _posting(occs) for text, occs in _by_token(tokens).items()
+        }
+        self._vocabulary = sorted(self._postings)
         self._pattern_cache: dict[str, Pattern] = {}
+        self._points: dict[str, RegionSet] = {}
 
     @classmethod
     def from_text(cls, text: str) -> "TextWordIndex":
@@ -99,6 +120,17 @@ class TextWordIndex:
     def vocabulary(self) -> list[str]:
         """The distinct tokens, sorted."""
         return list(self._vocabulary)
+
+    def tokens(self) -> list[Token]:
+        """Every occurrence, in ``(left, right, text)`` order — what the
+        index was built from, canonically."""
+        out = [
+            (text, left, right)
+            for text, posting in self._postings.items()
+            for left, right in zip(posting._lefts, posting._rights)
+        ]
+        out.sort(key=itemgetter(1, 2, 0))
+        return out
 
     def _parsed(self, pattern: str) -> Pattern:
         parsed = self._pattern_cache.get(pattern)
@@ -113,7 +145,7 @@ class TextWordIndex:
         from repro.core.patterns import LiteralPattern, PrefixPattern
 
         if isinstance(parsed, LiteralPattern):
-            return [pattern] if pattern in self._occurrences else []
+            return [pattern] if pattern in self._postings else []
         if isinstance(parsed, PrefixPattern):
             lo = bisect_left(self._vocabulary, parsed.prefix)
             hi = bisect_left(self._vocabulary, parsed.prefix + "￿")
@@ -125,22 +157,41 @@ class TextWordIndex:
 
         These are the PAT *match points* — usable as an ordinary region
         set operand (e.g. for proximity queries with ``<`` and ``>``).
+        A pattern matching one token is served by that token's posting
+        itself (no copy), one matching several by their merged arrays;
+        either is memoized on this (immutable) index, at most
+        ``_POINTS_MEMO_CAPACITY`` patterns.  The memo takes no lock: each
+        step is one atomic dict operation and a set is a pure function of
+        its pattern, so threads racing on a miss only build it twice.
         """
-        out: list[Region] = []
-        for token in self._matching_tokens(pattern):
-            lefts, rights, _ = self._occurrences[token]
-            out.extend(Region(l, r) for l, r in zip(lefts, rights))
-        return RegionSet(out)
+        points = self._points.get(pattern)
+        if points is None:
+            postings = [self._postings[t] for t in self._matching_tokens(pattern)]
+            if len(postings) == 1:
+                points = postings[0]
+            else:
+                points = _posting(
+                    [p for s in postings for p in zip(s._lefts, s._rights)]
+                )
+            if len(self._points) >= _POINTS_MEMO_CAPACITY:
+                self._points.clear()
+            self._points[pattern] = points
+        return points
 
     def matches(self, region: Region, pattern: str) -> bool:
         """``W(region, pattern)``: an occurrence lies inside ``region``."""
         for token in self._matching_tokens(pattern):
-            lefts, _, suffix = self._occurrences[token]
-            i = bisect_left(lefts, region.left)
-            hi = bisect_right(lefts, region.right)
-            if i < hi and suffix[i] <= region.right:
+            posting = self._postings[token]
+            # The earliest-ending occurrence starting at or after left(r).
+            i = bisect_left(posting._lefts, region.left)
+            if posting._ensure_suffix_min()[i] <= region.right:
                 return True
         return False
+
+    def select(self, regions: RegionSet, pattern: str) -> RegionSet:
+        """``σ_pattern``: the containment semi-join of ``regions``
+        against the pattern's sorted match points."""
+        return regions.covering(self.match_points(pattern))
 
     def extended(self, tokens: Iterable[Token]) -> "TextWordIndex":
         """A new index with ``tokens`` appended *after* every existing
@@ -148,50 +199,34 @@ class TextWordIndex:
         than every existing one).
 
         This is the segment-append fast path of live ingestion: because
-        the new occurrences sit wholly to the right, the per-token
-        sorted lists extend in place and every existing suffix-minimum
-        value is already correct (``min`` over a suffix cannot drop when
-        only larger right endpoints are appended).  Untouched tokens
-        share their occurrence tuples with ``self``; the result is a
-        fully independent, immutable index built in
-        ``O(new tokens + touched vocabulary)``.
+        the new occurrences sit wholly to the right, a touched token's
+        sorted arrays extend by concatenation.  Untouched tokens share
+        their postings with ``self``; the result is a fully independent,
+        immutable index built in ``O(new tokens + touched postings)``.
         """
-        by_token: dict[str, list[tuple[int, int]]] = {}
-        for text, left, right in tokens:
-            by_token.setdefault(text, []).append((left, right))
         clone = TextWordIndex.__new__(TextWordIndex)
-        clone._occurrences = dict(self._occurrences)
+        clone._postings = dict(self._postings)
         clone._pattern_cache = {}
+        clone._points = {}
         fresh = []
-        for text, occs in by_token.items():
-            occs.sort()
-            existing = clone._occurrences.get(text)
-            if existing is not None and (
-                occs[0][0] <= existing[0][-1]
-                or min(r for _, r in occs) < existing[1][-1]
+        for text, occs in _by_token(tokens).items():
+            new = _posting(occs)
+            existing = clone._postings.get(text)
+            if existing is None:
+                clone._postings[text] = new
+                fresh.append(text)
+                continue
+            if (
+                new._lefts[0] <= existing._lefts[-1]
+                or min(new._rights) < existing._rights[-1]
             ):
                 raise ValueError(
-                    f"extended() occurrence of {text!r} at {occs[0][0]} is "
+                    f"extended() occurrence of {text!r} at {new._lefts[0]} is "
                     "not after the existing occurrences"
                 )
-            suffix = [r for _, r in occs]
-            for i in range(len(suffix) - 2, -1, -1):
-                if suffix[i + 1] < suffix[i]:
-                    suffix[i] = suffix[i + 1]
-            if existing is None:
-                clone._occurrences[text] = (
-                    [l for l, _ in occs],
-                    [r for _, r in occs],
-                    suffix,
-                )
-                fresh.append(text)
-            else:
-                lefts, rights, old_suffix = existing
-                clone._occurrences[text] = (
-                    lefts + [l for l, _ in occs],
-                    rights + [r for _, r in occs],
-                    old_suffix + suffix,
-                )
+            clone._postings[text] = RegionSet._from_arrays(
+                existing._lefts + new._lefts, existing._rights + new._rights
+            )
         if fresh:
             vocabulary = sorted(self._vocabulary + fresh)
         else:
@@ -216,6 +251,10 @@ class LabelWordIndex:
 
     def matches(self, region: Region, pattern: str) -> bool:
         return pattern in self._labels.get(region, frozenset())
+
+    def select(self, regions: RegionSet, pattern: str) -> RegionSet:
+        """``σ_pattern`` under the abstract predicate: ask it per region."""
+        return regions.select(lambda r: self.matches(r, pattern))
 
     def labels_of(self, region: Region) -> frozenset[str]:
         return self._labels.get(region, frozenset())

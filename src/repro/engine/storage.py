@@ -72,11 +72,10 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     """The JSON-ready representation of an instance (checksummed)."""
     word_index = instance.word_index
     if isinstance(word_index, TextWordIndex):
-        tokens = []
-        for token in word_index.vocabulary:
-            lefts, rights, _ = word_index._occurrences[token]
-            tokens.extend([token, l, r] for l, r in zip(lefts, rights))
-        payload: dict[str, Any] = {"kind": "text", "tokens": sorted(tokens, key=lambda t: t[1])}
+        payload: dict[str, Any] = {
+            "kind": "text",
+            "tokens": [list(token) for token in word_index.tokens()],
+        }
     elif isinstance(word_index, LabelWordIndex):
         payload = {
             "kind": "label",

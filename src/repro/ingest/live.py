@@ -109,12 +109,7 @@ def _index_tokens(word_index: Any) -> list[Token]:
             "live ingestion needs a text-backed word index; got "
             f"{type(word_index).__name__}"
         )
-    tokens: list[Token] = []
-    for token in word_index.vocabulary:
-        lefts, rights, _ = word_index._occurrences[token]
-        tokens.extend((token, l, r) for l, r in zip(lefts, rights))
-    tokens.sort(key=lambda t: (t[1], t[2]))
-    return tokens
+    return word_index.tokens()
 
 
 class LiveCorpus:

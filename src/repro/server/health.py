@@ -77,6 +77,10 @@ class HealthMonitor:
         self._lock = threading.Lock()
         #: (timestamp, failed) per worker-path outcome, oldest first.
         self._outcomes: deque[tuple[float, bool]] = deque()
+        #: failed outcomes currently in the window, kept as outcomes
+        #: enter and expire: every request classifies, so the error rate
+        #: must not cost a scan of the window.
+        self._failures = 0
         self._state = HEALTHY
         #: active pressure sources -> the state they force (at minimum).
         self._pressure: dict[str, str] = {}
@@ -94,6 +98,7 @@ class HealthMonitor:
     def _record(self, failed: bool) -> None:
         with self._lock:
             self._outcomes.append((self._clock(), failed))
+            self._failures += failed
             self._reclassify()
 
     def set_pressure(
@@ -118,15 +123,14 @@ class HealthMonitor:
     def _expire(self, now: float) -> None:
         horizon = now - self.window_seconds
         while self._outcomes and self._outcomes[0][0] < horizon:
-            self._outcomes.popleft()
+            self._failures -= self._outcomes.popleft()[1]
 
     def _error_rate(self, now: float) -> tuple[float, int]:
         self._expire(now)
         total = len(self._outcomes)
         if total == 0:
             return 0.0, 0
-        failures = sum(1 for _, failed in self._outcomes if failed)
-        return failures / total, total
+        return self._failures / total, total
 
     def _reclassify(self) -> None:
         now = self._clock()

@@ -1646,7 +1646,7 @@ class QueryService:
         finally:
             self._inflight_gauge.dec()
         response = {
-            "regions": [[r.left, r.right] for r in result],
+            "regions": result.pairs(),
             "cardinality": len(result),
             "optimized": optimize,
             "eval_seconds": eval_seconds,

@@ -415,10 +415,10 @@ class ShardExecutor:
 
     def _route_points(
         self, plan: ShardPlan
-    ) -> tuple[list[dict[str, tuple]], str | None]:
+    ) -> tuple[list[dict[str, RegionSet]], str | None]:
         """Per-shard match-point assignments, or a fallback reason."""
-        k = len(self.partition)
-        routed: list[dict[str, tuple]] = [{} for _ in range(k)]
+        segments = self.partition.segments
+        routed: list[dict[str, RegionSet]] = [{} for _ in segments]
         if not plan.patterns:
             return routed, None
         word_index = self._instance.word_index
@@ -427,18 +427,12 @@ class ShardExecutor:
             # text-backed word index" error the caller would see anyway.
             return routed, "label_index"
         for pattern in plan.patterns:
-            buckets: list[list] = [[] for _ in range(k)]
-            for region in word_index.match_points(pattern):
-                owner = self.partition.owner_of(region.left)
-                if owner.own_right is not None and region.right > owner.own_right:
-                    # The occurrence crosses a cut; replicating it would
-                    # break operators that relate it to regions on both
-                    # sides (e.g. as a both-included source), so give up
-                    # on sharding this query.
+            points = word_index.match_points(pattern)
+            for segment, shares in zip(segments, routed):
+                share = segment.route(points)
+                if share is None:
                     return routed, "spanning_match_point"
-                buckets[owner.index].append(region)
-            for i in range(k):
-                routed[i][pattern] = tuple(buckets[i])
+                shares[pattern] = share
         return routed, None
 
     # ------------------------------------------------------------------

@@ -16,12 +16,14 @@ a multi-document :class:`~repro.engine.corpus.Corpus` the forest roots
 construction.  Each segment carries a restricted sub-:class:`Instance`
 (sharing the word index — ``W(r, p)`` is position-keyed and identical
 on any restriction) and the half-open *ownership span* of text
-positions it is responsible for, which the executor uses to route
-match points.
+positions it is responsible for, by which :meth:`Segment.route` — the
+one match-point router, shared by the executor and the backends — hands
+each segment its occurrences.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any
 
@@ -60,6 +62,23 @@ class Segment:
         if self.own_right is not None and position > self.own_right:
             return False
         return True
+
+    def route(self, points: RegionSet) -> RegionSet | None:
+        """This segment's share of a pattern's match points: those whose
+        left endpoint it owns — one slice of the sorted arrays.  ``None``
+        when one of them runs past ``own_right``: an occurrence spanning
+        a cut can be hosted soundly by no segment (replicating it would
+        break operators that relate it to regions on both sides), so the
+        query must not be sharded."""
+        lefts = points._lefts
+        lo = 0 if self.own_left is None else bisect_left(lefts, self.own_left)
+        hi = len(lefts) if self.own_right is None else bisect_right(lefts, self.own_right)
+        if lo >= hi:
+            return RegionSet.empty()
+        rights = points._rights[lo:hi]
+        if self.own_right is not None and max(rights) > self.own_right:
+            return None
+        return RegionSet._from_arrays(lefts[lo:hi], rights)
 
     def summary(self) -> dict[str, Any]:
         """JSON-ready description (CLI ``stats`` and ``/corpora``)."""

@@ -11,8 +11,10 @@ except two kinds of node:
 ``⊃ ⊂``                shard-local: ``r ⊃ s`` forces ``r`` and ``s``
                        into the same top-level tree
 ``⊃_d ⊂_d``            shard-local: direct inclusion is the parent
-                       relation inside one tree
-``σ_p``                shard-local: per-region predicate over the
+                       relation inside one tree (a routed match point
+                       has its enclosing region in the tree it lies
+                       in; one between two trees has none anywhere)
+``σ_p``                shard-local: ``W(r, p)`` per region over the
                        shared word index
 ``bi``                 shard-local: both witnesses nest strictly
                        inside the source region

@@ -27,6 +27,7 @@ from typing import Mapping
 
 from repro.algebra import ast as A
 from repro.core.region import Region
+from repro.core.regionset import RegionSet
 
 __all__ = ["RegionLiteral", "OrderBound", "rewrite"]
 
@@ -35,7 +36,7 @@ __all__ = ["RegionLiteral", "OrderBound", "rewrite"]
 class RegionLiteral(A.Expr):
     """A materialized region set (this shard's routed match points)."""
 
-    regions: tuple[Region, ...]
+    regions: RegionSet | tuple[Region, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +51,7 @@ class OrderBound(A.Expr):
 def rewrite(
     expr: A.Expr,
     bounds: Mapping[A.Expr, int | None],
-    points: Mapping[str, tuple[Region, ...]],
+    points: Mapping[str, RegionSet | tuple[Region, ...]],
 ) -> A.Expr:
     """The shard-local form of ``expr`` under the given resolutions.
 

@@ -96,7 +96,8 @@ def _lower_shard_node(e, lower, emit, constants) -> int:
     from repro.shard.rewrite import OrderBound, RegionLiteral
 
     if isinstance(e, RegionLiteral):
-        constants.append(RegionSet(e.regions))
+        routed = e.regions
+        constants.append(routed if isinstance(routed, RegionSet) else RegionSet(routed))
         return emit(e, P.OP_LOAD_CONST, arg=len(constants) - 1)
     if isinstance(e, OrderBound):
         child = lower(e.child)

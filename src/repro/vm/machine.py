@@ -3,13 +3,14 @@
 One pass over the instruction list; each step checks cooperative
 deadline/cancel limits, fires the ``evaluator.step`` and ``vm.kernel``
 fault points, and dispatches to the operator's indexed body — a
-:class:`~repro.core.regionset.RegionSet` method, or the instance forest
-for the direct operators.  With a metrics histogram attached each
-instruction is timed under its per-op label; with a tracer attached
-(the caller passes one only for detail-sampled requests) each
-instruction also records one ``eval.<label>`` span carrying its
-expression, output cardinality and kernel time under the caller's open
-span.  Register re-reads (CSE) record nothing: nothing ran.
+:class:`~repro.core.regionset.RegionSet` method, the instance's word
+index for ``σ_p`` and match points, or its forest for the direct
+operators.  With a metrics histogram attached each instruction is timed
+under its per-op label; with a tracer attached (the caller passes one
+only for detail-sampled requests) each instruction also records one
+``eval.<label>`` span carrying its expression, output cardinality and
+kernel time under the caller's open span.  Register re-reads (CSE)
+record nothing: nothing ran.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def _step(ins, regs, instance, constants) -> RegionSet:
     if op == P.OP_LOAD_CONST:
         return constants[ins.arg]
     if op == P.OP_SELECT:
-        pattern = ins.arg
-        return regs[ins.a].select(lambda r: instance.matches(r, pattern))
+        return instance.select(regs[ins.a], ins.arg)
     if op == P.OP_MATCH_POINTS:
         return instance.match_points(ins.arg)
     if op == P.OP_ORDER_BOUND_PRE:

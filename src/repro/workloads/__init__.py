@@ -16,6 +16,7 @@ from repro.workloads.generators import (
     instance_from_trees,
     nested_tower,
     random_instance,
+    random_text_instance,
     random_trees,
     rig_constrained_instance,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "TreeNode",
     "instance_from_trees",
     "random_instance",
+    "random_text_instance",
     "random_trees",
     "rig_constrained_instance",
     "figure_2_instance",

@@ -10,6 +10,9 @@ Families provided:
 
 * :func:`random_instance` — random hierarchical instances with free name
   assignment (the oracle-testing workhorse);
+* :func:`random_text_instance` — small random *text-backed* instances
+  (token occurrences, not labels), for the paths only a
+  :class:`TextWordIndex` reaches: ``σ_p`` as a semi-join, match points;
 * :func:`rig_constrained_instance` — random instances guaranteed to
   satisfy a given RIG (children names are drawn from the parent's RIG
   successors);
@@ -30,14 +33,17 @@ from typing import Iterable, Sequence
 from repro.core.instance import Instance
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
-from repro.core.wordindex import LabelWordIndex
+from repro.core.wordindex import LabelWordIndex, TextWordIndex, Token
 from repro.rig.graph import RegionInclusionGraph
 
 __all__ = [
     "TreeNode",
     "instance_from_trees",
     "random_instance",
+    "random_text_instance",
     "random_trees",
+    "TEXT_NAMES",
+    "TEXT_VOCABULARY",
     "rig_constrained_instance",
     "figure_2_instance",
     "figure_3_instance",
@@ -151,6 +157,50 @@ def random_instance(
         min_nodes,
     )
     return instance_from_trees(trees, names)
+
+
+TEXT_NAMES = ("speech", "line", "word")
+#: Eight words sharing prefixes, so literal, prefix and glob patterns
+#: each select a different, overlapping family of occurrences.
+TEXT_VOCABULARY = ("love", "lover", "lot", "night", "nine", "sun", "sum", "x")
+
+
+def random_text_instance(rng: random.Random) -> Instance:
+    """A random instance over a real token stream (≤ 35 regions, ≤ 35
+    occurrences — cheap for the cubic oracle).
+
+    Top-level ``speech`` regions hold ``line`` regions; a line wraps its
+    one or two tokens *tightly*, so a one-token line **is** its only
+    occurrence (the non-strict edge of ``W``) and a line shares its left
+    endpoint with its first token.  In a two-token line either token may
+    also be a ``word`` region.  Stray tokens sit between the top-level
+    trees, where a match point has no enclosing region at all.
+    """
+    sets: dict[str, list[Region]] = {name: [] for name in TEXT_NAMES}
+    tokens: list[Token] = []
+    position = 0
+
+    def token() -> Region:
+        nonlocal position
+        text = rng.choice(TEXT_VOCABULARY)
+        occurrence = Region(position, position + len(text) - 1)
+        tokens.append((text, occurrence.left, occurrence.right))
+        position = occurrence.right + 2
+        return occurrence
+
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.4:
+            token()
+        speech_left = position
+        position += 1
+        for _ in range(rng.randint(1, 3)):
+            spans = [token() for _ in range(rng.randint(1, 2))]
+            sets["line"].append(Region(spans[0].left, spans[-1].right))
+            if len(spans) == 2:
+                sets["word"].extend(s for s in spans if rng.random() < 0.4)
+        sets["speech"].append(Region(speech_left, position))
+        position += 2
+    return Instance(sets, TextWordIndex(tokens))
 
 
 def rig_constrained_instance(

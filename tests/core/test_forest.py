@@ -1,11 +1,14 @@
 """The direct-inclusion forest: structure, layers, direct operators."""
 
+import random
+
 from hypothesis import given
 
 from repro.core.forest import Forest
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from tests.conftest import hierarchical_instances
+from tests.vm.test_kernels import tight_universe
 
 
 class TestStructure:
@@ -142,6 +145,35 @@ class TestAppended:
             )
             for region in forest.preorder
         ]
+
+    @staticmethod
+    def _columns(forest):
+        """The column view, which the direct operators read."""
+        return (forest._lefts, forest._rights, forest._parent_pos)
+
+    def test_columns_after_an_append_sequence(self):
+        # Several commits in a row, over regions that share endpoints:
+        # the columns extended suffix by suffix must be the columns of
+        # one build over everything, in RegionSet order, and say what
+        # the object view says.
+        rng = random.Random(18)
+        for _ in range(25):
+            forest, everything, start = Forest.from_regions([]), [], 0
+            for _ in range(rng.randint(1, 5)):
+                stop = start + rng.randint(0, 20)
+                batch = [Region(l, r) for l, r in tight_universe(rng, start, stop)]
+                forest = forest.appended(batch)
+                everything += batch
+                start = stop + rng.randint(1, 3)
+            scratch = Forest.from_regions(everything)
+            assert self._columns(forest) == self._columns(scratch)
+            assert self._structure(forest) == self._structure(scratch)
+            lefts, rights, parent_pos = self._columns(forest)
+            universe = RegionSet(everything)
+            assert (lefts, rights) == (universe._lefts, universe._rights)
+            for region, above in zip(universe, parent_pos):
+                parent = forest.parent_of(region)
+                assert parent == (None if above < 0 else universe.regions[above])
 
     @given(hierarchical_instances(), hierarchical_instances())
     def test_appended_matches_from_scratch(self, base, extra):

@@ -186,6 +186,19 @@ class TestLayers:
         rs = RegionSet.of((0, 3), (5, 9))
         assert rs.select(lambda r: r.left == 5) == RegionSet.of((5, 9))
 
+    def test_covering_is_non_strict(self):
+        rs = RegionSet.of((0, 9), (2, 5), (6, 6), (7, 9))
+        points = RegionSet.of((2, 5), (6, 6))
+        # (2,5) and (6,6) *are* occurrences; ⊃ would drop them.
+        assert rs.covering(points) == RegionSet.of((0, 9), (2, 5), (6, 6))
+        assert rs.including(points) == RegionSet.of((0, 9))
+
+    def test_pairs_reads_the_arrays(self):
+        rs = RegionSet.of((0, 10), (2, 5)).union(RegionSet.of((7, 9)))
+        assert rs.pairs() == [[0, 10], [2, 5], [7, 9]]
+        assert rs._regions is None  # no object view was built
+        assert RegionSet.empty().pairs() == []
+
     def test_spanning(self):
         rs = RegionSet.of((0, 10), (2, 5), (7, 9))
         assert rs.spanning(8) == RegionSet.of((0, 10), (7, 9))

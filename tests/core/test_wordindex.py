@@ -1,9 +1,13 @@
 """Word indexes: tokenization and the W(r, p) predicate."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import wordindex
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from repro.core.wordindex import LabelWordIndex, TextWordIndex, tokenize
@@ -71,7 +75,100 @@ class TestTextWordIndex:
         assert not index.matches(Region(1, 3), "x")
 
 
+class TestMatchPointSets:
+    """Match points are array-backed sets that share the postings."""
+
+    @pytest.fixture
+    def index(self):
+        return TextWordIndex.from_text("the cat sat on the mat catalog")
+
+    def test_one_token_is_served_by_its_posting(self, index):
+        points = index.match_points("the")
+        assert points is index._postings["the"]
+        assert index.match_points("the") is points
+        # A prefix that happens to match one token copies nothing either.
+        assert index.match_points("catal*") is index._postings["catalog"]
+
+    def test_several_tokens_merge_sorted_and_deduplicated(self):
+        # Hand-built tokens may coincide; a set has each region once.
+        index = TextWordIndex([("ab", 5, 6), ("ac", 0, 1), ("ad", 5, 6), ("ab", 9, 9)])
+        points = index.match_points("a*")
+        assert points.pairs() == [[0, 1], [5, 6], [9, 9]]
+        assert index.match_points("a*") is points  # memoized
+
+    def test_select_is_the_per_region_predicate_set_at_a_time(self, index):
+        regions = RegionSet.of((0, 2), (0, 6), (4, 5), (4, 6), (8, 30), (19, 21))
+        for pattern in ("cat", "cat*", "?at", "the", "dog"):
+            assert index.select(regions, pattern) == RegionSet(
+                r for r in regions if index.matches(r, pattern)
+            ), pattern
+
+    def test_extended_shares_untouched_postings_and_forgets_the_memo(self, index):
+        before = index.match_points("c*").pairs()
+        grown = index.extended([("cat", 40, 42), ("dog", 44, 46)])
+        assert grown._postings["the"] is index._postings["the"]
+        assert grown.match_points("cat").pairs() == [[4, 6], [40, 42]]
+        assert grown.match_points("c*").pairs() == before + [[40, 42]]
+        assert grown.matches(Region(39, 43), "cat")
+        # The old generation is untouched (snapshot isolation).
+        assert index.match_points("cat").pairs() == [[4, 6]]
+        assert index.match_points("c*").pairs() == before
+        assert index.match_points("dog") == RegionSet.empty()
+        with pytest.raises(ValueError, match="not after"):
+            index.extended([("cat", 3, 5)])
+
+    def test_tokens_round_trip(self, index):
+        assert index.tokens() == tokenize("the cat sat on the mat catalog")
+        shuffled = TextWordIndex([("b", 4, 5), ("a", 0, 1), ("a", 4, 5), ("a", 0, 1)])
+        assert shuffled.tokens() == [("a", 0, 1), ("a", 4, 5), ("b", 4, 5)]
+
+    def test_memo_is_bounded(self, index, monkeypatch):
+        monkeypatch.setattr(wordindex, "_POINTS_MEMO_CAPACITY", 4)
+        for i in range(20):
+            index.match_points(f"c{'?' * i}*")
+            assert len(index._points) <= 4
+
+    def test_memo_under_racing_threads(self, monkeypatch):
+        # More workers than cores, a tiny memo so it overflows and is
+        # cleared mid-race, and a short switch interval: every answer
+        # must still be the set a fresh index computes.
+        monkeypatch.setattr(wordindex, "_POINTS_MEMO_CAPACITY", 3)
+        text = " ".join(f"w{i % 7}x{i % 3}" for i in range(200))
+        index = TextWordIndex.from_text(text)
+        patterns = [f"w{i}*" for i in range(7)] + ["w?x0", "w?x1", "*x2"]
+        expected = {
+            p: TextWordIndex.from_text(text).match_points(p).pairs() for p in patterns
+        }
+        wrong: list[str] = []
+
+        def worker(offset: int) -> None:
+            for i in range(300):
+                pattern = patterns[(i + offset) % len(patterns)]
+                if index.match_points(pattern).pairs() != expected[pattern]:
+                    wrong.append(pattern)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(index._points) <= 3 + len(threads)
+
+
 class TestLabelWordIndex:
+    def test_select_asks_the_predicate_per_region(self):
+        index = LabelWordIndex({Region(0, 1): {"x"}, Region(2, 3): {"y"}})
+        regions = RegionSet.of((0, 1), (2, 3), (4, 5))
+        assert index.select(regions, "x") == RegionSet.of((0, 1))
+        assert index.select(regions, "z") == RegionSet.empty()
+
     def test_basic_matching(self):
         idx = LabelWordIndex({Region(0, 3): {"p", "q"}})
         assert idx.matches(Region(0, 3), "p")

@@ -193,6 +193,25 @@ class TestHealthMonitor:
         assert monitor.state == HEALTHY
         assert monitor.states_seen() == [HEALTHY, DEGRADED, UNHEALTHY, HEALTHY]
 
+    def test_rolling_failure_count_is_the_window_scan(self):
+        # The error rate is kept as outcomes enter and expire, not
+        # re-counted per request; it must say what a scan would.
+        import random
+
+        rng = random.Random(18)
+        monitor, clock = self.make(window_seconds=3.0)
+        for _ in range(400):
+            clock.now += rng.random()
+            (monitor.record_failure if rng.random() < 0.4 else monitor.record_success)()
+            rate, samples = monitor._error_rate(clock.now)
+            in_window = [failed for at, failed in monitor._outcomes]
+            assert samples == len(in_window)
+            assert all(at >= clock.now - 3.0 for at, _ in monitor._outcomes)
+            assert rate == sum(in_window) / len(in_window)
+        clock.now += 10.0
+        assert monitor._error_rate(clock.now) == (0.0, 0)
+        assert monitor._failures == 0
+
     def test_pressure_forces_degraded_without_samples(self):
         monitor, _ = self.make()
         monitor.set_pressure("breaker:play", True)

@@ -80,6 +80,27 @@ class TestPartition:
             assert owner.owns(position)
             assert sum(s.owns(position) for s in partition.segments) == 1
 
+    def test_route_slices_match_points_by_left_endpoint(self):
+        # Roots [0,7] [9,14] [16,25] [27,30]; three segments.
+        partition = partition_instance(forest_instance([4, 3, 5, 2]), 3)
+        points = RegionSet.of((1, 1), (8, 8), (9, 10), (15, 15), (20, 22), (40, 41))
+        shares = [segment.route(points) for segment in partition.segments]
+        # Every point lands in exactly the segment that owns its left
+        # endpoint — gaps go left, the open ends take what lies beyond.
+        for segment, share in zip(partition.segments, shares):
+            assert list(share) == [r for r in points if segment.owns(r.left)]
+        assert sum(len(share) for share in shares) == len(points)
+        assert partition.segments[0].route(RegionSet.empty()) == RegionSet.empty()
+
+    def test_route_refuses_a_point_spanning_a_cut(self):
+        partition = partition_instance(forest_instance([4, 3, 5, 2]), 3)
+        first, second = partition.segments[0], partition.segments[1]
+        spanning = RegionSet.of((1, 1), (first.own_right, first.own_right + 1))
+        assert first.route(spanning) is None
+        assert second.route(spanning) == RegionSet.empty()  # not its left endpoint
+        # Ending exactly on the last owned position is not spanning.
+        assert first.route(RegionSet.of((first.own_right - 1, first.own_right)))
+
     def test_boundary_regions_one_pair_per_cut(self):
         instance = forest_instance([4, 3, 5, 2])
         partition = partition_instance(instance, 3)
