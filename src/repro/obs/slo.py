@@ -25,9 +25,10 @@ snapshot for the ``/slo`` endpoint and ``repro top``, and an
 :meth:`HealthMonitor.set_pressure` so a fast burn degrades (or, if
 configured, sheds) the service before the budget is gone.
 
-The per-request cost is deliberately tiny — two deque appends and O(1)
-window arithmetic — because :mod:`bench_e15` holds the whole request
-path to <1% overhead with tracing disabled.  Burn *gauges* and the
+The per-request cost is deliberately tiny — two bucket increments and
+O(1) window arithmetic, in memory that does not grow with the request
+rate (:class:`SlidingWindow`) — because :mod:`bench_e15` holds the whole
+request path to <1% overhead with tracing disabled.  Burn *gauges* and the
 ``slo_events_total`` / ``slo_bad_events_total`` counters are therefore
 refreshed on :meth:`SLOObservatory.snapshot` (scrape time), not per
 request.
@@ -46,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "SLObjective",
+    "SlidingWindow",
     "BurnRateMonitor",
     "SLOObservatory",
 ]
@@ -89,42 +91,63 @@ class SLObjective:
         }
 
 
-class _Window:
+#: Buckets per window.  A window of ``seconds`` resolves time to
+#: ``seconds / WINDOW_BUCKETS`` (1 s, 5 s and 1/6 s for the default 60 s,
+#: 300 s and 10 s windows), and retains at most one bucket more.
+WINDOW_BUCKETS = 60
+
+
+class SlidingWindow:
     """A sliding time window of good/bad events with O(1) rates.
 
-    Events are ``(timestamp, bad)`` pairs in a deque; expired entries
-    are popped on every touch, and running totals make the bad-rate a
-    division, not a scan.
+    Events are counted into ``[bucket_index, count, bad]`` time buckets,
+    oldest first, so memory is bounded by ``WINDOW_BUCKETS + 1`` however
+    fast events arrive.  A bucket stays while any instant of it is inside
+    the window: every event younger than ``seconds`` is counted, and an
+    event can outlive ``seconds`` by at most one bucket width.  Running
+    totals make the bad-rate a division, not a scan.
     """
 
-    __slots__ = ("seconds", "_events", "_bad")
+    __slots__ = ("seconds", "_width", "_buckets", "_count", "_bad")
 
     def __init__(self, seconds: float):
         self.seconds = seconds
-        self._events: deque[tuple[float, bool]] = deque()
+        self._width = seconds / WINDOW_BUCKETS
+        self._buckets: deque[list[float]] = deque()
+        self._count = 0
         self._bad = 0
 
     def add(self, now: float, bad: bool) -> None:
-        self._events.append((now, bad))
-        if bad:
-            self._bad += 1
-        self._expire(now)
+        index = now // self._width
+        buckets = self._buckets
+        # ``<``, not ``!=``: callers read the clock before taking their
+        # lock, so ``now`` can step back by a race's width; such an event
+        # joins the newest bucket and the deque stays sorted.
+        if not buckets or buckets[-1][0] < index:
+            self._expire(index)  # only a new bucket can push one out
+            buckets.append([index, 0, 0])
+        newest = buckets[-1]
+        newest[1] += 1
+        newest[2] += bad
+        self._count += 1
+        self._bad += bad
 
-    def _expire(self, now: float) -> None:
-        horizon = now - self.seconds
-        events = self._events
-        while events and events[0][0] < horizon:
-            _, was_bad = events.popleft()
-            if was_bad:
-                self._bad -= 1
+    def _expire(self, index: float) -> None:
+        """Drop the buckets wholly older than the window ending in
+        bucket ``index``."""
+        horizon = index - WINDOW_BUCKETS
+        buckets = self._buckets
+        while buckets and buckets[0][0] < horizon:
+            _, count, bad = buckets.popleft()
+            self._count -= count
+            self._bad -= bad
 
     def rate(self, now: float) -> tuple[float, int]:
         """``(bad_fraction, sample_count)`` over the live window."""
-        self._expire(now)
-        count = len(self._events)
-        if count == 0:
+        self._expire(now // self._width)
+        if self._count == 0:
             return 0.0, 0
-        return self._bad / count, count
+        return self._bad / self._count, self._count
 
 
 class BurnRateMonitor:
@@ -153,8 +176,8 @@ class BurnRateMonitor:
         self.objective = objective
         self.burn_threshold = burn_threshold
         self.min_samples = min_samples
-        self._fast = _Window(fast_window)
-        self._slow = _Window(slow_window)
+        self._fast = SlidingWindow(fast_window)
+        self._slow = SlidingWindow(slow_window)
         self._clock = clock
         self._on_change = on_change
         self._lock = threading.Lock()

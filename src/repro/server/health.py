@@ -19,7 +19,10 @@ are excluded — otherwise shedding would keep the error rate high and
 the service could never climb back out (the classic health-check death
 spiral).
 
-Deliberately dependency-free and clock-injectable; the service mirrors
+Clock-injectable, and the window is the SLO monitors' bucketed
+:class:`~repro.obs.slo.SlidingWindow` (so health can take up to one
+bucket, 1/60 of the window, longer than ``window_seconds`` to heal, and
+its memory does not grow with the request rate); the service mirrors
 state into ``server_health_state`` / ``server_health_transitions_total``
 and keeps the transition history that the chaos harness asserts on
 (healthy → degraded → healthy across a fault burst).
@@ -28,9 +31,10 @@ and keeps the transition history that the chaos harness asserts on
 from __future__ import annotations
 
 import threading
-from collections import deque
 from time import monotonic
 from typing import Any, Callable
+
+from repro.obs.slo import SlidingWindow
 
 __all__ = ["HealthMonitor", "HEALTHY", "DEGRADED", "UNHEALTHY"]
 
@@ -75,12 +79,8 @@ class HealthMonitor:
         self._clock = clock
         self._on_transition = on_transition
         self._lock = threading.Lock()
-        #: (timestamp, failed) per worker-path outcome, oldest first.
-        self._outcomes: deque[tuple[float, bool]] = deque()
-        #: failed outcomes currently in the window, kept as outcomes
-        #: enter and expire: every request classifies, so the error rate
-        #: must not cost a scan of the window.
-        self._failures = 0
+        #: worker-path outcomes, failed ones counted as bad.
+        self._window = SlidingWindow(window_seconds)
         self._state = HEALTHY
         #: active pressure sources -> the state they force (at minimum).
         self._pressure: dict[str, str] = {}
@@ -97,8 +97,7 @@ class HealthMonitor:
 
     def _record(self, failed: bool) -> None:
         with self._lock:
-            self._outcomes.append((self._clock(), failed))
-            self._failures += failed
+            self._window.add(self._clock(), failed)
             self._reclassify()
 
     def set_pressure(
@@ -120,21 +119,9 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
 
-    def _expire(self, now: float) -> None:
-        horizon = now - self.window_seconds
-        while self._outcomes and self._outcomes[0][0] < horizon:
-            self._failures -= self._outcomes.popleft()[1]
-
-    def _error_rate(self, now: float) -> tuple[float, int]:
-        self._expire(now)
-        total = len(self._outcomes)
-        if total == 0:
-            return 0.0, 0
-        return self._failures / total, total
-
     def _reclassify(self) -> None:
         now = self._clock()
-        rate, samples = self._error_rate(now)
+        rate, samples = self._window.rate(now)
         forced = UNHEALTHY if UNHEALTHY in self._pressure.values() else None
         if forced == UNHEALTHY or (
             samples >= self.min_samples and rate >= self.unhealthy_threshold
@@ -187,7 +174,7 @@ class HealthMonitor:
         with self._lock:
             self._reclassify()
             now = self._clock()
-            rate, samples = self._error_rate(now)
+            rate, samples = self._window.rate(now)
             return {
                 "state": self._state,
                 "error_rate": round(rate, 4),

@@ -152,6 +152,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the service; one instance per request."""
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: a reply is never held back
+    #: for the peer's (delayed) ACK of an earlier segment.
+    disable_nagle_algorithm = True
     server: "QueryHTTPServer"
 
     # ------------------------------------------------------------------
@@ -194,23 +197,27 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         url = urlsplit(self.path)
         try:
+            # Consumed before routing: a body left unread (unknown path,
+            # /reload) would be parsed as this keep-alive connection's
+            # next request line.
+            raw = self._read_body()
             if url.path == "/query":
-                self._run(self._body(), explain_only=False)
+                self._run(self._body(raw), explain_only=False)
             elif url.path == "/ingest":
-                self._ingest(self._body())
+                self._ingest(self._body(raw))
             elif url.path == "/compact":
-                body = self._body()
+                body = self._body(raw)
                 self._json(
                     200, self.server.service.compact(body.get("corpus"))
                 )
             elif url.path == "/shard/query":
-                self._shard_query(self._body())
+                self._shard_query(self._body(raw))
             elif url.path == "/replicate/apply":
-                self._replicate_apply(self._body())
+                self._replicate_apply(self._body(raw))
             elif url.path == "/replicate/snapshot":
-                self._replicate_snapshot(self._body())
+                self._replicate_snapshot(self._body(raw))
             elif url.path == "/replicate/status":
-                body = self._body()
+                body = self._body(raw)
                 self._json(
                     200,
                     self.server.service.replicate_status(
@@ -218,7 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
                     ),
                 )
             elif url.path == "/explain":
-                self._run(self._body(), explain_only=True)
+                self._run(self._body(raw), explain_only=True)
             elif url.path.startswith("/corpora/") and url.path.endswith(
                 "/reload"
             ):
@@ -290,11 +297,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         query = first("q") or first("query")
         if not query:
-            self._json(
-                400,
-                {"error": "missing query parameter 'q'", "code": "invalid_request"},
-            )
-            return
+            raise ValueError("missing query parameter 'q'")
         request: dict[str, Any] = {"query": query, "corpus": first("corpus")}
         if first("optimize") is not None:
             request["optimize"] = first("optimize") not in ("0", "false", "no")
@@ -302,9 +305,18 @@ class _Handler(BaseHTTPRequestHandler):
             request["deadline"] = float(first("deadline"))
         self._run(request, explain_only=False)
 
-    def _body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+    def _read_body(self) -> bytes:
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True  # the stream cannot be framed
+            raise ValueError(f"malformed Content-Length {header!r}")
+        return self.rfile.read(length)
+
+    def _body(self, raw: bytes) -> dict[str, Any]:
         try:
             body = json.loads(raw.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -316,11 +328,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _run(self, request: dict[str, Any], explain_only: bool) -> None:
         query = request.get("query")
         if not isinstance(query, str) or not query.strip():
-            self._json(
-                400,
-                {"error": "request needs a non-empty 'query'", "code": "invalid_request"},
-            )
-            return
+            raise ValueError("request needs a non-empty 'query'")
         deadline = request.get("deadline")
         if deadline is not None:
             deadline = float(deadline)
@@ -337,14 +345,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _ingest(self, body: dict[str, Any]) -> None:
         ops = body.get("ops")
         if not isinstance(ops, list) or not ops:
-            self._json(
-                400,
-                {
-                    "error": "ingest request needs a non-empty 'ops' list",
-                    "code": "invalid_request",
-                },
-            )
-            return
+            raise ValueError("ingest request needs a non-empty 'ops' list")
         response = self.server.service.ingest(body.get("corpus"), ops)
         self._json(200, response)
 
@@ -354,14 +355,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(queries, list) or not all(
             isinstance(q, str) for q in queries
         ):
-            self._json(
-                400,
-                {
-                    "error": "shard request needs a 'queries' list of strings",
-                    "code": "invalid_request",
-                },
-            )
-            return
+            raise ValueError("shard request needs a 'queries' list of strings")
         deadline = None
         header = self.headers.get("X-Repro-Deadline")
         if header is not None:
@@ -393,14 +387,7 @@ class _Handler(BaseHTTPRequestHandler):
         """The backend half of WAL log shipping (one batch)."""
         ops = body.get("ops")
         if not isinstance(ops, list):
-            self._json(
-                400,
-                {
-                    "error": "replicate request needs an 'ops' list",
-                    "code": "invalid_request",
-                },
-            )
-            return
+            raise ValueError("replicate request needs an 'ops' list")
         response = self.server.service.replicate_apply(
             body.get("corpus"),
             int(body.get("seq", 0)),
@@ -414,14 +401,7 @@ class _Handler(BaseHTTPRequestHandler):
         """The backend half of snapshot catch-up / divergence repair."""
         state = body.get("state")
         if not isinstance(state, dict):
-            self._json(
-                400,
-                {
-                    "error": "replicate request needs a 'state' object",
-                    "code": "invalid_request",
-                },
-            )
-            return
+            raise ValueError("replicate request needs a 'state' object")
         response = self.server.service.replicate_snapshot(
             body.get("corpus"), state, int(body.get("generation", 0))
         )
@@ -481,9 +461,9 @@ class _Handler(BaseHTTPRequestHandler):
         elif isinstance(exc, ReproError):
             self._json(400, envelope)
         elif isinstance(exc, ValueError):
-            self._json(
-                400, {**envelope, "error": str(exc), "code": "invalid_request"}
-            )
+            # Transport-level validation (a missing field, a malformed
+            # number or Content-Length) is raised as plain ValueError.
+            self._json(400, {**envelope, "code": "invalid_request"})
         else:
             self._json(500, {**envelope, "error": f"internal error: {exc!r}"})
 
@@ -512,8 +492,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra_headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # The body leaves in the header block's flush, so a response is
+        # one ``sendall``: written apart, the body would wait out the
+        # client's delayed ACK of the headers (~40 ms).  An HTTP/0.9
+        # request line gets no header block, only the body.
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = [body]
+        else:
+            self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if self.server.verbose:

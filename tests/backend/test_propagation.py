@@ -8,7 +8,8 @@ and the backend's span subtree must come back for adoption."""
 
 import http.client
 import json
-from time import monotonic
+import statistics
+from time import monotonic, perf_counter
 
 import pytest
 
@@ -129,6 +130,22 @@ class TestTracePropagation:
         expected = [[r.left, r.right] for r in engine.query(QUERY)]
         result = backend.shard_query("play", 0, 1, [QUERY], "sets", {})
         assert result.payload[0] == expected
+
+
+class TestHopLatency:
+    def test_shard_hop_is_under_the_delayed_ack_stall(self, served):
+        # The hop pays ~40 ms whenever either side lets a small segment
+        # wait on the other's delayed ACK.  The server answers in one
+        # segment; the request side is stdlib ``http.client``, which
+        # sets TCP_NODELAY in ``connect`` — HTTPBackend adds nothing.
+        _, _, backend = served
+        backend.shard_query("play", 0, 1, ["scene"], "sets", {})  # connect
+        seconds = []
+        for _ in range(20):
+            started = perf_counter()
+            backend.shard_query("play", 0, 1, ["scene"], "sets", {})
+            seconds.append(perf_counter() - started)
+        assert statistics.median(seconds) < 0.010
 
 
 class TestTransportErrors:

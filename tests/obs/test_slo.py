@@ -1,9 +1,17 @@
 """Objectives, burn-rate math, and the multi-window alert rule."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import BurnRateMonitor, SLObjective, SLOObservatory
+from repro.obs.slo import (
+    WINDOW_BUCKETS,
+    BurnRateMonitor,
+    SLObjective,
+    SLOObservatory,
+    SlidingWindow,
+)
 
 
 class FakeClock:
@@ -213,3 +221,69 @@ class TestObservatory:
         assert avail.budget == pytest.approx(0.001)
         latency = observatory.monitors["latency"].objective
         assert latency.latency_threshold == 0.2
+
+
+class TestSlidingWindow:
+    """The one window class behind burn rates and service health."""
+
+    def test_memory_is_bounded_by_buckets_not_by_rate(self):
+        from repro.server.health import HealthMonitor
+
+        mon, clock = monitor(fast=60.0, slow=300.0)
+        health = HealthMonitor(window_seconds=10.0, clock=clock)
+        for i in range(200_000):  # 200 s at 1 kHz
+            clock.advance(0.001)
+            mon.record(i % 7 == 0)
+            (health.record_failure if i % 7 == 0 else health.record_success)()
+        for window in (mon._fast, mon._slow, health._window):
+            assert len(window._buckets) <= WINDOW_BUCKETS + 1
+        snap = mon.snapshot()
+        # 60 s at 1 kHz, and up to one 1 s bucket more.
+        assert 60_000 <= snap["fast"]["samples"] <= 61_000
+        assert snap["slow"]["samples"] == 200_000
+        assert snap["fast"]["bad_rate"] == pytest.approx(1 / 7, abs=1e-3)
+        assert 10_000 <= health.snapshot()["window_samples"] <= 10_000 + 167
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seconds=st.sampled_from([0.5, 3.0, 10.0, 60.0]),
+        events=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=2.0), st.booleans()),
+            min_size=1,
+            max_size=120,
+        ),
+        idle=st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_rate_is_the_scan_over_live_buckets(self, seconds, events, idle):
+        window = SlidingWindow(seconds)
+        width = seconds / WINDOW_BUCKETS
+        now, seen = 1000.0, []
+        for gap, bad in events:
+            now += gap * seconds / 20
+            window.add(now, bad)
+            seen.append((now, bad))
+        now += idle * seconds
+        horizon = now // width - WINDOW_BUCKETS
+        live = [bad for at, bad in seen if at // width >= horizon]
+        # (float division may place an event exactly ``seconds`` old on
+        # either side of the horizon, hence the tolerance)
+        slack = 1e-9 * now
+        exact = [bad for at, bad in seen if at > now - seconds + slack]
+        rate, count = window.rate(now)
+        assert count == len(live)
+        assert rate == (sum(live) / len(live) if live else 0.0)
+        # Against the per-event window: nothing expires early, and what
+        # is kept late is younger than one more bucket width.
+        extra = len(live) - len(exact)
+        assert extra >= 0 and live[extra:] == exact
+        kept = seen[len(seen) - len(live):]
+        assert all(
+            at > now - seconds - width - slack for at, _ in kept[:extra]
+        )
+
+    def test_a_clock_that_steps_back_keeps_buckets_sorted(self):
+        window = SlidingWindow(60.0)
+        window.add(100.5, False)
+        window.add(99.9, True)  # read before, recorded after
+        assert [b[0] for b in window._buckets] == [100]
+        assert window.rate(100.5) == (0.5, 2)

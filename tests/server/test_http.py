@@ -1,8 +1,12 @@
 """The HTTP front end, exercised over real sockets on a free port."""
 
+import contextlib
 import http.client
 import json
+import socket
+import statistics
 import threading
+from time import perf_counter
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.server import (
     create_server,
     render_prometheus,
 )
+from repro.server.http import _Handler
 
 PLAY = CorpusSpec(name="play", kind="synthetic", path="play", seed=11, scale=2)
 
@@ -45,6 +50,47 @@ def request(server, method, path, body=None):
         return response.status, dict(response.getheaders()), decoded
     finally:
         connection.close()
+
+
+@contextlib.contextmanager
+def keep_alive(server):
+    """One HTTP/1.1 connection; ``send(method, path, body)`` returns
+    ``(status, headers, decoded body)`` and leaves it open."""
+    connection = http.client.HTTPConnection(
+        "127.0.0.1", server.bound_port, timeout=10
+    )
+
+    def send(method, path, body=None):
+        payload = json.dumps(body) if body is not None else None
+        connection.request(method, path, body=payload)
+        response = connection.getresponse()
+        raw = response.read()
+        return response.status, dict(response.getheaders()), json.loads(raw)
+
+    try:
+        yield send
+    finally:
+        connection.close()
+
+
+@contextlib.contextmanager
+def saturated(service):
+    """Every worker and queue slot (2 + 4) held until exit."""
+    release = threading.Event()
+    running = threading.Event()
+
+    def block():
+        running.set()
+        release.wait(timeout=10)
+
+    blockers = [service.pool.submit(block) for _ in range(6)]
+    try:
+        assert running.wait(timeout=5)
+        yield
+    finally:
+        release.set()
+        for future in blockers:
+            future.result(timeout=5)
 
 
 class TestEndpoints:
@@ -161,18 +207,7 @@ class TestErrorMapping:
         assert body["budget"] == pytest.approx(1e-6)
 
     def test_429_with_retry_after_under_saturation(self, server):
-        service = server.service
-        release = threading.Event()
-        running = threading.Event()
-
-        def block():
-            running.set()
-            release.wait(timeout=10)
-
-        # Saturate the pool directly: 2 workers + 4 queue slots.
-        blockers = [service.pool.submit(block) for _ in range(6)]
-        try:
-            assert running.wait(timeout=5)
+        with saturated(server.service):
             status, headers, body = request(
                 server,
                 "POST",
@@ -182,10 +217,133 @@ class TestErrorMapping:
             assert status == 429
             assert float(headers["Retry-After"]) > 0
             assert body["retry_after"] > 0
+
+
+class TestBodyFraming:
+    """A POST's body is consumed whatever the route does with it, so the
+    next request on the connection is parsed from its own first byte."""
+
+    @pytest.mark.parametrize("path, status", [("/nope", 404), ("/corpora/play/reload", 200)])
+    def test_unread_body_does_not_desync_keep_alive(self, server, path, status):
+        with keep_alive(server) as send:
+            first, _, body = send("POST", path, {"query": "speech", "pad": "x" * 64})
+            assert first == status
+            assert (body.get("code") == "not_found") == (status == 404)
+            second, headers, body = send("POST", "/query", {"query": "speech"})
+            assert second == 200
+            assert headers["Content-Type"] == "application/json"
+            assert body["cardinality"] > 0
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_and_closes(self, server, length):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.bound_port, timeout=10
+        )
+        try:
+            connection.putrequest("POST", "/query")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert body["code"] == "invalid_request"
+            assert "Content-Length" in body["error"]
+            # Unframeable: the server hangs up after answering.
+            assert connection.sock.recv(1) == b""
         finally:
-            release.set()
-            for future in blockers:
-                future.result(timeout=5)
+            connection.close()
+
+
+class _RecordingWriter:
+    """The handler's ``wfile``, logging each ``write`` (= one
+    ``sendall`` on the unbuffered socket writer)."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    """Records, for connections accepted while it is active, every
+    server-side write and each accepted socket's TCP_NODELAY."""
+    log = {"writes": [], "nodelay": []}
+    setup = _Handler.setup
+
+    def recording_setup(self):
+        setup(self)
+        log["nodelay"].append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        self.wfile = _RecordingWriter(self.wfile, log["writes"])
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    return log
+
+
+class TestLatencyFloor:
+    """Headers and body sent apart cost every response the client's
+    ~40 ms delayed ACK (Nagle holds the second segment): one write per
+    response, on a TCP_NODELAY socket, and a bound that notices."""
+
+    def assert_one_write(self, wire):
+        (sent,) = wire["writes"]
+        head, _, payload = sent.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 ")
+        # … and it is the whole response.
+        assert f"Content-Length: {len(payload)}\r\n".encode() in head + b"\r\n"
+        wire["writes"].clear()
+
+    def test_one_write_per_response(self, server, wire):
+        status, _, _ = request(server, "POST", "/query", {"query": "speech"})
+        assert status == 200
+        self.assert_one_write(wire)
+
+        status, _, body = request(server, "POST", "/query", {"query": "within"})
+        assert status == 400 and body["code"]
+        self.assert_one_write(wire)
+
+        status, _, _ = request(server, "POST", "/nope", {"query": "speech"})
+        assert status == 404
+        self.assert_one_write(wire)
+
+        with saturated(server.service):
+            status, headers, _ = request(
+                server, "POST", "/query", {"query": "speech", "use_cache": False}
+            )
+        assert status == 429 and "Retry-After" in headers
+        self.assert_one_write(wire)
+
+        status, headers, _ = request(server, "GET", "/metrics?format=prometheus")
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/plain")
+        self.assert_one_write(wire)
+
+    def test_accepted_sockets_have_nodelay(self, server, wire):
+        request(server, "GET", "/healthz")
+        assert wire["nodelay"] and all(wire["nodelay"])
+
+    def test_keep_alive_round_trip_is_under_the_stall(self, server):
+        with keep_alive(server) as send:
+            send("POST", "/query", {"query": "speech dwithin scene"})  # warm
+            seconds = []
+            for _ in range(20):
+                started = perf_counter()
+                status, _, _ = send(
+                    "POST", "/query", {"query": "speech dwithin scene"}
+                )
+                seconds.append(perf_counter() - started)
+                assert status == 200
+        # The stall is a kernel-deterministic ~40 ms per response; a
+        # cached loopback round trip is ~1 ms.
+        assert statistics.median(seconds) < 0.010
 
 
 class TestPrometheusRendering:

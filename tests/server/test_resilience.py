@@ -193,24 +193,36 @@ class TestHealthMonitor:
         assert monitor.state == HEALTHY
         assert monitor.states_seen() == [HEALTHY, DEGRADED, UNHEALTHY, HEALTHY]
 
-    def test_rolling_failure_count_is_the_window_scan(self):
-        # The error rate is kept as outcomes enter and expire, not
-        # re-counted per request; it must say what a scan would.
+    def test_rolling_failure_count_is_the_bucket_scan(self):
+        # The error rate is kept as outcomes enter and buckets expire,
+        # not re-counted per request; it must say what a scan over the
+        # outcomes in live buckets (window / 60 wide) would.
         import random
 
         rng = random.Random(18)
         monitor, clock = self.make(window_seconds=3.0)
+        width = 3.0 / 60
+        outcomes = []
         for _ in range(400):
             clock.now += rng.random()
-            (monitor.record_failure if rng.random() < 0.4 else monitor.record_success)()
-            rate, samples = monitor._error_rate(clock.now)
-            in_window = [failed for at, failed in monitor._outcomes]
-            assert samples == len(in_window)
-            assert all(at >= clock.now - 3.0 for at, _ in monitor._outcomes)
-            assert rate == sum(in_window) / len(in_window)
+            failed = rng.random() < 0.4
+            (monitor.record_failure if failed else monitor.record_success)()
+            outcomes.append((clock.now, failed))
+            horizon = clock.now // width - 60
+            live = [bad for at, bad in outcomes if at // width >= horizon]
+            exact = [bad for at, bad in outcomes if at >= clock.now - 3.0]
+            snap = monitor.snapshot()
+            assert snap["window_samples"] == len(live)
+            assert snap["error_rate"] == round(sum(live) / len(live), 4)
+            # Never early, and late by less than one bucket.
+            assert live[len(live) - len(exact):] == exact
+            assert all(
+                at >= clock.now - 3.0 - width
+                for at, _ in outcomes[len(outcomes) - len(live):]
+            )
         clock.now += 10.0
-        assert monitor._error_rate(clock.now) == (0.0, 0)
-        assert monitor._failures == 0
+        snap = monitor.snapshot()
+        assert (snap["error_rate"], snap["window_samples"]) == (0.0, 0)
 
     def test_pressure_forces_degraded_without_samples(self):
         monitor, _ = self.make()
