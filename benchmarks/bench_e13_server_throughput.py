@@ -10,8 +10,8 @@ Two acceptance claims for the ``repro.server`` subsystem (ISSUE 3):
    interleaved and asserts the bound; measured ratios are ~20x, the
    residual cost being parse + normalization on the request path).
 2. **No shed load below saturation** — the open-loop load generator
-   driving the HTTP front end at a QPS the worker pool can comfortably
-   sustain must see zero dropped connections and zero 429s
+   driving the HTTP front end at a QPS the admission gate comfortably
+   admits must see zero dropped connections and zero 429s
    (``bench_e13_zero_drops_below_saturation``).
 
 The ``benchmark``-fixture functions chart the cached/uncached pair; the

@@ -1,19 +1,23 @@
 """E15 — overhead of request tracing and SLO accounting on the serve path.
 
-The contract (ISSUE 6): with tracing **disabled** — the default
-``ServerConfig`` — the full request path (admission, worker pool,
-evaluation, completion accounting) must run within 1% of a service with
-the observability machinery stubbed out entirely.  The implementation
-meets this by front-loading every per-request decision: ``_begin_trace``
-is one ``None`` check when tracing is off, SLO recording is two deque
-appends with burn gauges deferred to scrape time, and context
-propagation is a single ``contextvars.copy_context()`` at submit.
+The contract (ISSUE 6, restated per request by ISSUE 24): with tracing
+**disabled** — the default ``ServerConfig`` — the full request path
+(admission, evaluation, completion accounting) costs at most 10 µs per
+request more than a service with the observability machinery stubbed
+out entirely.  The implementation meets this by front-loading every
+per-request decision: ``_begin_trace`` is one ``None`` check when
+tracing is off, SLO recording is two bucket increments with burn gauges
+deferred to scrape time, and a request evaluates on the thread that
+carries its context, so there is nothing to propagate.  The bound is
+absolute because what it bounds is: the accounting costs the same few
+microseconds whatever the request around it costs, so a ratio moves
+when the *request* gets cheaper (it read 1.002 while a request paid a
+thread hand-off, 1.02 once it did not — same accounting).
 
 ``bench_e15_overhead_bound`` re-measures the claim (min-of-N
 interleaved timing against a stubbed twin of the same service) and
-asserts the ≤1% acceptance bound, then writes the full ladder —
-stubbed, disabled, tracing at 0%, tracing at 100% sampling — to
-``BENCH_e15.json``.
+asserts the bound, then writes the full ladder — stubbed, disabled,
+tracing at 0%, tracing at 100% sampling — to ``BENCH_e15.json``.
 """
 
 import gc
@@ -70,11 +74,10 @@ def _make_service(tracing=False, sample_rate=0.1):
 
 
 def _make_stubbed_baseline():
-    """The same service with this PR's per-request observability gone:
-    no SLO accounting, no context propagation into the pool."""
+    """The same service with its per-request observability gone: no
+    SLO accounting (with tracing off, that is all there is)."""
     service = _make_service()
     service.slo = _NullSLO()
-    service.pool.propagate_context = False
     return service
 
 
@@ -115,7 +118,7 @@ def services():
         "tracing_100pct": _make_service(tracing=True, sample_rate=1.0),
     }
     for service in built.values():
-        _workload(service)  # warm corpus, pool, bytecode
+        _workload(service)  # warm corpus, caches, bytecode
     yield built
     for service in built.values():
         service.close()
@@ -147,7 +150,7 @@ def bench_e15_tracing_sampled_100pct(benchmark, services):
 
 
 def bench_e15_overhead_bound():
-    """Tracing-disabled request overhead stays within the 1% bound.
+    """Tracing-disabled request overhead stays within 10 µs a request.
 
     Interleaved min-of-N timing: the minimum over many rounds is stable
     against scheduler noise, and interleaving the services keeps
@@ -165,7 +168,7 @@ def bench_e15_overhead_bound():
     try:
         for service in fresh.values():
             for _ in range(3):
-                _workload(service)  # warm corpus, pool, bytecode
+                _workload(service)  # warm corpus, caches, bytecode
         rounds, iterations = 15, 4
         best = {name: float("inf") for name in fresh}
         for _ in range(rounds):
@@ -177,6 +180,11 @@ def bench_e15_overhead_bound():
 
     baseline = best["stubbed"]
     ratios = {name: seconds / baseline for name, seconds in best.items()}
+    requests = iterations * len(QUERIES)
+    overhead_us = {
+        name: (seconds - baseline) / requests * 1e6
+        for name, seconds in best.items()
+    }
     report = {
         "experiment": "e15-trace-overhead",
         "queries": QUERIES,
@@ -185,12 +193,14 @@ def bench_e15_overhead_bound():
         "iterations_per_round": iterations,
         "best_seconds": best,
         "ratio_vs_stubbed": ratios,
-        "disabled_overhead_bound": 1.01,
+        "overhead_us_per_request": overhead_us,
+        "disabled_overhead_bound_us": 10.0,
     }
     out = Path(__file__).resolve().parents[1] / "BENCH_e15.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    assert ratios["disabled"] <= 1.01, (
-        f"tracing-disabled request path is {ratios['disabled']:.4f}x the "
-        f"stubbed baseline (bound: 1.01)"
+    assert overhead_us["disabled"] <= 10.0, (
+        f"the tracing-disabled request path costs "
+        f"{overhead_us['disabled']:.1f} us per request over the stubbed "
+        f"baseline ({ratios['disabled']:.4f}x; bound: 10 us)"
     )

@@ -43,7 +43,8 @@ from repro.algebra.printer import to_text
 from repro.core.instance import Instance
 from repro.core.regionset import RegionSet
 from repro.core.wordindex import TextWordIndex
-from repro.errors import BackendUnsupportedError
+from repro.errors import BackendUnsupportedError, ReplicaLaggingError
+from repro.obs.trace import maybe_span
 from repro.shard.partition import Segment, partition_instance
 from repro.shard.rewrite import rewrite
 
@@ -240,6 +241,58 @@ class SliceProvider:
             generation=generation,
             evaluator=evaluator,
         )
+
+    def shard_query(
+        self,
+        node: str,
+        corpus: str,
+        group: int,
+        groups: int,
+        queries: Sequence[str],
+        want: str,
+        bounds: Mapping[str, int | None],
+        deadline: float | None = None,
+        floor: int = 0,
+    ) -> tuple[BackendResult, Any]:
+        """Answer one shard RPC from this provider's slices, as ``node``
+        — what an in-process backend and a ``repro serve`` process
+        playing backend both do.  Returns the result and the finished
+        ``backend.query`` span (``None`` when tracing is off)."""
+        slice_ = self.slice_for(corpus, group, groups)
+        if floor > 0 and slice_.generation < floor:
+            raise ReplicaLaggingError(corpus, slice_.generation, floor)
+        with maybe_span(
+            self._tracer,
+            "backend.query",
+            node=node,
+            corpus=corpus,
+            group=group,
+            groups=groups,
+        ) as span:
+            payload, seconds = evaluate_slice(
+                slice_, queries, want, bounds, deadline=deadline
+            )
+        result = BackendResult(
+            payload=payload,
+            generation=slice_.generation,
+            seconds=seconds,
+            node=node,
+        )
+        return result, span
+
+    def group_checksums(
+        self, corpus: str, groups: int
+    ) -> tuple[int, dict[int, str]]:
+        """``(generation, {group: content checksum})`` over all
+        ``groups`` slices of ``corpus`` — what the anti-entropy sweep
+        compares between the frontier and its replicas."""
+        generation = self._lookup(corpus)[1]
+        checksums: dict[int, str] = {}
+        for group in range(groups):
+            slice_ = self.slice_for(corpus, group, groups)
+            generation = slice_.generation
+            checksums[group] = slice_checksum(slice_)
+        return generation, checksums
 
     def invalidate(self, corpus: str) -> None:
         """Drop every cached partition of ``corpus``.

@@ -23,15 +23,8 @@ from __future__ import annotations
 from time import sleep
 from typing import Any, Mapping, Sequence
 
-from repro.backend.base import (
-    BackendResult,
-    ShardBackend,
-    SliceProvider,
-    evaluate_slice,
-    slice_checksum,
-)
-from repro.errors import BackendError, ReplicaLaggingError
-from repro.obs.trace import maybe_span
+from repro.backend.base import BackendResult, ShardBackend, SliceProvider
+from repro.errors import BackendError
 
 __all__ = ["InProcessBackend"]
 
@@ -39,10 +32,9 @@ __all__ = ["InProcessBackend"]
 class InProcessBackend(ShardBackend):
     """See the module docstring."""
 
-    def __init__(self, node_id: str, slices: SliceProvider, tracer: Any = None):
+    def __init__(self, node_id: str, slices: SliceProvider):
         self.node_id = node_id
         self._slices = slices
-        self._tracer = tracer
         self.inject_latency = 0.0
         self.fail_requests = 0
 
@@ -63,27 +55,24 @@ class InProcessBackend(ShardBackend):
             raise BackendError(f"backend {self.node_id}: injected failure")
         if self.inject_latency > 0:
             sleep(self.inject_latency)
-        slice_ = self._slices.slice_for(corpus, group, groups)
-        if floor > 0 and slice_.generation < floor:
-            # Cannot happen in a healthy in-process topology (slices
-            # come from the frontier's own handles) — but the contract
-            # is uniform, so tests can drive the lagging path here too.
-            raise ReplicaLaggingError(corpus, slice_.generation, floor)
-        # The span lands directly in the frontier's tracer (same
-        # process, contextvars carried the parent in), mirroring the
-        # ``backend.query`` span a subprocess ships back for adoption.
-        with maybe_span(
-            self._tracer, "backend.query", node=self.node_id, group=group
-        ):
-            payload, seconds = evaluate_slice(
-                slice_, queries, want, bounds, deadline=deadline
-            )
-        return BackendResult(
-            payload=payload,
-            generation=slice_.generation,
-            seconds=seconds,
-            node=self.node_id,
+        # The ``backend.query`` span lands directly in the frontier's
+        # tracer (same process, contextvars carried the parent in), so
+        # it is not shipped back for adoption as a subprocess's is.  A
+        # lagging slice cannot happen in a healthy in-process topology
+        # (slices come from the frontier's own handles) — but the
+        # contract is uniform, so tests can drive that path here too.
+        result, _span = self._slices.shard_query(
+            self.node_id,
+            corpus,
+            group,
+            groups,
+            queries,
+            want,
+            bounds,
+            deadline=deadline,
+            floor=floor,
         )
+        return result
 
     # ------------------------------------------------------------------
     # Replication: an in-process node reads the frontier's own corpus
@@ -107,12 +96,7 @@ class InProcessBackend(ShardBackend):
         return {"corpus": corpus, "applied": generation, "status": "applied"}
 
     def replicate_status(self, corpus: str, groups: int) -> dict[str, Any]:
-        checksums = {}
-        applied = 0
-        for group in range(groups):
-            slice_ = self._slices.slice_for(corpus, group, groups)
-            applied = slice_.generation
-            checksums[group] = slice_checksum(slice_)
+        applied, checksums = self._slices.group_checksums(corpus, groups)
         return {"corpus": corpus, "applied": applied, "checksums": checksums}
 
     def describe(self) -> dict[str, Any]:

@@ -138,6 +138,7 @@ class Engine:
         rig: RegionInclusionGraph | None = None,
         shards: int | None = None,
         shard_pool: str = "thread",
+        telemetry: Telemetry | None = None,
     ) -> "Engine":
         """Index an SGML-like tagged document."""
         from repro.engine.tagged import parse_tagged_text
@@ -149,6 +150,7 @@ class Engine:
             document.instance,
             text=document.text,
             rig=rig,
+            telemetry=telemetry,
             shards=shards,
             shard_pool=shard_pool,
         )
@@ -161,6 +163,7 @@ class Engine:
         text: str,
         shards: int | None = None,
         shard_pool: str = "thread",
+        telemetry: Telemetry | None = None,
     ) -> "Engine":
         """Index toy program source code (Figure 1 structure and RIG)."""
         from repro.engine.sourcecode import parse_source
@@ -173,6 +176,7 @@ class Engine:
             document.instance,
             text=document.text,
             rig=figure_1_rig(),
+            telemetry=telemetry,
             shards=shards,
             shard_pool=shard_pool,
         )
@@ -186,13 +190,20 @@ class Engine:
         rig: RegionInclusionGraph | None = None,
         shards: int | None = None,
         shard_pool: str = "thread",
+        telemetry: Telemetry | None = None,
     ) -> "Engine":
         from repro.engine.storage import load_instance
 
         _faults.fire("index.build")
         started = perf_counter()
         instance = load_instance(path)
-        engine = cls(instance, rig=rig, shards=shards, shard_pool=shard_pool)
+        engine = cls(
+            instance,
+            rig=rig,
+            telemetry=telemetry,
+            shards=shards,
+            shard_pool=shard_pool,
+        )
         engine._observe_index_build("load", perf_counter() - started)
         return engine
 
@@ -284,6 +295,7 @@ class Engine:
         optimize_query: bool = False,
         deadline: float | None = None,
         cancel: "CancelToken | None" = None,
+        text: str | None = None,
     ) -> RegionSet:
         """Evaluate a query (text or expression tree) against the index.
 
@@ -291,13 +303,16 @@ class Engine:
         :class:`threading.Event`-like token) bound the evaluation; see
         :meth:`Evaluator.evaluate`.  A query that runs out of budget
         raises :class:`~repro.errors.QueryTimeout` and is not logged.
+        ``text`` is the spelling the query log records for a tree (by
+        default its printed form): the text a client sent, when the
+        caller has already parsed it.
         """
         tracer = self._telemetry.tracer
         started = perf_counter()
         with maybe_span(tracer, "query", optimize=optimize_query) as root:
             with maybe_span(tracer, "parse"):
                 parse_started = perf_counter()
-                expr = self._prepare(query)
+                expr = self.prepare(query)
                 parse_seconds = perf_counter() - parse_started
             plan = self._plan(expr) if optimize_query else None
             executed = plan.optimized if plan is not None else expr
@@ -315,7 +330,7 @@ class Engine:
                 root.set("cardinality", len(result))
         self._record(
             kind="query",
-            query=query,
+            query=text if text is not None else query,
             executed=executed,
             plan=plan,
             result=result,
@@ -338,9 +353,10 @@ class Engine:
         return self.explain_with_caches(query)[0]
 
     def explain_with_caches(
-        self, query: str | A.Expr
+        self, query: str | A.Expr, text: str | None = None
     ) -> tuple[QueryPlan, dict[str, bool]]:
-        """:meth:`explain` plus which engine caches the call hit.
+        """:meth:`explain` plus which engine caches the call hit
+        (``text`` as for :meth:`query`).
 
         The second element reports ``plan_cache_hit`` (the per-engine
         CostModel was already built) and ``program_cache_hit`` (the
@@ -355,12 +371,12 @@ class Engine:
         with maybe_span(tracer, "explain"):
             with maybe_span(tracer, "parse"):
                 parse_started = perf_counter()
-                expr = self._prepare(query)
+                expr = self.prepare(query)
                 parse_seconds = perf_counter() - parse_started
             plan, program_cache_hit = self._plan_ex(expr)
         self._record(
             kind="explain",
-            query=query,
+            query=text if text is not None else query,
             executed=plan.optimized,
             plan=plan,
             result=None,
@@ -375,14 +391,14 @@ class Engine:
 
     def plan(self, query: str | A.Expr) -> QueryPlan:
         """The plan ``query(..., optimize_query=True)`` would execute."""
-        return self._plan(self._prepare(query))
+        return self._plan(self.prepare(query))
 
     def normalize(self, query: str | A.Expr) -> str:
         """The canonical text of a query after parsing and view
         expansion — equal for syntactically different spellings of the
         same plan, which makes it the result-cache key the query
         service uses (see ``docs/server.md``)."""
-        return to_text(self._prepare(query))
+        return to_text(self.prepare(query))
 
     def _plan(self, expr: A.Expr) -> QueryPlan:
         """The single plan-construction path shared by query/explain."""
@@ -544,7 +560,12 @@ class Engine:
         self._check_names(expr, allow_view=name)
         self._views[name] = expr
 
-    def _prepare(self, query: str | A.Expr) -> A.Expr:
+    def prepare(self, query: str | A.Expr) -> A.Expr:
+        """The tree a query evaluates as: parsed (when given as text),
+        views expanded, every region name checked.  Every method that
+        takes a query also takes this tree, so a caller that needs it
+        more than once — the query service, for its cache key — parses
+        once."""
         expr = parse(query) if isinstance(query, str) else query
         expr = self._expand_views(expr, frozenset())
         self._check_names(expr)

@@ -6,9 +6,11 @@ still distinguishing the common cases.
 
 Every class carries a stable, machine-readable ``code`` — the string the
 query server puts in its JSON error envelope (``{"error": …, "code":
-…}``) so clients can branch on failures without parsing prose.  The
-taxonomy is documented in ``docs/server.md``; codes are append-only
-(renaming one is a breaking API change).
+…}``) so clients can branch on failures without parsing prose — and,
+next to it, the HTTP ``status`` the server answers it with (inherited
+unless a class says otherwise).  The taxonomy is documented in
+``docs/server.md``; codes are append-only (renaming one is a breaking
+API change).
 """
 
 from __future__ import annotations
@@ -19,12 +21,30 @@ class ReproError(Exception):
 
     #: Stable machine-readable identifier for this error family.
     code = "internal"
+    #: HTTP status the query server answers this error family with: a
+    #: library error is the caller's (malformed query, bad data) unless
+    #: its class says otherwise.
+    status = 400
 
 
 def error_code(exc: BaseException) -> str:
-    """The stable ``code`` for any exception (``"internal"`` outside the
-    :class:`ReproError` hierarchy)."""
-    return exc.code if isinstance(exc, ReproError) else "internal"
+    """The stable ``code`` for any exception.  Outside the
+    :class:`ReproError` hierarchy there are two: the transport's own
+    validation (a missing field, a malformed number) is raised as plain
+    :class:`ValueError` and is ``"invalid_request"``; anything else is a
+    bug, ``"internal"``."""
+    if isinstance(exc, ReproError):
+        return exc.code
+    return "invalid_request" if isinstance(exc, ValueError) else "internal"
+
+
+def http_status(exc: BaseException) -> int:
+    """The HTTP status for any exception — the one place the decision
+    is made, for the response the HTTP layer sends and the ``status``
+    label the service's request metrics carry alike."""
+    if isinstance(exc, ReproError):
+        return exc.status
+    return 400 if isinstance(exc, ValueError) else 500
 
 
 class InvalidRegionError(ReproError):
@@ -84,6 +104,7 @@ class QueryTimeout(EvaluationError):
     """
 
     code = "query_timeout"
+    status = 504
 
     def __init__(self, budget: float, elapsed: float | None = None):
         self.budget = budget
@@ -106,11 +127,13 @@ class QueryCancelled(EvaluationError):
 class ServerOverloadedError(ReproError):
     """The query service rejected a request at admission time.
 
-    Raised when the worker pool's bounded queue is full; HTTP callers
-    see it as ``429 Too Many Requests`` with a ``Retry-After`` hint.
+    Raised when every run slot and every place to wait for one is
+    taken; HTTP callers see it as ``429 Too Many Requests`` with a
+    ``Retry-After`` hint.
     """
 
     code = "server_overloaded"
+    status = 429
 
     def __init__(self, message: str, retry_after: float = 1.0):
         self.retry_after = retry_after
@@ -126,6 +149,7 @@ class ServiceUnhealthyError(ReproError):
     """
 
     code = "service_unhealthy"
+    status = 503
 
     def __init__(self, message: str, retry_after: float = 1.0):
         self.retry_after = retry_after
@@ -137,6 +161,7 @@ class CorpusUnavailableError(ReproError):
     open after repeated load failures.  HTTP callers see ``503``."""
 
     code = "corpus_unavailable"
+    status = 503
 
     def __init__(self, name: str, retry_after: float = 1.0):
         self.name = name
@@ -148,13 +173,14 @@ class CorpusUnavailableError(ReproError):
 
 
 class WorkerCrashedError(ReproError):
-    """A worker thread died while holding this request's job.
+    """An evaluation died holding its run slot.
 
-    The pool replaces the dead worker and the service retries dispatch;
-    callers only see this when the retry budget is exhausted.
+    The gate releases the slot and the service re-dispatches the
+    request; callers only see this when the retry budget is exhausted.
     """
 
     code = "worker_crashed"
+    status = 500
 
 
 class PatternError(ReproError):
@@ -201,6 +227,7 @@ class FaultInjected(ReproError):
     failures from client errors."""
 
     code = "fault_injected"
+    status = 500
 
     def __init__(self, point: str, message: str | None = None):
         self.point = point
@@ -208,9 +235,9 @@ class FaultInjected(ReproError):
 
 
 class WorkerKilled(FaultInjected):
-    """A ``kill``-mode fault: the worker thread that drew this fault
-    must die.  Raised at the ``pool.worker`` fault point and translated
-    by the pool into :class:`WorkerCrashedError` on the job's future."""
+    """A ``kill``-mode fault: the evaluation that drew this fault dies.
+    Raised at the ``pool.worker`` fault point and translated by the
+    admission gate into :class:`WorkerCrashedError`."""
 
     code = "worker_killed"
 
@@ -237,6 +264,7 @@ class ReplicaLaggingError(BackendError):
     hint sized to the replication interval."""
 
     code = "replica_lagging"
+    status = 503
 
     def __init__(
         self,
@@ -305,6 +333,7 @@ class UnknownDocumentError(IngestError):
     (or was already deleted) in the target corpus."""
 
     code = "unknown_document"
+    status = 404
 
 
 class DuplicateDocumentError(IngestError):
@@ -312,6 +341,7 @@ class DuplicateDocumentError(IngestError):
     corpus, or the same id appeared twice in one batch."""
 
     code = "duplicate_document"
+    status = 409
 
 
 class IngestUnreplicatedError(IngestError):
@@ -322,6 +352,7 @@ class IngestUnreplicatedError(IngestError):
     replication (the default) or drop to in-process backends to write."""
 
     code = "ingest_unreplicated"
+    status = 409
 
     def __init__(self, corpus: str):
         self.corpus = corpus

@@ -4,7 +4,7 @@ Three pieces:
 
 * :mod:`repro.faults.registry` — a deterministic, seedable registry of
   named fault points sprinkled through storage, the evaluator, the
-  worker pool, and the service cache.  Inactive (the production state)
+  admission gate, and the service cache.  Inactive (the production state)
   every point is one ``is None`` check.
 * :mod:`repro.faults.retry` — bounded exponential-backoff retry and a
   per-corpus circuit breaker, used by the service around corpus

@@ -10,7 +10,7 @@ doing their real work:
 ``index.build``       building an engine from text or a saved index
 ``evaluator.step``    one operator evaluation inside the evaluator
 ``vm.kernel``         one kernel execution inside the plan VM (repro.vm)
-``pool.worker``       a worker picking up a job from the pool queue
+``pool.worker``       a request picking up its run slot in the gate
 ``cache.get``         a result-cache probe in the query service
 ``shard.task``        one per-shard task of the sharded executor
 ``backend.rpc``       one frontier→backend shard RPC (any transport)
@@ -31,9 +31,9 @@ Four fault modes:
 * ``latency`` — sleep ``spec.latency`` seconds, then continue;
 * ``corrupt`` — deterministically flip bytes in the payload flowing
   through the point (only points that pass data, e.g. storage reads);
-* ``kill`` — raise :class:`~repro.errors.WorkerKilled`; the worker
-  pool translates this into the death (and replacement) of the worker
-  thread that drew it.
+* ``kill`` — raise :class:`~repro.errors.WorkerKilled`; the
+  admission gate translates this into an evaluation that died holding
+  its run slot (slot released, request re-dispatched).
 
 Every fire lands in the ``fault_injections_total{point,mode}`` counter
 of the registry's metrics registry (the process-global one by default),
@@ -141,9 +141,9 @@ class FaultRegistry:
     """Armed fault specs plus the seeded RNG that rolls them.
 
     Thread-safe: the serving layer fires points from HTTP handler
-    threads, pool workers, and reload threads concurrently; all RNG
-    draws and counters sit behind one lock (fault points are not hot
-    enough for that to matter — the *disabled* path never takes it).
+    threads and reload threads concurrently; all RNG draws and counters
+    sit behind one lock (fault points are not hot enough for that to
+    matter — the *disabled* path never takes it).
     """
 
     def __init__(self, seed: int = 0, metrics: "MetricsRegistry | None" = None):

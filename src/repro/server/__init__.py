@@ -5,10 +5,11 @@ query over an immutable corpus a pure function — the property this
 package exploits end to end:
 
 * :mod:`repro.server.service` — :class:`QueryService`: named corpora
-  with generation counters, a bounded worker pool, per-request
+  with generation counters, bounded admission, per-request
   deadlines, and an LRU result cache;
-* :mod:`repro.server.pool` — :class:`WorkerPool` with admission
-  control (reject-early instead of queue-forever);
+* :mod:`repro.server.pool` — :class:`AdmissionGate`: requests run on
+  the thread they arrived on, inside bounds (reject-early instead of
+  queue-forever);
 * :mod:`repro.server.cache` — :class:`ResultCache`, thread-safe LRU
   keyed by (corpus, generation, normalized plan);
 * :mod:`repro.server.http` — stdlib JSON/HTTP endpoints
@@ -24,10 +25,11 @@ from repro.server.cache import CacheStats, ResultCache
 from repro.server.config import CorpusSpec, ServerConfig
 from repro.server.http import QueryHTTPServer, create_server, render_prometheus
 from repro.server.loadgen import LoadResult, percentile, run_load
-from repro.server.pool import WorkerPool
+from repro.server.pool import AdmissionGate
 from repro.server.service import QueryService, UnknownCorpusError
 
 __all__ = [
+    "AdmissionGate",
     "CacheStats",
     "CorpusSpec",
     "LoadResult",
@@ -36,7 +38,6 @@ __all__ = [
     "ResultCache",
     "ServerConfig",
     "UnknownCorpusError",
-    "WorkerPool",
     "create_server",
     "percentile",
     "render_prometheus",

@@ -89,12 +89,13 @@ class ServerConfig:
     """Capacity and behavior knobs for :class:`~repro.server.QueryService`.
 
     ``workers``
-        Evaluation threads.  Queries are GIL-bound Python, so past a
-        handful of workers the win is overlap of queueing and I/O, not
-        CPU parallelism.
+        Run slots: how many requests evaluate at once, each on the
+        thread it arrived on.  Queries are GIL-bound Python, so past a
+        handful the win is overlap of queueing and I/O, not CPU
+        parallelism.
     ``queue_depth``
         Bounded admission queue.  A request arriving with ``workers``
-        busy and ``queue_depth`` requests waiting is rejected with
+        evaluating and ``queue_depth`` requests waiting is rejected with
         ``429``/``Retry-After`` instead of queueing without bound —
         shed load early rather than time out everything late.
     ``cache_capacity`` / ``cache_enabled``
@@ -111,7 +112,8 @@ class ServerConfig:
     ``retry_attempts`` / ``retry_base_delay`` / ``retry_max_delay``
         Backoff policy around corpus (re)loads.
     ``dispatch_retries``
-        How many times the service re-submits a job whose worker died
+        How many times the service re-dispatches a request whose
+        evaluation died holding its run slot
         (:class:`~repro.errors.WorkerCrashedError`) before giving up.
     ``breaker_threshold`` / ``breaker_reset``
         Per-corpus circuit breaker: consecutive load failures that trip

@@ -1,8 +1,9 @@
 """The JSON/HTTP front end over :class:`~repro.server.QueryService`.
 
 Stdlib-only: a :class:`http.server.ThreadingHTTPServer` whose handler
-threads do admission, parsing, and cache probes, while evaluation runs
-on the service's bounded worker pool.  Endpoints:
+threads carry a request end to end — parsing, cache probe, admission,
+and, inside the service's admission gate, the evaluation itself.
+Endpoints:
 
 ====================================  =======================================
 ``POST /query``                       evaluate; body ``{"query": …,
@@ -47,15 +48,18 @@ on the service's bounded worker pool.  Endpoints:
                                       checksums for the sweep
 ====================================  =======================================
 
-Status mapping: ``400`` parse/validation errors (including rejected
-ingest batches and ingest-disabled corpora), ``404`` unknown corpus,
-document, or path, ``408`` client-requested deadline ≤ 0, ``409``
+Statuses come from the exception: every :class:`~repro.errors.ReproError`
+class carries its ``status`` next to its ``code``
+(:func:`~repro.errors.http_status`).  ``400`` parse/validation errors
+(including rejected ingest batches, ingest-disabled corpora and a
+deadline ≤ 0), ``404`` unknown corpus, document, or path, ``409``
 duplicate document id or a write to a corpus whose remote backends are
 not replicated (``ingest_unreplicated``), ``429`` admission
 rejection (with ``Retry-After``), ``503`` load shed, corpus breaker
 open, or a shard replica behind the read floor (``replica_lagging``;
 all with ``Retry-After``), ``504`` query deadline exceeded, ``500``
-worker crashes, injected faults, and anything unexpected.
+evaluations that died in their run slot, injected faults, and anything
+unexpected.
 
 Every error envelope carries a stable machine-readable ``code``
 (``{"error": …, "code": …}``) from the taxonomy in
@@ -72,19 +76,14 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
-    CorpusUnavailableError,
-    DuplicateDocumentError,
-    IngestUnreplicatedError,
     QueryTimeout,
     ReplicaLaggingError,
     ReproError,
-    ServerOverloadedError,
-    ServiceUnhealthyError,
-    UnknownDocumentError,
     error_code,
+    http_status,
 )
 from repro.obs.metrics import parse_label_text
-from repro.server.service import QueryService, UnknownCorpusError
+from repro.server.service import QueryService
 
 __all__ = ["QueryHTTPServer", "create_server", "render_prometheus"]
 
@@ -410,62 +409,32 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _error(self, exc: Exception) -> None:
-        code = error_code(exc)
         # When tracing is on, the service stamped the exception with its
         # request's trace id — included so a 5xx is joinable against the
         # kept trace at /debug/trace/<id>.
-        envelope: dict[str, Any] = {"error": str(exc), "code": code}
+        envelope: dict[str, Any] = {"error": str(exc), "code": error_code(exc)}
         trace_id = getattr(exc, "trace_id", None)
         if trace_id is not None:
             envelope["trace_id"] = trace_id
-        if isinstance(exc, ServerOverloadedError):
-            self._json(
-                429,
-                {**envelope, "retry_after": exc.retry_after},
-                extra_headers={"Retry-After": f"{exc.retry_after:.3f}"},
+        if isinstance(exc, ReplicaLaggingError):
+            # Lets the frontier's transport rebuild the typed error for
+            # its failover machinery.
+            envelope.update(
+                corpus=exc.corpus, applied=exc.applied, floor=exc.floor
             )
-        elif isinstance(exc, ReplicaLaggingError):
-            # A shard read refused for being behind the generation
-            # floor: retryable — the replica is catching up.  The
-            # corpus/applied/floor fields let the frontier's transport
-            # rebuild the typed error for its failover machinery.
-            self._json(
-                503,
-                {
-                    **envelope,
-                    "corpus": exc.corpus,
-                    "applied": exc.applied,
-                    "floor": exc.floor,
-                    "retry_after": exc.retry_after,
-                },
-                extra_headers={"Retry-After": f"{exc.retry_after:.3f}"},
-            )
-        elif isinstance(exc, (ServiceUnhealthyError, CorpusUnavailableError)):
-            self._json(
-                503,
-                {**envelope, "retry_after": exc.retry_after},
-                extra_headers={"Retry-After": f"{exc.retry_after:.3f}"},
-            )
-        elif isinstance(exc, QueryTimeout):
-            self._json(504, {**envelope, "budget": exc.budget})
-        elif isinstance(exc, (UnknownCorpusError, UnknownDocumentError)):
-            self._json(404, envelope)
-        elif isinstance(exc, (DuplicateDocumentError, IngestUnreplicatedError)):
-            self._json(409, envelope)
-        elif isinstance(exc, ReproError) and code in (
-            "worker_crashed",
-            "fault_injected",
-            "worker_killed",
-        ):
-            self._json(500, envelope)
+        headers = None
+        if isinstance(exc, QueryTimeout):
+            envelope["budget"] = exc.budget
         elif isinstance(exc, ReproError):
-            self._json(400, envelope)
-        elif isinstance(exc, ValueError):
-            # Transport-level validation (a missing field, a malformed
-            # number or Content-Length) is raised as plain ValueError.
-            self._json(400, {**envelope, "code": "invalid_request"})
-        else:
-            self._json(500, {**envelope, "error": f"internal error: {exc!r}"})
+            # Retryable refusals (overload, shed, breaker open, lagging
+            # replica) say when to come back.
+            retry_after = getattr(exc, "retry_after", None)
+            if retry_after is not None:
+                envelope["retry_after"] = retry_after
+                headers = {"Retry-After": f"{retry_after:.3f}"}
+        elif not isinstance(exc, ValueError):
+            envelope["error"] = f"internal error: {exc!r}"
+        self._json(http_status(exc), envelope, extra_headers=headers)
 
     def _json(
         self,

@@ -1,238 +1,136 @@
-"""A fixed worker pool with bounded queueing and admission control.
+"""Admission control: a gate each request passes on its own thread.
 
-``concurrent.futures.ThreadPoolExecutor`` queues without bound, which is
-exactly wrong for a query service: under overload every request waits,
-every request times out, and no feedback reaches the client.  This pool
-instead rejects at admission time — ``submit`` raises
-:class:`~repro.errors.ServerOverloadedError` the moment the bounded
-queue is full — so saturation turns into fast ``429`` responses with a
-``Retry-After`` estimate derived from observed service times, while
-accepted requests keep their latency.
+The HTTP server is already thread-per-connection and deadlines are
+cooperative, so a request needs no second thread to evaluate on — it
+needs a *bound*.  A request that finds every place taken is rejected on
+the spot (``429`` and a ``Retry-After`` estimate from observed service
+times), so saturation sheds load early instead of slowing every request.
 """
 
 from __future__ import annotations
 
-import contextvars
-import queue
 import threading
-from concurrent.futures import Future
 from time import monotonic, perf_counter
 from typing import Any, Callable
 
-from repro.errors import ServerOverloadedError, WorkerCrashedError, WorkerKilled
+from repro.errors import (
+    QueryTimeout,
+    ServerOverloadedError,
+    WorkerCrashedError,
+    WorkerKilled,
+)
 from repro.faults import registry as _faults
 
-__all__ = ["WorkerPool"]
-
-_STOP = object()
+__all__ = ["AdmissionGate"]
 
 
-class _Job:
-    __slots__ = ("fn", "args", "kwargs", "future", "enqueued_at", "ctx")
+class AdmissionGate:
+    """At most ``workers`` requests run at once (run slots) and at most
+    ``queue_depth`` more wait for a slot.
 
-    def __init__(
-        self,
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        ctx: contextvars.Context | None = None,
-    ):
-        self.fn = fn
-        self.args = args
-        self.kwargs = kwargs
-        self.future: Future = Future()
-        self.enqueued_at = monotonic()
-        self.ctx = ctx
-
-
-class WorkerPool:
-    """``workers`` daemon threads draining a queue of at most
-    ``queue_depth`` waiting jobs (running jobs do not count against the
-    queue bound).
-
-    ``on_depth_change``, when given, is called with the current number
-    of waiting jobs after every enqueue/dequeue — the hook the service
-    uses to keep the ``server_queue_depth`` gauge current without the
-    pool knowing about metrics.  ``on_worker_death`` fires whenever a
-    worker thread dies at the ``pool.worker`` fault point (chaos only):
-    the job it held fails with
-    :class:`~repro.errors.WorkerCrashedError` and a replacement thread
-    is spawned immediately, so pool capacity is never lost.
-
-    With ``propagate_context`` (the default), each job captures the
-    submitter's :mod:`contextvars` context and runs inside a copy of it
-    on the worker thread — this is what lets a request's trace context
-    and open span follow the job across the pool boundary, so spans
-    opened on the worker stitch into the submitting request's trace.
+    ``on_depth_change``, when given, is called with the number of
+    waiting requests whenever it changes — how the service keeps the
+    ``server_queue_depth`` gauge current without the gate knowing about
+    metrics.
     """
 
     def __init__(
         self,
         workers: int = 4,
         queue_depth: int = 16,
-        name: str = "repro-worker",
         on_depth_change: Callable[[int], None] | None = None,
-        on_worker_death: Callable[[], None] | None = None,
-        propagate_context: bool = True,
     ):
         if workers < 1:
-            raise ValueError("worker pool needs at least one worker")
+            raise ValueError("admission gate needs at least one run slot")
         if queue_depth < 0:
             raise ValueError("queue depth cannot be negative")
         self.workers = workers
         self.queue_depth = queue_depth
-        self.propagate_context = propagate_context
-        self._name = name
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_depth + workers)
-        self._admission = threading.Semaphore(queue_depth + workers)
+        self._admission = threading.Semaphore(workers + queue_depth)
+        self._slots = threading.Semaphore(workers)
         self._on_depth_change = on_depth_change
-        self._on_worker_death = on_worker_death
-        self._shutdown = False
         self._lock = threading.Lock()
-        self._inflight = 0
-        self._completed = 0
-        self._rejected = 0
-        self._deaths = 0
-        self._spawned = 0
-        # EWMA of job service time, seeding the Retry-After estimate.
+        self._closed = False
+        self._waiting = self._inflight = 0
+        self._completed = self._rejected = self._deaths = 0
+        # EWMA of service time, seeding the Retry-After estimate.
         self._ewma_seconds = 0.05
-        self._threads: list[threading.Thread] = []
-        for _ in range(workers):
-            self._threads.append(self._spawn())
 
-    def _spawn(self) -> threading.Thread:
-        with self._lock:
-            index = self._spawned
-            self._spawned += 1
-        thread = threading.Thread(
-            target=self._run, name=f"{self._name}-{index}", daemon=True
-        )
-        thread.start()
-        return thread
+    def run(self, fn: Callable[[float], Any], budget: float) -> Any:
+        """Call ``fn(queued_seconds)`` on this thread, holding a run slot.
 
-    # ------------------------------------------------------------------
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
-        """Enqueue ``fn(*args, **kwargs)``; never blocks.
-
-        Raises :class:`ServerOverloadedError` when ``workers`` jobs are
-        running and ``queue_depth`` more are already waiting.
+        Raises :class:`ServerOverloadedError` without waiting when all
+        ``workers + queue_depth`` places are taken, and
+        :class:`QueryTimeout` when no slot frees up within ``budget``
+        seconds.  ``queued_seconds`` is the time spent waiting for the
+        slot, for ``fn`` to charge against the same budget.
         """
-        if self._shutdown:
-            raise ServerOverloadedError("worker pool is shut down", retry_after=1.0)
-        # The semaphore counts free slots (running + waiting); a failed
-        # non-blocking acquire IS the admission decision.
+        if self._closed:
+            raise ServerOverloadedError("admission gate is closed", retry_after=1.0)
         if not self._admission.acquire(blocking=False):
             with self._lock:
                 self._rejected += 1
-                retry_after = self.estimate_retry_after()
+                # The backlog ahead of a new arrival over the drain
+                # rate, floored at 100ms.
+                backlog = self._waiting + self.workers
+                retry_after = max(0.1, backlog * self._ewma_seconds / self.workers)
             raise ServerOverloadedError(
                 f"query queue is full ({self.queue_depth} waiting, "
                 f"{self.workers} running)",
-                retry_after=retry_after,
+                retry_after=round(retry_after, 3),
             )
-        ctx = contextvars.copy_context() if self.propagate_context else None
-        job = _Job(fn, args, kwargs, ctx)
-        self._queue.put(job)  # cannot block: the semaphore bounds occupancy
-        self._notify_depth()
-        return job.future
-
-    def estimate_retry_after(self) -> float:
-        """Seconds until a queue slot plausibly frees up: the backlog
-        ahead of a new arrival divided by drain rate, floored at 100ms."""
-        backlog = self._queue.qsize() + self.workers
-        return round(max(0.1, backlog * self._ewma_seconds / self.workers), 3)
-
-    # ------------------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _STOP:
-                self._queue.task_done()
-                return
-            self._notify_depth()
-            # Fault point: a worker can die while picking up a job
-            # (chaos only — the check is one module-attribute load).
-            if _faults._active is not None:
-                try:
-                    _faults._active.fire("pool.worker")
-                except WorkerKilled:
-                    self._abandon(job)
-                    return
-                except Exception as exc:  # noqa: BLE001 - injected error
-                    if job.future.set_running_or_notify_cancel():
-                        job.future.set_exception(exc)
-                    self._admission.release()
-                    self._queue.task_done()
-                    continue
-            with self._lock:
-                self._inflight += 1
-            started = perf_counter()
+        try:
+            admitted_at = monotonic()
+            if not self._slots.acquire(blocking=False):
+                self._note_waiting(1)
+                acquired = self._slots.acquire(timeout=budget)
+                self._note_waiting(-1)
+                if not acquired:
+                    raise QueryTimeout(budget)
             try:
-                if job.future.set_running_or_notify_cancel():
-                    try:
-                        if job.ctx is not None:
-                            result = job.ctx.run(job.fn, *job.args, **job.kwargs)
-                        else:
-                            result = job.fn(*job.args, **job.kwargs)
-                        job.future.set_result(result)
-                    except BaseException as exc:  # noqa: BLE001 - relayed
-                        job.future.set_exception(exc)
+                return self._run_in_slot(fn, monotonic() - admitted_at)
             finally:
-                elapsed = perf_counter() - started
+                self._slots.release()
+        finally:
+            self._admission.release()
+
+    def _run_in_slot(self, fn: Callable[[float], Any], queued: float) -> Any:
+        # Fault point: an evaluation can die on picking up its slot
+        # (chaos only — the check is one module-attribute load).
+        if _faults._active is not None:
+            try:
+                _faults._active.fire("pool.worker")
+            except WorkerKilled:
                 with self._lock:
-                    self._inflight -= 1
-                    self._completed += 1
-                    self._ewma_seconds += 0.2 * (elapsed - self._ewma_seconds)
-                self._admission.release()
-                self._queue.task_done()
-
-    def _abandon(self, job: "_Job") -> None:
-        """This worker drew a kill fault: fail the job it was holding
-        with :class:`WorkerCrashedError`, spawn a replacement thread,
-        and let the calling thread return (die)."""
-        if job.future.set_running_or_notify_cancel():
-            job.future.set_exception(
-                WorkerCrashedError(
-                    "worker thread died while holding this job; "
-                    "a replacement worker was started"
-                )
-            )
-        self._admission.release()
-        self._queue.task_done()
+                    self._deaths += 1
+                raise WorkerCrashedError(
+                    "the evaluation died holding its run slot; "
+                    "the slot was released"
+                ) from None
         with self._lock:
-            self._deaths += 1
-            dead = threading.current_thread()
-            self._threads = [t for t in self._threads if t is not dead]
-            respawn = not self._shutdown
-        if self._on_worker_death is not None:
-            self._on_worker_death()
-        if respawn:
-            self._threads.append(self._spawn())
+            self._inflight += 1
+        started = perf_counter()
+        try:
+            return fn(queued)
+        finally:
+            elapsed = perf_counter() - started
+            with self._lock:
+                self._inflight -= 1
+                self._completed += 1
+                self._ewma_seconds += 0.2 * (elapsed - self._ewma_seconds)
 
-    def _notify_depth(self) -> None:
-        if self._on_depth_change is not None:
-            self._on_depth_change(self.waiting)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def waiting(self) -> int:
-        """Jobs enqueued but not yet picked up by a worker (approximate:
-        jobs between ``put`` and a worker's ``get`` are counted)."""
-        return self._queue.qsize()
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
+    def _note_waiting(self, delta: int) -> None:
+        with self._lock:
+            self._waiting += delta
+            if self._on_depth_change is not None:
+                self._on_depth_change(self._waiting)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
             return {
                 "workers": self.workers,
                 "queue_depth": self.queue_depth,
-                "waiting": self.waiting,
+                "waiting": self._waiting,
                 "inflight": self._inflight,
                 "completed": self._completed,
                 "rejected": self._rejected,
@@ -240,15 +138,14 @@ class WorkerPool:
                 "ewma_seconds": self._ewma_seconds,
             }
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work; drain queued jobs, then stop workers."""
-        if self._shutdown:
-            return
-        self._shutdown = True
+    def close(self) -> None:
+        """Stop admitting, then wait (at most ten seconds) for every
+        admitted request to leave."""
         with self._lock:
-            threads = list(self._threads)
-        for _ in threads:
-            self._queue.put(_STOP)
-        if wait:
-            for thread in threads:
-                thread.join(timeout=10.0)
+            if self._closed:
+                return
+            self._closed = True
+        deadline = monotonic() + 10.0
+        for _ in range(self.workers + self.queue_depth):
+            if not self._admission.acquire(timeout=max(0.0, deadline - monotonic())):
+                break

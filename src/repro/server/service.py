@@ -1,4 +1,4 @@
-"""The concurrent query service: corpora + worker pool + result cache.
+"""The concurrent query service: corpora + admission gate + result cache.
 
 :class:`QueryService` is the transport-independent core of the serving
 layer (the HTTP front end in :mod:`repro.server.http` is a thin JSON
@@ -8,8 +8,9 @@ owns:
 * a set of named **corpus handles**, each wrapping an
   :class:`~repro.engine.Engine` plus a monotonically increasing
   *generation* counter bumped on every reload;
-* a :class:`~repro.server.pool.WorkerPool` providing bounded admission
-  (reject-early under overload) and the threads queries evaluate on;
+* an :class:`~repro.server.pool.AdmissionGate` bounding how many
+  requests evaluate at once and how many wait to (reject-early under
+  overload); a request evaluates on the thread it arrived on;
 * a :class:`~repro.server.cache.ResultCache` keyed by
   ``(corpus, generation, normalized plan, optimize flag)`` — reloading a
   corpus bumps the generation and eagerly invalidates its entries;
@@ -18,20 +19,21 @@ owns:
   single registry snapshot.
 
 Every query request carries a deadline.  The clock starts at admission:
-time spent waiting in the queue counts against the budget, and the
+time spent waiting for a run slot counts against the budget, and the
 remaining budget is handed to the evaluator's cooperative
-deadline/cancellation check — a queued request whose client has already
-given up aborts on pickup instead of burning a worker.
+deadline/cancellation check — a waiting request whose budget runs out
+gives up its place instead of taking a slot.  A query is parsed once, on
+arrival; the cache key and the evaluation both come from that tree.
 
 Resilience (``docs/robustness.md``): corpus (re)loads run under a
 bounded-backoff retry and a per-corpus circuit breaker; a persistently
 corrupt index file is quarantined and the engine rebuilt from source
-text when the spec names one; a job whose worker died is re-dispatched;
-a :class:`~repro.server.health.HealthMonitor` classifies the service
-healthy/degraded/unhealthy from worker-path outcomes — while degraded
-the optimizer pass is skipped and cache misses may be answered by a
-stale entry from an older generation, and while unhealthy load is shed
-with ``503`` except for a trickle of probes.
+text when the spec names one; an evaluation that died holding its run
+slot is re-dispatched; a :class:`~repro.server.health.HealthMonitor`
+classifies the service healthy/degraded/unhealthy from request
+outcomes — while degraded the optimizer pass is skipped and cache misses
+may be answered by a stale entry from an older generation, and while
+unhealthy load is shed with ``503`` except for a trickle of probes.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ import tempfile
 import threading
 from pathlib import Path
 from time import monotonic, perf_counter
-from typing import Any
+from typing import Any, Callable
 
-from repro.algebra.parser import parse as _parse_query
-from repro.backend.base import SliceProvider, evaluate_slice, slice_checksum
+from repro.algebra import ast as A
+from repro.algebra.printer import to_text
+from repro.backend.base import SliceProvider
 from repro.backend.frontier import BackendNode, FrontierExecutor
 from repro.engine.session import Engine
 from repro.errors import (
@@ -61,8 +64,8 @@ from repro.errors import (
     ServerOverloadedError,
     ServiceUnhealthyError,
     StorageError,
-    UnknownRegionNameError,
     WorkerCrashedError,
+    http_status,
 )
 from repro.faults import registry as _faults
 from repro.faults.retry import CircuitBreaker, RetryPolicy, retry_call
@@ -113,7 +116,7 @@ from repro.server.cache import ResultCache
 from repro.server.config import CorpusSpec, ServerConfig
 from repro.server.health import DEGRADED, HEALTHY, UNHEALTHY, HealthMonitor
 from repro.server.health import STATE_VALUES as _HEALTH_VALUES
-from repro.server.pool import WorkerPool
+from repro.server.pool import AdmissionGate
 
 __all__ = ["QueryService", "UnknownCorpusError"]
 
@@ -122,6 +125,7 @@ class UnknownCorpusError(ReproError):
     """A request named a corpus the service does not serve."""
 
     code = "unknown_corpus"
+    status = 404
 
     def __init__(self, name: str, known: tuple[str, ...]):
         self.name = name
@@ -136,46 +140,21 @@ def _build_engine(
     shards: int | None = None,
 ) -> Engine:
     """Load one corpus per its spec, sharing the service telemetry."""
-    from pathlib import Path
-
-    _faults.fire("index.build")
-    if spec.kind == "synthetic":
-        text = _synthesize(spec)
-        if spec.path == "source":
-            document_engine = Engine.from_source(text)
-        else:
-            document_engine = Engine.from_tagged_text(text)
-        # Rebuild on the shared telemetry (constructors make their own).
-        engine = Engine(
-            document_engine.instance,
-            text=text,
-            rig=document_engine.rig,
-            telemetry=telemetry,
-            shards=shards,
-        )
-        return engine
-    text = None
     if spec.kind == "index":
-        from repro.engine.storage import load_instance
+        return Engine.load(spec.path, shards=shards, telemetry=telemetry)
+    if spec.kind == "synthetic":
+        return _index_text(_synthesize(spec), spec.path, telemetry, shards)
+    text = Path(spec.path).read_text(encoding="utf-8")
+    return _index_text(text, spec.kind, telemetry, shards)
 
-        instance = load_instance(spec.path)
-        rig = None
-    elif spec.kind == "tagged":
-        from repro.engine.tagged import parse_tagged_text
 
-        text = Path(spec.path).read_text(encoding="utf-8")
-        document = parse_tagged_text(text)
-        instance, text = document.instance, document.text
-        rig = None
-    else:  # "source"
-        from repro.engine.sourcecode import parse_source
-        from repro.rig.graph import figure_1_rig
-
-        text = Path(spec.path).read_text(encoding="utf-8")
-        document = parse_source(text)
-        instance, text = document.instance, document.text
-        rig = figure_1_rig()
-    return Engine(instance, text=text, rig=rig, telemetry=telemetry, shards=shards)
+def _index_text(
+    text: str, text_format: str, telemetry: Telemetry, shards: int | None
+) -> Engine:
+    """Index program source (Figure 1 RIG) or, by default, tagged text."""
+    if text_format == "source":
+        return Engine.from_source(text, shards=shards, telemetry=telemetry)
+    return Engine.from_tagged_text(text, shards=shards, telemetry=telemetry)
 
 
 def _rebuild_engine(
@@ -185,29 +164,10 @@ def _rebuild_engine(
 ) -> Engine:
     """Rebuild an ``index`` corpus from its source document and try to
     re-save the index file (best-effort) — the corruption-recovery path."""
-    from pathlib import Path
-
     from repro.engine.storage import save_instance
 
     text = Path(spec.source).read_text(encoding="utf-8")
-    if spec.source_format == "source":
-        from repro.engine.sourcecode import parse_source
-        from repro.rig.graph import figure_1_rig
-
-        document = parse_source(text)
-        rig = figure_1_rig()
-    else:
-        from repro.engine.tagged import parse_tagged_text
-
-        document = parse_tagged_text(text)
-        rig = None
-    engine = Engine(
-        document.instance,
-        text=document.text,
-        rig=rig,
-        telemetry=telemetry,
-        shards=shards,
-    )
+    engine = _index_text(text, spec.source_format, telemetry, shards)
     try:
         save_instance(engine.instance, spec.path)
     except (ReproError, OSError):
@@ -411,7 +371,7 @@ class QueryService:
             SERVER_REQUEST_SECONDS, help="request wall time by endpoint"
         )
         self._queue_gauge = metrics.gauge(
-            SERVER_QUEUE_DEPTH, help="requests waiting for a worker"
+            SERVER_QUEUE_DEPTH, help="requests waiting for a run slot"
         )
         self._inflight_gauge = metrics.gauge(
             SERVER_INFLIGHT, help="requests currently evaluating"
@@ -466,11 +426,10 @@ class QueryService:
             budget=5.0,
         )
         self.cache = ResultCache(self.config.cache_capacity)
-        self.pool = WorkerPool(
+        self.pool = AdmissionGate(
             workers=self.config.workers,
             queue_depth=self.config.queue_depth,
             on_depth_change=self._queue_gauge.set,
-            on_worker_death=self._worker_deaths.inc,
         )
         # SLO observatory: always on (it only reads request outcomes);
         # a fast burn becomes health pressure, which degrades — or, if
@@ -585,39 +544,17 @@ class QueryService:
         )
         self.health.set_pressure(f"slo:{name}", active, severity=severity)
 
-    def _make_breaker(self, corpus: str) -> CircuitBreaker:
-        def on_transition(old: str, new: str) -> None:
-            self._breaker_state.set(
-                CircuitBreaker.STATE_VALUES[new], corpus=corpus
-            )
-            self._breaker_transitions.inc(
-                corpus=corpus, **{"from": old, "to": new}
-            )
-            # An open breaker is external pressure: the service is at
-            # least degraded while a corpus cannot be reloaded.
-            self.health.set_pressure(
-                f"breaker:{corpus}", new != CircuitBreaker.CLOSED
-            )
+    def _make_breaker(self, pressure: str, **label: str) -> CircuitBreaker:
+        """A breaker reported under ``label`` (``corpus=`` or ``node=``)
+        in the ``breaker_*`` metrics.  While it is not closed it is
+        external pressure named ``pressure``: the service is at least
+        degraded while a corpus cannot be reloaded or a backend is down
+        (never unhealthy on that account — queries still work)."""
 
-        return CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            reset_timeout=self.config.breaker_reset,
-            on_transition=on_transition,
-        )
-
-    def _make_backend_breaker(self, node_id: str) -> CircuitBreaker:
         def on_transition(old: str, new: str) -> None:
-            self._breaker_state.set(
-                CircuitBreaker.STATE_VALUES[new], node=node_id
-            )
-            self._breaker_transitions.inc(
-                node=node_id, **{"from": old, "to": new}
-            )
-            # A dead backend is degradation pressure while its replicas
-            # carry the load — never unhealthy, since queries still work.
-            self.health.set_pressure(
-                f"backend:{node_id}", new != CircuitBreaker.CLOSED
-            )
+            self._breaker_state.set(CircuitBreaker.STATE_VALUES[new], **label)
+            self._breaker_transitions.inc(**label, **{"from": old, "to": new})
+            self.health.set_pressure(pressure, new != CircuitBreaker.CLOSED)
 
         return CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
@@ -663,11 +600,16 @@ class QueryService:
             from repro.backend.inprocess import InProcessBackend
 
             backends = [
-                InProcessBackend(f"b{i}", self._slice_provider, tracer=tracer)
+                InProcessBackend(f"b{i}", self._slice_provider)
                 for i in range(config.backend_nodes)
             ]
         nodes = [
-            BackendNode(backend, self._make_backend_breaker(backend.node_id))
+            BackendNode(
+                backend,
+                self._make_breaker(
+                    f"backend:{backend.node_id}", node=backend.node_id
+                ),
+            )
             for backend in backends
         ]
         self.frontier = FrontierExecutor(
@@ -720,17 +662,9 @@ class QueryService:
     def _replication_checksums(self, corpus: str) -> tuple[int, dict[int, str]]:
         """The frontier's own per-group content checksums — the truth
         the anti-entropy sweep measures replicas against."""
-        handle = self._handle(corpus)
-        groups = self.config.backend_groups
-        generation = handle.generation
-        checksums: dict[int, str] = {}
-        for group in range(groups):
-            slice_ = self._slice_provider.slice_for(
-                handle.spec.name, group, groups
-            )
-            generation = slice_.generation
-            checksums[group] = slice_checksum(slice_)
-        return generation, checksums
+        return self._slice_provider.group_checksums(
+            self._handle(corpus).spec.name, self.config.backend_groups
+        )
 
     def shard_query(
         self,
@@ -759,44 +693,36 @@ class QueryService:
         :class:`~repro.errors.ReplicaLaggingError` (a 503 on the wire)
         and lets the frontier fail over.
         """
-        handle = self._handle(corpus)
-        slice_ = self._slice_provider.slice_for(handle.spec.name, group, groups)
-        if floor > 0 and slice_.generation < floor:
-            self._replication_lagging_reads.inc(corpus=handle.spec.name)
-            raise ReplicaLaggingError(handle.spec.name, slice_.generation, floor)
-        tracer = self.telemetry.tracer
+        name = self._handle(corpus).spec.name
         token = None
-        if trace is not None and tracer.enabled:
+        if trace is not None and self.telemetry.tracer.enabled:
             token = _trace_context.activate(
                 _trace_context.TraceContext.from_dict(trace)
             )
         try:
-            span_dict = None
-            if tracer.enabled:
-                with tracer.span(
-                    "backend.query",
-                    corpus=handle.spec.name,
-                    group=group,
-                    groups=groups,
-                ) as span:
-                    payload, seconds = evaluate_slice(
-                        slice_, queries, want, bounds, deadline=deadline
-                    )
-                if span is not None:
-                    span_dict = span_to_dict(span)
-            else:
-                payload, seconds = evaluate_slice(
-                    slice_, queries, want, bounds, deadline=deadline
-                )
+            result, span = self._slice_provider.shard_query(
+                f"{self.config.host}:{self.config.port}",
+                name,
+                group,
+                groups,
+                queries,
+                want,
+                bounds,
+                deadline=deadline,
+                floor=floor,
+            )
+        except ReplicaLaggingError:
+            self._replication_lagging_reads.inc(corpus=name)
+            raise
         finally:
             if token is not None:
                 _trace_context.restore(token)
         return {
-            "payload": payload,
-            "generation": slice_.generation,
-            "seconds": seconds,
-            "node": f"{self.config.host}:{self.config.port}",
-            "span": span_dict,
+            "payload": result.payload,
+            "generation": result.generation,
+            "seconds": result.seconds,
+            "node": result.node,
+            "span": span_to_dict(span) if span is not None else None,
         }
 
     # ------------------------------------------------------------------
@@ -817,12 +743,7 @@ class QueryService:
     def _replica_install(
         self, handle: _CorpusHandle, replica: _ReplicaState, generation: int
     ) -> int:
-        engine = Engine(
-            replica.live.instance,
-            rig=replica.rig,
-            telemetry=self.telemetry,
-            shards=self._shards_for(handle.spec),
-        )
+        engine = self._engine_from_live(handle.spec, replica)
         return handle.install(engine, generation=generation)
 
     def replicate_apply(
@@ -907,15 +828,10 @@ class QueryService:
     ) -> dict[str, Any]:
         """This process's replica position: applied generation plus one
         content checksum per shard group, for the anti-entropy sweep."""
-        handle = self._handle(corpus)
-        name = handle.spec.name
-        groups = int(groups)
-        applied = handle.generation
-        checksums: dict[str, str] = {}
-        for group in range(groups):
-            slice_ = self._slice_provider.slice_for(name, group, groups)
-            applied = slice_.generation
-            checksums[str(group)] = slice_checksum(slice_)
+        name = self._handle(corpus).spec.name
+        applied, checksums = self._slice_provider.group_checksums(
+            name, int(groups)
+        )
         return {"corpus": name, "applied": applied, "checksums": checksums}
 
     def backends_info(self) -> dict[str, Any]:
@@ -987,7 +903,11 @@ class QueryService:
         ingest_state = None
         if self.config.ingest_enabled:
             engine, ingest_state = self._recover_ingest(spec, engine)
-        handle = _CorpusHandle(spec, engine, self._make_breaker(spec.name))
+        handle = _CorpusHandle(
+            spec,
+            engine,
+            self._make_breaker(f"breaker:{spec.name}", corpus=spec.name),
+        )
         with self._corpora_lock:
             if spec.name in self._corpora:
                 raise ReproError(f"corpus {spec.name!r} is already served")
@@ -1034,7 +954,9 @@ class QueryService:
         self._sync_ingest_gauges(spec.name, state)
         return engine, state
 
-    def _engine_from_live(self, spec: CorpusSpec, state: _IngestState) -> Engine:
+    def _engine_from_live(
+        self, spec: CorpusSpec, state: "_IngestState | _ReplicaState"
+    ) -> Engine:
         """A serving engine over the current assembled instance."""
         return Engine(
             state.live.instance,
@@ -1313,7 +1235,7 @@ class QueryService:
         :class:`~repro.errors.ServiceUnhealthyError` (load shed),
         :class:`~repro.errors.QueryTimeout`, or another
         :class:`~repro.errors.ReproError` (parse errors, unknown region
-        names); the HTTP layer maps each to a status code.
+        names); each carries the HTTP status it is answered with.
         """
         endpoint = "explain" if explain_only else "query"
         started = perf_counter()
@@ -1324,38 +1246,23 @@ class QueryService:
             response = self._execute(
                 endpoint, query, corpus, optimize, deadline, use_cache
             )
-        except ServiceUnhealthyError as exc:
-            # The monitor's own shed decision: neither a success nor a
-            # worker-path failure, so it does not feed back into state.
-            status, error = "503", exc
-            self._shed.inc()
-            self._rejected.inc(reason="unhealthy")
-            raise
-        except CorpusUnavailableError as exc:
-            status, error = "503", exc
-            raise
-        except ServerOverloadedError as exc:
-            status, error = "429", exc
-            self._rejected.inc(reason="saturated")
-            raise
-        except QueryTimeout as exc:
-            status, error = "504", exc
-            self._timeouts.inc()
-            self.health.record_failure()
-            raise
-        except (WorkerCrashedError, FaultInjected) as exc:
-            status, error = "500", exc
-            self.health.record_failure()
-            raise
-        except UnknownCorpusError as exc:
-            status, error = "404", exc
-            raise
-        except ReproError as exc:
-            # Client-side errors (parse, validation): not a health signal.
-            status, error = "400", exc
-            raise
-        except Exception as exc:  # unexpected: surfaces as 500 upstream
-            status, error = "500", exc
+        except Exception as exc:
+            status, error = str(http_status(exc)), exc
+            if isinstance(exc, ServiceUnhealthyError):
+                # The monitor's own shed decision: neither a success nor
+                # an evaluation failure, so it does not feed back into
+                # state.
+                self._shed.inc()
+                self._rejected.inc(reason="unhealthy")
+            elif isinstance(exc, ServerOverloadedError):
+                self._rejected.inc(reason="saturated")
+            elif isinstance(exc, QueryTimeout):
+                self._timeouts.inc()
+                self.health.record_failure()
+            elif isinstance(exc, (WorkerCrashedError, FaultInjected)):
+                self.health.record_failure()
+            # Everything else is the client's (parse, validation, an
+            # unknown corpus) or unexpected: not a health signal.
             raise
         else:
             self.health.record_success()
@@ -1376,9 +1283,9 @@ class QueryService:
         """Mint a trace context and open the request root span.
 
         Returns ``None`` when tracing is off.  The context is installed
-        in this thread's contextvars, from where the worker pool's
-        context propagation carries it — and the open span — into the
-        worker thread and onward to shard executors.
+        in this thread's contextvars; the request evaluates on this
+        thread, so every span it opens nests under the root, and the
+        shard executors carry the context onward to their own threads.
         """
         if self.traces is None:
             return None
@@ -1478,12 +1385,15 @@ class QueryService:
             # parsed plan directly, trading plan quality for less work.
             optimize = False
         budget = self._clamp_deadline(deadline)
-        # Parse + view-expand on the calling thread: cheap, and parse
-        # errors turn into 400s without consuming a worker slot.
-        plan_key = engine.normalize(query)
+        # The one parse (+ view expansion and name check) of the request:
+        # errors turn into 400s without taking a run slot, and the cache
+        # key and the evaluation both come from this tree.
+        expr = engine.prepare(query)
         if endpoint == "explain":
-            future = self.pool.submit(self._run_explain, engine, query)
-            plan, cache_hits = self._await(future, budget)
+            plan, cache_hits = self._dispatch(
+                budget,
+                lambda _queued: engine.explain_with_caches(expr, text=query),
+            )
             # Cache hits are reported distinctly: "plan_cache_hit" is the
             # engine's CostModel, "program_cache_hit" the compiled VM
             # program — a cost-model hit alone no longer masquerades as
@@ -1502,6 +1412,7 @@ class QueryService:
                 "program_cache_hit": cache_hits["program_cache_hit"],
             }
         caching = use_cache and self.config.cache_enabled
+        plan_key = to_text(expr)
         key = (handle.spec.name, generation, plan_key, optimize)
         if caching:
             cached = self._cache_get(key)
@@ -1514,8 +1425,24 @@ class QueryService:
                 if stale is not None:
                     self._stale_served.inc()
                     return {**stale, "cached": True, "stale": True}
+        # ``engine`` is the snapshot captured alongside ``generation``;
+        # the evaluation must use it rather than re-read ``handle.engine``,
+        # or an ingest commit landing in between would pair a new engine
+        # with the old generation — breaking snapshot isolation and
+        # poisoning the generation-keyed cache.  The same captured
+        # generation doubles as the read's replication floor.
         response = self._dispatch(
-            handle, engine, generation, query, optimize, budget
+            budget,
+            lambda queued: self._run_query(
+                handle.spec.name,
+                engine,
+                generation,
+                query,
+                expr,
+                optimize,
+                budget,
+                queued,
+            ),
         )
         response.update(
             corpus=handle.spec.name, generation=generation, query=query
@@ -1551,42 +1478,16 @@ class QueryService:
         _key, value = found
         return dict(value)
 
-    def _dispatch(
-        self,
-        handle: _CorpusHandle,
-        engine: Engine,
-        generation: int,
-        query: str,
-        optimize: bool,
-        budget: float,
-    ) -> dict[str, Any]:
-        """Submit to the pool, re-dispatching when a worker dies holding
-        the job (``dispatch_retries`` budget).
-
-        ``engine`` is the snapshot captured alongside ``generation`` in
-        :meth:`_execute`; the worker must evaluate against it rather
-        than re-reading ``handle.engine``, or an ingest commit landing
-        between capture and evaluation would pair a new engine with the
-        old generation — breaking snapshot isolation and poisoning the
-        generation-keyed cache.  The same captured generation doubles as
-        the read's replication floor.
-        """
+    def _dispatch(self, budget: float, run: Callable[[float], Any]) -> Any:
+        """``run(queued_seconds)`` through the admission gate, on this
+        thread, re-dispatching when the evaluation dies holding its run
+        slot (``dispatch_retries`` budget)."""
         attempts = self.config.dispatch_retries + 1
         for attempt in range(attempts):
-            admitted_at = monotonic()
-            future = self.pool.submit(
-                self._run_query,
-                handle,
-                engine,
-                generation,
-                query,
-                optimize,
-                budget,
-                admitted_at,
-            )
             try:
-                return self._await(future, budget)
+                return self.pool.run(run, budget)
             except WorkerCrashedError:
+                self._worker_deaths.inc()
                 if attempt + 1 >= attempts:
                     self._retry_exhausted.inc(op="dispatch")
                     raise
@@ -1600,48 +1501,42 @@ class QueryService:
             raise ReproError("deadline must be positive seconds")
         return min(float(deadline), self.config.max_deadline)
 
-    def _await(self, future: Any, budget: float) -> Any:
-        """Wait for a pool future, bounding the wait by the budget plus
-        grace for the evaluator's own cooperative abort to fire."""
-        from concurrent.futures import TimeoutError as FutureTimeout
-
-        try:
-            return future.result(timeout=budget + 2.0)
-        except FutureTimeout:  # pragma: no cover - defensive backstop
-            raise QueryTimeout(budget) from None
-
     def _run_query(
         self,
-        handle: _CorpusHandle,
+        corpus: str,
         engine: Engine,
         generation: int,
         query: str,
+        expr: A.Expr,
         optimize: bool,
         budget: float,
-        admitted_at: float,
+        queued: float,
     ) -> dict[str, Any]:
-        """Worker-side: evaluate with whatever budget queueing left."""
-        queued = monotonic() - admitted_at
+        """In a run slot: evaluate with whatever budget queueing left."""
         remaining = budget - queued
         tracer = self.telemetry.tracer
         if tracer.enabled:
-            # The request span crossed the pool boundary with this job's
-            # context copy; backdate a span for the time spent queued.
+            # Backdated: the wait for a run slot, under the request span.
             tracer.record_span("queue.wait", queued, budget=budget)
         if remaining <= 0:
             raise QueryTimeout(budget)
+
+        def evaluate_locally() -> Any:
+            return engine.query(
+                expr, optimize_query=optimize, deadline=remaining, text=query
+            )
+
         self._inflight_gauge.inc()
         backend_info = None
         try:
             eval_started = perf_counter()
             if self.frontier is not None:
+                planned = engine.plan(expr).optimized if optimize else expr
                 result, backend_info = self._frontier_query(
-                    handle, engine, generation, query, optimize, remaining
+                    corpus, generation, planned, remaining, evaluate_locally
                 )
             else:
-                result = engine.query(
-                    query, optimize_query=optimize, deadline=remaining
-                )
+                result = evaluate_locally()
             eval_seconds = perf_counter() - eval_started
         finally:
             self._inflight_gauge.dec()
@@ -1650,7 +1545,7 @@ class QueryService:
             "cardinality": len(result),
             "optimized": optimize,
             "eval_seconds": eval_seconds,
-            "queued_seconds": monotonic() - admitted_at - eval_seconds,
+            "queued_seconds": queued,
         }
         if backend_info is not None:
             response["backend"] = backend_info
@@ -1658,12 +1553,11 @@ class QueryService:
 
     def _frontier_query(
         self,
-        handle: _CorpusHandle,
-        engine: Engine,
+        corpus: str,
         generation: int,
-        query: str,
-        optimize: bool,
+        planned: A.Expr,
         remaining: float,
+        evaluate_locally: Callable[[], Any],
     ) -> tuple[Any, dict[str, Any]]:
         """Evaluate via the backend topology, falling back locally.
 
@@ -1684,27 +1578,29 @@ class QueryService:
         frontier = self.frontier
         assert frontier is not None
         floor = generation if self.replication is not None else 0
-        expr = (
-            engine.plan(query).optimized
-            if optimize
-            else _parse_query(engine.normalize(query))
-        )
-        tracer = self.telemetry.tracer
         try:
             with maybe_span(
-                tracer, "shard.query", mode="backend", groups=frontier.groups
+                self.telemetry.tracer,
+                "shard.query",
+                mode="backend",
+                groups=frontier.groups,
             ):
                 result, stats = frontier.run(
-                    handle.spec.name, expr, deadline=remaining, floor=floor
+                    corpus, planned, deadline=remaining, floor=floor
                 )
-        except BackendUnsupportedError as exc:
-            return self._frontier_fallback_query(
-                engine, query, optimize, remaining, "unsupported", str(exc)
-            )
-        except BackendUnavailableError as exc:
-            return self._frontier_fallback_query(
-                engine, query, optimize, remaining, "unavailable", str(exc)
-            )
+        except (BackendUnsupportedError, BackendUnavailableError) as exc:
+            # Only replica exhaustion means the topology is limping; an
+            # unsupported plan is a routine local evaluation.
+            degraded = isinstance(exc, BackendUnavailableError)
+            reason = "unavailable" if degraded else "unsupported"
+            self._frontier_fallback.inc(reason=reason)
+            return evaluate_locally(), {
+                "mode": self.config.backend_mode,
+                "groups": self.config.backend_groups,
+                "fallback": reason,
+                "detail": str(exc),
+                "degraded": degraded,
+            }
         return result, {
             "mode": self.config.backend_mode,
             "groups": stats.groups,
@@ -1715,33 +1611,6 @@ class QueryService:
             "nodes": sorted(set(stats.nodes_used)),
             "degraded": False,
         }
-
-    def _frontier_fallback_query(
-        self,
-        engine: Engine,
-        query: str,
-        optimize: bool,
-        remaining: float,
-        reason: str,
-        detail: str,
-    ) -> tuple[Any, dict[str, Any]]:
-        self._frontier_fallback.inc(reason=reason)
-        result = engine.query(
-            query, optimize_query=optimize, deadline=remaining
-        )
-        return result, {
-            "mode": self.config.backend_mode,
-            "groups": self.config.backend_groups,
-            "fallback": reason,
-            "detail": detail,
-            # Only replica exhaustion means the topology is limping;
-            # an unsupported plan is a routine local evaluation.
-            "degraded": reason == "unavailable",
-        }
-
-    @staticmethod
-    def _run_explain(engine: Engine, query: str):
-        return engine.explain_with_caches(query)
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -1806,14 +1675,14 @@ class QueryService:
         return self.traces.summaries(limit=limit, sort=sort)
 
     def close(self) -> None:
-        """Stop admitting work and drain the pool."""
+        """Stop admitting work and wait for requests in flight."""
         self._closed = True
         # The compactor goes first: it calls back into compact(), which
         # takes writer locks and touches the WAL — none of that should
         # race the teardown below.
         if self.compactor is not None:
             self.compactor.close()
-        self.pool.shutdown(wait=True)
+        self.pool.close()
         # The replication sweep talks to backends, so it stops before
         # the frontier (whose close drops the transports) and the
         # supervisor (whose stop kills the processes it would dial).

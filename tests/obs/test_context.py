@@ -52,7 +52,7 @@ class TestActivation:
         assert trace_context.current() is None
 
     def test_copy_context_carries_activation(self):
-        # What WorkerPool.submit does: snapshot here, run elsewhere.
+        # What the shard executor's scatter does: snapshot here, run elsewhere.
         with trace_context.active(TraceContext(trace_id="t3")):
             snapshot = contextvars.copy_context()
         assert trace_context.current() is None

@@ -3,13 +3,15 @@
 import contextlib
 import http.client
 import json
+import re
 import socket
 import statistics
-import threading
 from time import perf_counter
 
 import pytest
 
+from repro.errors import ReproError
+from repro.obs.metrics import SERVER_REQUESTS_TOTAL
 from repro.server import (
     CorpusSpec,
     QueryService,
@@ -18,6 +20,7 @@ from repro.server import (
     render_prometheus,
 )
 from repro.server.http import _Handler
+from tests.server.test_pool import Blocker
 
 PLAY = CorpusSpec(name="play", kind="synthetic", path="play", seed=11, scale=2)
 
@@ -76,21 +79,18 @@ def keep_alive(server):
 @contextlib.contextmanager
 def saturated(service):
     """Every worker and queue slot (2 + 4) held until exit."""
-    release = threading.Event()
-    running = threading.Event()
-
-    def block():
-        running.set()
-        release.wait(timeout=10)
-
-    blockers = [service.pool.submit(block) for _ in range(6)]
+    blocker = Blocker(service.pool)
+    for _ in range(2):
+        blocker.start()
     try:
-        assert running.wait(timeout=5)
+        for _ in range(2):
+            assert blocker.running.acquire(timeout=5)
+        for _ in range(4):
+            blocker.start()
+        blocker.wait_waiting(4)
         yield
     finally:
-        release.set()
-        for future in blockers:
-            future.result(timeout=5)
+        blocker.finish()
 
 
 class TestEndpoints:
@@ -217,6 +217,100 @@ class TestErrorMapping:
             assert status == 429
             assert float(headers["Retry-After"]) > 0
             assert body["retry_after"] > 0
+
+
+def _error_classes():
+    """Every public error class of the library, base first."""
+    classes, stack = [ReproError], [ReproError]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if not cls.__name__.startswith("_") and cls not in classes:
+                classes.append(cls)
+                stack.append(cls)
+    return classes
+
+
+#: Constructor arguments for the classes that take more than a message.
+_ERROR_ARGS = {
+    "UnknownRegionNameError": ("x",),
+    "QueryTimeout": (1.0,),
+    "CorpusUnavailableError": ("c",),
+    "FaultInjected": ("p",),
+    "WorkerKilled": (),
+    "ReplicaLaggingError": ("c", 1, 2),
+    "BackendUnavailableError": ("c", 0),
+    "IngestUnreplicatedError": ("c",),
+    "UnknownCorpusError": ("x", ()),
+}
+
+
+class TestStatusTable:
+    """One table: the status is the exception class's, for the response
+    and for the request metrics alike, and the docs print the same."""
+
+    @pytest.fixture(scope="class")
+    def raising(self):
+        """A server whose next query raises ``holder[0]`` from inside
+        ``execute`` (a private server: injected failures feed health)."""
+        service = QueryService(ServerConfig(corpora=(PLAY,)))
+        holder = [None]
+
+        def _execute(*_args, **_kwargs):
+            raise holder[0]
+
+        service._execute = _execute
+        srv = create_server(service, port=0)
+        srv.serve_in_background()
+        yield srv, holder
+        srv.stop()
+
+    def answer(self, raising, exc):
+        srv, holder = raising
+        holder[0] = exc
+        counter = srv.service.telemetry.metrics.counter(SERVER_REQUESTS_TOTAL)
+        before = counter.snapshot()
+        status, _, body = request(srv, "POST", "/query", {"query": "speech"})
+        after = counter.snapshot()
+        (label,) = [k for k in after if after[k] != before.get(k, 0)]
+        return status, body, label
+
+    def test_codes_are_unique(self):
+        codes = [cls.code for cls in _error_classes()]
+        assert len(set(codes)) == len(codes)
+        assert len(codes) > 25  # the walk found the hierarchy
+
+    @pytest.mark.parametrize(
+        "cls", _error_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_response_and_metric_agree_with_the_class(self, raising, cls):
+        exc = cls(*_ERROR_ARGS.get(cls.__name__, ("boom",)))
+        status, body, label = self.answer(raising, exc)
+        assert status == cls.status
+        assert body["code"] == cls.code
+        assert label == f"endpoint=query,status={cls.status}"
+
+    def test_unexpected_exception_is_500_in_both(self, raising):
+        status, body, label = self.answer(raising, RuntimeError("bug"))
+        assert status == 500
+        assert body["code"] == "internal"
+        assert label == "endpoint=query,status=500"
+
+    def test_docs_table_matches(self):
+        from pathlib import Path
+
+        text = (
+            Path(__file__).resolve().parents[2] / "docs" / "server.md"
+        ).read_text(encoding="utf-8")
+        table = text[text.index("## Error codes") : text.index("## How a request")]
+        documented = {}
+        for row in re.findall(r"^\| (`[^|]+) \| (\d+) \|", table, re.M):
+            for code in re.findall(r"`(\w+)`", row[0]):
+                documented[code] = int(row[1])
+        for cls in _error_classes():
+            if cls is not ReproError:  # its row is the non-library 500
+                assert documented[cls.code] == cls.status, cls.__name__
+        assert documented["internal"] == 500
+        assert documented["invalid_request"] == 400
 
 
 class TestBodyFraming:

@@ -5,17 +5,22 @@ play corpus; the HTTP adapter has its own tests in ``test_http.py``.
 """
 
 import threading
+import time
 
 import pytest
 
+from repro.core.regionset import RegionSet
+from repro.engine.session import Engine
 from repro.errors import QueryTimeout, ReproError, ServerOverloadedError
 from repro.obs.metrics import (
     SERVER_CACHE_HITS_TOTAL,
+    SERVER_QUEUE_DEPTH,
     SERVER_REJECTED_TOTAL,
     SERVER_REQUESTS_TOTAL,
     SERVER_TIMEOUTS_TOTAL,
 )
 from repro.server import CorpusSpec, QueryService, ServerConfig, UnknownCorpusError
+from tests.server.test_pool import Blocker
 
 PLAY = CorpusSpec(name="play", kind="synthetic", path="play", seed=11, scale=2)
 
@@ -65,6 +70,104 @@ class TestExecute:
         service.execute("speech dwithin scene")
         requests = service.telemetry.metrics.counter(SERVER_REQUESTS_TOTAL)
         assert requests.value(endpoint="query", status="200") == 1
+
+
+class TestRequestPath:
+    """One thread, one parse: a request evaluates where it arrived."""
+
+    def test_evaluates_on_the_callers_thread(self, service, monkeypatch):
+        idents = []
+        query = Engine.query
+
+        def recording(self, *args, **kwargs):
+            idents.append(threading.get_ident())
+            return query(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "query", recording)
+        service.execute("speech dwithin scene", use_cache=False)
+        assert idents == [threading.get_ident()]
+
+    def test_thread_count_does_not_depend_on_workers(self):
+        started = []
+        for workers in (1, 8):
+            before = set(threading.enumerate())
+            svc = QueryService(ServerConfig(workers=workers, corpora=(PLAY,)))
+            try:
+                svc.execute("speech", use_cache=False)
+                started.append(set(threading.enumerate()) - before)
+            finally:
+                svc.close()
+        assert started == [set(), set()]
+
+    @pytest.mark.parametrize("topology", ["local", "frontier"])
+    def test_a_request_is_parsed_once(self, topology, monkeypatch):
+        import repro.algebra.evaluator
+        import repro.backend.base
+        import repro.engine.session
+        import repro.shard.executor
+        from repro.algebra.parser import parse
+
+        parses = {}
+        for module in (
+            repro.engine.session,
+            repro.algebra.evaluator,
+            repro.shard.executor,
+            repro.backend.base,
+        ):
+            def counting(text, _name=module.__name__):
+                parses[_name] = parses.get(_name, 0) + 1
+                return parse(text)
+
+            monkeypatch.setattr(module, "parse", counting)
+        frontier = (
+            dict(backend_nodes=2, backend_groups=2, backend_mode="inprocess")
+            if topology == "frontier"
+            else {}
+        )
+        svc = QueryService(ServerConfig(corpora=(PLAY,), **frontier))
+        try:
+            parses.clear()
+            first = svc.execute("(speech) dwithin scene")
+            assert first["cached"] is False
+            # The wire format is text: each backend call parses what it
+            # was sent.  The coordinator side parses the request once.
+            wire = parses.pop("repro.backend.base", 0)
+            assert parses == {"repro.engine.session": 1}
+            if topology == "frontier":
+                assert "fallback" not in first["backend"]
+                assert wire >= 2
+            else:
+                assert wire == 0
+
+            parses.clear()
+            assert svc.execute("speech dwithin scene")["cached"] is True
+            assert parses == {"repro.engine.session": 1}
+        finally:
+            svc.close()
+
+    def test_query_log_keeps_the_clients_spelling(self, service):
+        service.execute("(speech) dwithin (scene)", use_cache=False)
+        record = service._handle("play").engine.query_log.last()
+        assert record.query == "(speech) dwithin (scene)"
+        assert record.plan == "speech dwithin scene"
+
+    def test_queued_seconds_is_the_wait_for_a_slot(self, service, monkeypatch):
+        # Building the envelope is the service's own time, not queueing.
+        pairs = RegionSet.pairs
+
+        def slow_pairs(self):
+            time.sleep(0.02)
+            return pairs(self)
+
+        monkeypatch.setattr(RegionSet, "pairs", slow_pairs)
+        response = service.execute("speech dwithin scene", use_cache=False)
+        assert response["queued_seconds"] < 0.010
+        self_seconds = (
+            response["seconds"]
+            - response["eval_seconds"]
+            - response["queued_seconds"]
+        )
+        assert self_seconds >= 0.020
 
 
 class TestParallelQueries:
@@ -151,17 +254,12 @@ class TestSaturation:
         service = QueryService(
             ServerConfig(workers=1, queue_depth=1, corpora=(PLAY,))
         )
+        blocker = Blocker(service.pool)
         try:
-            release = threading.Event()
-            running = threading.Event()
-
-            def block():
-                running.set()
-                release.wait(timeout=10)
-
-            blockers = [service.pool.submit(block)]
-            assert running.wait(timeout=5)
-            blockers.append(service.pool.submit(block))  # fills the queue
+            blocker.start()
+            assert blocker.running.acquire(timeout=5)
+            blocker.start()  # takes the one waiting place
+            blocker.wait_waiting(1)
 
             with pytest.raises(ServerOverloadedError) as excinfo:
                 service.execute("speech dwithin scene", use_cache=False)
@@ -171,14 +269,50 @@ class TestSaturation:
             requests = service.telemetry.metrics.counter(SERVER_REQUESTS_TOTAL)
             assert requests.value(endpoint="query", status="429") == 1
 
-            release.set()
-            for future in blockers:
-                future.result(timeout=5)
+            blocker.finish()
             ok = service.execute("speech dwithin scene")
             assert ok["cardinality"] > 0
         finally:
-            release.set()
+            blocker.finish()
             service.close()
+
+    def test_queue_depth_gauge_sees_a_waiter(self, monkeypatch):
+        service = QueryService(
+            ServerConfig(workers=1, queue_depth=2, corpora=(PLAY,))
+        )
+        gauge = service.telemetry.metrics.gauge(SERVER_QUEUE_DEPTH)
+        release = threading.Event()
+        query = Engine.query
+
+        def held(self, *args, **kwargs):
+            release.wait(timeout=10)
+            return query(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "query", held)
+        responses = []
+        threads = [
+            threading.Thread(
+                target=lambda: responses.append(
+                    service.execute("speech", use_cache=False)
+                )
+            )
+            for _ in range(2)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            limit = time.monotonic() + 5
+            while gauge.value() != 1:
+                assert time.monotonic() < limit
+                time.sleep(0.001)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=5)
+            service.close()
+        assert gauge.value() == 0
+        assert len(responses) == 2
+        assert max(r["queued_seconds"] for r in responses) > 0
 
 
 class TestDeadlines:

@@ -14,9 +14,7 @@ import pytest
 
 from repro.errors import FaultInjected
 from repro.faults.registry import FaultRegistry, FaultSpec, activate, deactivate
-from repro.obs import context as trace_context
 from repro.server import CorpusSpec, QueryService, ServerConfig, create_server
-from repro.server.pool import WorkerPool
 from repro.workloads.corpora import generate_play
 
 
@@ -230,30 +228,6 @@ class TestSampling:
             assert records[-1].trace_id == response["trace_id"]
         finally:
             service.close()
-
-
-class TestPoolPropagation:
-    def test_context_crosses_worker_threads(self):
-        pool = WorkerPool(workers=2, queue_depth=4)
-        try:
-            with trace_context.active(
-                trace_context.TraceContext(trace_id="tid-1")
-            ):
-                future = pool.submit(trace_context.current_trace_id)
-            assert future.result(timeout=5) == "tid-1"
-        finally:
-            pool.shutdown()
-
-    def test_propagation_can_be_disabled(self):
-        pool = WorkerPool(workers=1, queue_depth=4, propagate_context=False)
-        try:
-            with trace_context.active(
-                trace_context.TraceContext(trace_id="tid-2")
-            ):
-                future = pool.submit(trace_context.current_trace_id)
-            assert future.result(timeout=5) is None
-        finally:
-            pool.shutdown()
 
 
 class TestSLOPressure:
