@@ -14,10 +14,9 @@ shard count, both written to ``BENCH_e14.json``:
   model, not a measurement — with the merge overhead reported alongside.
 
 Neither is asserted.  The >= 1.8x critical-path bound this file used to
-carry was sized for the tree-walking interpreter and went with it: the
-compiled kernels shrink per-shard work several-fold but not the
-``Region``-object merge, so at this corpus size the merge is most of the
-critical path and sharding does not pay (see EXPERIMENTS.md E14).  The
+carry was dropped while ``merge_region_sets`` still built ``Region``
+objects and was most of the critical path; since the merge concatenates
+endpoint arrays the model clears it again (see EXPERIMENTS.md E14).  The
 gated numbers for the sharded path are ``serve_sharded/queries_per_s``
 and ``shard.executor.overhead_ratio`` in ``bench/``.
 

@@ -50,7 +50,11 @@ HEDGE_BUDGET = 0.5
 
 class TailLatencyBackend(InProcessBackend):
     """An in-process backend with a seeded probabilistic stall — the
-    'sometimes slow replica' hedging exists for."""
+    'sometimes slow replica' hedging exists for.  It sleeps through
+    ``slow_rate``, not ``inject_latency``, so it says itself that it
+    waits: the frontier hedges only transports that do."""
+
+    waits = True
 
     def __init__(self, node_id, slices, rng):
         super().__init__(node_id, slices)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.algebra import ast as A
 from repro.algebra.evaluator import Evaluator
@@ -50,6 +50,7 @@ from repro.shard.rewrite import rewrite
 
 __all__ = [
     "BackendResult",
+    "PairColumns",
     "ShardBackend",
     "ShardSlice",
     "SliceProvider",
@@ -58,13 +59,30 @@ __all__ = [
 ]
 
 
+class PairColumns:
+    """A ``want="sets"`` answer as it leaves :func:`evaluate_slice`: the
+    result's own sorted, duplicate-free endpoint arrays, shared rather
+    than copied, iterating as ``(left, right)`` pairs."""
+
+    __slots__ = ("lefts", "rights")
+
+    def __init__(self, result: RegionSet):
+        self.lefts = result._lefts
+        self.rights = result._rights
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.lefts, self.rights)
+
+
 @dataclass(frozen=True)
 class BackendResult:
     """One backend RPC's answer.
 
-    ``payload`` holds one entry per query text: ``[[left, right], …]``
-    region pairs for ``want="sets"``, a ``(max_left, min_right)`` pair
-    (``None``\\ s when empty) for ``want="exchange"``.  ``span`` is an
+    ``payload`` holds one entry per query text: for ``want="sets"`` the
+    result's ``(left, right)`` pairs — :class:`PairColumns` in-process,
+    a ``[[left, right], …]`` list off the wire — and for
+    ``want="exchange"`` a ``(max_left, min_right)`` pair (``None``\\ s
+    when empty).  ``span`` is an
     optional :func:`~repro.obs.trace.span_to_dict` dump of the
     backend-side span subtree, for the frontier to re-parent with
     :meth:`~repro.obs.trace.Tracer.adopt`.
@@ -84,9 +102,17 @@ class ShardBackend:
     (same process) and :class:`~repro.backend.httpclient.HTTPBackend`
     (a ``repro serve`` subprocess).  Both are safe to call from
     concurrent frontier threads.
+
+    ``waits`` says whether a call blocks on something other than this
+    process's CPU — a socket, another process, a sleep.  Only such calls
+    go to the frontier's pools and are hedged; a group none of whose
+    replicas waits is served on the calling thread, because under the
+    GIL a second thread evaluating the same slice only competes with the
+    first.
     """
 
     node_id: str = ""
+    waits: bool = False
 
     def shard_query(
         self,
@@ -382,7 +408,7 @@ def evaluate_slice(
         if want == "exchange":
             payload.append(list(result.extremes()))
         else:
-            payload.append(result.pairs())
+            payload.append(PairColumns(result))
     return payload, perf_counter() - started
 
 
@@ -397,8 +423,7 @@ def slice_checksum(slice_: ShardSlice) -> str:
 
     instance = slice_.segment.instance
     content = {
-        name: [[r.left, r.right] for r in instance.region_set(name)]
-        for name in sorted(instance.names)
+        name: instance.region_set(name).pairs() for name in sorted(instance.names)
     }
     canonical = _json.dumps(content, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

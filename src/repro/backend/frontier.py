@@ -23,6 +23,15 @@ robustness per call:
    a budget (a fraction of primary calls) so tail tolerance cannot
    double the request volume.
 
+Pools and hedges are for transports that wait
+(:attr:`~repro.backend.base.ShardBackend.waits`).  A group none of
+whose replicas waits — an in-process backend — is served on the calling
+thread by the same failover loop, with the same fault point, breakers,
+deadline and floor: under the GIL a pool thread or a hedge evaluating
+the same slice would only compete for the one lock.  A ``want="sets"``
+answer crosses as two int arrays in-process and as a JSON pair list
+from a socket; neither becomes a ``Region`` on the way to the merge.
+
 Deadlines and trace context propagate into every call; backend span
 subtrees are adopted under the frontier's current span, so one stitched
 trace crosses the process hop.  The ``backend.rpc`` fault point fires
@@ -40,15 +49,15 @@ from typing import Any, Mapping, Sequence
 
 from repro.algebra import ast as A
 from repro.algebra.printer import to_text
-from repro.backend.base import ShardBackend
+from repro.backend.base import PairColumns, ShardBackend
 from repro.backend.ring import HashRing
-from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from repro.errors import (
     BackendError,
     BackendUnavailableError,
     BackendUnsupportedError,
     FaultInjected,
+    InvalidRegionError,
     QueryTimeout,
     ReplicaLaggingError,
 )
@@ -62,6 +71,30 @@ __all__ = ["BackendNode", "FrontierExecutor", "FrontierStats"]
 
 #: Latency samples kept per node for the hedge-trigger quantile.
 _LATENCY_WINDOW = 64
+
+
+def _region_set(entry: Any) -> RegionSet:
+    """One group's ``want="sets"`` answer as a :class:`RegionSet`.
+
+    In-process it is the slice result's own arrays, wrapped without a
+    copy.  Off the wire it is a JSON pair list, decoded in one pass under
+    the rules a :class:`~repro.core.region.Region` enforces: endpoints
+    coerced with ``int``, ``left > right`` rejected; rows are sorted and
+    deduplicated only when they are not already strictly ascending.
+    """
+    if isinstance(entry, PairColumns):
+        return RegionSet._from_arrays(entry.lefts, entry.rights)
+    pairs: list[tuple[int, int]] = []
+    for left, right in entry:
+        left, right = int(left), int(right)
+        if left > right:
+            raise InvalidRegionError(
+                f"region left endpoint {left} exceeds right endpoint {right}"
+            )
+        pairs.append((left, right))
+    if any(a >= b for a, b in zip(pairs, pairs[1:])):
+        pairs = sorted(set(pairs))
+    return RegionSet._from_arrays([l for l, _ in pairs], [r for _, r in pairs])
 
 
 class BackendNode:
@@ -314,12 +347,7 @@ class FrontierExecutor:
             stats,
             floor,
         )
-        merged = merge_region_sets(
-            [
-                RegionSet(Region(int(l), int(r)) for l, r in payload[0])
-                for payload in per_group
-            ]
-        )
+        merged = merge_region_sets([_region_set(payload[0]) for payload in per_group])
         return merged, stats
 
     # ------------------------------------------------------------------
@@ -327,61 +355,59 @@ class FrontierExecutor:
     def _scatter(
         self, corpus, texts, want, bounds, deadline_at, trace, stats, floor=0
     ) -> list[list[Any]]:
-        """One parallel phase: every group's payload, in group order."""
-        if self.groups == 1:
-            return [
-                self._call_group(
-                    corpus, 0, texts, want, bounds, deadline_at, trace, stats, floor
-                )
-            ]
-        futures = []
-        for group in range(self.groups):
-            ctx = contextvars.copy_context()
-            futures.append(
-                self._group_pool.submit(
-                    ctx.run,
-                    self._call_group,
-                    corpus,
-                    group,
-                    texts,
-                    want,
-                    bounds,
-                    deadline_at,
-                    trace,
-                    stats,
-                    floor,
-                )
-            )
+        """One phase: every group's payload, in group order.  Groups with
+        a replica that waits run on the group pool, side by side; the
+        rest run here, on the calling thread, while those wait."""
+        args = (texts, want, bounds, deadline_at, trace, stats, floor)
+        futures: dict[int, Future] = {}
+        if self.groups > 1:
+            for group in range(self.groups):
+                if self._waits(self.replicas_for(corpus, group)):
+                    futures[group] = self._group_pool.submit(
+                        contextvars.copy_context().run,
+                        self._call_group, corpus, group, *args,
+                    )
         outs: list[list[Any]] = []
         error: BaseException | None = None
-        for future in futures:
+        for group in range(self.groups):
             try:
-                outs.append(future.result())
+                future = futures.get(group)
+                outs.append(
+                    future.result()
+                    if future is not None
+                    else self._call_group(corpus, group, *args)
+                )
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 error = error or exc
         if error is not None:
             raise error
         return outs
 
+    @staticmethod
+    def _waits(order: Sequence[BackendNode]) -> bool:
+        return any(node.backend.waits for node in order)
+
     def _call_group(
         self, corpus, group, texts, want, bounds, deadline_at, trace, stats, floor=0
     ) -> list[Any]:
-        """One group's payload: hedged first wave, then failover."""
+        """One group's payload: a hedged first wave when a replica waits,
+        then sequential failover over the untried replicas."""
         order = self.replicas_for(corpus, group)
         tried: set[str] = set()
         attempts: list[str] = []
-        primary = self._next_replica(order, tried, attempts, stats)
-        if primary is not None:
-            payload = self._hedged_call(
-                primary, order, tried, attempts,
-                corpus, group, texts, want, bounds, deadline_at, trace, stats, floor,
-            )
-            if payload is not None:
-                return payload
-        while True:
-            node = self._next_replica(order, tried, attempts, stats)
-            if node is None:
-                break
+        node = self._next_replica(order, tried, attempts, stats)
+        if node is not None:
+            self._budget.record_primary()
+            if self._waits(order):
+                payload = self._hedged_call(
+                    node, order, tried, attempts,
+                    corpus, group, texts, want, bounds, deadline_at, trace, stats,
+                    floor,
+                )
+                if payload is not None:
+                    return payload
+                node = self._next_replica(order, tried, attempts, stats)
+        while node is not None:
             tried.add(node.id)
             try:
                 payload = self._invoke(
@@ -397,6 +423,7 @@ class FrontierExecutor:
                 self._count_failover(corpus)
                 stats.failovers += 1
                 attempts.append(f"{node.id}: {exc}")
+            node = self._next_replica(order, tried, attempts, stats)
         raise BackendUnavailableError(corpus, group, attempts)
 
     def _next_replica(self, order, tried, attempts, stats) -> BackendNode | None:
@@ -423,7 +450,6 @@ class FrontierExecutor:
         the winning payload, or ``None`` when the whole wave failed
         (sequential failover then continues over untried replicas)."""
         tried.add(primary.id)
-        self._budget.record_primary()
         ctx = contextvars.copy_context()
         futures: dict[Future, BackendNode] = {
             self._call_pool.submit(

@@ -52,6 +52,8 @@ _DEFAULT_TIMEOUT = 10.0
 class HTTPBackend(ShardBackend):
     """See the module docstring."""
 
+    waits = True
+
     def __init__(self, node_id: str, host: str, port: int):
         self.node_id = node_id
         self.host = host

@@ -3,17 +3,20 @@
 The refactored descendant of the shard executor's pools: each
 :class:`InProcessBackend` is one logical node of the topology, serving
 any ``(corpus, group)`` slice from a shared :class:`SliceProvider`.
-The frontier treats it exactly like a remote backend — breakers,
-failover, and hedging all apply — which is what makes single-process
-deployments, the test suite, and the hedging benchmark exercise the
-same code paths as the subprocess topology.
+The frontier treats it like a remote backend — breakers, failover,
+deadlines and the ``backend.rpc`` fault point all apply — which is what
+makes single-process deployments and the test suite exercise the same
+code paths as the subprocess topology.  It does not wait (see
+:attr:`~repro.backend.base.ShardBackend.waits`), so its groups run on
+the frontier's calling thread, unhedged, unless ``inject_latency``
+makes it sleep.
 
 Two plain attributes exist purely as fault hooks for tests, benches,
 and chaos scenarios (real injected faults use the ``backend.rpc``
 registry point, which fires frontier-side for every transport):
 
 * ``inject_latency`` — seconds slept before evaluating, the "slow
-  replica" the hedging benchmark measures against;
+  replica" hedging is tested against;
 * ``fail_requests`` — the next N calls raise
   :class:`~repro.errors.BackendError`, a dead-replica stand-in.
 """
@@ -37,6 +40,12 @@ class InProcessBackend(ShardBackend):
         self._slices = slices
         self.inject_latency = 0.0
         self.fail_requests = 0
+
+    @property
+    def waits(self) -> bool:
+        """Only while ``inject_latency`` makes a call sleep: evaluating a
+        slice is CPU work, which runs on the frontier's calling thread."""
+        return self.inject_latency > 0
 
     def shard_query(
         self,

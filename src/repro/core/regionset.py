@@ -103,7 +103,9 @@ class RegionSet:
     values in property-based tests.
     """
 
-    __slots__ = ("_regions", "_lefts", "_rights", "_suffix_min_right", "_prefix_max_right")
+    __slots__ = (
+        "_regions", "_lefts", "_rights", "_suffix_min_right", "_prefix_max_right", "_hash",
+    )
 
     def __init__(self, regions: Iterable[Region] = ()):
         items = sorted(set(regions))
@@ -114,6 +116,7 @@ class RegionSet:
         # consumed by set operations that never need them.
         self._suffix_min_right: list[int] | None = None
         self._prefix_max_right: list[int] | None = None
+        self._hash: int | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -127,11 +130,10 @@ class RegionSet:
     def _from_sorted(cls, regions: list[Region]) -> "RegionSet":
         """Wrap a list already in ``(left, right)`` order with no duplicates.
 
-        The shard merge and the live-ingestion append path both produce
-        exactly that (per-shard results are sorted and span-disjoint;
-        appended regions all lie strictly after the existing set), so
-        this skips the ``sorted(set(...))`` of ``__init__``.  Callers
-        must uphold the invariant.
+        The live-ingestion append path produces exactly that (appended
+        regions all lie strictly after the existing set), so this skips
+        the ``sorted(set(...))`` of ``__init__``.  Callers must uphold
+        the invariant.
         """
         out = cls.__new__(cls)
         out._regions = tuple(regions)
@@ -139,6 +141,7 @@ class RegionSet:
         out._rights = [r.right for r in regions]
         out._suffix_min_right = None
         out._prefix_max_right = None
+        out._hash = None
         return out
 
     @classmethod
@@ -155,6 +158,7 @@ class RegionSet:
         out._rights = rights
         out._suffix_min_right = None
         out._prefix_max_right = None
+        out._hash = None
         return out
 
     @classmethod
@@ -197,7 +201,11 @@ class RegionSet:
         return self._lefts == other._lefts and self._rights == other._rights
 
     def __hash__(self) -> int:
-        return hash((tuple(self._lefts), tuple(self._rights)))
+        # O(n), so computed once: a routed plan's RegionLiteral is hashed
+        # on every program-cache lookup.
+        if self._hash is None:
+            self._hash = hash((tuple(self._lefts), tuple(self._rights)))
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         regions = self.regions

@@ -718,7 +718,9 @@ class QueryService:
             if token is not None:
                 _trace_context.restore(token)
         return {
-            "payload": result.payload,
+            # A sets entry is PairColumns; as a list of (left, right)
+            # tuples it encodes to the wire's [[left, right], …].
+            "payload": [list(entry) for entry in result.payload],
             "generation": result.generation,
             "seconds": result.seconds,
             "node": result.node,

@@ -6,16 +6,19 @@ any group count — including more groups than the corpus has top-level
 trees (surplus groups own nothing and answer with empty sets).
 """
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from repro.algebra.evaluator import Evaluator
 from repro.algebra.parser import parse
-from repro.backend.base import SliceProvider, evaluate_slice
+from repro.backend.base import SliceProvider, evaluate_slice, slice_checksum
 from repro.engine.corpus import Corpus
 from repro.errors import BackendUnsupportedError
 from repro.shard.merge import merge_region_sets
+from repro.core.instance import Instance
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from repro.workloads.corpora import generate_play
@@ -78,7 +81,7 @@ class TestSliceEvaluation:
         for group in range(4, 8):
             slice_ = provider.slice_for("play", group, 8)
             payload, _ = evaluate_slice(slice_, [query], "sets", {})
-            assert payload == [[]]
+            assert len(payload) == 1 and list(payload[0]) == []
         expected = Evaluator("indexed").evaluate(parse(query), instance)
         assert list(_union_of_slices(provider, query, 8)) == list(expected)
 
@@ -116,6 +119,42 @@ class TestSliceEvaluation:
             provider.slice_for("play", -1, 2)
         with pytest.raises(BackendUnsupportedError):
             provider.slice_for("play", 0, 0)
+
+
+class TestSliceChecksum:
+    """Replicas running older code compute the same digest; a change in
+    its bytes would read as divergence in every anti-entropy sweep."""
+
+    def test_digest_is_the_published_formula(self, provider):
+        for groups in (1, 3):
+            for group in range(groups):
+                slice_ = provider.slice_for("play", group, groups)
+                instance = slice_.segment.instance
+                content = {
+                    name: [[r.left, r.right] for r in instance.region_set(name)]
+                    for name in sorted(instance.names)
+                }
+                canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
+                expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+                assert slice_checksum(slice_) == expected
+
+    def test_digest_is_pinned(self):
+        instance = Instance(
+            {
+                "speech": RegionSet.of((0, 12), (16, 24)),
+                "line": RegionSet.of((1, 4), (6, 10), (17, 22)),
+                "act": RegionSet.of(),
+            }
+        )
+        provider = SliceProvider(lambda name: (instance, 1))
+        digests = [slice_checksum(provider.slice_for("play", g, 2)) for g in range(2)]
+        assert digests == [
+            "636a6e3cc30090f1e07ea62e8a62d7211b081d329f8930b2b722abb7321d68fb",
+            "621839520ad546a87689957011f5fdd18c0497ef95b33038c41e3a70a1c4e7d3",
+        ]
+        assert slice_checksum(provider.slice_for("play", 0, 1)) == (
+            "2dd73196e5e9175c7be1d8e2d20559ab16989b44f1fd8e7e2e87beeb7ce3fbd7"
+        )
 
 
 class TestSliceProviderCache:

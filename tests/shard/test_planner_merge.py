@@ -1,10 +1,16 @@
-"""Operator classification into exchange rounds, and the k-way merge."""
+"""Operator classification into exchange rounds, the k-way merge, and
+the hash of a routed plan."""
+
+import random
 
 from repro.algebra import ast as A
+from repro.algebra.evaluator import Evaluator
 from repro.algebra.parser import parse
 from repro.core.regionset import RegionSet
 from repro.shard.merge import merge_region_sets
 from repro.shard.planner import classify
+from repro.shard.rewrite import rewrite
+from repro.workloads.generators import random_text_instance
 
 
 class TestClassify:
@@ -107,3 +113,57 @@ class TestMerge:
         merged = merge_region_sets([a, b])
         assert merged == RegionSet.of((0, 3), (5, 6))
         assert len(merged.union(RegionSet.of((0, 3)))) == 2
+
+    def test_arrays_in_arrays_out(self):
+        # Both paths read and write endpoint arrays: no object view is
+        # built on the inputs or the result.  (5, 9) < (5, 10) is a
+        # clean boundary; a shared (5, 6) is not.
+        concat = [
+            RegionSet._from_arrays([0, 5], [3, 9]),
+            RegionSet._from_arrays([5, 8], [10, 9]),
+        ]
+        interleaved = [
+            RegionSet._from_arrays([0, 5], [3, 6]),
+            RegionSet._from_arrays([1, 5, 8], [2, 6, 9]),
+        ]
+        for parts, pairs in (
+            (concat, [[0, 3], [5, 9], [5, 10], [8, 9]]),
+            (interleaved, [[0, 3], [1, 2], [5, 6], [8, 9]]),
+        ):
+            merged = merge_region_sets(parts)
+            assert merged.pairs() == pairs
+            assert merged._regions is None
+            assert all(part._regions is None for part in parts)
+
+
+class _CountingList(list):
+    """A list that counts how often it is iterated whole."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+class TestRoutedPlanHash:
+    def test_repeated_lookups_hash_the_literal_once(self):
+        # A routed plan carries its match points as a RegionLiteral, and
+        # the program cache hashes the plan on every lookup; hashing a
+        # RegionSet reads all of its endpoints.
+        instance = random_text_instance(random.Random(3))
+        points = instance.word_index.match_points("l*")
+        assert points
+        routed = RegionSet._from_arrays(
+            _CountingList(points._lefts), list(points._rights)
+        )
+        plan = rewrite(parse('line containing "l*"'), {}, {"l*": routed})
+        evaluator = Evaluator()
+        expected = evaluator.evaluate(parse('line containing "l*"'), instance)
+        for _ in range(5):
+            assert evaluator.evaluate(plan, instance) == expected
+        assert evaluator.program_cached(plan)
+        assert _CountingList.iterations == 1
+        # Equality is still by content.
+        assert hash(routed) == hash(RegionSet._from_arrays(list(routed._lefts), routed._rights))
+        assert routed == points
