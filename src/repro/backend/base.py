@@ -337,13 +337,8 @@ def _empty_segment(instance: Instance) -> Segment:
     surplus group (more groups than top-level trees) evaluates against.
     The inverted ownership span makes ``owns()`` false everywhere, so
     match-point routing keeps nothing either."""
-    hollow = Instance(
-        {name: RegionSet(()) for name in instance.names},
-        instance.word_index,
-        validate=False,
-    )
     return Segment(
-        index=-1, instance=hollow, roots=(), own_left=1, own_right=0
+        index=-1, instance=instance.trees(0, 0), roots=(), own_left=1, own_right=0
     )
 
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
+from repro.errors import HierarchyError
 
-__all__ = ["Forest"]
+__all__ = ["Forest", "nest"]
 
 
 def _kept(regions: RegionSet, keep: list) -> RegionSet:
@@ -34,38 +35,94 @@ def _kept(regions: RegionSet, keep: list) -> RegionSet:
     )
 
 
+def nest(
+    lefts: list[int],
+    rights: list[int],
+    parent_pos: list[int],
+    strict: bool = True,
+    name_at: Callable[[int], str] | None = None,
+) -> None:
+    """Extend ``parent_pos`` over the columns from where it ends: the one
+    structural sweep of a universe in ``(left, right)`` order (an append
+    sweeps its new suffix alone; nothing new attaches below old regions).
+
+    It runs in pre-order — by left endpoint, a tower of equal lefts
+    outermost first — so the top of the stack of open regions is each
+    region's parent (``-1``: a root).  :class:`HierarchyError` unless the
+    pairs strictly ascend, which also rejects a region listed twice
+    (``name_at`` names a position's owner), and, when ``strict``, on a
+    popped region that ends inside the current one: an overlap.
+    """
+    start = len(parent_pos)
+    total = len(lefts)
+    parent_pos.extend([-1] * (total - start))
+    stack: list[int] = []
+    i = start
+    while i < total:
+        left = lefts[i]
+        if i and left < lefts[i - 1]:
+            raise HierarchyError(f"regions are not in (left, right) order at {i}")
+        stop = i + 1
+        while stop < total and lefts[stop] == left:
+            stop += 1
+        for pos in range(stop - 1, i - 1, -1):
+            right = rights[pos]
+            if pos + 1 < stop and right >= rights[pos + 1]:
+                if right > rights[pos + 1]:
+                    raise HierarchyError(f"regions are not in (left, right) order at {pos}")
+                where = "twice" if name_at is None else (
+                    f"in both {name_at(pos)!r} and {name_at(pos + 1)!r}"
+                )
+                raise HierarchyError(f"region [{left},{right}] appears {where}")
+            while stack and rights[stack[-1]] < right:
+                top = stack.pop()
+                if strict and rights[top] >= left:
+                    raise HierarchyError(
+                        f"regions [{lefts[top]},{rights[top]}] and "
+                        f"[{left},{right}] overlap without nesting"
+                    )
+            if stack:
+                parent_pos[pos] = stack[-1]
+            stack.append(pos)
+        i = stop
+
+
+class _View(NamedTuple):
+    """The region-keyed object view the navigation API reads."""
+
+    regions: tuple[Region, ...]
+    index: dict[Region, int]
+    children: list[list[int]]
+    depth: list[int]
+    order: tuple[Region, ...]  #: the regions in pre-order
+
+
 class Forest:
-    """An ordered forest over regions, built with a single stack sweep.
+    """An ordered forest over regions: three columns and a lazy view.
 
     Everything is a column indexed by a region's position in the
     ``(left, right)`` order every :class:`RegionSet` keeps:
     ``_lefts``/``_rights``/``_parent_pos`` (``-1`` marks a root) are what
     the direct operators read — an operand and the universe are in the
     same order, so its members are found by one monotone walk and no
-    :class:`Region` is built — and ``_regions``/``_children``/``_depth``/
-    ``_index`` serve the region-keyed navigation API beside them.
+    :class:`Region` is built.  The region-keyed navigation API
+    (``parent_of``, ``children_of``, ``preorder``, …) reads an object
+    view built from the columns on its first call.
     """
 
-    __slots__ = (
-        "_regions", "_lefts", "_rights", "_parent_pos",
-        "_children", "_depth", "_index", "_order",
-    )
+    __slots__ = ("_lefts", "_rights", "_parent_pos", "_view")
 
-    def __init__(self) -> None:
-        """The empty forest; :meth:`from_regions` grows a real one."""
-        self._regions: tuple[Region, ...] = ()
-        self._lefts: list[int] = []
-        self._rights: list[int] = []
-        self._parent_pos: list[int] = []
-        self._children: list[list[int]] = []
-        self._depth: list[int] = []
-        self._index: dict[Region, int] = {}
-        self._order: tuple[Region, ...] = ()  # the regions in pre-order
+    def __init__(self, lefts: list[int], rights: list[int], parent_pos: list[int]):
+        """The forest over given columns (:func:`nest` computes ``parent_pos``)."""
+        self._lefts = lefts
+        self._rights = rights
+        self._parent_pos = parent_pos
+        self._view: _View | None = None
 
     @classmethod
     def from_regions(cls, regions: Iterable[Region]) -> "Forest":
         """Build the forest for a hierarchical collection of regions."""
-        return cls().appended(regions)
+        return cls([], [], []).appended(regions)
 
     def appended(self, regions: Iterable[Region]) -> "Forest":
         """A new forest with ``regions`` appended *after* every existing
@@ -73,101 +130,102 @@ class Forest:
         every existing right endpoint, as :meth:`Instance.appended`
         validates).
 
-        No new region can attach below an existing one, so the old
-        columns are reused verbatim (the shared child lists are never
-        mutated — appended regions only ever parent other appended
-        regions) and the stack sweep runs over the new suffix alone,
-        straight off its endpoint arrays: a live commit's forest warm-up
-        is proportional to the new segment, not the corpus.  The sweep
-        is in pre-order — by left endpoint, a run of equal lefts (a
-        tower) outermost first, i.e. backwards — so the top of the stack
-        of currently open regions is each region's parent.
+        The old columns are extended, never mutated, and :func:`nest`
+        sweeps the new suffix alone: a live commit's forest warm-up is
+        proportional to the new segment, not the corpus.
         """
         new = regions if isinstance(regions, RegionSet) else RegionSet(regions)
         if not new:
             return self
-        base = len(self._regions)
         lefts = self._lefts + new._lefts
         rights = self._rights + new._rights
-        total = len(lefts)
-        parent_pos = self._parent_pos + [-1] * len(new)
-        children = self._children + [[] for _ in new._lefts]
-        depth = self._depth + [0] * len(new)
-        visit: list[int] = []  # the new positions, in pre-order
-        stack: list[int] = []  # the open regions' positions
-        start = base
-        while start < total:
-            stop = start + 1
-            while stop < total and lefts[stop] == lefts[start]:
-                stop += 1
-            for pos in range(stop - 1, start - 1, -1):
-                right = rights[pos]
-                while stack and rights[stack[-1]] < right:
-                    stack.pop()
-                if stack:
-                    above = parent_pos[pos] = stack[-1]
+        parent_pos = self._parent_pos.copy()
+        nest(lefts, rights, parent_pos, strict=False)
+        return Forest(lefts, rights, parent_pos)
+
+    def _navigation(self) -> _View:
+        """The object view, built once from the columns.  Threads racing
+        on the first call only build it twice: it is published whole."""
+        view = self._view
+        if view is None:
+            lefts, rights, parent_pos = self._lefts, self._rights, self._parent_pos
+            regions = tuple(map(Region, lefts, rights))
+            children: list[list[int]] = [[] for _ in regions]
+            for pos, above in enumerate(parent_pos):
+                if above >= 0:
                     children[above].append(pos)
+            visit = sorted(range(len(regions)), key=lambda p: (lefts[p], -rights[p]))
+            depth = [0] * len(regions)
+            for pos in visit:  # a parent is visited before its children
+                above = parent_pos[pos]
+                if above >= 0:
                     depth[pos] = depth[above] + 1
-                stack.append(pos)
-                visit.append(pos)
-            start = stop
-        clone = Forest()
-        clone._regions = self._regions + new.regions
-        clone._lefts, clone._rights, clone._parent_pos = lefts, rights, parent_pos
-        clone._children, clone._depth = children, depth
-        clone._index = dict(self._index)
-        clone._index.update(zip(new.regions, range(base, total)))
-        clone._order = self._order + tuple([clone._regions[pos] for pos in visit])
-        return clone
+            view = self._view = _View(
+                regions,
+                dict(zip(regions, range(len(regions)))),
+                children,
+                depth,
+                tuple([regions[pos] for pos in visit]),
+            )
+        return view
 
     # ------------------------------------------------------------------
     # Basic structure.
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._regions)
+        return len(self._lefts)
 
     def __contains__(self, region: object) -> bool:
-        return region in self._index
+        return region in RegionSet._from_arrays(self._lefts, self._rights)
 
     @property
     def preorder(self) -> tuple[Region, ...]:
         """All regions in pre-order (document order, outermost first)."""
-        return self._order
+        return self._navigation().order
 
     def roots(self) -> list[Region]:
-        return [r for r, p in zip(self._regions, self._parent_pos) if p < 0]
+        return [
+            Region(left, right)
+            for left, right, above in zip(self._lefts, self._rights, self._parent_pos)
+            if above < 0
+        ]
 
     def parent_of(self, region: Region) -> Region | None:
         """The region that *directly includes* ``region``, if any."""
-        p = self._parent_pos[self._index[region]]
-        return None if p < 0 else self._regions[p]
+        view = self._navigation()
+        p = self._parent_pos[view.index[region]]
+        return None if p < 0 else view.regions[p]
 
     def children_of(self, region: Region) -> list[Region]:
         """The regions directly included in ``region``, in document order."""
-        return [self._regions[c] for c in self._children[self._index[region]]]
+        view = self._navigation()
+        return [view.regions[c] for c in view.children[view.index[region]]]
 
     def depth_of(self, region: Region) -> int:
         """Root regions have depth 0."""
-        return self._depth[self._index[region]]
+        view = self._navigation()
+        return view.depth[view.index[region]]
 
     def ancestors_of(self, region: Region) -> list[Region]:
         """Proper ancestors, innermost first."""
+        view = self._navigation()
         out: list[Region] = []
-        p = self._parent_pos[self._index[region]]
+        p = self._parent_pos[view.index[region]]
         while p >= 0:
-            out.append(self._regions[p])
+            out.append(view.regions[p])
             p = self._parent_pos[p]
         return out
 
     def subtree_of(self, region: Region) -> list[Region]:
         """``region`` and everything it includes, in pre-order."""
+        view = self._navigation()
         out: list[Region] = []
-        stack = [self._index[region]]
+        stack = [view.index[region]]
         while stack:
             i = stack.pop()
-            out.append(self._regions[i])
-            stack.extend(reversed(self._children[i]))
+            out.append(view.regions[i])
+            stack.extend(reversed(view.children[i]))
         return out
 
     def descendants_of(self, region: Region) -> list[Region]:
@@ -176,12 +234,13 @@ class Forest:
 
     def sibling_rank(self, region: Region) -> int:
         """Position among the region's siblings (0-based, document order)."""
-        i = self._index[region]
+        view = self._navigation()
+        i = view.index[region]
         p = self._parent_pos[i]
         siblings = (
             [j for j, q in enumerate(self._parent_pos) if q < 0]
             if p < 0
-            else self._children[p]
+            else view.children[p]
         )
         return siblings.index(i)
 
@@ -195,9 +254,10 @@ class Forest:
 
     def iter_edges(self) -> Iterator[tuple[Region, Region]]:
         """All (parent, child) direct-inclusion pairs."""
-        for child, p in zip(self._regions, self._parent_pos):
+        regions = self._navigation().regions
+        for child, p in zip(regions, self._parent_pos):
             if p >= 0:
-                yield self._regions[p], child
+                yield regions[p], child
 
     # ------------------------------------------------------------------
     # Direct operators (Section 5.1) and layers (Section 6).
@@ -286,13 +346,14 @@ class Forest:
         The Section 6 programs peel these layers one at a time; the number
         of layers is the nesting depth of the instance.
         """
-        if not self._regions:
+        if not self._lefts:
             return []
-        buckets: list[list[Region]] = [[] for _ in range(max(self._depth) + 1)]
-        for region, depth in zip(self._regions, self._depth):
+        view = self._navigation()
+        buckets: list[list[Region]] = [[] for _ in range(max(view.depth) + 1)]
+        for region, depth in zip(view.regions, view.depth):
             buckets[depth].append(region)
         return [RegionSet(b) for b in buckets]
 
     def max_depth(self) -> int:
         """The nesting depth (number of layers); 0 for an empty forest."""
-        return max(self._depth) + 1 if self._regions else 0
+        return max(self._navigation().depth) + 1 if self._lefts else 0

@@ -14,15 +14,14 @@ produces *new* instances via :meth:`Instance.without_regions`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Mapping
 
+from repro.core.forest import Forest, nest
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from repro.core.wordindex import LabelWordIndex, TextWordIndex, WordIndex
 from repro.errors import EvaluationError, HierarchyError, UnknownRegionNameError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.forest import Forest
 
 __all__ = ["Instance"]
 
@@ -32,9 +31,19 @@ def _as_region_set(value: RegionSet | Iterable[Region]) -> RegionSet:
 
 
 class Instance:
-    """An instance of a region index: named region sets plus a word index."""
+    """An instance of a region index: named region sets plus a word index.
 
-    __slots__ = ("_sets", "_names", "_word_index", "_all", "_name_of", "_forest")
+    Column-first: besides the per-name sets it keeps the *universe* —
+    every region, in ``(left, right)`` order — as two endpoint columns
+    plus a name-id column (an index into :attr:`names`), and the
+    :class:`~repro.core.forest.Forest` over them.  Both constructors
+    produce those columns (``__init__`` by merging the per-name arrays,
+    :meth:`from_columns` by taking them as given) and run one
+    :func:`~repro.core.forest.nest` sweep that checks the hierarchy and
+    computes the forest's parent column; no :class:`Region` is built.
+    """
+
+    __slots__ = ("_sets", "_names", "_word_index", "_all", "_name_ids", "_forest")
 
     def __init__(
         self,
@@ -42,52 +51,87 @@ class Instance:
         word_index: WordIndex | None = None,
         validate: bool = True,
     ):
-        self._sets: dict[str, RegionSet] = {
-            name: _as_region_set(regions) for name, regions in sets.items()
-        }
-        self._names: tuple[str, ...] = tuple(self._sets)
+        region_sets = {name: _as_region_set(regions) for name, regions in sets.items()}
+        rows = sorted(
+            (left, right, k)
+            for k, s in enumerate(region_sets.values())
+            for left, right in zip(s._lefts, s._rights)
+        )
+        lefts, rights, ids = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+        self._install(region_sets, word_index, lefts, rights, ids, strict=validate)
+
+    @classmethod
+    def from_columns(
+        cls,
+        names: Iterable[str],
+        lefts: list[int],
+        rights: list[int],
+        name_ids: list[int],
+        word_index: WordIndex | None = None,
+    ) -> "Instance":
+        """An instance from its parallel universe columns, as an index
+        file holds them.  Each name's set is a slice of the columns
+        regrouped by name id (a stable sort keeps ``(left, right)`` order
+        within a name); the strict sweep rejects columns that are
+        unsorted, repeat a region or do not nest, and ids naming no
+        region name raise :class:`HierarchyError` as well."""
+        names = tuple(names)
+        order = sorted(range(len(name_ids)), key=name_ids.__getitem__)
+        grouped = [name_ids[p] for p in order]
+        if grouped and not (0 <= grouped[0] and grouped[-1] < len(names)):
+            raise HierarchyError(f"a name id lies outside 0..{len(names) - 1}")
+        by_left = [lefts[p] for p in order]
+        by_right = [rights[p] for p in order]
+        sets: dict[str, RegionSet] = {}
+        for k, name in enumerate(names):
+            lo, hi = bisect_left(grouped, k), bisect_right(grouped, k)
+            sets[name] = RegionSet._from_arrays(by_left[lo:hi], by_right[lo:hi])
+        out = cls.__new__(cls)
+        out._install(sets, word_index, lefts, rights, name_ids)
+        return out
+
+    def _install(
+        self,
+        sets: dict[str, RegionSet],
+        word_index: WordIndex | None,
+        lefts: list[int],
+        rights: list[int],
+        name_ids: list[int],
+        parent_pos: list[int] | None = None,
+        strict: bool = True,
+    ) -> None:
+        """Set every field; without ``parent_pos``, :meth:`_nest` sweeps."""
+        self._sets = sets
+        self._names: tuple[str, ...] = tuple(sets)
         self._word_index: WordIndex = (
             word_index if word_index is not None else LabelWordIndex()
         )
-        self._name_of: dict[Region, str] = {}
-        for name, region_set in self._sets.items():
-            for region in region_set:
-                if region in self._name_of:
-                    raise HierarchyError(
-                        f"region {region} appears in both "
-                        f"{self._name_of[region]!r} and {name!r}"
-                    )
-                self._name_of[region] = name
-        self._all: RegionSet = RegionSet(self._name_of)
-        self._forest: "Forest | None" = None
-        if validate:
-            self.validate_hierarchy()
+        self._all = RegionSet._from_arrays(lefts, rights)
+        self._name_ids = name_ids
+        self._forest: Forest | None = (
+            self._nest(strict) if parent_pos is None else Forest(lefts, rights, parent_pos)
+        )
 
     # ------------------------------------------------------------------
     # Validation.
     # ------------------------------------------------------------------
 
-    def validate_hierarchy(self) -> None:
-        """Raise :class:`HierarchyError` unless the instance is hierarchical.
+    def _name_at(self, position: int) -> str:
+        return self._names[self._name_ids[position]]
 
-        A single stack sweep in ``(left, -right)`` order: after popping the
-        regions that end before the current one starts, the stack top (if
-        any) must strictly include the current region; otherwise the two
-        overlap.
-        """
-        stack: list[Region] = []
-        previous: Region | None = None
-        for region in sorted(self._all, key=lambda r: (r.left, -r.right)):
-            if previous == region:  # impossible given set semantics, kept for clarity
-                raise HierarchyError(f"duplicate region {region}")
-            while stack and stack[-1].right < region.left:
-                stack.pop()
-            if stack and not stack[-1].includes(region):
-                raise HierarchyError(
-                    f"regions {stack[-1]} and {region} overlap without nesting"
-                )
-            stack.append(region)
-            previous = region
+    def _nest(self, strict: bool) -> Forest:
+        """The forest over the universe columns, by one :func:`nest`
+        sweep; a duplicated region always raises, an overlap only when
+        ``strict``."""
+        lefts, rights = self._all._lefts, self._all._rights
+        parent_pos: list[int] = []
+        nest(lefts, rights, parent_pos, strict, self._name_at)
+        return Forest(lefts, rights, parent_pos)
+
+    def validate_hierarchy(self) -> None:
+        """Raise :class:`HierarchyError` unless the instance is hierarchical:
+        every two regions are disjoint or one strictly includes the other."""
+        self._nest(strict=True)
 
     # ------------------------------------------------------------------
     # Accessors.
@@ -112,15 +156,19 @@ class Instance:
         """Every region of the instance, across all names."""
         return self._all
 
+    def columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The universe's ``lefts``, ``rights`` and name-id columns."""
+        return self._all._lefts, self._all._rights, self._name_ids
+
     def name_of(self, region: Region) -> str:
         """The (unique) region name whose set contains ``region``."""
-        try:
-            return self._name_of[region]
-        except KeyError:
-            raise UnknownRegionNameError(f"region {region} not in instance") from None
+        position = self._all.position(region)
+        if position < 0:
+            raise UnknownRegionNameError(f"region {region} not in instance")
+        return self._name_at(position)
 
     def __contains__(self, region: object) -> bool:
-        return isinstance(region, Region) and region in self._name_of
+        return region in self._all
 
     def __len__(self) -> int:
         return len(self._all)
@@ -142,12 +190,10 @@ class Instance:
             )
         return self._word_index.match_points(pattern)
 
-    def forest(self) -> "Forest":
+    def forest(self) -> Forest:
         """The direct-inclusion forest over all regions (cached)."""
         if self._forest is None:
-            from repro.core.forest import Forest
-
-            self._forest = Forest.from_regions(self._all)
+            self._forest = self._nest(strict=False)
         return self._forest
 
     def nesting_depth(self) -> int:
@@ -181,6 +227,30 @@ class Instance:
         keep = set(kept)
         return self.without_regions(r for r in self._all if r not in keep)
 
+    def trees(self, lo: int, hi: int) -> "Instance":
+        """The sub-instance of universe positions ``lo:hi``, which must
+        hold whole top-level trees (a shard segment).
+
+        Every column is a slice: the universe and name ids directly,
+        each name's set between two bisects of its lefts (the regions of
+        other trees start outside the run's first and last left), the
+        parent column rebased.  The word index is shared, not copied.
+        """
+        lefts, rights = self._all._lefts[lo:hi], self._all._rights[lo:hi]
+        sets: dict[str, RegionSet] = {}
+        for name, region_set in self._sets.items():
+            a = bisect_left(region_set._lefts, lefts[0]) if lefts else 0
+            b = bisect_right(region_set._lefts, lefts[-1]) if lefts else 0
+            sets[name] = RegionSet._from_arrays(
+                region_set._lefts[a:b], region_set._rights[a:b]
+            )
+        parent_pos = [
+            p - lo if p >= 0 else -1 for p in self.forest()._parent_pos[lo:hi]
+        ]
+        out = Instance.__new__(Instance)
+        out._install(sets, self._word_index, lefts, rights, self._name_ids[lo:hi], parent_pos)
+        return out
+
     def appended(
         self,
         additions: Mapping[str, Iterable[Region]],
@@ -191,65 +261,55 @@ class Instance:
 
         This is the live-ingestion segment-append fast path: when a new
         document segment lands at the end of the corpus text, every
-        existing region set simply gains a sorted tail, the combined
-        region universe stays sorted by concatenation, and hierarchy
-        validation reduces to checking that the new regions start past
-        the old extent (the appended regions themselves come from a
-        parse that already validated their nesting).  Cost is
-        ``O(new regions + touched region sets)`` instead of a full
-        re-validation sweep.
+        existing region set and universe column simply gains a sorted
+        tail, and the sweep runs over the new suffix alone after checking
+        that the new regions start past the old extent (their nesting
+        came from a parse that already validated it).  Cost is
+        ``O(new regions + touched region sets)`` plus list copies, with
+        no re-validation and no per-region dictionary.
 
-        ``additions`` maps region names to regions sorted by
-        ``(left, right)``; every new left endpoint must exceed every
-        existing right endpoint.
+        ``additions`` maps region names to regions; every new left
+        endpoint must exceed every existing right endpoint.
         """
-        flat: list[Region] = []
-        for regions in additions.values():
-            flat.extend(regions)
-        if not flat:
-            if word_index is self._word_index:
-                return self
-            flat = []
-        flat.sort(key=lambda r: (r.left, r.right))
-        if flat and self._rights_max() >= flat[0].left:
+        rows = sorted(
+            (region.left, region.right, name)
+            for name, regions in additions.items()
+            for region in regions
+        )
+        if not rows and word_index is self._word_index:
+            return self
+        if rows and self._rights_max() >= rows[0][0]:
             raise HierarchyError(
-                f"appended region {flat[0]} does not lie after the "
-                "existing extent"
+                f"appended region [{rows[0][0]},{rows[0][1]}] does not lie "
+                "after the existing extent"
             )
-        clone = Instance.__new__(Instance)
-        clone._word_index = word_index
-        clone._sets = dict(self._sets)
-        clone._name_of = dict(self._name_of)
+        sets = dict(self._sets)
         for name, regions in additions.items():
-            new = sorted(regions, key=lambda r: (r.left, r.right))
+            new = sorted(regions)
             if not new:
                 continue
-            for region in new:
-                if region in clone._name_of:
-                    raise HierarchyError(
-                        f"region {region} appears in both "
-                        f"{clone._name_of[region]!r} and {name!r}"
-                    )
-                clone._name_of[region] = name
-            existing = clone._sets.get(name)
-            if existing is None:
-                clone._sets[name] = RegionSet._from_sorted(new)
-            else:
-                clone._sets[name] = RegionSet._from_sorted(
-                    list(existing) + new
-                )
-        clone._names = (
-            tuple(sorted(clone._sets))
-            if len(clone._sets) != len(self._sets)
-            else self._names
+            existing = sets.get(name, RegionSet.empty())
+            sets[name] = RegionSet._from_arrays(
+                existing._lefts + [r.left for r in new],
+                existing._rights + [r.right for r in new],
+            )
+        names = tuple(sorted(sets)) if len(sets) != len(self._sets) else self._names
+        ids = self._name_ids
+        if names != self._names:
+            renumber = [names.index(name) for name in self._names]
+            ids = [renumber[k] for k in ids]
+        number = {name: k for k, name in enumerate(names)}
+        forest = self.forest().appended(
+            RegionSet._from_arrays([row[0] for row in rows], [row[1] for row in rows])
         )
-        clone._all = RegionSet._from_sorted(list(self._all) + flat)
-        # An already-materialized forest extends incrementally: the new
-        # regions all lie past the old extent, so the old structure is
-        # reused and only the appended suffix is swept.  Cold instances
-        # keep lazy construction.
-        clone._forest = (
-            None if self._forest is None else self._forest.appended(flat)
+        clone = Instance.__new__(Instance)
+        clone._install(
+            {name: sets[name] for name in names},
+            word_index,
+            forest._lefts,
+            forest._rights,
+            ids + [number[name] for _, _, name in rows],
+            forest._parent_pos,
         )
         return clone
 
@@ -292,7 +352,7 @@ class Instance:
             return frozenset(
                 (region, patterns)
                 for region, patterns in self._word_index.items()
-                if patterns and region in self._name_of
+                if patterns and region in self._all
             )
         return id(self._word_index)
 

@@ -127,24 +127,6 @@ class RegionSet:
         return _EMPTY
 
     @classmethod
-    def _from_sorted(cls, regions: list[Region]) -> "RegionSet":
-        """Wrap a list already in ``(left, right)`` order with no duplicates.
-
-        The live-ingestion append path produces exactly that (appended
-        regions all lie strictly after the existing set), so this skips
-        the ``sorted(set(...))`` of ``__init__``.  Callers must uphold
-        the invariant.
-        """
-        out = cls.__new__(cls)
-        out._regions = tuple(regions)
-        out._lefts = [r.left for r in regions]
-        out._rights = [r.right for r in regions]
-        out._suffix_min_right = None
-        out._prefix_max_right = None
-        out._hash = None
-        return out
-
-    @classmethod
     def _from_arrays(cls, lefts: list[int], rights: list[int]) -> "RegionSet":
         """Wrap parallel endpoint arrays already sorted and duplicate-free.
 
@@ -177,8 +159,10 @@ class RegionSet:
         return iter(self.regions)
 
     def __contains__(self, region: object) -> bool:
-        if not isinstance(region, Region):
-            return False
+        return isinstance(region, Region) and self.position(region) >= 0
+
+    def position(self, region: Region) -> int:
+        """``region``'s index in the sorted arrays, ``-1`` when absent."""
         lefts = self._lefts
         rights = self._rights
         n = len(lefts)
@@ -186,11 +170,11 @@ class RegionSet:
         # Within a run of equal lefts the rights are ascending.
         while i < n and lefts[i] == region.left:
             if rights[i] == region.right:
-                return True
+                return i
             if rights[i] > region.right:
-                return False
+                return -1
             i += 1
-        return False
+        return -1
 
     def __bool__(self) -> bool:
         return bool(self._lefts)

@@ -114,6 +114,21 @@ class TextWordIndex:
     def from_text(cls, text: str) -> "TextWordIndex":
         return cls(tokenize(text))
 
+    @classmethod
+    def from_postings(cls, postings: Iterable[tuple[str, RegionSet]]) -> "TextWordIndex":
+        """The index over ready postings (as :meth:`postings` returns them
+        and an index file holds them)."""
+        out = cls.__new__(cls)
+        out._postings = dict(postings)
+        out._vocabulary = sorted(out._postings)
+        out._pattern_cache = {}
+        out._points = {}
+        return out
+
+    def postings(self) -> list[tuple[str, RegionSet]]:
+        """``(token, posting)`` for every distinct token, in vocabulary order."""
+        return [(text, self._postings[text]) for text in self._vocabulary]
+
     # ------------------------------------------------------------------
 
     @property

@@ -11,8 +11,8 @@ from repro.engine.sourcecode import (
     parse_source,
 )
 from repro.engine.storage import (
-    instance_from_dict,
-    instance_to_dict,
+    decode_instance,
+    encode_instance,
     load_instance,
     save_instance,
 )
@@ -34,6 +34,6 @@ __all__ = [
     "SOURCE_REGION_NAMES",
     "save_instance",
     "load_instance",
-    "instance_to_dict",
-    "instance_from_dict",
+    "encode_instance",
+    "decode_instance",
 ]

@@ -1,33 +1,35 @@
-"""Index persistence: JSON serialization of instances.
+"""Index persistence: a checksummed file of int columns.
 
-A text indexing system builds its region and word indexes once and
-reopens them for querying; this module provides the (deliberately
-transparent) on-disk format::
+An index file holds an instance's columns as they sit in memory — the
+region *universe* (every region in ``(left, right)`` order) and, for a
+text index, its postings — so loading is a checksum and
+``array.frombytes``, with no parse and no sort::
 
-    {
-      "version": 1,
-      "names": ["Proc", ...],
-      "sets": {"Proc": [[left, right], ...], ...},
-      "word_index": {"kind": "text", "tokens": [[word, left, right], ...]}
-                  | {"kind": "label", "labels": [[left, right, ["p", ...]], ...]}
-                  | {"kind": "none"},
-      "checksum": "sha256 hex of the canonical JSON of everything above"
-    }
+    repro-index\n                         magic line
+    <sha256 hex of all that follows>\n    checksum line
+    {"version": 2, ...}\n                 JSON header line
+    <raw little-endian int columns>       body
 
-Both word-index flavours round-trip exactly; a foreign
-:class:`~repro.core.WordIndex` implementation is rejected rather than
-silently dropped.
+The header holds the region names and per-name counts, the word-index
+kind with the token table and per-token counts (a text index) or the
+labels (a label index), and the column width: ``"i"`` when every
+endpoint fits in 32 bits, else ``"q"``.  The body is the universe
+``lefts``, ``rights`` and name ids, then for a text index every
+posting's ``lefts`` and then every posting's ``rights``, in vocabulary
+order.  :func:`encode_instance` is deterministic whatever order the
+instance was built in: the bit-identity oracle of live ingestion.
 
-Robustness (see ``docs/robustness.md``): writes are crash-safe (fsync
-of both the temp file and its directory around the atomic rename) and
-carry a content checksum; reads verify it and raise
-:class:`~repro.errors.CorruptIndexError` — a distinct subclass of
-:class:`~repro.errors.StorageError` — on any mismatch or undecodable
-payload, so the serving layer can quarantine the file
-(:func:`quarantine_index`) and rebuild from source instead of serving
-from a damaged index.  Files written before checksums existed still
-load.  Both paths traverse the ``storage.read`` / ``storage.write``
-fault points of :mod:`repro.faults`.
+Writes are crash-safe (fsync of both the temp file and its directory
+around the atomic rename).  Reads raise
+:class:`~repro.errors.CorruptIndexError` — a subclass of
+:class:`~repro.errors.StorageError` the serving layer answers by
+quarantining the file (:func:`quarantine_index`) and rebuilding from
+source — when the magic line, the mandatory checksum, the header or a
+column length is wrong, or the columns are not a hierarchical
+instance; an index of another format version (the JSON files of
+version 1 included) raises a plain ``StorageError`` asking for a
+re-index.  Both paths traverse the ``storage.read`` / ``storage.write``
+fault points of :mod:`repro.faults` (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
+from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -43,39 +48,63 @@ from repro.core.instance import Instance
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from repro.core.wordindex import LabelWordIndex, TextWordIndex
-from repro.errors import CorruptIndexError, StorageError
+from repro.errors import (
+    CorruptIndexError,
+    HierarchyError,
+    InvalidRegionError,
+    StorageError,
+)
 from repro.faults import registry as _faults
 
 __all__ = [
-    "instance_to_dict",
-    "instance_from_dict",
+    "encode_instance",
+    "decode_instance",
     "save_instance",
     "load_instance",
     "quarantine_index",
     "SUPPORTED_VERSIONS",
 ]
 
-_VERSION = 1
+_VERSION = 2
 
-#: Format versions :func:`instance_from_dict` can read.
-SUPPORTED_VERSIONS = (1,)
+#: Format versions :func:`decode_instance` can read.
+SUPPORTED_VERSIONS = (_VERSION,)
 
-
-def _checksum(data: dict[str, Any]) -> str:
-    """sha256 of the canonical JSON encoding of ``data`` (sans checksum)."""
-    core = {k: v for k, v in data.items() if k != "checksum"}
-    canonical = json.dumps(core, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+_MAGIC = b"repro-index\n"
+_DIGEST_LINE = 65  # 64 hex digits and a newline
+_INT32 = (-(2**31), 2**31 - 1)
 
 
-def instance_to_dict(instance: Instance) -> dict[str, Any]:
-    """The JSON-ready representation of an instance (checksummed)."""
+def _unsupported(version: Any) -> StorageError:
+    supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
+    return StorageError(
+        f"unsupported index version {version!r} "
+        f"(this build reads version(s): {supported}); "
+        "re-index the document with this version of repro"
+    )
+
+
+def _pack(width: str, column: list[int]) -> bytes:
+    packed = array(width, column)
+    if sys.byteorder == "big":  # pragma: no cover - platform-dependent
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def encode_instance(instance: Instance) -> bytes:
+    """The canonical bytes of an index file for ``instance``."""
     word_index = instance.word_index
+    lefts, rights, name_ids = instance.columns()
+    columns = [lefts, rights, name_ids]
     if isinstance(word_index, TextWordIndex):
+        postings = word_index.postings()
         payload: dict[str, Any] = {
             "kind": "text",
-            "tokens": [list(token) for token in word_index.tokens()],
+            "tokens": [token for token, _ in postings],
+            "counts": [len(posting) for _, posting in postings],
         }
+        columns.append(list(chain.from_iterable(p._lefts for _, p in postings)))
+        columns.append(list(chain.from_iterable(p._rights for _, p in postings)))
     elif isinstance(word_index, LabelWordIndex):
         payload = {
             "kind": "label",
@@ -89,61 +118,106 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
         raise StorageError(
             f"cannot serialize word index of type {type(word_index).__name__}"
         )
-    data = {
+    ends = [value for column in columns if column for value in (min(column), max(column))]
+    fits = not ends or (_INT32[0] <= min(ends) and max(ends) <= _INT32[1])
+    width = "i" if fits else "q"
+    header = {
         "version": _VERSION,
         "names": list(instance.names),
-        "sets": {
-            name: [[r.left, r.right] for r in instance.region_set(name)]
-            for name in instance.names
-        },
+        "counts": [len(instance.region_set(name)) for name in instance.names],
+        "width": width,
         "word_index": payload,
     }
-    data["checksum"] = _checksum(data)
-    return data
+    body = json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
+    body += b"".join(_pack(width, column) for column in columns)
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return _MAGIC + digest + b"\n" + body
 
 
-def instance_from_dict(data: dict[str, Any]) -> Instance:
-    """Rebuild an instance from :func:`instance_to_dict` output.
+def decode_instance(data: bytes, source: str = "index data") -> Instance:
+    """Rebuild an instance from :func:`encode_instance` output.
 
-    The ``checksum`` key is ignored here — callers holding a dict
-    already trust it; :func:`load_instance` verifies the checksum of
-    what actually came off the disk.
+    Raises :class:`~repro.errors.CorruptIndexError` for anything that is
+    not exactly such output, and a plain
+    :class:`~repro.errors.StorageError` for an index of another format
+    version.
     """
+    if not data.startswith(_MAGIC):
+        _reject_foreign(data, source)
+    start = len(_MAGIC) + _DIGEST_LINE
+    recorded, body = data[len(_MAGIC):start], data[start:]
+    digest = hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+    if recorded != digest:
+        raise CorruptIndexError(
+            f"{source} failed checksum verification: contents do not match "
+            "the recorded sha256 (truncated or corrupted write?)"
+        )
     try:
-        if data["version"] not in SUPPORTED_VERSIONS:
-            supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
-            raise StorageError(
-                f"unsupported index version {data['version']!r} "
-                f"(this build reads version(s): {supported}); "
-                "re-index the document with this version of repro"
+        line, _, columns = body.partition(b"\n")
+        header = json.loads(line)
+        if header["version"] not in SUPPORTED_VERSIONS:
+            raise _unsupported(header["version"])
+        return _decode(header, columns)
+    except (KeyError, TypeError, ValueError, IndexError, InvalidRegionError,
+            HierarchyError) as exc:
+        raise CorruptIndexError(f"{source} is malformed: {exc}") from exc
+
+
+def _reject_foreign(data: bytes, source: str) -> None:
+    """Raise for a file without the magic line: a JSON index of an older
+    version asks for a re-index, anything else is corrupt."""
+    try:
+        legacy = json.loads(data)
+    except (ValueError, RecursionError):
+        legacy = None
+    if isinstance(legacy, dict) and "version" in legacy:
+        raise _unsupported(legacy["version"])
+    raise CorruptIndexError(f"{source} is not a repro index (no magic line)")
+
+
+def _decode(header: dict[str, Any], body: bytes) -> Instance:
+    names, counts = header["names"], header["counts"]
+    payload = header["word_index"]
+    kind = payload["kind"]
+    if kind not in ("text", "label"):
+        raise StorageError(f"unknown word index kind {kind!r}")
+    if header["width"] not in ("i", "q"):
+        raise ValueError(f"unknown column width {header['width']!r}")
+    n = sum(counts)
+    m = sum(payload["counts"]) if kind == "text" else 0
+    ints = array(header["width"])
+    if len(body) != ints.itemsize * (3 * n + 2 * m) or len(names) != len(counts):
+        raise ValueError(
+            f"{len(body)} column bytes do not hold {n} regions and "
+            f"{m} occurrences of {len(names)} name(s)"
+        )
+    ints.frombytes(body)
+    if sys.byteorder == "big":  # pragma: no cover - platform-dependent
+        ints.byteswap()
+    values = ints.tolist()
+    lefts, rights, name_ids = values[:n], values[n : 2 * n], values[2 * n : 3 * n]
+    if kind == "text":
+        lo = 3 * n
+        postings: list[tuple[str, RegionSet]] = []
+        for token, count in zip(payload["tokens"], payload["counts"], strict=True):
+            hi = lo + count
+            postings.append(
+                (token, RegionSet._from_arrays(values[lo:hi], values[lo + m : hi + m]))
             )
-        sets = {
-            name: RegionSet(Region(l, r) for l, r in data["sets"].get(name, []))
-            for name in data["names"]
-        }
-        payload = data["word_index"]
-        if payload["kind"] == "text":
-            word_index = TextWordIndex(
-                (word, l, r) for word, l, r in payload["tokens"]
-            )
-        elif payload["kind"] == "label":
-            word_index = LabelWordIndex(
-                {
-                    Region(l, r): set(patterns)
-                    for l, r, patterns in payload["labels"]
-                }
-            )
-        elif payload["kind"] == "none":
-            word_index = None
-        else:
-            raise StorageError(f"unknown word index kind {payload['kind']!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptIndexError(f"malformed index data: {exc}") from exc
-    return Instance(sets, word_index)
+            lo = hi
+        word_index: TextWordIndex | LabelWordIndex = TextWordIndex.from_postings(postings)
+    else:
+        word_index = LabelWordIndex(
+            {Region(l, r): patterns for l, r, patterns in payload["labels"]}
+        )
+    instance = Instance.from_columns(names, lefts, rights, name_ids, word_index)
+    if [len(instance.region_set(name)) for name in names] != counts:
+        raise ValueError("per-name counts do not match the name-id column")
+    return instance
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
-    """Write an instance to a JSON file, atomically and crash-safely.
+    """Write an instance to an index file, atomically and crash-safely.
 
     The payload lands in a temporary file in the target directory and is
     moved into place with :func:`os.replace`, so a reader (or a serving
@@ -155,13 +229,13 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     """
     _faults.fire("storage.write")
     target = Path(path)
-    payload = json.dumps(instance_to_dict(instance))
+    payload = encode_instance(instance)
     directory = target.parent if str(target.parent) else Path(".")
     fd, tmp_name = tempfile.mkstemp(
         dir=directory, prefix=target.name + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
@@ -192,10 +266,10 @@ def load_instance(path: str | Path) -> Instance:
     """Read an instance back from :func:`save_instance` output.
 
     Raises :class:`~repro.errors.StorageError` for I/O failures and
-    :class:`~repro.errors.CorruptIndexError` when the file exists but
-    its contents fail decoding or checksum verification.  Load time
-    lands in the process-wide ``index_build_seconds{kind=load}``
-    histogram.
+    other format versions, and :class:`~repro.errors.CorruptIndexError`
+    when the file exists but fails decoding or checksum verification.
+    Load time lands in the process-wide
+    ``index_build_seconds{kind=load}`` histogram.
     """
     from time import perf_counter
 
@@ -207,21 +281,7 @@ def load_instance(path: str | Path) -> Instance:
     except OSError as exc:
         raise StorageError(f"cannot read index from {path}: {exc}") from exc
     raw = _faults.fire("storage.read", raw)
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptIndexError(
-            f"index file {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise CorruptIndexError(f"index file {path} is not a JSON object")
-    recorded = data.get("checksum")
-    if recorded is not None and recorded != _checksum(data):
-        raise CorruptIndexError(
-            f"index file {path} failed checksum verification: contents do "
-            "not match the recorded sha256 (truncated or corrupted write?)"
-        )
-    instance = instance_from_dict(data)
+    instance = decode_instance(raw, f"index file {path}")
     global_registry().histogram(INDEX_BUILD_SECONDS).observe(
         perf_counter() - started, kind="load"
     )

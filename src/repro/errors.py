@@ -208,8 +208,9 @@ class StorageError(ReproError):
 
 
 class CorruptIndexError(StorageError):
-    """An index file exists but its contents fail validation — checksum
-    mismatch, undecodable bytes, or malformed JSON.
+    """An index file exists but its contents fail validation — no magic
+    line, checksum mismatch, a malformed header, columns of the wrong
+    length, or columns that are not a hierarchical instance.
 
     Distinguished from :class:`StorageError` so the serving layer can
     quarantine the file and rebuild from source text instead of merely

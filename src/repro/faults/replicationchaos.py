@@ -312,7 +312,7 @@ def run_replication_chaos(
     """Run the six-phase replication scenario; see the module docstring."""
     import tempfile
 
-    from repro.engine.storage import instance_to_dict
+    from repro.engine.storage import encode_instance
     from repro.server.http import create_server
     from repro.server.loadgen import run_load
     from repro.server.service import QueryService
@@ -444,8 +444,8 @@ def run_replication_chaos(
             "replayed_batches"
         ]
         mirror.rebase_epoch(handle.generation)
-        recovered = instance_to_dict(handle.engine.instance)
-        report.restart_bit_identical = recovered == instance_to_dict(
+        recovered = encode_instance(handle.engine.instance)
+        report.restart_bit_identical = recovered == encode_instance(
             mirror.live.instance
         )
         if not report.restart_bit_identical:
@@ -643,11 +643,11 @@ def run_replication_chaos(
             report.violations.append("no write was ever acknowledged")
 
         # The final three-way oracle: serving == mirror == full re-parse.
-        serving = instance_to_dict(service._handle("chaos").engine.instance)
-        mirrored = instance_to_dict(mirror.live.instance)
+        serving = encode_instance(service._handle("chaos").engine.instance)
+        mirrored = encode_instance(mirror.live.instance)
         scratch_instance = mirror.live.oracle_instance()
         scratch = (
-            instance_to_dict(scratch_instance)
+            encode_instance(scratch_instance)
             if scratch_instance is not None
             else None
         )

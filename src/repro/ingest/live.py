@@ -13,7 +13,7 @@ every surviving document wrapped in the reserved ``<document>`` tag,
 joined by single newlines — byte-for-byte the text
 :class:`~repro.engine.corpus.Corpus` would have indexed.  That gives a
 very strong oracle: the assembled :class:`~repro.core.Instance` must be
-**bit-identical** (via :func:`~repro.engine.storage.instance_to_dict`)
+**bit-identical** (via :func:`~repro.engine.storage.encode_instance`)
 to parsing the combined text from scratch, and the chaos harness holds
 the server to exactly that.
 
@@ -103,7 +103,7 @@ class PreparedBatch:
 
 def _index_tokens(word_index: Any) -> list[Token]:
     """The token occurrences of a :class:`TextWordIndex`, sorted by
-    position — the same flattening ``instance_to_dict`` uses."""
+    position."""
     if not isinstance(word_index, TextWordIndex):
         raise IngestError(
             "live ingestion needs a text-backed word index; got "
@@ -368,7 +368,9 @@ class LiveCorpus:
         self._extent = extent
         return Instance(
             {
-                name: RegionSet._from_sorted(sets[name])
+                name: RegionSet._from_arrays(
+                    [r.left for r in sets[name]], [r.right for r in sets[name]]
+                )
                 for name in sorted(sets)
             },
             TextWordIndex(tokens),

@@ -1540,6 +1540,10 @@ class QueryService:
             else:
                 result = evaluate_locally()
             eval_seconds = perf_counter() - eval_started
+        except QueryTimeout as exc:
+            # Report the client's budget, not what queueing left of it.
+            elapsed = None if exc.elapsed is None else queued + exc.elapsed
+            raise QueryTimeout(budget, elapsed) from None
         finally:
             self._inflight_gauge.dec()
         response = {

@@ -139,30 +139,6 @@ class Partition:
         }
 
 
-def _restrict(instance: Instance, roots: list[Region]) -> Instance:
-    """The sub-instance of everything inside the given top-level trees.
-
-    A single merge-style sweep: both the root list and each name's
-    region set are in ``(left, right)`` order, so membership of a
-    region in some root's interval is a linear scan with a moving
-    cursor.  The word index is shared, not copied.
-    """
-    sets: dict[str, RegionSet] = {}
-    for name in instance.names:
-        kept: list[Region] = []
-        cursor = 0
-        for region in instance.region_set(name):
-            while cursor < len(roots) and roots[cursor].right < region.left:
-                cursor += 1
-            if cursor >= len(roots):
-                break
-            root = roots[cursor]
-            if region.left >= root.left and region.right <= root.right:
-                kept.append(region)
-        sets[name] = RegionSet(kept)
-    return Instance(sets, instance.word_index, validate=False)
-
-
 def partition_instance(instance: Instance, shards: int) -> Partition:
     """Cut ``instance`` into at most ``shards`` contiguous segments.
 
@@ -172,16 +148,21 @@ def partition_instance(instance: Instance, shards: int) -> Partition:
     shards, every root gets its own segment and the partition is
     smaller than asked — a single-root document simply cannot be cut at
     top level, and the executor degenerates to one task.
+
+    A tree is a run of the universe columns — the regions whose left
+    endpoint lies inside its root — so its weight is two bisects and a
+    segment is an offset range (:meth:`Instance.trees`).
     """
     if shards < 1:
         raise ReproError("shard count must be at least 1")
-    forest = instance.forest()
-    roots = forest.roots()  # document order: roots are disjoint, sorted
+    roots = instance.forest().roots()  # document order: roots are disjoint, sorted
     if not roots:
         segment = Segment(0, instance, (), None, None)
         return Partition(instance, (segment,), shards)
-    # Subtree weight per root = regions in its interval (the root's tree).
-    weights = [1 + len(forest.descendants_of(root)) for root in roots]
+    lefts = instance.all_regions()._lefts
+    starts = [bisect_left(lefts, root.left) for root in roots]
+    stops = [bisect_right(lefts, root.right) for root in roots]
+    weights = [stop - start for start, stop in zip(starts, stops)]
     k = min(shards, len(roots))
     groups: list[list[int]] = []
     remaining_weight = sum(weights)
@@ -215,7 +196,7 @@ def partition_instance(instance: Instance, shards: int) -> Partition:
         segments.append(
             Segment(
                 index=index,
-                instance=_restrict(instance, group_roots),
+                instance=instance.trees(starts[group[0]], stops[group[-1]]),
                 roots=tuple(group_roots),
                 own_left=own_left,
                 own_right=own_right,

@@ -1,5 +1,6 @@
 """Index persistence round trips and error handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,13 +10,26 @@ from repro.core.region import Region
 from repro.core.regionset import RegionSet
 from repro.engine.storage import (
     SUPPORTED_VERSIONS,
-    instance_from_dict,
-    instance_to_dict,
+    decode_instance,
+    encode_instance,
     load_instance,
     save_instance,
 )
 from repro.engine.tagged import parse_tagged_text
-from repro.errors import StorageError
+from repro.errors import CorruptIndexError, StorageError
+
+
+def split(data):
+    """An encoded index as ``(header dict, column bytes)``."""
+    _, _, header, body = data.split(b"\n", 3)
+    return json.loads(header), body
+
+
+def sealed(header, body):
+    """An index file around ``header`` and ``body`` with a valid checksum,
+    so a decoder sees exactly what they hold."""
+    payload = json.dumps(header).encode() + b"\n" + body
+    return b"repro-index\n" + hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
 
 
 class TestRoundTrips:
@@ -44,10 +58,20 @@ class TestRoundTrips:
         assert loaded.names == ("A", "B")
         assert len(loaded.region_set("B")) == 0
 
-    def test_dict_round_trip_is_json_compatible(self, small_instance):
-        data = instance_to_dict(small_instance)
-        rebuilt = instance_from_dict(json.loads(json.dumps(data)))
+    def test_bytes_round_trip_is_canonical(self, small_instance):
+        data = encode_instance(small_instance)
+        rebuilt = decode_instance(data)
         assert rebuilt == small_instance
+        assert encode_instance(rebuilt) == data
+
+    def test_wide_endpoints_widen_the_columns(self):
+        instance = Instance({"A": RegionSet.of((0, 2**40), (5, 9))})
+        header, body = split(encode_instance(instance))
+        assert header["width"] == "q"
+        assert len(body) == 8 * 3 * 2
+        assert decode_instance(encode_instance(instance)) == instance
+        narrow, _ = split(encode_instance(Instance({"A": RegionSet.of((-3, 9))})))
+        assert narrow["width"] == "i"
 
 
 class TestAtomicWrites:
@@ -87,8 +111,8 @@ class TestAtomicWrites:
     ):
         path = tmp_path / "index.json"
         save_instance(small_instance, path)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["version"] in SUPPORTED_VERSIONS
+        header, _ = split(path.read_bytes())
+        assert header["version"] in SUPPORTED_VERSIONS
 
 
 class TestErrors:
@@ -103,23 +127,40 @@ class TestErrors:
             load_instance(path)
 
     def test_wrong_version(self, small_instance):
-        data = instance_to_dict(small_instance)
-        data["version"] = 99
+        header, body = split(encode_instance(small_instance))
+        header["version"] = 99
         with pytest.raises(StorageError, match="version") as excinfo:
-            instance_from_dict(data)
+            decode_instance(sealed(header, body))
         # The error tells the operator what this build can read.
         assert "re-index" in str(excinfo.value)
-        assert "1" in str(excinfo.value)
+        assert "2" in str(excinfo.value)
+        assert not isinstance(excinfo.value, CorruptIndexError)
+
+    def test_version_one_json_file_asks_for_a_reindex(self, small_instance, tmp_path):
+        # The JSON layout of format version 1 is not read any more, and
+        # such a file is not corrupt: the operator re-indexes.
+        path = tmp_path / "index.json"
+        legacy = {
+            "version": 1,
+            "names": ["A"],
+            "sets": {"A": [[0, 19]]},
+            "word_index": {"kind": "label", "labels": []},
+        }
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+        with pytest.raises(StorageError, match="re-index") as excinfo:
+            load_instance(path)
+        assert not isinstance(excinfo.value, CorruptIndexError)
+        assert "version 1" in str(excinfo.value)
 
     def test_missing_keys(self):
         with pytest.raises(StorageError, match="malformed"):
-            instance_from_dict({"version": 1})
+            decode_instance(sealed({"version": 2}, b""))
 
     def test_unknown_word_index_kind(self, small_instance):
-        data = instance_to_dict(small_instance)
-        data["word_index"] = {"kind": "mystery"}
+        header, body = split(encode_instance(small_instance))
+        header["word_index"] = {"kind": "mystery"}
         with pytest.raises(StorageError, match="unknown word index"):
-            instance_from_dict(data)
+            decode_instance(sealed(header, body))
 
     def test_foreign_word_index_rejected_on_save(self):
         class Weird:
@@ -128,58 +169,36 @@ class TestErrors:
 
         instance = Instance({"A": RegionSet.of((0, 1))}, Weird())
         with pytest.raises(StorageError, match="cannot serialize"):
-            instance_to_dict(instance)
+            encode_instance(instance)
 
 
 class TestChecksums:
     def test_saved_payload_carries_checksum(self, small_instance):
-        data = instance_to_dict(small_instance)
-        assert isinstance(data["checksum"], str)
-        assert len(data["checksum"]) == 64  # sha256 hex
-
-    def test_checksum_is_canonical(self, small_instance):
-        # Key order must not matter: the checksum is over canonical JSON.
-        from repro.engine.storage import _checksum
-
-        data = instance_to_dict(small_instance)
-        shuffled = dict(reversed(list(data.items())))
-        assert _checksum(data) == _checksum(shuffled)
+        magic, digest, _ = encode_instance(small_instance).split(b"\n", 2)
+        assert magic == b"repro-index"
+        assert len(digest) == 64  # sha256 hex
+        int(digest, 16)
 
     def test_corrupted_file_raises_corrupt_index_error(
         self, small_instance, tmp_path
     ):
-        from repro.errors import CorruptIndexError
-
         path = tmp_path / "index.json"
         save_instance(small_instance, path)
-        data = json.loads(path.read_text())
-        data["sets"]["A"] = data["sets"]["A"][:-1]  # silent data loss
-        path.write_text(json.dumps(data))
+        path.write_bytes(path.read_bytes()[:-4])  # silent data loss
         with pytest.raises(CorruptIndexError, match="checksum"):
             load_instance(path)
 
     def test_corrupt_index_error_is_a_storage_error(self):
-        from repro.errors import CorruptIndexError
-
         assert issubclass(CorruptIndexError, StorageError)
         assert CorruptIndexError("x").code == "corrupt_index"
 
-    def test_legacy_file_without_checksum_still_loads(
-        self, small_instance, tmp_path
-    ):
+    def test_file_without_checksum_is_corrupt(self, small_instance, tmp_path):
+        # The checksum is mandatory: there is no unchecked way in.
         path = tmp_path / "index.json"
-        save_instance(small_instance, path)
-        data = json.loads(path.read_text())
-        del data["checksum"]
-        path.write_text(json.dumps(data))
-        assert load_instance(path) == small_instance
-
-    def test_in_memory_dict_is_trusted(self, small_instance):
-        # instance_from_dict ignores the checksum: callers holding a
-        # dict already trust it (and may have mutated it legitimately).
-        data = instance_to_dict(small_instance)
-        data["checksum"] = "not-a-real-checksum"
-        assert instance_from_dict(data) == small_instance
+        magic, _, rest = encode_instance(small_instance).split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + rest)
+        with pytest.raises(CorruptIndexError, match="checksum"):
+            load_instance(path)
 
 
 class TestQuarantine:

@@ -11,7 +11,7 @@ checkpoint snapshot or in the surviving WAL tail, never in neither.
 
 import threading
 
-from repro.engine.storage import instance_to_dict
+from repro.engine.storage import encode_instance
 from repro.ingest import LiveCorpus
 from repro.server import CorpusSpec, QueryService, ServerConfig
 
@@ -83,8 +83,8 @@ class TestCheckpointCompactorRace:
             handle = recovered._handle("play")
             info = recovered.ingest_info()["corpora"]["play"]
             assert info["documents"] == writes
-            assert instance_to_dict(handle.engine.instance) == (
-                instance_to_dict(mirror.instance)
+            assert encode_instance(handle.engine.instance) == (
+                encode_instance(mirror.instance)
             )
         finally:
             recovered.close()

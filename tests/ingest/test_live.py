@@ -2,8 +2,10 @@
 and checkpoint state round-trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.storage import instance_to_dict
+from repro.engine.storage import encode_instance
 from repro.engine.tagged import parse_tagged_text
 from repro.errors import (
     DuplicateDocumentError,
@@ -37,7 +39,7 @@ def _live() -> LiveCorpus:
 def _assert_bit_identical(live: LiveCorpus) -> None:
     """The invariant everything hangs on: the incrementally assembled
     instance equals a full re-parse of the combined text."""
-    assert instance_to_dict(live.instance) == instance_to_dict(
+    assert encode_instance(live.instance) == encode_instance(
         live.oracle_instance()
     )
 
@@ -148,12 +150,12 @@ class TestValidation:
         # never mutates, and the failed commit never happens.
         live = _live()
         live.apply([_append("a", "prophecy")])
-        before = instance_to_dict(live.instance)
+        before = encode_instance(live.instance)
         with pytest.raises(UnknownDocumentError):
             live.prepare([_append("b", "dagger"), {"op": "delete", "id": "x"}])
         assert live.document_count == 1
         assert live.segment_count == 1
-        assert instance_to_dict(live.instance) == before
+        assert encode_instance(live.instance) == before
 
     def test_appends_only_flag(self):
         live = _live()
@@ -176,7 +178,7 @@ class TestCompaction:
         live.apply([_append("a", "prophecy"), _append("b", "dagger")])
         live.apply([_append("c", "ghost")])
         live.apply([{"op": "delete", "id": "b"}])
-        before = instance_to_dict(live.instance)
+        before = encode_instance(live.instance)
         summary = live.compact()
         assert summary == {
             "merged_segments": 2,
@@ -188,7 +190,7 @@ class TestCompaction:
         assert live.document_ids == ["a", "c"]
         # Survivors keep their order, so the layout — and every query
         # answer — is unchanged: compaction never bumps the generation.
-        assert instance_to_dict(live.instance) == before
+        assert encode_instance(live.instance) == before
         _assert_bit_identical(live)
 
     def test_compacting_away_everything_leaves_no_segments(self):
@@ -198,7 +200,7 @@ class TestCompaction:
         summary = live.compact()
         assert summary["live_documents"] == 0
         assert live.segment_count == 0
-        assert instance_to_dict(live.instance) == instance_to_dict(
+        assert encode_instance(live.instance) == encode_instance(
             parse_tagged_text(BASE).instance
         )
 
@@ -223,7 +225,7 @@ class TestCheckpointState:
         )
         assert restored.document_ids == live.document_ids
         assert restored.tombstone_count == 0  # checkpoints fold tombstones
-        assert instance_to_dict(restored.instance) == instance_to_dict(
+        assert encode_instance(restored.instance) == encode_instance(
             live.instance
         )
 
@@ -235,6 +237,51 @@ class TestCheckpointState:
             BASE,
         )
         assert restored.document_count == 0
-        assert instance_to_dict(restored.instance) == instance_to_dict(
+        assert encode_instance(restored.instance) == encode_instance(
             live.instance
         )
+
+
+class TestBitIdentityProperty:
+    """Any sequence of commits and compactions: the live-assembled
+    instance encodes to the bytes of a from-scratch parse."""
+
+    @staticmethod
+    def _text(tag: str, words: list[str]) -> str:
+        # ``<stage>`` arrives only through ingestion, so a commit can
+        # introduce a region name and renumber every name id after it.
+        return f"<{tag}><line>{' '.join(words)}</line></{tag}>"
+
+    @given(
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("append", "append2", "update", "delete", "compact")),
+                st.integers(0, 7),
+                st.sampled_from(("speech", "stage")),
+                st.lists(st.sampled_from(("love", "night", "sun")), min_size=1, max_size=3),
+            ),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_commit_sequence_encodes_like_a_reparse(self, based, steps):
+        live = _live() if based else LiveCorpus()
+        fresh = 0
+        for kind, pick, tag, words in steps:
+            ids = live.document_ids
+            if kind == "compact":
+                live.compact()
+            elif kind.startswith("append"):
+                batch = []
+                for _ in range(2 if kind == "append2" else 1):
+                    fresh += 1
+                    batch.append({"op": "append", "id": f"d{fresh}", "text": self._text(tag, words)})
+                live.apply(batch)
+            elif ids:
+                op = {"op": kind, "id": ids[pick % len(ids)]}
+                if kind == "update":
+                    op["text"] = self._text(tag, words)
+                live.apply([op])
+            if live.combined_text():
+                _assert_bit_identical(live)

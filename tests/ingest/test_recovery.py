@@ -10,7 +10,7 @@ no uncommitted mutation applied.
 
 import pytest
 
-from repro.engine.storage import instance_to_dict
+from repro.engine.storage import encode_instance
 from repro.engine.tagged import parse_tagged_text
 from repro.errors import FaultInjected
 from repro.faults.registry import FaultSpec, injected_faults
@@ -98,11 +98,11 @@ def test_crash_at_every_record_boundary_loses_nothing_committed(
         recovered.apply(batch)
 
     # The recovered corpus is exactly the acknowledged state ...
-    assert instance_to_dict(recovered.instance) == instance_to_dict(
+    assert encode_instance(recovered.instance) == encode_instance(
         live.instance
     )
     # ... and bit-identical to a full re-parse of its combined text.
-    assert instance_to_dict(recovered.instance) == instance_to_dict(
+    assert encode_instance(recovered.instance) == encode_instance(
         recovered.oracle_instance()
     )
 
@@ -144,7 +144,7 @@ def test_recovery_through_checkpoint_plus_tail(tmp_path):
     assert len(tail) == len(BATCHES[2:])
     for _seq, batch in tail:
         recovered.apply(batch)
-    assert instance_to_dict(recovered.instance) == instance_to_dict(
+    assert encode_instance(recovered.instance) == encode_instance(
         live.instance
     )
 
@@ -165,6 +165,6 @@ def test_crash_during_checkpoint_preserves_the_log(tmp_path):
     recovered = _live()
     for _seq, batch in cold.replay():
         recovered.apply(batch)
-    assert instance_to_dict(recovered.instance) == instance_to_dict(
+    assert encode_instance(recovered.instance) == encode_instance(
         live.instance
     )

@@ -1,6 +1,7 @@
 """The serving layer under failure: corruption recovery, breaker,
 health state machine, stale serving, shedding, and worker death."""
 
+import json
 import random
 import time
 
@@ -13,6 +14,7 @@ from repro.errors import (
     CorruptIndexError,
     FaultInjected,
     ServiceUnhealthyError,
+    StorageError,
     WorkerCrashedError,
 )
 from repro.faults import FaultSpec, injected_faults
@@ -81,6 +83,24 @@ class TestCorruptionRecovery:
                     retry_max_delay=0.002,
                 )
             )
+
+    def test_version_one_index_is_not_quarantined(self, tmp_path):
+        # An index of the old JSON format is not corrupt: the service
+        # refuses it with the re-index advice and leaves the file alone.
+        spec = _indexed_corpus(tmp_path)
+        legacy = {"version": 1, "names": [], "sets": {}, "word_index": {"kind": "none"}}
+        (tmp_path / "play.json").write_text(json.dumps(legacy), encoding="utf-8")
+        with pytest.raises(StorageError, match="re-index") as excinfo:
+            QueryService(
+                ServerConfig(
+                    workers=1,
+                    corpora=(spec,),
+                    retry_base_delay=0.001,
+                    retry_max_delay=0.002,
+                )
+            )
+        assert not isinstance(excinfo.value, CorruptIndexError)
+        assert not (tmp_path / "play.json.quarantined").exists()
 
     def test_transient_load_fault_survived_by_retry(self):
         with injected_faults(
