@@ -4,14 +4,15 @@ One query against a large multi-play corpus, evaluated with the
 :mod:`repro.shard` executor at shard counts 1/2/4/8.  Two metrics per
 shard count, both written to ``BENCH_e14.json``:
 
-* **wall seconds** — thread-pool wall time.  On the GIL-bound CPython
-  this container runs (``cpu_count`` is recorded in the JSON), pure
-  Python shard tasks cannot overlap, so wall time is flat-to-worse with
-  shard count; the number is reported for honesty, not asserted.
-* **critical-path seconds** — per-phase maxima of per-shard task times
-  (measured with the ``serial`` pool, so tasks never interleave) plus
-  merge time: the wall time of a machine with one core per shard — a
-  model, not a measurement — with the merge overhead reported alongside.
+* **wall seconds** — end-to-end time of one sharded query.  Every group
+  runs on the calling thread (in-process backends do not wait), so wall
+  time is the sum of the groups' work plus dispatch and merge; it is
+  reported for honesty, not asserted.
+* **critical-path seconds** — per-phase maxima of per-group call times
+  (``FrontierStats.critical_path_seconds``; the calls never interleave,
+  so each is that group's own work) plus merge time: the wall time of
+  a machine with one core per shard — a model, not a measurement — with
+  the merge overhead reported alongside.
 
 Neither is asserted.  The >= 1.8x critical-path bound this file used to
 carry was dropped while ``merge_region_sets`` still built ``Region``
@@ -83,25 +84,19 @@ def _baseline_seconds(instance, expr) -> float:
 
 
 def _sharded_measurements(instance, expr, shards: int) -> dict:
-    """Min-of-N wall (thread pool) and critical-path (serial) times."""
-    wall = float("inf")
-    with ShardExecutor(instance, shards, pool="thread") as executor:
-        executor.run(expr)  # warm the pool and caches
-        for _ in range(ROUNDS):
-            started = perf_counter()
-            executor.run(expr)
-            wall = min(wall, perf_counter() - started)
-    critical = float("inf")
+    """Min-of-N wall time and critical path of the sharded executor."""
+    wall = critical = float("inf")
     merge = 0.0
-    with ShardExecutor(instance, shards, pool="serial") as executor:
-        executor.run(expr)
+    with ShardExecutor(instance, shards) as executor:
+        executor.run(expr)  # warm slices and compiled programs
         for _ in range(ROUNDS):
             started = perf_counter()
             executor.run(expr)
             elapsed = perf_counter() - started
+            wall = min(wall, elapsed)
             stats = executor.last_stats
-            # A one-segment partition short-circuits to plain evaluation
-            # and records no phases; its critical path IS the run time.
+            # A one-segment partition evaluates locally and records no
+            # phases; its critical path IS the run time.
             path = stats.critical_path_seconds() or elapsed
             if path < critical:
                 critical, merge = path, stats.merge_seconds
@@ -123,7 +118,7 @@ def _sharded_measurements(instance, expr, shards: int) -> dict:
 @pytest.mark.benchmark(group="e14-shard-scaling")
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def bench_e14_latency(benchmark, instance, expr, shards):
-    with ShardExecutor(instance, shards, pool="thread") as executor:
+    with ShardExecutor(instance, shards) as executor:
         executor.run(expr)  # warm
         benchmark(executor.run, expr)
 

@@ -1,8 +1,9 @@
 """Multi-process shard backends behind a frontier.
 
-PR 5 made sharded evaluation parallel *within* one process; this
-package promotes shard groups to independent **backends** so the
-serving layer survives the death of a whole evaluation process:
+This package holds the one scatter-gather executor and the shard
+groups it scatters to, as independent **backends** — in the frontier's
+own process or in others, so the serving layer survives the death of a
+whole evaluation process:
 
 * :mod:`repro.backend.base` — the transport-agnostic
   :class:`ShardBackend` interface, plus the slice machinery both
@@ -11,15 +12,17 @@ serving layer survives the death of a whole evaluation process:
   same text-protocol exchange rounds the in-process executor runs)
   against its restricted sub-instance;
 * :mod:`repro.backend.inprocess` — backends as plain objects in the
-  frontier's process (the refactored form of the executor's pools, and
-  the test/bench harness for failover and hedging);
+  frontier's process (behind ``Engine(shards=K)``, the service's
+  in-process mode, and the test/bench harness for failover and
+  hedging);
 * :mod:`repro.backend.httpclient` — backends as separate ``repro
   serve`` subprocesses spoken to over ``POST /shard/query`` with
   deadline and trace context propagated in headers;
 * :mod:`repro.backend.ring` — consistent-hash placement of
   ``(corpus, group)`` onto R of N backend nodes;
-* :mod:`repro.backend.frontier` — scatter-gather with per-backend
-  circuit breakers, replica failover, and hedged requests;
+* :mod:`repro.backend.frontier` — the one scatter-gather executor,
+  with per-backend circuit breakers, replica failover, hedged requests,
+  and the local-fallback decision;
 * :mod:`repro.backend.supervisor` — subprocess lifecycle: spawn, watch,
   respawn after a crash (and SIGKILL on demand, for the chaos harness);
 * :mod:`repro.backend.replication` — WAL log shipping of committed

@@ -4,7 +4,7 @@ A **backend** answers one RPC: *evaluate these query texts against your
 slice of a corpus*.  The frontier partitions each corpus into ``G``
 shard groups (the same deterministic top-level-forest cut as
 :mod:`repro.shard.partition`, so every replica of a group computes an
-identical slice independently) and drives the executor's exchange
+identical slice independently) and drives its exchange
 protocol over a text wire format:
 
 * ``queries`` — sub-plans as canonical query text
@@ -19,8 +19,8 @@ protocol over a text wire format:
 * ``want`` — ``"sets"`` for region results, ``"exchange"`` for the two
   scalars per query that exchange rounds fold.
 
-Match points route through the in-process executor's own router
-(:meth:`~repro.shard.partition.Segment.route`): the word index is
+Match points route through the one router,
+:meth:`~repro.shard.partition.Segment.route`: the word index is
 position-keyed and shared by every restriction, so a backend keeps only
 the occurrences whose left endpoint its group owns; an
 occurrence spanning a cut raises
@@ -45,7 +45,7 @@ from repro.core.regionset import RegionSet
 from repro.core.wordindex import TextWordIndex
 from repro.errors import BackendUnsupportedError, ReplicaLaggingError
 from repro.obs.trace import maybe_span
-from repro.shard.partition import Segment, partition_instance
+from repro.shard.partition import Partition, Segment, partition_instance
 from repro.shard.rewrite import rewrite
 
 __all__ = [
@@ -224,9 +224,11 @@ class SliceProvider:
         self,
         lookup: Callable[[str], tuple[Instance, int]],
         tracer: Any = None,
+        metrics: Any = None,
     ):
         self._lookup = lookup
         self._tracer = tracer
+        self._metrics = metrics
         self._lock = threading.Lock()
         #: (corpus, groups) ->
         #:     (generation, partition, evaluator, empty segment | None)
@@ -245,7 +247,7 @@ class SliceProvider:
                 _, partition, evaluator, empty = cached
             else:
                 partition = partition_instance(instance, groups)
-                evaluator = Evaluator(tracer=self._tracer)
+                evaluator = Evaluator(tracer=self._tracer, metrics=self._metrics)
                 empty = None
                 cached = [generation, partition, evaluator, empty]
                 self._cache[key] = cached
@@ -267,6 +269,16 @@ class SliceProvider:
             generation=generation,
             evaluator=evaluator,
         )
+
+    def install(self, corpus: str, generation: int, partition: Partition) -> None:
+        """Serve ``corpus`` at ``generation`` from a partition the caller
+        already cut, as ``len(partition)`` groups — an engine's own, so
+        its instance is partitioned once."""
+        evaluator = Evaluator(tracer=self._tracer, metrics=self._metrics)
+        with self._lock:
+            self._cache[(corpus, len(partition))] = [
+                generation, partition, evaluator, None
+            ]
 
     def shard_query(
         self,

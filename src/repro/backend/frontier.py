@@ -1,11 +1,12 @@
 """The frontier: scatter sub-plans to backends, survive their deaths.
 
-:class:`FrontierExecutor` mirrors the in-process
-:class:`~repro.shard.ShardExecutor` round for round — exchange rounds
-folding two scalars per ordering node, then a final scatter and an
-order-preserving k-way merge — but each shard group's task goes to a
-**backend node** chosen by consistent hashing, with three layers of
-robustness per call:
+:class:`FrontierExecutor` is the one scatter-gather body: exchange
+rounds folding two scalars per ordering node, then a final scatter and
+an order-preserving k-way merge.  ``Engine(shards=K)`` runs it over one
+in-process backend per segment (:class:`~repro.shard.ShardExecutor`),
+the query service over its configured topology.  Each shard group's
+task goes to a **backend node** chosen by consistent hashing, with
+three layers of robustness per call:
 
 1. **Per-backend circuit breakers** — a node that keeps failing stops
    being asked (its breaker opens), is re-probed on a timer, and its
@@ -14,14 +15,17 @@ robustness per call:
    distinct nodes in ring order; a failed or breaker-open replica
    means trying the next, and only when *every* replica of some group
    is gone does the frontier raise
-   :class:`~repro.errors.BackendUnavailableError` (the query service
-   then degrades to local single-process evaluation — complete and
-   correct, just not distributed);
+   :class:`~repro.errors.BackendUnavailableError`;
 3. **Hedged requests** — when the primary replica has not answered
    within its own recent latency quantile, the same call is issued to
    the next replica and the first answer wins.  Hedges are metered by
    a budget (a fraction of primary calls) so tail tolerance cannot
    double the request volume.
+
+:meth:`FrontierExecutor.query` is the one fallback decision: a plan no
+slice can answer soundly (``unsupported``) or a group with no replica
+left (``unavailable``, marked degraded) is evaluated locally instead —
+complete and correct, just not distributed.
 
 Pools and hedges are for transports that wait
 (:attr:`~repro.backend.base.ShardBackend.waits`).  A group none of
@@ -35,7 +39,11 @@ from a socket; neither becomes a ``Region`` on the way to the merge.
 Deadlines and trace context propagate into every call; backend span
 subtrees are adopted under the frontier's current span, so one stitched
 trace crosses the process hop.  The ``backend.rpc`` fault point fires
-frontier-side per call attempt, covering both transports.
+frontier-side per call attempt, covering both transports, and a fired
+fault leaves a fault-marked ``backend.rpc`` span.  A cancel token is
+checked before every call attempt; a call already in flight is bounded
+by the deadline only (a token cannot cross a process boundary, and
+in-process backends keep that contract).
 """
 
 from __future__ import annotations
@@ -45,9 +53,10 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.algebra import ast as A
+from repro.algebra.evaluator import CancelToken
 from repro.algebra.printer import to_text
 from repro.backend.base import PairColumns, ShardBackend
 from repro.backend.ring import HashRing
@@ -58,12 +67,14 @@ from repro.errors import (
     BackendUnsupportedError,
     FaultInjected,
     InvalidRegionError,
+    QueryCancelled,
     QueryTimeout,
     ReplicaLaggingError,
 )
 from repro.faults import registry as _faults
 from repro.faults.retry import CircuitBreaker
 from repro.obs import context as _trace_context
+from repro.obs.trace import maybe_span
 from repro.shard.merge import merge_region_sets
 from repro.shard.planner import classify
 
@@ -145,7 +156,7 @@ class BackendNode:
 
 @dataclass
 class FrontierStats:
-    """Accounting for one :meth:`FrontierExecutor.run`."""
+    """Accounting for one :meth:`FrontierExecutor.run` or ``query``."""
 
     groups: int
     rounds: int = 0
@@ -154,16 +165,44 @@ class FrontierStats:
     failovers: int = 0
     breaker_skips: int = 0
     nodes_used: list[str] = field(default_factory=list)
+    #: one inner list per scatter phase (exchange rounds first, final
+    #: scatter last); entry ``g`` is group ``g``'s answering call seconds
+    phase_seconds: list[list[float]] = field(default_factory=list)
+    merge_seconds: float = 0.0
+    fallback: str | None = None  #: why the query was evaluated locally
+    degraded: bool = False  #: the fallback was forced by dead replicas
+    detail: str = ""  #: the error behind ``fallback``
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "groups": self.groups,
-            "rounds": self.rounds,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "failovers": self.failovers,
-            "nodes": sorted(set(self.nodes_used)),
-        }
+    def critical_path_seconds(self) -> float:
+        """Per-phase maxima plus merge: the wall time a machine with one
+        core per group would need (the scaling benchmark's metric)."""
+        return (
+            sum(max(phase) for phase in self.phase_seconds if phase)
+            + self.merge_seconds
+        )
+
+
+@dataclass
+class _Phase:
+    """What every call of one scatter phase shares."""
+
+    corpus: str
+    texts: list[str]
+    want: str
+    bounds: dict[str, int | None]
+    deadline_at: float | None
+    budget: float | None
+    trace: dict[str, Any] | None
+    floor: int
+    cancel: CancelToken | None
+    stats: FrontierStats
+    seconds: list[float]
+
+    def timeout(self) -> QueryTimeout:
+        """The caller's budget and the time spent since the run began."""
+        return QueryTimeout(
+            self.budget, elapsed=self.budget - (self.deadline_at - monotonic())
+        )
 
 
 class _HedgeBudget:
@@ -218,17 +257,19 @@ class FrontierExecutor:
         self.hedge_min_seconds = hedge_min_seconds
         self._budget = _HedgeBudget(hedge_budget)
         self.tracer = tracer
+        self._local = threading.local()
         self._by_id = {node.id: node for node in self.nodes}
         self._ring = HashRing([node.id for node in self.nodes])
         # Group fan-out and hedged calls run on separate pools so a
         # hedge can never deadlock behind the group tasks that need it.
+        # Neither starts a thread until a transport that waits needs it.
         self._group_pool = ThreadPoolExecutor(
             max_workers=max(2, groups), thread_name_prefix="repro-frontier"
         )
         self._call_pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * groups + 2), thread_name_prefix="repro-hedge"
         )
-        self._requests = self._rpc_seconds = None
+        self._requests = self._rpc_seconds = self._fallbacks = None
         self._failovers = self._hedges = self._hedge_wins = None
         if metrics is not None:
             from repro.obs.metrics import (
@@ -237,6 +278,7 @@ class FrontierExecutor:
                 BACKEND_HEDGES_TOTAL,
                 BACKEND_REQUESTS_TOTAL,
                 BACKEND_RPC_SECONDS,
+                FRONTIER_FALLBACK_TOTAL,
             )
 
             self._requests = metrics.counter(
@@ -246,6 +288,10 @@ class FrontierExecutor:
             self._failovers = metrics.counter(BACKEND_FAILOVERS_TOTAL)
             self._hedges = metrics.counter(BACKEND_HEDGES_TOTAL)
             self._hedge_wins = metrics.counter(BACKEND_HEDGE_WINS_TOTAL)
+            self._fallbacks = metrics.counter(
+                FRONTIER_FALLBACK_TOTAL,
+                help="frontier queries answered by local evaluation, by reason",
+            )
 
     # ------------------------------------------------------------------
 
@@ -254,6 +300,11 @@ class FrontierExecutor:
         self._call_pool.shutdown(wait=False, cancel_futures=True)
         for node in self.nodes:
             node.backend.close()
+
+    @property
+    def last_stats(self) -> FrontierStats | None:
+        """This thread's most recent :meth:`run` or :meth:`query` stats."""
+        return getattr(self._local, "stats", None)
 
     def replicas_for(self, corpus: str, group: int) -> list[BackendNode]:
         """The ring-ordered replica set serving ``(corpus, group)``."""
@@ -286,12 +337,53 @@ class FrontierExecutor:
     # The query path.
     # ------------------------------------------------------------------
 
+    def query(
+        self,
+        corpus: str,
+        expr: A.Expr,
+        evaluate_locally: Callable[[], RegionSet],
+        deadline: float | None = None,
+        floor: int = 0,
+        cancel: CancelToken | None = None,
+        fallback: str | None = None,
+    ) -> tuple[RegionSet, FrontierStats]:
+        """:meth:`run`, or ``evaluate_locally()`` where the frontier
+        cannot answer: the one place that decides.
+
+        ``unsupported`` (some slice cannot evaluate the plan soundly —
+        e.g. a word occurrence spans a cut) is routine; ``unavailable``
+        (some group lost every replica) also sets ``stats.degraded``.
+        A caller that already knows the query must run locally passes
+        its reason as ``fallback`` and no backend is called.  Either way
+        the reason lands in ``stats.fallback`` and in
+        ``frontier_fallback_total{reason}``.
+        """
+        if fallback is None:
+            try:
+                with maybe_span(
+                    self.tracer, "shard.query", mode="backend", groups=self.groups
+                ):
+                    return self.run(corpus, expr, deadline, floor, cancel)
+            except (BackendUnsupportedError, BackendUnavailableError) as exc:
+                stats = self._local.stats
+                stats.degraded = isinstance(exc, BackendUnavailableError)
+                fallback = "unavailable" if stats.degraded else "unsupported"
+                stats.detail = str(exc)
+        else:
+            stats = FrontierStats(groups=self.groups)
+            self._local.stats = stats
+        stats.fallback = fallback
+        if self._fallbacks is not None:
+            self._fallbacks.inc(reason=fallback)
+        return evaluate_locally(), stats
+
     def run(
         self,
         corpus: str,
         expr: A.Expr,
         deadline: float | None = None,
         floor: int = 0,
+        cancel: CancelToken | None = None,
     ) -> tuple[RegionSet, FrontierStats]:
         """Evaluate ``expr`` over all shard groups of ``corpus``.
 
@@ -304,127 +396,117 @@ class FrontierExecutor:
         :class:`~repro.errors.BackendUnsupportedError` (caller must
         evaluate locally), :class:`~repro.errors.BackendUnavailableError`
         (caller should evaluate locally and mark the response degraded),
-        or :class:`~repro.errors.QueryTimeout`.
+        :class:`~repro.errors.QueryTimeout` (with ``deadline`` as the
+        budget) or :class:`~repro.errors.QueryCancelled`.
         """
-        deadline_at = monotonic() + deadline if deadline is not None else None
         stats = FrontierStats(groups=self.groups)
+        self._local.stats = stats
+        deadline_at = monotonic() + deadline if deadline is not None else None
         trace = _trace_context.current()
         trace_dict = trace.to_dict() if trace is not None else None
         plan = classify(expr)
         stats.rounds = plan.rounds
-        bounds_text: dict[str, int | None] = {}
+        bounds: dict[str, int | None] = {}
+
+        def scatter(exprs: list[A.Expr], want: str) -> list[list[Any]]:
+            seconds = [0.0] * self.groups
+            stats.phase_seconds.append(seconds)
+            phase = _Phase(
+                corpus, [to_text(e) for e in exprs], want, dict(bounds),
+                deadline_at, deadline, trace_dict, floor, cancel, stats, seconds,
+            )
+            return self._scatter(phase)
+
         for round_no in range(1, plan.rounds + 1):
             nodes_in_round = plan.nodes_in_round(round_no)
             rights = list(dict.fromkeys(b.node.right for b in nodes_in_round))
-            texts = [to_text(right) for right in rights]
-            per_group = self._scatter(
-                corpus, texts, "exchange", dict(bounds_text), deadline_at,
-                trace_dict, stats, floor,
-            )
+            per_group = scatter(rights, "exchange")
             for j, right in enumerate(rights):
-                max_left: int | None = None
-                min_right: int | None = None
-                for group_payload in per_group:
-                    ml, mr = group_payload[j]
-                    if ml is not None and (max_left is None or ml > max_left):
-                        max_left = ml
-                    if mr is not None and (min_right is None or mr < min_right):
-                        min_right = mr
+                max_left = max(
+                    (p[j][0] for p in per_group if p[j][0] is not None), default=None
+                )
+                min_right = min(
+                    (p[j][1] for p in per_group if p[j][1] is not None), default=None
+                )
                 for b in nodes_in_round:
                     if b.node.right == right:
-                        bounds_text[to_text(b.node)] = (
-                            max_left
-                            if isinstance(b.node, A.Preceding)
-                            else min_right
+                        bounds[to_text(b.node)] = (
+                            max_left if isinstance(b.node, A.Preceding) else min_right
                         )
-        per_group = self._scatter(
-            corpus,
-            [to_text(expr)],
-            "sets",
-            dict(bounds_text),
-            deadline_at,
-            trace_dict,
-            stats,
-            floor,
-        )
+        per_group = scatter([expr], "sets")
+        started = perf_counter()
         merged = merge_region_sets([_region_set(payload[0]) for payload in per_group])
+        stats.merge_seconds = perf_counter() - started
+        if self.tracer is not None and self.tracer.enabled:
+            # Timed around the call rather than with an open span so the
+            # merge itself runs unobserved; backdated under shard.query.
+            self.tracer.record_span(
+                "shard.merge",
+                stats.merge_seconds,
+                shards=self.groups,
+                cardinality=len(merged),
+            )
         return merged, stats
 
     # ------------------------------------------------------------------
 
-    def _scatter(
-        self, corpus, texts, want, bounds, deadline_at, trace, stats, floor=0
-    ) -> list[list[Any]]:
+    def _scatter(self, phase: _Phase) -> list[list[Any]]:
         """One phase: every group's payload, in group order.  Groups with
         a replica that waits run on the group pool, side by side; the
-        rest run here, on the calling thread, while those wait."""
-        args = (texts, want, bounds, deadline_at, trace, stats, floor)
+        rest run here, on the calling thread, while those wait.  The
+        first error ends the phase: no further group is called here, and
+        pool groups still running settle their own breakers."""
         futures: dict[int, Future] = {}
         if self.groups > 1:
             for group in range(self.groups):
-                if self._waits(self.replicas_for(corpus, group)):
+                if self._waits(self.replicas_for(phase.corpus, group)):
                     futures[group] = self._group_pool.submit(
                         contextvars.copy_context().run,
-                        self._call_group, corpus, group, *args,
+                        self._call_group, phase, group,
                     )
         outs: list[list[Any]] = []
-        error: BaseException | None = None
-        for group in range(self.groups):
-            try:
+        try:
+            for group in range(self.groups):
                 future = futures.get(group)
                 outs.append(
                     future.result()
                     if future is not None
-                    else self._call_group(corpus, group, *args)
+                    else self._call_group(phase, group)
                 )
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                error = error or exc
-        if error is not None:
-            raise error
+        except BaseException:
+            for future in futures.values():
+                future.cancel()
+            raise
         return outs
 
     @staticmethod
     def _waits(order: Sequence[BackendNode]) -> bool:
         return any(node.backend.waits for node in order)
 
-    def _call_group(
-        self, corpus, group, texts, want, bounds, deadline_at, trace, stats, floor=0
-    ) -> list[Any]:
+    def _call_group(self, phase: _Phase, group: int) -> list[Any]:
         """One group's payload: a hedged first wave when a replica waits,
         then sequential failover over the untried replicas."""
-        order = self.replicas_for(corpus, group)
+        order = self.replicas_for(phase.corpus, group)
         tried: set[str] = set()
         attempts: list[str] = []
-        node = self._next_replica(order, tried, attempts, stats)
+        node = self._next_replica(order, tried, attempts, phase.stats)
         if node is not None:
             self._budget.record_primary()
             if self._waits(order):
-                payload = self._hedged_call(
-                    node, order, tried, attempts,
-                    corpus, group, texts, want, bounds, deadline_at, trace, stats,
-                    floor,
-                )
+                payload = self._hedged_call(node, order, tried, attempts, phase, group)
                 if payload is not None:
                     return payload
-                node = self._next_replica(order, tried, attempts, stats)
+                node = self._next_replica(order, tried, attempts, phase.stats)
         while node is not None:
             tried.add(node.id)
             try:
-                payload = self._invoke(
-                    node, corpus, group, texts, want, bounds, deadline_at,
-                    trace, stats, floor,
-                )
+                payload = self._invoke(node, phase, group)
                 node.breaker.record_success()
                 return payload
-            except (BackendUnsupportedError, QueryTimeout):
-                raise
             except BackendError as exc:
-                node.breaker.record_failure()
-                self._count_failover(corpus)
-                stats.failovers += 1
-                attempts.append(f"{node.id}: {exc}")
-            node = self._next_replica(order, tried, attempts, stats)
-        raise BackendUnavailableError(corpus, group, attempts)
+                self._failed(node, exc, phase, attempts)
+            node = self._next_replica(order, tried, attempts, phase.stats)
+        raise BackendUnavailableError(phase.corpus, group, attempts)
 
     def _next_replica(self, order, tried, attempts, stats) -> BackendNode | None:
         """The next untried replica whose breaker admits a call.
@@ -442,24 +524,28 @@ class FrontierExecutor:
             attempts.append(f"{node.id}: breaker open")
         return None
 
+    def _failed(self, node, exc, phase, attempts) -> None:
+        node.breaker.record_failure()
+        if self._failovers is not None:
+            self._failovers.inc(corpus=phase.corpus)
+        phase.stats.failovers += 1
+        attempts.append(f"{node.id}: {exc}")
+
     def _hedged_call(
-        self, primary, order, tried, attempts,
-        corpus, group, texts, want, bounds, deadline_at, trace, stats, floor=0,
+        self, primary, order, tried, attempts, phase: _Phase, group: int
     ) -> list[Any] | None:
         """First wave: primary, plus one hedge if it dawdles.  Returns
         the winning payload, or ``None`` when the whole wave failed
         (sequential failover then continues over untried replicas)."""
         tried.add(primary.id)
-        ctx = contextvars.copy_context()
+        stats = phase.stats
         futures: dict[Future, BackendNode] = {
             self._call_pool.submit(
-                ctx.run, self._invoke,
-                primary, corpus, group, texts, want, bounds, deadline_at,
-                trace, stats, floor,
+                contextvars.copy_context().run, self._invoke, primary, phase, group
             ): primary
         }
         hedge_node: BackendNode | None = None
-        delay = self._hedge_delay(primary, deadline_at)
+        delay = self._hedge_delay(primary, phase.deadline_at)
         if delay is not None:
             done, _ = wait(set(futures), timeout=delay)
             if not done:
@@ -468,13 +554,11 @@ class FrontierExecutor:
                     tried.add(hedge_node.id)
                     stats.hedges += 1
                     if self._hedges is not None:
-                        self._hedges.inc(corpus=corpus)
-                    ctx2 = contextvars.copy_context()
+                        self._hedges.inc(corpus=phase.corpus)
                     futures[
                         self._call_pool.submit(
-                            ctx2.run, self._invoke,
-                            hedge_node, corpus, group, texts, want, bounds,
-                            deadline_at, trace, stats, floor,
+                            contextvars.copy_context().run,
+                            self._invoke, hedge_node, phase, group,
                         )
                     ] = hedge_node
                 elif hedge_node is not None:
@@ -490,22 +574,19 @@ class FrontierExecutor:
                 node = futures[future]
                 try:
                     payload = future.result()
-                except (BackendUnsupportedError, QueryTimeout):
+                except BackendError as exc:
+                    self._failed(node, exc, phase, attempts)
+                    continue
+                except BaseException:
                     self._absorb_losers(pending, futures)
                     raise
-                except BackendError as exc:
-                    node.breaker.record_failure()
-                    self._count_failover(corpus)
-                    stats.failovers += 1
-                    attempts.append(f"{node.id}: {exc}")
-                    continue
                 node.breaker.record_success()
                 if winner is None:
                     winner = payload
                     if node is hedge_node:
                         stats.hedge_wins += 1
                         if self._hedge_wins is not None:
-                            self._hedge_wins.inc(corpus=corpus)
+                            self._hedge_wins.inc(corpus=phase.corpus)
         self._absorb_losers(pending, futures)
         return winner
 
@@ -536,35 +617,37 @@ class FrontierExecutor:
             delay = min(delay, remaining)
         return delay
 
-    def _count_failover(self, corpus: str) -> None:
-        if self._failovers is not None:
-            self._failovers.inc(corpus=corpus)
-
     # ------------------------------------------------------------------
 
-    def _invoke(
-        self, node, corpus, group, texts, want, bounds, deadline_at, trace,
-        stats, floor=0,
-    ) -> list[Any]:
-        """One attempt against one node: fault point, deadline math,
-        latency/metric accounting, and trace adoption."""
+    def _invoke(self, node: BackendNode, phase: _Phase, group: int) -> list[Any]:
+        """One attempt against one node: cancel check, fault point,
+        deadline math, latency/metric accounting, and trace adoption."""
+        if phase.cancel is not None and phase.cancel.is_set():
+            raise QueryCancelled()
         if _faults._active is not None:
             try:
                 _faults._active.fire("backend.rpc")
             except FaultInjected as exc:
                 if self._requests is not None:
                     self._requests.inc(node=node.id, outcome="fault")
+                if self.tracer is not None and self.tracer.enabled:
+                    # The call never left: record the fault-marked span
+                    # the backend never got to open.
+                    self.tracer.record_span(
+                        "backend.rpc", 0.0, node=node.id, group=group, fault=True
+                    )
                 raise BackendError(f"backend {node.id}: {exc}") from exc
         remaining: float | None = None
-        if deadline_at is not None:
-            remaining = deadline_at - monotonic()
+        if phase.deadline_at is not None:
+            remaining = phase.deadline_at - monotonic()
             if remaining <= 0:
-                raise QueryTimeout(0.0)
+                raise phase.timeout()
         started = perf_counter()
         try:
             result = node.backend.shard_query(
-                corpus, group, self.groups, texts, want, bounds,
-                deadline=remaining, trace=trace, floor=floor,
+                phase.corpus, group, self.groups, phase.texts, phase.want,
+                phase.bounds, deadline=remaining, trace=phase.trace,
+                floor=phase.floor,
             )
         except BackendError as exc:
             if self._requests is not None:
@@ -573,9 +656,14 @@ class FrontierExecutor:
                 )
                 self._requests.inc(node=node.id, outcome=outcome)
             raise
+        except QueryTimeout:
+            if phase.deadline_at is None:
+                raise
+            raise phase.timeout() from None
         seconds = perf_counter() - started
         node.observe(seconds)
-        stats.nodes_used.append(node.id)
+        phase.seconds[group] = seconds
+        phase.stats.nodes_used.append(node.id)
         if self._requests is not None:
             self._requests.inc(node=node.id, outcome="ok")
         if self._rpc_seconds is not None:

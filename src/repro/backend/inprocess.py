@@ -1,8 +1,9 @@
 """Shard backends living in the frontier's own process.
 
-The refactored descendant of the shard executor's pools: each
-:class:`InProcessBackend` is one logical node of the topology, serving
-any ``(corpus, group)`` slice from a shared :class:`SliceProvider`.
+Each :class:`InProcessBackend` is one logical node of a topology — the
+service's in-process mode, or one segment of ``Engine(shards=K)`` —
+serving any ``(corpus, group)`` slice from a shared
+:class:`SliceProvider`.
 The frontier treats it like a remote backend — breakers, failover,
 deadlines and the ``backend.rpc`` fault point all apply — which is what
 makes single-process deployments and the test suite exercise the same

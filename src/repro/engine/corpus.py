@@ -33,13 +33,11 @@ class Corpus:
         self,
         rig: RegionInclusionGraph | None = None,
         shards: int | None = None,
-        shard_pool: str = "thread",
     ):
         self._texts: list[str] = []
         self._names: list[str] = []
         self._rig = rig
         self._shards = shards
-        self._shard_pool = shard_pool
         self._engine: Engine | None = None
 
     def add(self, text: str, name: str | None = None) -> None:
@@ -81,7 +79,6 @@ class Corpus:
                 combined,
                 rig=self._rig,
                 shards=self._shards,
-                shard_pool=self._shard_pool,
             )
         return self._engine
 

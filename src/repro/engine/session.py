@@ -104,7 +104,6 @@ class Engine:
         rig: RegionInclusionGraph | None = None,
         telemetry: Telemetry | None = None,
         shards: int | None = None,
-        shard_pool: str = "thread",
     ):
         self._instance = instance
         self._text = text
@@ -122,7 +121,6 @@ class Engine:
             self._shard_executor = ShardExecutor(
                 instance,
                 shards,
-                pool=shard_pool,
                 tracer=self._telemetry.tracer,
                 metrics=self._telemetry.metrics,
             )
@@ -137,7 +135,6 @@ class Engine:
         text: str,
         rig: RegionInclusionGraph | None = None,
         shards: int | None = None,
-        shard_pool: str = "thread",
         telemetry: Telemetry | None = None,
     ) -> "Engine":
         """Index an SGML-like tagged document."""
@@ -152,7 +149,6 @@ class Engine:
             rig=rig,
             telemetry=telemetry,
             shards=shards,
-            shard_pool=shard_pool,
         )
         engine._observe_index_build("tagged", perf_counter() - started)
         return engine
@@ -162,7 +158,6 @@ class Engine:
         cls,
         text: str,
         shards: int | None = None,
-        shard_pool: str = "thread",
         telemetry: Telemetry | None = None,
     ) -> "Engine":
         """Index toy program source code (Figure 1 structure and RIG)."""
@@ -178,7 +173,6 @@ class Engine:
             rig=figure_1_rig(),
             telemetry=telemetry,
             shards=shards,
-            shard_pool=shard_pool,
         )
         engine._observe_index_build("source", perf_counter() - started)
         return engine
@@ -189,7 +183,6 @@ class Engine:
         path: str | Path,
         rig: RegionInclusionGraph | None = None,
         shards: int | None = None,
-        shard_pool: str = "thread",
         telemetry: Telemetry | None = None,
     ) -> "Engine":
         from repro.engine.storage import load_instance
@@ -202,7 +195,6 @@ class Engine:
             rig=rig,
             telemetry=telemetry,
             shards=shards,
-            shard_pool=shard_pool,
         )
         engine._observe_index_build("load", perf_counter() - started)
         return engine
@@ -256,7 +248,7 @@ class Engine:
         return stats
 
     def close(self) -> None:
-        """Release the shard executor's worker pool, if any."""
+        """Release the shard executor's backends, if any."""
         if self._shard_executor is not None:
             self._shard_executor.close()
 

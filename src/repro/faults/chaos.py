@@ -67,7 +67,7 @@ class ChaosConfig:
     latency_fault_rate: float = 0.02
     latency_seconds: float = 0.002
     kill_rate: float = 0.01
-    shard_fault_rate: float = 0.05  #: per shard *task*; retry/degrade absorbs
+    shard_fault_rate: float = 0.05  #: per shard call attempt (``backend.rpc``)
     reload_period: float = 0.4
     corrupt_disk: bool = True  #: deliberately corrupt the index file once
     breaker_reset: float = 1.0
@@ -91,12 +91,12 @@ class ChaosReport:
     breaker_final_state: str = ""
     worker_deaths: int = 0
     rebuilds: int = 0
-    shard_task_errors: int = 0
-    shard_retries: int = 0
-    shard_degraded: int = 0
+    rpc_errors: int = 0  #: ``backend.rpc`` faults injected into shard calls
+    failovers: int = 0  #: shard calls retried on the sibling replica
+    local_fallbacks: int = 0  #: queries a dead shard group sent local
     traces_kept: int = 0
     fault_marked_traces: int = 0
-    fault_marked_spans: int = 0  #: fault-marked ``shard.task`` spans kept
+    fault_marked_spans: int = 0  #: fault-marked ``backend.rpc`` spans kept
     slo: dict[str, Any] = field(default_factory=dict)
     slowest_traces: list[dict[str, Any]] = field(default_factory=list)
     health_states_seen: list[str] = field(default_factory=list)
@@ -124,9 +124,9 @@ class ChaosReport:
             "breaker_final_state": self.breaker_final_state,
             "worker_deaths": self.worker_deaths,
             "rebuilds": self.rebuilds,
-            "shard_task_errors": self.shard_task_errors,
-            "shard_retries": self.shard_retries,
-            "shard_degraded": self.shard_degraded,
+            "rpc_errors": self.rpc_errors,
+            "failovers": self.failovers,
+            "local_fallbacks": self.local_fallbacks,
             "traces_kept": self.traces_kept,
             "fault_marked_traces": self.fault_marked_traces,
             "fault_marked_spans": self.fault_marked_spans,
@@ -166,10 +166,10 @@ class ChaosReport:
             f"{self.worker_deaths}; index rebuilds: {self.rebuilds}",
             f"vm: {self.vm_kernel_faults} kernel fault(s) injected into "
             "the compiled path",
-            f"shards: {self.shard_task_errors} task error(s) injected, "
-            f"{self.shard_retries} retried, {self.shard_degraded} "
-            f"quer{'y' if self.shard_degraded == 1 else 'ies'} degraded "
-            "to single-shard",
+            f"shards: {self.rpc_errors} call error(s) injected, "
+            f"{self.failovers} failed over, {self.local_fallbacks} "
+            f"quer{'y' if self.local_fallbacks == 1 else 'ies'} evaluated "
+            "locally",
             f"traces: {self.traces_kept} kept, {self.fault_marked_traces} "
             f"fault-marked ({self.fault_marked_spans} fault span(s))",
             f"slo: "
@@ -525,7 +525,7 @@ def _run_phases(config, report, service, server, queries, workdir) -> None:
         )
         registry.arm(
             FaultSpec(
-                "shard.task", "error", probability=config.shard_fault_rate
+                "backend.rpc", "error", probability=config.shard_fault_rate
             )
         )
         activate(registry)
@@ -583,15 +583,15 @@ def _run_phases(config, report, service, server, queries, workdir) -> None:
     snapshot = service.metrics_snapshot()["metrics"]["counters"]
     rebuilds = snapshot.get("index_rebuilds_total", {})
     report.rebuilds = int(sum(rebuilds.values()))
-    report.shard_task_errors = registry.fires(point="shard.task", mode="error")
+    report.rpc_errors = registry.fires(point="backend.rpc", mode="error")
     report.vm_kernel_faults = registry.fires(point="vm.kernel", mode="error") + registry.fires(
         point="vm.kernel", mode="latency"
     )
-    report.shard_retries = int(
-        sum(snapshot.get("shard_task_retries_total", {}).values())
+    report.failovers = int(
+        sum(snapshot.get("backend_failovers_total", {}).values())
     )
-    report.shard_degraded = int(
-        sum(snapshot.get("shard_degraded_total", {}).values())
+    report.local_fallbacks = int(
+        snapshot.get("frontier_fallback_total", {}).get("reason=unavailable", 0)
     )
     report.health_states_seen = service.health.states_seen()
     report.final_health = service.health.state
@@ -606,7 +606,7 @@ def _run_phases(config, report, service, server, queries, workdir) -> None:
             marked = sum(
                 1
                 for span in trace.root.walk()
-                if span.name == "shard.task" and span.attributes.get("fault")
+                if span.name == "backend.rpc" and span.attributes.get("fault")
             )
             report.fault_marked_spans += marked
             if marked:
@@ -649,22 +649,19 @@ def _run_phases(config, report, service, server, queries, workdir) -> None:
             "no vm.kernel fault ever fired — the compiled execution path "
             "was not exercised under chaos"
         )
-    if report.shard_task_errors and not (
-        report.shard_retries or report.shard_degraded
-    ):
+    if report.rpc_errors and not (report.failovers or report.local_fallbacks):
         report.violations.append(
-            f"shard.task faults fired ({report.shard_task_errors}) but the "
-            "sharded executor never retried or degraded a query"
+            f"backend.rpc faults fired ({report.rpc_errors}) but no shard "
+            "call failed over and no query fell back to local evaluation"
         )
-    # Every injected shard.task fault fires inside (or is synthesized
-    # into) exactly one shard.task span, and any trace containing one is
-    # tail-kept unconditionally — so the kept traces must account for
-    # every fire.
-    if report.shard_task_errors and report.fault_marked_spans < report.shard_task_errors:
+    # Every injected backend.rpc fault leaves exactly one fault-marked
+    # backend.rpc span, and any trace containing one is tail-kept
+    # unconditionally — so the kept traces must account for every fire.
+    if report.rpc_errors and report.fault_marked_spans < report.rpc_errors:
         report.violations.append(
-            f"only {report.fault_marked_spans} fault-marked shard.task "
-            f"span(s) were kept for {report.shard_task_errors} injected "
-            "shard.task fault(s) — the tracer lost fault attribution"
+            f"only {report.fault_marked_spans} fault-marked backend.rpc "
+            f"span(s) were kept for {report.rpc_errors} injected "
+            "backend.rpc fault(s) — the tracer lost fault attribution"
         )
     # With enough sustained 5xx the availability fast-burn alert must
     # have fired at least once; a small error count may legitimately

@@ -12,8 +12,8 @@ doing their real work:
 ``vm.kernel``         one kernel execution inside the plan VM (repro.vm)
 ``pool.worker``       a request picking up its run slot in the gate
 ``cache.get``         a result-cache probe in the query service
-``shard.task``        one per-shard task of the sharded executor
-``backend.rpc``       one frontier→backend shard RPC (any transport)
+``backend.rpc``       one frontier→backend shard call attempt (any
+                      transport, ``Engine(shards=K)`` included)
 ``replication.ship``  one WAL-batch ship from the frontier to a replica
 ====================  ==================================================
 
@@ -75,7 +75,6 @@ FAULT_POINTS = (
     "vm.kernel",
     "pool.worker",
     "cache.get",
-    "shard.task",
     "backend.rpc",
     "replication.ship",
 )

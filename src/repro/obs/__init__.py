@@ -13,8 +13,8 @@ Three cooperating pieces, each usable alone:
 The request-scoped tracing layer adds three more:
 
 * :mod:`repro.obs.context` — the serializable :class:`TraceContext`
-  that carries a trace id and sampling decision across thread and
-  process pools;
+  that carries a trace id and sampling decision across thread pools
+  and backend processes;
 * :mod:`repro.obs.sampling` — :class:`HeadSampler` (detail on/off at
   request start) and :class:`TraceStore` (tail-keep retention of slow,
   errored, and fault-marked traces);

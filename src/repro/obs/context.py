@@ -5,10 +5,11 @@ trace — a 16-hex-digit ``trace_id``, the ``span_id`` of the span that
 should adopt remote work, and the head-sampling decision.  It is minted
 once per HTTP request by the query service, carried across thread pools
 via :func:`contextvars.copy_context` (the :class:`~repro.obs.trace.Tracer`
-and this module share that mechanism), and crosses *process* pools as a
-plain dict (:meth:`TraceContext.to_dict`) because context variables do
-not survive pickling — the worker re-activates it and the coordinator
-re-parents the returned span tree with :meth:`Tracer.adopt`.
+and this module share that mechanism), and crosses to backend
+*processes* as a plain dict (:meth:`TraceContext.to_dict`) because
+context variables do not leave the process — the backend re-activates
+it and the frontier re-parents the returned span tree with
+:meth:`Tracer.adopt`.
 
 The ``sampled`` flag is the per-request detail gate: when tracing is
 enabled every request records the coarse request→pool→shard skeleton

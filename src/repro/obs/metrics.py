@@ -74,12 +74,6 @@ __all__ = [
     "STORAGE_QUARANTINED_TOTAL",
     "INDEX_REBUILDS_TOTAL",
     "POOL_WORKER_DEATHS_TOTAL",
-    "SHARD_TASKS_TOTAL",
-    "SHARD_TASK_SECONDS",
-    "SHARD_MERGE_SECONDS",
-    "SHARD_TASK_RETRIES_TOTAL",
-    "SHARD_DEGRADED_TOTAL",
-    "SHARD_FALLBACK_TOTAL",
     "BACKEND_REQUESTS_TOTAL",
     "BACKEND_RPC_SECONDS",
     "BACKEND_FAILOVERS_TOTAL",
@@ -157,15 +151,8 @@ STORAGE_QUARANTINED_TOTAL = "storage_quarantined_total"
 INDEX_REBUILDS_TOTAL = "index_rebuilds_total"
 POOL_WORKER_DEATHS_TOTAL = "pool_worker_deaths_total"
 
-# The sharded executor (repro.shard) — see docs/internals.md.
-SHARD_TASKS_TOTAL = "shard_tasks_total"
-SHARD_TASK_SECONDS = "shard_task_seconds"
-SHARD_MERGE_SECONDS = "shard_merge_seconds"
-SHARD_TASK_RETRIES_TOTAL = "shard_task_retries_total"
-SHARD_DEGRADED_TOTAL = "shard_degraded_total"
-SHARD_FALLBACK_TOTAL = "shard_fallback_total"
-
-# The multi-process backend layer (repro.backend) — see docs/server.md
+# The scatter-gather frontier (repro.backend), behind both
+# Engine(shards=K) and the service topology — see docs/server.md
 # ("Topology & failover") and docs/robustness.md.
 BACKEND_REQUESTS_TOTAL = "backend_requests_total"
 BACKEND_RPC_SECONDS = "backend_rpc_seconds"

@@ -172,7 +172,7 @@ def compute_frame(
     )
     hits = delta("server_cache_hits_total")
     misses = delta("server_cache_misses_total")
-    shard_tasks = delta("shard_tasks_total")
+    shard_calls = delta("backend_requests_total")
     queries = delta(
         "server_requests_total",
         lambda labels: labels.get("endpoint") == "query",
@@ -209,7 +209,7 @@ def compute_frame(
             "p99": round(bucket_quantile(buckets, 0.99) * 1e3, 1),
         },
         "cache_hit_rate": round(hits / lookups, 4) if lookups else None,
-        "shard_fanout": round(shard_tasks / queries, 2) if queries else None,
+        "shard_fanout": round(shard_calls / queries, 2) if queries else None,
         "health": ((cur.get("healthz") or {}).get("status")) or "unknown",
         "slo": sorted(slo_rows, key=lambda row: row["name"]),
         "slowest_traces": [

@@ -50,8 +50,6 @@ from repro.backend.base import SliceProvider
 from repro.backend.frontier import BackendNode, FrontierExecutor
 from repro.engine.session import Engine
 from repro.errors import (
-    BackendUnavailableError,
-    BackendUnsupportedError,
     CorpusUnavailableError,
     CorruptIndexError,
     FaultInjected,
@@ -86,7 +84,6 @@ from repro.obs.metrics import (
     COMPACTION_MERGED_SEGMENTS_TOTAL,
     COMPACTION_RUNS_TOTAL,
     COMPACTION_SECONDS,
-    FRONTIER_FALLBACK_TOTAL,
     INDEX_REBUILDS_TOTAL,
     INGEST_BATCHES_TOTAL,
     INGEST_COMMIT_SECONDS,
@@ -511,10 +508,6 @@ class QueryService:
         # else's backend.
         self._slice_provider = SliceProvider(
             self._slice_lookup, tracer=self.telemetry.tracer
-        )
-        self._frontier_fallback = metrics.counter(
-            FRONTIER_FALLBACK_TOTAL,
-            help="frontier queries answered by local evaluation, by reason",
         )
         self._replication_lagging_reads = metrics.counter(
             REPLICATION_LAGGING_READS_TOTAL,
@@ -1287,7 +1280,7 @@ class QueryService:
         Returns ``None`` when tracing is off.  The context is installed
         in this thread's contextvars; the request evaluates on this
         thread, so every span it opens nests under the root, and the
-        shard executors carry the context onward to their own threads.
+        frontier carries the context onward to any backend that waits.
         """
         if self.traces is None:
             return None
@@ -1584,28 +1577,16 @@ class QueryService:
         frontier = self.frontier
         assert frontier is not None
         floor = generation if self.replication is not None else 0
-        try:
-            with maybe_span(
-                self.telemetry.tracer,
-                "shard.query",
-                mode="backend",
-                groups=frontier.groups,
-            ):
-                result, stats = frontier.run(
-                    corpus, planned, deadline=remaining, floor=floor
-                )
-        except (BackendUnsupportedError, BackendUnavailableError) as exc:
-            # Only replica exhaustion means the topology is limping; an
-            # unsupported plan is a routine local evaluation.
-            degraded = isinstance(exc, BackendUnavailableError)
-            reason = "unavailable" if degraded else "unsupported"
-            self._frontier_fallback.inc(reason=reason)
-            return evaluate_locally(), {
+        result, stats = frontier.query(
+            corpus, planned, evaluate_locally, deadline=remaining, floor=floor
+        )
+        if stats.fallback is not None:
+            return result, {
                 "mode": self.config.backend_mode,
                 "groups": self.config.backend_groups,
-                "fallback": reason,
-                "detail": str(exc),
-                "degraded": degraded,
+                "fallback": stats.fallback,
+                "detail": stats.detail,
+                "degraded": stats.degraded,
             }
         return result, {
             "mode": self.config.backend_mode,

@@ -15,8 +15,10 @@ decomposition a sharded executor needs:
   ``⊃_d ⊂_d``, ``σ_p``, ``bi``) or *boundary-crossing* (the ordering
   semi-joins ``<`` and ``>``, plus match-point leaves whose occurrences
   may span a cut);
-* the **executor** (:mod:`repro.shard.executor`) runs shard-local plan
-  fragments in parallel and resolves each boundary-crossing operator
+* the **executor** (:mod:`repro.shard.executor`) puts one in-process
+  backend per segment behind :class:`~repro.backend.FrontierExecutor`,
+  the one scatter-gather body, which evaluates shard-local plan
+  fragments per segment and resolves each boundary-crossing operator
   with an O(1)-per-cut exchange (a single endpoint scalar per shard);
 * the **merge** (:mod:`repro.shard.merge`) reassembles per-shard
   results with an order-preserving k-way merge.

@@ -13,8 +13,14 @@ from repro.backend.base import SliceProvider
 from repro.backend.frontier import BackendNode, FrontierExecutor
 from repro.backend.inprocess import InProcessBackend
 from repro.engine.corpus import Corpus
-from repro.errors import BackendUnavailableError
+from repro.errors import (
+    BackendUnavailableError,
+    BackendUnsupportedError,
+    QueryTimeout,
+)
+from repro.faults.registry import FaultSpec, injected_faults
 from repro.faults.retry import CircuitBreaker
+from repro.obs.trace import Tracer
 from repro.workloads.corpora import generate_play
 from repro.workloads.queries import PLAY_QUERIES
 
@@ -121,6 +127,19 @@ class TestFailover:
         finally:
             frontier.close()
 
+    def test_first_failed_group_ends_the_scatter(self, instance):
+        # Group 0 has one replica and it fails: the query will be
+        # evaluated locally, so calling groups 1-3 would be wasted work.
+        frontier, nodes = make_frontier(instance, count=4, groups=4, replicas=1)
+        try:
+            frontier.replicas_for("play", 0)[0].backend.fail_requests = 1
+            with pytest.raises(BackendUnavailableError):
+                frontier.run("play", parse("speech"))
+            assert sum(node.requests for node in nodes.values()) == 0
+            assert frontier.last_stats.nodes_used == []
+        finally:
+            frontier.close()
+
     def test_breaker_opens_and_recovers(self, instance):
         frontier, nodes = make_frontier(
             instance, breaker_threshold=2, breaker_reset=0.1
@@ -202,3 +221,104 @@ class TestIntrospection:
             assert snapshot["hedge"]["primaries"] >= 1
         finally:
             frontier.close()
+
+
+class TestDeadline:
+    def test_expired_deadline_reports_the_callers_budget(self, instance):
+        frontier, _ = make_frontier(instance)
+        try:
+            with pytest.raises(QueryTimeout) as info:
+                frontier.run("play", parse("speech dwithin scene"), deadline=1e-9)
+        finally:
+            frontier.close()
+        assert info.value.budget == 1e-9
+        assert info.value.elapsed >= 1e-9
+
+
+class TestLocalFallback:
+    def evaluate_locally(self, instance, expr):
+        return lambda: Evaluator("indexed").evaluate(expr, instance)
+
+    def test_unavailable_group_is_answered_locally_and_degraded(self, instance):
+        frontier, _ = make_frontier(instance)
+        try:
+            expr = parse("speech dwithin scene")
+            for node in frontier.replicas_for("play", 0):
+                node.backend.fail_requests = 10
+            result, stats = frontier.query(
+                "play", expr, self.evaluate_locally(instance, expr)
+            )
+        finally:
+            frontier.close()
+        assert list(result) == list(Evaluator().evaluate(expr, instance))
+        assert (stats.fallback, stats.degraded) == ("unavailable", True)
+        assert "play" in stats.detail
+
+    def test_unsupported_plan_is_answered_locally(self, instance):
+        frontier, _ = make_frontier(instance)
+        try:
+            # No text behind the word index of a slice that only the
+            # caller can see: a canned refusal stands in for it.
+            def refuse(*args, **kwargs):
+                raise BackendUnsupportedError("refused")
+
+            for node in frontier.nodes:
+                node.backend.shard_query = refuse
+            expr = parse("speech")
+            result, stats = frontier.query(
+                "play", expr, self.evaluate_locally(instance, expr)
+            )
+        finally:
+            frontier.close()
+        assert len(result) == len(instance.region_set("speech"))
+        assert (stats.fallback, stats.degraded) == ("unsupported", False)
+        assert frontier.last_stats is stats
+
+    def test_known_reason_calls_no_backend(self, instance):
+        frontier, nodes = make_frontier(instance)
+        try:
+            expr = parse("speech")
+            _, stats = frontier.query(
+                "play", expr, self.evaluate_locally(instance, expr),
+                fallback="single_segment",
+            )
+        finally:
+            frontier.close()
+        assert stats.fallback == "single_segment"
+        assert sum(node.requests for node in nodes.values()) == 0
+
+
+class TestSpans:
+    def traced_frontier(self, instance):
+        frontier, nodes = make_frontier(instance)
+        frontier.tracer = Tracer(enabled=True)
+        return frontier, nodes
+
+    def test_merge_span_is_recorded(self, instance):
+        frontier, _ = self.traced_frontier(instance)
+        try:
+            with frontier.tracer.span("request"):
+                result, _ = frontier.run("play", parse("speech dwithin scene"))
+            root = frontier.tracer.last_root
+        finally:
+            frontier.close()
+        merges = [span for span in root.walk() if span.name == "shard.merge"]
+        assert len(merges) == 1
+        assert merges[0].attributes["cardinality"] == len(result)
+
+    def test_rpc_fault_leaves_a_fault_marked_span(self, instance):
+        frontier, _ = self.traced_frontier(instance)
+        try:
+            with injected_faults(FaultSpec("backend.rpc", "error", max_fires=1)):
+                with frontier.tracer.span("request"):
+                    _, stats = frontier.run("play", parse("speech dwithin scene"))
+            root = frontier.tracer.last_root
+        finally:
+            frontier.close()
+        assert stats.failovers == 1
+        marked = [
+            span for span in root.walk()
+            if span.name == "backend.rpc" and span.attributes.get("fault")
+        ]
+        assert len(marked) == 1
+        assert marked[0].attributes["group"] == 0

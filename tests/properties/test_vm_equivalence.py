@@ -44,7 +44,7 @@ def assert_three_way(instance, expr, case):
     compiled = Evaluator("indexed").evaluate(expr, instance)
     assert list(compiled) == list(oracle), f"case={case} expr={expr}"
     for shards in SHARD_COUNTS:
-        executor = ShardExecutor(instance, shards, pool="serial")
+        executor = ShardExecutor(instance, shards)
         try:
             sharded = executor.run(expr)
         finally:
@@ -205,7 +205,7 @@ class TestTextBackedThreeWay:
         ):
             expr = parse(query)
             assert_three_way(instance, expr, query)
-            executor = ShardExecutor(instance, 2, pool="serial")
+            executor = ShardExecutor(instance, 2)
             try:
                 got = executor.run(expr)
                 assert executor.last_stats.fallback is None, query

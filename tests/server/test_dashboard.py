@@ -34,7 +34,7 @@ class TestBucketQuantile:
 
 
 def sample(time, requests_200=0, requests_500=0, hits=0, misses=0,
-           shard_tasks=0, buckets=None, uptime=10.0):
+           shard_calls=0, buckets=None, uptime=10.0):
     counters = {
         "server_requests_total": {
             "endpoint=query,status=200": requests_200,
@@ -42,7 +42,7 @@ def sample(time, requests_200=0, requests_500=0, hits=0, misses=0,
         },
         "server_cache_hits_total": {"": hits},
         "server_cache_misses_total": {"": misses},
-        "shard_tasks_total": {"phase=final": shard_tasks},
+        "backend_requests_total": {"node=shard0,outcome=ok": shard_calls},
     }
     histograms = {
         "server_request_seconds": {
@@ -85,15 +85,15 @@ def sample(time, requests_200=0, requests_500=0, hits=0, misses=0,
 class TestComputeFrame:
     def test_rates_come_from_deltas(self):
         prev = sample(100.0, requests_200=50, hits=10, misses=10,
-                      shard_tasks=100, buckets={"0.1": 50})
+                      shard_calls=100, buckets={"0.1": 50})
         cur = sample(102.0, requests_200=70, requests_500=0, hits=20,
-                     misses=10, shard_tasks=140, buckets={"0.1": 70})
+                     misses=10, shard_calls=140, buckets={"0.1": 70})
         frame = compute_frame(prev, cur)
         assert frame["interval"] == pytest.approx(2.0)
         assert frame["qps"] == pytest.approx(10.0)
         assert frame["error_rate"] == 0.0
         assert frame["cache_hit_rate"] == pytest.approx(1.0)  # 10 of 10 new
-        assert frame["shard_fanout"] == pytest.approx(2.0)  # 40 tasks / 20
+        assert frame["shard_fanout"] == pytest.approx(2.0)  # 40 calls / 20
         assert frame["latency_ms"]["p50"] == pytest.approx(50.0)
 
     def test_error_rate_counts_5xx(self):

@@ -147,18 +147,18 @@ class TestHandleSnapshot:
             service.close()
 
 
-class TestProcessShardPool:
-    def test_process_sharded_engine_is_a_frozen_snapshot(self):
-        # The process pool ships each generation's segments to its
-        # workers once; an old engine's workers never see a commit.
+class TestShardedSnapshot:
+    def test_sharded_engine_is_a_frozen_snapshot(self):
+        # A sharded engine cuts its instance once, at construction; an
+        # old engine's slices never see a commit.
         live = LiveCorpus(parse_tagged_text(BASE).instance, BASE)
         live.apply([_append("a", "prophecy"), _append("b", "dagger")])
-        old = Engine(live.instance, shards=2, shard_pool="process")
+        old = Engine(live.instance, shards=2)
         try:
             before = [[r.left, r.right] for r in old.query("speech")]
             assert len(before) == 3
             live.apply([_append("c", "ghost")])
-            new = Engine(live.instance, shards=2, shard_pool="process")
+            new = Engine(live.instance, shards=2)
             try:
                 assert [
                     [r.left, r.right] for r in old.query("speech")

@@ -2,7 +2,7 @@
 
 Drives the real service (in-process and over HTTP) on a sharded tagged
 corpus — several concatenated plays, so the partitioner has a forest to
-cut and one request genuinely fans out to multiple shard workers.
+cut and one request genuinely fans out to multiple shard groups.
 """
 
 import http.client
@@ -116,14 +116,14 @@ class TestStitchedTrace:
         assert "shard.merge" in names
         assert any(name.startswith("eval.") for name in names)
 
-        # The scatter really fanned out: >= 2 shard.task spans with
-        # distinct shard indices, all inside this one request tree.
-        shards = {
-            span["attributes"]["shard"]
+        # The scatter really fanned out: >= 2 backend.query spans with
+        # distinct group indices, all inside this one request tree.
+        groups = {
+            span["attributes"]["group"]
             for span in _walk(root)
-            if span["name"] == "shard.task"
+            if span["name"] == "backend.query"
         }
-        assert len(shards) >= 2
+        assert len(groups) >= 2
 
     def test_trace_listing_endpoint(self, server):
         request(
@@ -213,7 +213,7 @@ class TestSampling:
             assert kept is not None  # tail-kept as slow
             names = [span.name for span in kept.root.walk()]
             assert "shard.merge" in names  # coarse skeleton survives
-            assert names.count("shard.task") >= 2
+            assert names.count("backend.query") >= 2
             assert not any(name.startswith("eval.") for name in names)
         finally:
             service.close()

@@ -76,16 +76,14 @@ def random_expression(rng, depth=0, max_depth=4, order_bias=0.0):
     )
 
 
-def assert_equivalent(instance, expr, shards, pool="serial"):
+def assert_equivalent(instance, expr, shards):
     expected = Evaluator("indexed").evaluate(expr, instance)
-    executor = ShardExecutor(instance, shards, pool=pool)
+    executor = ShardExecutor(instance, shards)
     try:
         got = executor.run(expr)
     finally:
         executor.close()
-    assert list(got) == list(expected), (
-        f"shards={shards} pool={pool} expr={expr}"
-    )
+    assert list(got) == list(expected), f"shards={shards} expr={expr}"
 
 
 class TestRandomEquivalence:
@@ -111,13 +109,14 @@ class TestRandomEquivalence:
                 assert_equivalent(instance, expr, shards)
 
     def test_thread_pool_equivalence(self):
+        # pool="thread", the one spelling left, at a cut with 4 groups.
         rng = random.Random(777)
         for case in range(10):
             instance = random_instance(
                 rng, NAMES, max_nodes=40, patterns=PATTERNS
             )
             expr = random_expression(rng, order_bias=0.5)
-            assert_equivalent(instance, expr, 4, pool="thread")
+            assert_equivalent(instance, expr, 4)
 
     def test_wide_flat_forests(self):
         # Many top-level trees: every shard count actually cuts.

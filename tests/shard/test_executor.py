@@ -1,4 +1,4 @@
-"""Executor behavior: cancellation, deadlines, faults, fallbacks, pools."""
+"""Executor behavior: cancellation, deadlines, faults, fallbacks, stats."""
 
 import random
 import threading
@@ -64,14 +64,14 @@ class TestCancellation:
     def test_pre_cancelled_token_aborts_sharded_run(self, corpus_instance):
         token = threading.Event()
         token.set()
-        for pool in ("serial", "thread"):
-            with ShardExecutor(corpus_instance, 4, pool=pool) as executor:
-                with pytest.raises(QueryCancelled):
-                    executor.run(parse(QUERY), cancel=token)
+        with ShardExecutor(corpus_instance, 4, pool="thread") as executor:
+            with pytest.raises(QueryCancelled):
+                executor.run(parse(QUERY), cancel=token)
+            assert executor.last_stats.nodes_used == []
 
     def test_cancel_during_run_aborts_shard_tasks(self, corpus_instance):
-        """A token set while shard tasks are in flight must propagate
-        into the worker-thread evaluations and abort the run."""
+        """A token set while a sharded run is in flight stops it at the
+        next call attempt."""
         token = threading.Event()
         with ShardExecutor(corpus_instance, 4, pool="thread") as executor:
             timer = threading.Timer(0.0, token.set)
@@ -91,6 +91,16 @@ class TestCancellation:
             with pytest.raises(QueryTimeout):
                 executor.run(parse(QUERY), deadline=0.0)
 
+    @pytest.mark.parametrize("shards", [1, 4])  # local path, scatter
+    def test_expired_deadline_reports_the_callers_budget(
+        self, corpus_instance, shards
+    ):
+        with ShardExecutor(corpus_instance, shards) as executor:
+            with pytest.raises(QueryTimeout) as info:
+                executor.run(parse(QUERY), deadline=1e-9)
+        assert info.value.budget == 1e-9
+        assert info.value.elapsed is not None and info.value.elapsed >= 1e-9
+
     def test_negative_deadline_rejected(self, corpus_instance):
         with ShardExecutor(corpus_instance, 2) as executor:
             with pytest.raises(EvaluationError):
@@ -99,40 +109,42 @@ class TestCancellation:
 
 class TestFaults:
     def test_single_failure_is_retried(self, corpus_instance):
+        # The failed call fails over to the group's sibling replica.
         expected = Evaluator("indexed").evaluate(parse(QUERY), corpus_instance)
         with injected_faults(
-            FaultSpec("shard.task", "error", max_fires=1)
+            FaultSpec("backend.rpc", "error", max_fires=1)
         ) as registry:
-            with ShardExecutor(corpus_instance, 4, pool="serial") as executor:
+            with ShardExecutor(corpus_instance, 4) as executor:
                 result = executor.run(parse(QUERY))
                 stats = executor.last_stats
-        assert registry.fires(point="shard.task") == 1
+        assert registry.fires(point="backend.rpc") == 1
         assert list(result) == list(expected)
-        assert stats.retries == 1
+        assert stats.failovers == 1
+        assert stats.fallback is None
         assert not stats.degraded
 
     def test_double_failure_degrades_to_single_shard(self, corpus_instance):
         expected = Evaluator("indexed").evaluate(parse(QUERY), corpus_instance)
         with injected_faults(
-            FaultSpec("shard.task", "error", max_fires=2)
+            FaultSpec("backend.rpc", "error", max_fires=2)
         ):
-            with ShardExecutor(corpus_instance, 4, pool="serial") as executor:
+            with ShardExecutor(corpus_instance, 4) as executor:
                 result = executor.run(parse(QUERY))
                 stats = executor.last_stats
         assert list(result) == list(expected)
+        assert stats.fallback == "unavailable"
         assert stats.degraded
 
     def test_persistent_faults_still_answer(self, corpus_instance):
-        # Probability 1.0 on every task: first task fails, its retry
-        # fails, the query degrades — and single-shard evaluation (no
-        # shard.task point) still returns the right answer.
+        # Probability 1.0 on every call: both replicas of group 0 fail,
+        # the query degrades — and local evaluation (no backend.rpc
+        # point) still returns the right answer.
         expected = Evaluator("indexed").evaluate(parse(QUERY), corpus_instance)
-        for pool in ("serial", "thread"):
-            with injected_faults(FaultSpec("shard.task", "error")):
-                with ShardExecutor(corpus_instance, 4, pool=pool) as executor:
-                    result = executor.run(parse(QUERY))
-                    assert executor.last_stats.degraded
-            assert list(result) == list(expected)
+        with injected_faults(FaultSpec("backend.rpc", "error")):
+            with ShardExecutor(corpus_instance, 4) as executor:
+                result = executor.run(parse(QUERY))
+                assert executor.last_stats.degraded
+        assert list(result) == list(expected)
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ReproError):
@@ -169,35 +181,28 @@ class TestFallbacks:
             # the same error the caller would see unsharded.
             with pytest.raises(EvaluationError):
                 executor.run(parse('R0 containing "x"'))
-            assert executor.last_stats.fallback == "label_index"
+            assert executor.last_stats.fallback == "unsupported"
 
     def test_invalid_pool_rejected(self, corpus_instance):
         with pytest.raises(ReproError):
             ShardExecutor(corpus_instance, 2, pool="fibers")
 
 
-class TestProcessPool:
-    def test_process_pool_equivalence(self, corpus_instance):
-        expected = Evaluator("indexed").evaluate(parse(QUERY), corpus_instance)
-        with ShardExecutor(corpus_instance, 2, pool="process") as executor:
-            result = executor.run(parse(QUERY))
-        assert list(result) == list(expected)
-
-
 class TestStats:
     def test_phase_accounting(self, corpus_instance):
-        with ShardExecutor(corpus_instance, 4, pool="serial") as executor:
+        with ShardExecutor(corpus_instance, 4) as executor:
             executor.run(parse("(speaker before line) union speech"))
             stats = executor.last_stats
-        assert stats.shards == 4
+        assert stats.groups == 4
         assert stats.rounds == 1
-        # One exchange phase + the final scatter, 4 task timings each.
+        # One exchange phase + the final scatter, 4 call timings each.
         assert len(stats.phase_seconds) == 2
         assert all(len(phase) == 4 for phase in stats.phase_seconds)
+        assert all(seconds > 0 for phase in stats.phase_seconds for seconds in phase)
         assert stats.critical_path_seconds() >= stats.merge_seconds
 
     def test_stats_are_per_thread(self, corpus_instance):
-        with ShardExecutor(corpus_instance, 2, pool="serial") as executor:
+        with ShardExecutor(corpus_instance, 2) as executor:
             executor.run(parse("speech"))
             seen = {}
 
@@ -209,3 +214,47 @@ class TestStats:
             thread.join()
             assert executor.last_stats is not None
             assert seen["stats"] is None
+
+
+class TestOneScatterGather:
+    def test_executor_module_starts_no_thread_or_process(self):
+        import ast
+        from pathlib import Path
+
+        import repro.shard.executor as module
+
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        forbidden = {"concurrent.futures", "threading", "contextvars", "multiprocessing"}
+        assert not imported & forbidden
+
+    def test_sharded_engine_query_reaches_the_frontier(self, monkeypatch):
+        from repro.backend.frontier import FrontierExecutor
+        from repro.engine.session import Engine
+
+        calls = []
+        run = FrontierExecutor.run
+
+        def recording_run(self, *args, **kwargs):
+            calls.append(args[0])
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(FrontierExecutor, "run", recording_run)
+        rng = random.Random(3)
+        text = "\n".join(generate_play(rng, acts=1) for _ in range(3))
+        engine = Engine.from_tagged_text(text, shards=2)
+        try:
+            result = engine.query("speech containing (speaker before line)")
+        finally:
+            engine.close()
+        assert len(calls) == 1
+        assert len(result) == len(
+            Engine.from_tagged_text(text).query(
+                "speech containing (speaker before line)"
+            )
+        )

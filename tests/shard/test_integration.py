@@ -77,7 +77,7 @@ class TestEngine:
     def test_shard_metrics_flow_into_engine_telemetry(self, sharded_engine):
         sharded_engine.query("line after speaker")
         counters = sharded_engine.telemetry()["metrics"]["counters"]
-        assert sum(counters.get("shard_tasks_total", {}).values()) > 0
+        assert sum(counters.get("backend_requests_total", {}).values()) > 0
 
     def test_tracing_produces_shard_spans(self):
         engine = Engine.from_tagged_text(multi_play_text(), shards=3)
@@ -87,7 +87,8 @@ class TestEngine:
             root = engine.tracer.last_root
             names = [span.name for span in root.walk()]
             assert "shard.query" in names
-            assert names.count("shard.task") == 3
+            assert "shard.merge" in names
+            assert names.count("backend.query") == 3
         finally:
             engine.close()
 
@@ -167,7 +168,7 @@ class TestService:
             "line after speaker", corpus="plays", use_cache=False
         )
         counters = sharded_service.metrics_snapshot()["metrics"]["counters"]
-        assert sum(counters.get("shard_tasks_total", {}).values()) > 0
+        assert sum(counters.get("backend_requests_total", {}).values()) > 0
 
     def test_config_snapshot_reports_shards(self, sharded_service):
         assert sharded_service.healthz()["config"]["shards"] == 1
