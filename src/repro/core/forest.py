@@ -43,8 +43,7 @@ def nest(
     name_at: Callable[[int], str] | None = None,
 ) -> None:
     """Extend ``parent_pos`` over the columns from where it ends: the one
-    structural sweep of a universe in ``(left, right)`` order (an append
-    sweeps its new suffix alone; nothing new attaches below old regions).
+    structural sweep of a universe in ``(left, right)`` order.
 
     It runs in pre-order — by left endpoint, a tower of equal lefts
     outermost first — so the top of the stack of open regions is each
@@ -105,9 +104,12 @@ class Forest:
     ``_lefts``/``_rights``/``_parent_pos`` (``-1`` marks a root) are what
     the direct operators read — an operand and the universe are in the
     same order, so its members are found by one monotone walk and no
-    :class:`Region` is built.  The region-keyed navigation API
-    (``parent_of``, ``children_of``, ``preorder``, …) reads an object
-    view built from the columns on its first call.
+    :class:`Region` is built.  The columns come from one :func:`nest`
+    sweep, or — for an instance assembled from parsed pieces
+    (:meth:`Instance.appended`) — from each piece's own parent column,
+    rebased.  The region-keyed navigation API (``parent_of``,
+    ``children_of``, ``preorder``, …) reads an object view built from
+    the columns on its first call.
     """
 
     __slots__ = ("_lefts", "_rights", "_parent_pos", "_view")
@@ -122,26 +124,10 @@ class Forest:
     @classmethod
     def from_regions(cls, regions: Iterable[Region]) -> "Forest":
         """Build the forest for a hierarchical collection of regions."""
-        return cls([], [], []).appended(regions)
-
-    def appended(self, regions: Iterable[Region]) -> "Forest":
-        """A new forest with ``regions`` appended *after* every existing
-        region (the caller guarantees every new left endpoint lies past
-        every existing right endpoint, as :meth:`Instance.appended`
-        validates).
-
-        The old columns are extended, never mutated, and :func:`nest`
-        sweeps the new suffix alone: a live commit's forest warm-up is
-        proportional to the new segment, not the corpus.
-        """
-        new = regions if isinstance(regions, RegionSet) else RegionSet(regions)
-        if not new:
-            return self
-        lefts = self._lefts + new._lefts
-        rights = self._rights + new._rights
-        parent_pos = self._parent_pos.copy()
-        nest(lefts, rights, parent_pos, strict=False)
-        return Forest(lefts, rights, parent_pos)
+        universe = regions if isinstance(regions, RegionSet) else RegionSet(regions)
+        parent_pos: list[int] = []
+        nest(universe._lefts, universe._rights, parent_pos, strict=False)
+        return cls(universe._lefts, universe._rights, parent_pos)
 
     def _navigation(self) -> _View:
         """The object view, built once from the columns.  Threads racing

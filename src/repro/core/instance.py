@@ -251,67 +251,81 @@ class Instance:
         out._install(sets, self._word_index, lefts, rights, self._name_ids[lo:hi], parent_pos)
         return out
 
-    def appended(
-        self,
-        additions: Mapping[str, Iterable[Region]],
-        word_index: WordIndex,
-    ) -> "Instance":
-        """A copy with new regions appended wholly *after* every existing
-        region, carrying a replacement word index.
+    def appended(self, pieces: Iterable[tuple["Instance", int]]) -> "Instance":
+        """A new instance with each ``(piece, offset)`` pair's regions,
+        shifted by ``offset``, appended wholly *after* every existing
+        region, and the word index extended by the pieces' alike.
 
-        This is the live-ingestion segment-append fast path: when a new
-        document segment lands at the end of the corpus text, every
-        existing region set and universe column simply gains a sorted
-        tail, and the sweep runs over the new suffix alone after checking
-        that the new regions start past the old extent (their nesting
-        came from a parse that already validated it).  Cost is
-        ``O(new regions + touched region sets)`` plus list copies, with
-        no re-validation and no per-region dictionary.
-
-        ``additions`` maps region names to regions; every new left
-        endpoint must exceed every existing right endpoint.
+        This is how live ingestion assembles a corpus: a document is
+        parsed once into its own instance, and placing it past the end of
+        the text makes it a new top-level tree (Def. 2.2) whose columns
+        are its own shifted by one offset.  The universe, name-id and
+        parent columns and every touched name set grow by shifted int
+        lists concatenated onto this instance's; untouched sets (and, in
+        :meth:`TextWordIndex.extended`, postings) are shared.  Nothing
+        outside a piece nests with it, so its parent column is its own,
+        rebased by where its universe starts: no sort, no sweep and no
+        :class:`Region`.  Cost is ``O(piece regions)`` plus the column
+        copies.  A piece region that does not start past the extent
+        before it raises :class:`HierarchyError`; the word index must be
+        text-backed.
         """
-        rows = sorted(
-            (region.left, region.right, name)
-            for name, regions in additions.items()
-            for region in regions
-        )
-        if not rows and word_index is self._word_index:
+        pieces = list(pieces)
+        if not pieces:
             return self
-        if rows and self._rights_max() >= rows[0][0]:
-            raise HierarchyError(
-                f"appended region [{rows[0][0]},{rows[0][1]}] does not lie "
-                "after the existing extent"
-            )
-        sets = dict(self._sets)
-        for name, regions in additions.items():
-            new = sorted(regions)
-            if not new:
-                continue
-            existing = sets.get(name, RegionSet.empty())
-            sets[name] = RegionSet._from_arrays(
-                existing._lefts + [r.left for r in new],
-                existing._rights + [r.right for r in new],
-            )
-        names = tuple(sorted(sets)) if len(sets) != len(self._sets) else self._names
-        ids = self._name_ids
-        if names != self._names:
-            renumber = [names.index(name) for name in self._names]
-            ids = [renumber[k] for k in ids]
+        word_index = self._word_index
+        if not isinstance(word_index, TextWordIndex):
+            raise HierarchyError("only instances with text word indexes can be appended to")
+        names = self._names
+        if any(name not in self._sets for piece, _ in pieces for name in piece._names):
+            names = tuple(sorted({*names, *(n for piece, _ in pieces for n in piece._names)}))
         number = {name: k for k, name in enumerate(names)}
-        forest = self.forest().appended(
-            RegionSet._from_arrays([row[0] for row in rows], [row[1] for row in rows])
+        if names == self._names:
+            ids = self._name_ids.copy()
+        else:
+            renumber = [number[name] for name in self._names]
+            ids = [renumber[k] for k in self._name_ids]
+        lefts, rights = self._all._lefts.copy(), self._all._rights.copy()
+        parent_pos = self.forest()._parent_pos.copy()
+        grown: dict[str, tuple[list[int], list[int]]] = {}
+        floor = self._rights_max()
+        for piece, offset in pieces:
+            piece_lefts, piece_rights, piece_ids = piece.columns()
+            if not piece_lefts:
+                continue
+            if piece_lefts[0] + offset <= floor:
+                raise HierarchyError(
+                    f"appended region [{piece_lefts[0] + offset},{piece_rights[0] + offset}] "
+                    "does not lie after the existing extent"
+                )
+            floor = max(piece_rights) + offset
+            start = len(lefts)
+            lefts += [left + offset for left in piece_lefts]
+            rights += [right + offset for right in piece_rights]
+            renumber = [number[name] for name in piece._names]
+            ids += [renumber[k] for k in piece_ids]
+            parent_pos += [p + start if p >= 0 else -1 for p in piece.forest()._parent_pos]
+            for name, region_set in piece._sets.items():
+                columns = grown.get(name)
+                if columns is None:
+                    existing = self._sets.get(name, RegionSet.empty())
+                    columns = grown[name] = (existing._lefts.copy(), existing._rights.copy())
+                columns[0].extend([left + offset for left in region_set._lefts])
+                columns[1].extend([right + offset for right in region_set._rights])
+        sets = {
+            name: RegionSet._from_arrays(*grown[name]) if name in grown else self._sets[name]
+            for name in names
+        }
+        out = Instance.__new__(Instance)
+        out._install(
+            sets,
+            word_index.extended((piece._word_index, offset) for piece, offset in pieces),
+            lefts,
+            rights,
+            ids,
+            parent_pos,
         )
-        clone = Instance.__new__(Instance)
-        clone._install(
-            {name: sets[name] for name in names},
-            word_index,
-            forest._lefts,
-            forest._rights,
-            ids + [number[name] for _, _, name in rows],
-            forest._parent_pos,
-        )
-        return clone
+        return out
 
     def _rights_max(self) -> int:
         """The maximum right endpoint over all regions (−1 when empty)."""

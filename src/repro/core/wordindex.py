@@ -208,46 +208,57 @@ class TextWordIndex:
         against the pattern's sorted match points."""
         return regions.covering(self.match_points(pattern))
 
-    def extended(self, tokens: Iterable[Token]) -> "TextWordIndex":
-        """A new index with ``tokens`` appended *after* every existing
-        occurrence (every new left endpoint must be strictly greater
-        than every existing one).
+    def extended(self, pieces: Iterable[tuple["TextWordIndex", int]]) -> "TextWordIndex":
+        """A new index with each ``(piece, offset)`` pair's postings,
+        shifted by ``offset``, appended *after* every existing occurrence.
 
-        This is the segment-append fast path of live ingestion: because
-        the new occurrences sit wholly to the right, a touched token's
-        sorted arrays extend by concatenation.  Untouched tokens share
-        their postings with ``self``; the result is a fully independent,
-        immutable index built in ``O(new tokens + touched postings)``.
+        This is the assembly step of live ingestion: a document is
+        indexed once in its own coordinates, and placing it past the end
+        of the corpus shifts its postings by one offset.  A touched
+        token's columns grow by concatenating shifted int lists onto the
+        old ones; untouched tokens share their postings with ``self`` (the
+        old generation is never mutated).  Cost is ``O(piece occurrences
+        + touched postings)``, with no token tuple built.  An occurrence
+        that would not sort after the token's existing ones raises
+        :class:`ValueError`.
         """
-        clone = TextWordIndex.__new__(TextWordIndex)
-        clone._postings = dict(self._postings)
-        clone._pattern_cache = {}
-        clone._points = {}
-        fresh = []
-        for text, occs in _by_token(tokens).items():
-            new = _posting(occs)
-            existing = clone._postings.get(text)
-            if existing is None:
-                clone._postings[text] = new
-                fresh.append(text)
-                continue
-            if (
-                new._lefts[0] <= existing._lefts[-1]
-                or min(new._rights) < existing._rights[-1]
-            ):
-                raise ValueError(
-                    f"extended() occurrence of {text!r} at {new._lefts[0]} is "
-                    "not after the existing occurrences"
-                )
-            clone._postings[text] = RegionSet._from_arrays(
-                existing._lefts + new._lefts, existing._rights + new._rights
+        grown: dict[str, list[tuple[RegionSet, int]]] = {}
+        for piece, offset in pieces:
+            for text, posting in piece._postings.items():
+                parts = grown.get(text)
+                if parts is None:
+                    parts = grown[text] = []
+                parts.append((posting, offset))
+        if not grown:
+            return self
+        postings = dict(self._postings)
+        for text, parts in grown.items():
+            existing = postings.get(text, RegionSet.empty())
+            last_left = existing._lefts[-1] if existing else None
+            last_right = existing._rights[-1] if existing else None
+            for posting, offset in parts:
+                if last_left is not None and (
+                    posting._lefts[0] + offset <= last_left
+                    or min(posting._rights) + offset < last_right
+                ):
+                    raise ValueError(
+                        f"extended() occurrence of {text!r} at "
+                        f"{posting._lefts[0] + offset} is not after the "
+                        "existing occurrences"
+                    )
+                last_left = posting._lefts[-1] + offset
+                last_right = posting._rights[-1] + offset
+            postings[text] = RegionSet._from_arrays(
+                existing._lefts + [l + o for p, o in parts for l in p._lefts],
+                existing._rights + [r + o for p, o in parts for r in p._rights],
             )
-        if fresh:
-            vocabulary = sorted(self._vocabulary + fresh)
-        else:
-            vocabulary = self._vocabulary
-        clone._vocabulary = vocabulary
-        return clone
+        fresh = [text for text in grown if text not in self._postings]
+        out = TextWordIndex.__new__(TextWordIndex)
+        out._postings = postings
+        out._vocabulary = sorted(self._vocabulary + fresh) if fresh else self._vocabulary
+        out._pattern_cache = {}
+        out._points = {}
+        return out
 
 
 class LabelWordIndex:

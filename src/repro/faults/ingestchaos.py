@@ -15,9 +15,9 @@ the load generator's write mix — through three phases:
    and must *not* change any query answer.  Halfway through, the whole
    service is torn down **without a checkpoint** and rebuilt over the
    same ingest directory — WAL replay must reconstruct a corpus
-   bit-identical (``encode_instance`` equality) to the mirror of the
-   acknowledged writes.  No acknowledged mutation may be lost; no
-   unacknowledged one may appear.
+   bit-identical (``encode_instance`` equality, and the same forest
+   parent column) to the mirror of the acknowledged writes.  No
+   acknowledged mutation may be lost; no unacknowledged one may appear.
 3. **recovery** — faults off, clean writes resume against the recovered
    service, then a manual compaction merges every segment and the run
    ends with the three-way final oracle: serving instance == mirror ==
@@ -145,6 +145,14 @@ class IngestChaosReport:
 # ----------------------------------------------------------------------
 
 
+def identity(instance: Any) -> tuple[bytes, list[int]]:
+    """What the bit-identity checks compare: the index bytes, and the
+    forest's parent column, which the bytes do not carry."""
+    from repro.engine.storage import encode_instance
+
+    return encode_instance(instance), instance.forest()._parent_pos
+
+
 class _Mirror:
     """The acked-writes mirror + generation-keyed verification oracle.
 
@@ -268,7 +276,6 @@ def run_ingest_chaos(
     """Run the three-phase ingest scenario; see the module docstring."""
     import tempfile
 
-    from repro.engine.storage import encode_instance
     from repro.server.http import create_server
     from repro.server.loadgen import run_load
     from repro.server.service import QueryService
@@ -377,10 +384,9 @@ def run_ingest_chaos(
             "replayed_batches"
         ]
         mirror.rebase_epoch(handle.generation)
-        recovered = encode_instance(handle.engine.instance)
-        report.restart_bit_identical = recovered == encode_instance(
-            mirror.live.instance
-        )
+        report.restart_bit_identical = identity(
+            handle.engine.instance
+        ) == identity(mirror.live.instance)
         if not report.restart_bit_identical:
             report.violations.append(
                 "the recovered corpus is not bit-identical to the mirror "
@@ -445,13 +451,11 @@ def run_ingest_chaos(
             report.violations.append("no write was ever acknowledged")
 
         # The final three-way oracle: serving == mirror == full re-parse.
-        serving = encode_instance(service._handle("chaos").engine.instance)
-        mirrored = encode_instance(mirror.live.instance)
+        serving = identity(service._handle("chaos").engine.instance)
+        mirrored = identity(mirror.live.instance)
         scratch_instance = mirror.live.oracle_instance()
         scratch = (
-            encode_instance(scratch_instance)
-            if scratch_instance is not None
-            else None
+            identity(scratch_instance) if scratch_instance is not None else None
         )
         report.final_bit_identical = serving == mirrored == scratch
         if serving != mirrored:

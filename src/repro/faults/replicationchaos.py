@@ -46,7 +46,7 @@ from pathlib import Path
 from time import monotonic, sleep
 from typing import Any
 
-from repro.faults.ingestchaos import _Mirror
+from repro.faults.ingestchaos import _Mirror, identity
 from repro.faults.registry import FaultRegistry, FaultSpec, activate, deactivate
 
 __all__ = [
@@ -312,7 +312,6 @@ def run_replication_chaos(
     """Run the six-phase replication scenario; see the module docstring."""
     import tempfile
 
-    from repro.engine.storage import encode_instance
     from repro.server.http import create_server
     from repro.server.loadgen import run_load
     from repro.server.service import QueryService
@@ -444,10 +443,9 @@ def run_replication_chaos(
             "replayed_batches"
         ]
         mirror.rebase_epoch(handle.generation)
-        recovered = encode_instance(handle.engine.instance)
-        report.restart_bit_identical = recovered == encode_instance(
-            mirror.live.instance
-        )
+        report.restart_bit_identical = identity(
+            handle.engine.instance
+        ) == identity(mirror.live.instance)
         if not report.restart_bit_identical:
             report.violations.append(
                 "the recovered corpus is not bit-identical to the mirror "
@@ -643,13 +641,11 @@ def run_replication_chaos(
             report.violations.append("no write was ever acknowledged")
 
         # The final three-way oracle: serving == mirror == full re-parse.
-        serving = encode_instance(service._handle("chaos").engine.instance)
-        mirrored = encode_instance(mirror.live.instance)
+        serving = identity(service._handle("chaos").engine.instance)
+        mirrored = identity(mirror.live.instance)
         scratch_instance = mirror.live.oracle_instance()
         scratch = (
-            encode_instance(scratch_instance)
-            if scratch_instance is not None
-            else None
+            identity(scratch_instance) if scratch_instance is not None else None
         )
         report.final_bit_identical = serving == mirrored == scratch
         if serving != mirrored:

@@ -17,17 +17,16 @@ very strong oracle: the assembled :class:`~repro.core.Instance` must be
 to parsing the combined text from scratch, and the chaos harness holds
 the server to exactly that.
 
-Each document is parsed exactly once, in its own local coordinates;
-assembly shifts the cached regions and tokens by cumulative offsets.
-Two paths build the assembled instance:
-
-* **append fast path** — a batch of pure appends extends the previous
-  instance in ``O(new)`` via :meth:`Instance.appended` and
-  :meth:`TextWordIndex.extended` (no region re-validation, no word
-  index rebuild);
-* **reassembly** — deletes/updates shift every later document, so the
-  survivors are re-concatenated from their cached parses (still no
-  re-parsing).
+Each document is parsed exactly once, into its own local
+:class:`~repro.core.Instance`; placed after the text before it, it is a
+new top-level tree whose columns are its own shifted by one offset.
+One body, :meth:`LiveCorpus._assemble`, builds the assembled instance
+by :meth:`Instance.appended`: it concatenates shifted int columns onto a
+prefix instance, sharing every untouched name set and posting, with no
+sort, no hierarchy sweep and no :class:`~repro.core.Region`.  A batch
+of pure appends extends the current assembled instance by its new
+documents; a batch with a delete or update moves every later document,
+so it extends the untouched *base* by every surviving document.
 
 Compaction (:meth:`LiveCorpus.compact`) merges all segments into one
 and physically drops tombstoned entries.  Because survivors keep their
@@ -38,13 +37,12 @@ generation.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.instance import Instance
-from repro.core.region import Region
-from repro.core.regionset import RegionSet
-from repro.core.wordindex import TextWordIndex, Token
+from repro.core.wordindex import TextWordIndex
 from repro.engine.corpus import DOCUMENT_REGION_NAME
 from repro.errors import (
     DuplicateDocumentError,
@@ -59,23 +57,23 @@ INGEST_OP_KINDS = ("append", "update", "delete")
 
 
 class _Doc:
-    """One ingested document: raw text plus its cached local parse."""
+    """One ingested document: raw text plus its parse, an instance in
+    the document's own coordinates."""
 
-    __slots__ = ("doc_id", "text", "wrapped_len", "sets", "tokens", "deleted")
+    __slots__ = ("doc_id", "text", "wrapped_len", "instance", "deleted")
 
     def __init__(self, doc_id: str, text: str):
         from repro.engine.tagged import parse_tagged_text
 
         self.doc_id = doc_id
         self.text = text
-        wrapped = f"<{DOCUMENT_REGION_NAME}>\n{text}\n</{DOCUMENT_REGION_NAME}>"
+        wrapped = self.wrapped()
         self.wrapped_len = len(wrapped)
-        document = parse_tagged_text(wrapped)
-        instance = document.instance
-        self.sets: dict[str, list[Region]] = {
-            name: list(instance.region_set(name)) for name in instance.names
-        }
-        self.tokens: list[Token] = _index_tokens(instance.word_index)
+        parsed = parse_tagged_text(wrapped).instance
+        # Kept as columns: the parse's per-name sets carry Region views.
+        self.instance = Instance.from_columns(
+            parsed.names, *parsed.columns(), parsed.word_index
+        )
         self.deleted = False
 
     def wrapped(self) -> str:
@@ -101,17 +99,6 @@ class PreparedBatch:
     appends_only: bool
 
 
-def _index_tokens(word_index: Any) -> list[Token]:
-    """The token occurrences of a :class:`TextWordIndex`, sorted by
-    position."""
-    if not isinstance(word_index, TextWordIndex):
-        raise IngestError(
-            "live ingestion needs a text-backed word index; got "
-            f"{type(word_index).__name__}"
-        )
-    return word_index.tokens()
-
-
 class LiveCorpus:
     """The mutable document overlay of one ingest-enabled corpus.
 
@@ -125,31 +112,32 @@ class LiveCorpus:
         base_instance: Instance | None = None,
         base_text: str | None = None,
     ):
-        self._base_instance = base_instance
         self._base_text = base_text
-        if base_instance is not None:
-            self._base_sets = {
-                name: list(base_instance.region_set(name))
-                for name in base_instance.names
-            }
-            self._base_tokens = _index_tokens(base_instance.word_index)
-            if base_text is not None:
-                self._base_extent = len(base_text)
-            else:
-                max_right = base_instance._rights_max()
-                for _, _, right in self._base_tokens:
-                    if right > max_right:
-                        max_right = right
-                self._base_extent = max_right + 1
+        #: The length of the text before the first document (``None``:
+        #: no base, so no separating newline either).
+        self._base_end: int | None = None
+        if base_instance is None:
+            self._base = Instance({}, TextWordIndex(()))
         else:
-            self._base_sets = {}
-            self._base_tokens = []
-            self._base_extent = 0
+            word_index = base_instance.word_index
+            if not isinstance(word_index, TextWordIndex):
+                raise IngestError(
+                    "live ingestion needs a text-backed word index; got "
+                    f"{type(word_index).__name__}"
+                )
+            self._base = base_instance
+            if base_text is not None:
+                self._base_end = len(base_text)
+            else:
+                self._base_end = 1 + max(
+                    [base_instance._rights_max()]
+                    + [max(posting._rights) for _, posting in word_index.postings()]
+                )
         self._segments: list[_Segment] = []
         self._index: dict[str, _Doc] = {}
         self._tombstones = 0
-        self._assembled: Instance | None = base_instance
-        self._extent = self._base_extent
+        self._assembled = self._base
+        self._end = self._base_end
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -158,8 +146,6 @@ class LiveCorpus:
     @property
     def instance(self) -> Instance:
         """The current assembled instance (the base when unmutated)."""
-        if self._assembled is None:
-            self._assembled = self._reassemble()
         return self._assembled
 
     @property
@@ -177,33 +163,20 @@ class LiveCorpus:
 
     @property
     def document_ids(self) -> list[str]:
-        return [
-            doc.doc_id
-            for segment in self._segments
-            for doc in segment.docs
-            if not doc.deleted
-        ]
+        return [doc.doc_id for doc in self._survivors()]
 
     def documents(self) -> list[tuple[str, str]]:
         """``(id, text)`` for every surviving ingested document, in the
         order they occupy the assembled instance (segment order)."""
-        return [
-            (doc.doc_id, doc.text)
-            for segment in self._segments
-            for doc in segment.docs
-            if not doc.deleted
-        ]
+        return [(doc.doc_id, doc.text) for doc in self._survivors()]
 
     def combined_text(self) -> str | None:
         """The full corpus text the assembled instance indexes, or
         ``None`` when the base engine carried no raw text."""
-        if self._base_instance is not None and self._base_text is None:
+        if self._base_end is not None and self._base_text is None:
             return None
         parts = [] if self._base_text is None else [self._base_text]
-        for segment in self._segments:
-            for doc in segment.docs:
-                if not doc.deleted:
-                    parts.append(doc.wrapped())
+        parts += [doc.wrapped() for doc in self._survivors()]
         return "\n".join(parts)
 
     def oracle_instance(self) -> Instance | None:
@@ -290,9 +263,9 @@ class LiveCorpus:
     def commit(self, prepared: PreparedBatch) -> Instance:
         """Apply a prepared batch and return the new assembled instance.
 
-        Pure-append batches take the fast path; any delete or update
-        shifts later documents and triggers a full (parse-free)
-        reassembly from the cached per-document parses.
+        A pure-append batch extends the current instance by its new
+        documents; a delete or update moves every later document, so the
+        base is extended by every survivor (parse-free either way).
         """
         new_segment = _Segment()
         for op in prepared.ops:
@@ -307,10 +280,18 @@ class LiveCorpus:
                 self._index[doc_id] = doc
         if new_segment.docs:
             self._segments.append(new_segment)
-        if prepared.appends_only and self._assembled is not None:
-            self._assembled = self._append_assembled(new_segment.docs)
+        if prepared.appends_only:
+            self._assembled = self._assemble(
+                self._assembled, self._end, new_segment.docs
+            )
         else:
-            self._assembled = self._reassemble()
+            self._assembled = self._assemble(
+                self._base, self._base_end, self._survivors()
+            )
+        # The new columns are large young lists that no commit garbage
+        # has pushed out of the young generations: collect them into the
+        # old one here, once, instead of in the next reads' collections.
+        gc.collect(1)
         return self._assembled
 
     def apply(self, ops: Any) -> Instance:
@@ -321,61 +302,28 @@ class LiveCorpus:
     # Assembly.
     # ------------------------------------------------------------------
 
-    def _append_assembled(self, docs: list[_Doc]) -> Instance:
-        assert self._assembled is not None
-        additions: dict[str, list[Region]] = {}
-        new_tokens: list[Token] = []
-        for doc in docs:
-            offset = self._extent + 1 if self._extent > 0 else 0
-            for name, regions in doc.sets.items():
-                additions.setdefault(name, []).extend(
-                    region.shifted(offset) for region in regions
-                )
-            new_tokens.extend(
-                (text, left + offset, right + offset)
-                for text, left, right in doc.tokens
-            )
-            self._extent = offset + doc.wrapped_len
-        word_index = self._assembled.word_index
-        if not isinstance(word_index, TextWordIndex):
-            raise IngestError(
-                "live ingestion needs a text-backed word index"
-            )
-        return self._assembled.appended(
-            additions, word_index.extended(new_tokens)
-        )
+    def _survivors(self) -> list[_Doc]:
+        """The surviving documents, in the order they are assembled."""
+        return [
+            doc
+            for segment in self._segments
+            for doc in segment.docs
+            if not doc.deleted
+        ]
 
-    def _reassemble(self) -> Instance:
-        sets: dict[str, list[Region]] = {
-            name: list(regions) for name, regions in self._base_sets.items()
-        }
-        tokens: list[Token] = list(self._base_tokens)
-        extent = self._base_extent
-        for segment in self._segments:
-            for doc in segment.docs:
-                if doc.deleted:
-                    continue
-                offset = extent + 1 if extent > 0 else 0
-                for name, regions in doc.sets.items():
-                    sets.setdefault(name, []).extend(
-                        region.shifted(offset) for region in regions
-                    )
-                tokens.extend(
-                    (text, left + offset, right + offset)
-                    for text, left, right in doc.tokens
-                )
-                extent = offset + doc.wrapped_len
-        self._extent = extent
-        return Instance(
-            {
-                name: RegionSet._from_arrays(
-                    [r.left for r in sets[name]], [r.right for r in sets[name]]
-                )
-                for name in sorted(sets)
-            },
-            TextWordIndex(tokens),
-            validate=False,
-        )
+    def _assemble(
+        self, prefix: Instance, end: int | None, docs: list[_Doc]
+    ) -> Instance:
+        """``prefix`` — the instance of a text ``end`` characters long
+        (``None``: no text at all) — followed by ``docs``, each after a
+        newline whenever any text precedes it."""
+        pieces = []
+        for doc in docs:
+            offset = 0 if end is None else end + 1
+            pieces.append((doc.instance, offset))
+            end = offset + doc.wrapped_len
+        self._end = end
+        return prefix.appended(pieces)
 
     # ------------------------------------------------------------------
     # Compaction and checkpointing.
@@ -390,14 +338,7 @@ class LiveCorpus:
         """
         if len(self._segments) <= 1 and self._tombstones == 0:
             return None
-        merged = _Segment(
-            [
-                doc
-                for segment in self._segments
-                for doc in segment.docs
-                if not doc.deleted
-            ]
-        )
+        merged = _Segment(self._survivors())
         summary = {
             "merged_segments": len(self._segments),
             "dropped_tombstones": self._tombstones,
@@ -417,12 +358,7 @@ class LiveCorpus:
         """A checkpoint of the live overlay for the WAL snapshot file."""
         return {
             "through_batch": through_batch,
-            "docs": [
-                [doc.doc_id, doc.text]
-                for segment in self._segments
-                for doc in segment.docs
-                if not doc.deleted
-            ],
+            "docs": [[doc.doc_id, doc.text] for doc in self._survivors()],
         }
 
     @classmethod

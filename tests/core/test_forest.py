@@ -2,11 +2,15 @@
 
 import random
 
+import pytest
 from hypothesis import given
 
 from repro.core.forest import Forest
+from repro.core.instance import Instance
 from repro.core.region import Region
 from repro.core.regionset import RegionSet
+from repro.core.wordindex import TextWordIndex
+from repro.errors import HierarchyError
 from tests.conftest import hierarchical_instances
 from tests.vm.test_kernels import tight_universe
 
@@ -132,7 +136,8 @@ class TestDirectOperators:
 
 
 class TestAppended:
-    """The live-ingestion fast path: extending a forest past its extent."""
+    """Live-ingestion assembly: pieces appended past an instance's
+    extent bring their own parent columns, rebased, in place of a sweep."""
 
     @staticmethod
     def _structure(forest):
@@ -151,20 +156,37 @@ class TestAppended:
         """The column view, which the direct operators read."""
         return (forest._lefts, forest._rights, forest._parent_pos)
 
+    @staticmethod
+    def _text_backed(instance):
+        """``instance``'s region sets over an empty text word index (the
+        index ``Instance.appended`` extends)."""
+        return Instance(
+            {name: instance.region_set(name) for name in instance.names},
+            TextWordIndex(()),
+        )
+
     def test_columns_after_an_append_sequence(self):
-        # Several commits in a row, over regions that share endpoints:
-        # the columns extended suffix by suffix must be the columns of
-        # one build over everything, in RegionSet order, and say what
-        # the object view says.
+        # Several commits in a row, each of one to three pieces in local
+        # coordinates, over regions that share endpoints: the assembled
+        # columns must be the columns of one build over everything, in
+        # RegionSet order, and say what the object view says.
         rng = random.Random(18)
         for _ in range(25):
-            forest, everything, start = Forest.from_regions([]), [], 0
+            instance = Instance({}, TextWordIndex(()))
+            everything, start = [], 0
             for _ in range(rng.randint(1, 5)):
-                stop = start + rng.randint(0, 20)
-                batch = [Region(l, r) for l, r in tight_universe(rng, start, stop)]
-                forest = forest.appended(batch)
-                everything += batch
-                start = stop + rng.randint(1, 3)
+                pieces = []
+                for _ in range(rng.randint(1, 3)):
+                    stop = start + rng.randint(0, 20)
+                    local = [
+                        Region(l - start, r - start)
+                        for l, r in tight_universe(rng, start, stop)
+                    ]
+                    pieces.append((Instance({"R": local}, TextWordIndex(())), start))
+                    everything += [region.shifted(start) for region in local]
+                    start = stop + rng.randint(1, 3)
+                instance = instance.appended(pieces)
+            forest = instance.forest()
             scratch = Forest.from_regions(everything)
             assert self._columns(forest) == self._columns(scratch)
             assert self._structure(forest) == self._structure(scratch)
@@ -177,41 +199,53 @@ class TestAppended:
 
     @given(hierarchical_instances(), hierarchical_instances())
     def test_appended_matches_from_scratch(self, base, extra):
-        old_regions = list(base.all_regions())
-        new_min_left = min(r.left for r in extra.all_regions())
-        offset = base._rights_max() + 1 - new_min_left
-        new_regions = [r.shifted(offset) for r in extra.all_regions()]
-        incremental = Forest.from_regions(old_regions).appended(new_regions)
-        scratch = Forest.from_regions(old_regions + new_regions)
-        assert self._structure(incremental) == self._structure(scratch)
+        offset = base._rights_max() + 1 - extra.all_regions()._lefts[0]
+        incremental = self._text_backed(base).appended(
+            [(self._text_backed(extra), offset)]
+        )
+        scratch = Instance(
+            {
+                name: list(base.region_set(name))
+                + [r.shifted(offset) for r in extra.region_set(name)]
+                for name in base.names
+            },
+            TextWordIndex(()),
+        )
+        assert incremental.columns() == scratch.columns()
+        assert self._columns(incremental.forest()) == self._columns(scratch.forest())
+        assert self._structure(incremental.forest()) == self._structure(
+            Forest.from_regions(scratch.all_regions())
+        )
 
     @given(hierarchical_instances(), hierarchical_instances())
     def test_appended_leaves_the_old_forest_untouched(self, base, extra):
         # Snapshot isolation depends on this: the old generation keeps
-        # using its forest while the new one extends it.
-        old_regions = list(base.all_regions())
-        old = Forest.from_regions(old_regions)
-        before = self._structure(old)
-        new_min_left = min(r.left for r in extra.all_regions())
-        offset = base._rights_max() + 1 - new_min_left
-        old.appended([r.shifted(offset) for r in extra.all_regions()])
-        assert self._structure(old) == before
+        # using its columns and forest while the new one extends them.
+        old = self._text_backed(base)
+        before = self._structure(old.forest())
+        columns = [list(c) for c in old.columns() + (old.forest()._parent_pos,)]
+        offset = base._rights_max() + 1 - extra.all_regions()._lefts[0]
+        old.appended([(self._text_backed(extra), offset)])
+        assert self._structure(old.forest()) == before
+        assert [list(c) for c in old.columns() + (old.forest()._parent_pos,)] == columns
 
-    def test_appended_nothing_is_self(self):
-        forest = Forest.from_regions([Region(0, 3), Region(1, 2)])
-        assert forest.appended([]) is forest
+    def test_appended_nothing_is_self(self, small_instance):
+        assert small_instance.appended([]) is small_instance
 
     def test_warm_instance_append_carries_the_forest(self, small_instance):
-        # Instance.appended on a forest-warmed instance must hand the
-        # clone an equivalent forest without a cold rebuild.
-        small_instance.forest()
-        start = small_instance._rights_max() + 1
-        added = [Region(start, start + 5), Region(start + 1, start + 3)]
-        clone = small_instance.appended(
-            {"A": [added[0]], "B": [added[1]]},
-            small_instance.word_index,
+        # The clone gets its forest from the pieces' parent columns, not
+        # from a cold rebuild; a piece that starts inside the extent and
+        # a label word index are refused.
+        base = self._text_backed(small_instance)
+        piece = Instance(
+            {"A": [Region(0, 5)], "B": [Region(1, 3)]}, TextWordIndex(())
         )
+        clone = base.appended([(piece, base._rights_max() + 1)])
         assert clone._forest is not None
         assert self._structure(clone._forest) == self._structure(
             Forest.from_regions(clone.all_regions())
         )
+        with pytest.raises(HierarchyError, match="after the existing extent"):
+            base.appended([(piece, base._rights_max())])
+        with pytest.raises(HierarchyError, match="text word indexes"):
+            small_instance.appended([(piece, 100)])

@@ -105,17 +105,23 @@ class TestMatchPointSets:
 
     def test_extended_shares_untouched_postings_and_forgets_the_memo(self, index):
         before = index.match_points("c*").pairs()
-        grown = index.extended([("cat", 40, 42), ("dog", 44, 46)])
+        piece = TextWordIndex.from_text("cat dog")  # local: cat [0,2], dog [4,6]
+        grown = index.extended([(piece, 40), (TextWordIndex.from_text("cat"), 50)])
         assert grown._postings["the"] is index._postings["the"]
-        assert grown.match_points("cat").pairs() == [[4, 6], [40, 42]]
-        assert grown.match_points("c*").pairs() == before + [[40, 42]]
+        assert grown.match_points("cat").pairs() == [[4, 6], [40, 42], [50, 52]]
+        assert grown.match_points("c*").pairs() == before + [[40, 42], [50, 52]]
+        assert grown.match_points("dog").pairs() == [[44, 46]]
+        assert grown.vocabulary == sorted(index.vocabulary + ["dog"])
         assert grown.matches(Region(39, 43), "cat")
         # The old generation is untouched (snapshot isolation).
         assert index.match_points("cat").pairs() == [[4, 6]]
         assert index.match_points("c*").pairs() == before
         assert index.match_points("dog") == RegionSet.empty()
+        assert index.extended([]) is index
         with pytest.raises(ValueError, match="not after"):
-            index.extended([("cat", 3, 5)])
+            index.extended([(piece, 3)])
+        with pytest.raises(ValueError, match="not after"):
+            index.extended([(piece, 40), (piece, 40)])
 
     def test_tokens_round_trip(self, index):
         assert index.tokens() == tokenize("the cat sat on the mat catalog")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.storage import encode_instance
+from repro.core.instance import Instance
+from repro.core.region import Region
+from repro.engine.storage import decode_instance, encode_instance
 from repro.engine.tagged import parse_tagged_text
 from repro.errors import (
     DuplicateDocumentError,
@@ -13,6 +15,8 @@ from repro.errors import (
     UnknownDocumentError,
 )
 from repro.ingest import LiveCorpus
+from repro.ingest.live import _Doc
+from tests.core.test_columns import object_views
 
 BASE = (
     "<document>\n"
@@ -38,10 +42,12 @@ def _live() -> LiveCorpus:
 
 def _assert_bit_identical(live: LiveCorpus) -> None:
     """The invariant everything hangs on: the incrementally assembled
-    instance equals a full re-parse of the combined text."""
-    assert encode_instance(live.instance) == encode_instance(
-        live.oracle_instance()
-    )
+    instance equals a full re-parse of the combined text — its index
+    bytes, and the forest's parent column, which the bytes do not carry
+    and assembly rebases rather than sweeps."""
+    oracle = live.oracle_instance()
+    assert encode_instance(live.instance) == encode_instance(oracle)
+    assert live.instance.forest()._parent_pos == oracle.forest()._parent_pos
 
 
 class TestBitIdentity:
@@ -76,6 +82,24 @@ class TestBitIdentity:
         live.apply([{"op": "update", "id": "a", "text": _doc("storm")}])
         _assert_bit_identical(live)
 
+    def test_empty_base_text_puts_the_first_document_after_its_newline(self):
+        # The combined text of an empty base and one document is "\n"
+        # plus the document: the newline separates parts whenever any
+        # part, even an empty one, precedes.
+        live = LiveCorpus(parse_tagged_text("").instance, "")
+        live.apply([_append("a", "prophecy")])
+        assert live.instance.region_set("document").pairs()[0][0] == 1
+        _assert_bit_identical(live)
+        live.apply(
+            [
+                _append("b", "dagger"),
+                {"op": "update", "id": "a", "text": _doc("storm")},
+            ]
+        )
+        _assert_bit_identical(live)
+        live.apply([{"op": "delete", "id": "b"}])
+        _assert_bit_identical(live)
+
     def test_documents_lists_survivors_in_layout_order(self):
         live = _live()
         live.apply([_append("a", "prophecy"), _append("b", "dagger")])
@@ -92,6 +116,57 @@ class TestBitIdentity:
         assert live.combined_text() == (
             BASE + "\n<document>\n" + _doc("prophecy") + "\n</document>"
         )
+
+
+def _holds_regions_or_tokens(value) -> bool:
+    """Whether ``value`` is a Region, a token tuple, or a list or dict
+    of them."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    items = value if isinstance(value, list) else [value]
+    return any(isinstance(item, (Region, tuple)) for item in items)
+
+
+class TestColumnAssembly:
+    """A commit concatenates shifted columns onto the untouched base."""
+
+    def test_a_mixed_commit_builds_no_region_and_shares_the_base(self):
+        # The base as a loader hands it over: columns, no Region view.
+        base = decode_instance(encode_instance(parse_tagged_text(BASE).instance))
+        live = LiveCorpus(base, BASE)
+        live.apply([_append("a", "prophecy"), _append("b", "dagger")])
+        live.apply(
+            [
+                _append("c", "ghost"),
+                {"op": "update", "id": "a", "text": _doc("storm")},
+                {"op": "delete", "id": "b"},
+            ]
+        )
+        assembled = live.instance
+        assert all(view is None for view in object_views(assembled))
+        used = {
+            token
+            for _, text in live.documents()
+            for token in parse_tagged_text(text).instance.word_index.vocabulary
+        }
+        untouched = [t for t in base.word_index.vocabulary if t not in used]
+        assert untouched
+        for token in untouched:
+            assert (
+                assembled.word_index._postings[token]
+                is base.word_index._postings[token]
+            )
+        docs = [doc for segment in live._segments for doc in segment.docs]
+        assert len(docs) == 4  # a tombstone among them
+        for doc in docs:
+            for slot in _Doc.__slots__:
+                value = getattr(doc, slot)
+                assert not _holds_regions_or_tokens(value), slot
+                if isinstance(value, Instance):
+                    assert all(view is None for view in object_views(value))
+        for name, value in vars(live).items():
+            assert not _holds_regions_or_tokens(value), name
+        _assert_bit_identical(live)
 
 
 class TestValidation:
@@ -256,7 +331,9 @@ class TestBitIdentityProperty:
         st.booleans(),
         st.lists(
             st.tuples(
-                st.sampled_from(("append", "append2", "update", "delete", "compact")),
+                st.sampled_from(
+                    ("append", "append2", "update", "delete", "mixed", "clear", "compact")
+                ),
                 st.integers(0, 7),
                 st.sampled_from(("speech", "stage")),
                 st.lists(st.sampled_from(("love", "night", "sun")), min_size=1, max_size=3),
@@ -272,6 +349,17 @@ class TestBitIdentityProperty:
             ids = live.document_ids
             if kind == "compact":
                 live.compact()
+            elif kind == "mixed":  # the bench's batch: append, update, delete
+                fresh += 1
+                batch = [{"op": "append", "id": f"d{fresh}", "text": self._text(tag, words)}]
+                if ids:
+                    batch.append({"op": "update", "id": ids[pick % len(ids)], "text": self._text(tag, words)})
+                if len(ids) > 1:
+                    batch.append({"op": "delete", "id": ids[(pick + 1) % len(ids)]})
+                live.apply(batch)
+            elif kind == "clear":
+                if ids:
+                    live.apply([{"op": "delete", "id": doc_id} for doc_id in ids])
             elif kind.startswith("append"):
                 batch = []
                 for _ in range(2 if kind == "append2" else 1):
