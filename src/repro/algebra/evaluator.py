@@ -93,6 +93,20 @@ class _Limits:
                 raise QueryTimeout(self.budget, elapsed=now - self.started)
 
 
+def limits_for(
+    deadline: float | None, cancel: CancelToken | None
+) -> _Limits | None:
+    """The limits of one call (``None`` without a deadline or a token);
+    an already-expired budget aborts here, up front."""
+    if deadline is None and cancel is None:
+        return None
+    if deadline is not None and deadline < 0:
+        raise EvaluationError("deadline must be non-negative")
+    limits = _Limits(deadline, cancel)
+    limits.check()
+    return limits
+
+
 class Evaluator:
     """Evaluates expressions against instances with a chosen strategy.
 
@@ -147,10 +161,9 @@ class Evaluator:
             self._vm_compile_counter = metrics.counter(VM_COMPILE_TOTAL)
             self._vm_kernel_counter = metrics.counter(VM_KERNEL_INVOCATIONS_TOTAL)
             self._vm_exec_hist = metrics.histogram(VM_EXEC_SECONDS)
-        # Compiled-program cache (expr -> Program).  Engines build a
-        # fresh evaluator per index generation, so the cache is
-        # generation-invalidated for free — the same lifecycle as the
-        # Engine's CostModel cache.
+        # Compiled-program cache (expr -> Program).  A program only
+        # names region sets, so it stays valid across index generations:
+        # a live corpus's next engine adopts this cache (adopt_programs).
         self._programs: "OrderedDict[A.Expr, Program]" = OrderedDict()
         self._programs_lock = threading.Lock()
         # Per-thread last stats, so one evaluator instance is safe to
@@ -186,12 +199,7 @@ class Evaluator:
         """
         if isinstance(expr, str):
             expr = parse(expr)
-        limits = None
-        if deadline is not None or cancel is not None:
-            if deadline is not None and deadline < 0:
-                raise EvaluationError("deadline must be non-negative")
-            limits = _Limits(deadline, cancel)
-            limits.check()  # an already-expired budget aborts up front
+        limits = limits_for(deadline, cancel)
         if self.strategy == "naive":
             memo = {} if self.memoize else None
             return oracle.evaluate(expr, instance, memo, limits)
@@ -218,16 +226,59 @@ class Evaluator:
                 if self._vm_compile_counter is not None:
                     self._vm_compile_counter.inc(outcome="hit")
                 return program, True
-        from repro.vm.compiler import compile_expr
-
-        program = compile_expr(expr, cse=self.memoize)
-        if self._vm_compile_counter is not None:
-            self._vm_compile_counter.inc(outcome="compiled")
+        program = self.compile_uncached(expr)
         with self._programs_lock:
             self._programs[expr] = program
             while len(self._programs) > self.PROGRAM_CACHE_CAPACITY:
                 self._programs.popitem(last=False)
         return program, False
+
+    def compile_uncached(self, expr: A.Expr) -> "Program":
+        """A program for ``expr`` that bypasses the cache: for one-off
+        forms, such as a plan with its order bounds inlined."""
+        from repro.vm.compiler import compile_expr
+
+        program = compile_expr(expr, cse=self.memoize)
+        if self._vm_compile_counter is not None:
+            self._vm_compile_counter.inc(outcome="compiled")
+        return program
+
+    def run(
+        self, program: "Program", instance: Instance, limits: _Limits | None
+    ) -> RegionSet:
+        """One of several runs that answer a query together: instructions
+        are timed as in :meth:`evaluate`, but the query is accounted once,
+        by :meth:`account`, after its last run."""
+        from repro.vm.machine import execute
+
+        return execute(program, instance, limits, self._node_hist)
+
+    def account(self, programs: "list[Program]", seconds: float) -> None:
+        """Account one query answered by ``programs`` run in ``seconds``
+        in all: this thread's :attr:`last_stats`, the VM execution
+        histogram (observed once) and the kernel and node counters."""
+        if not self._observed:
+            return
+        cse_hits = sum(program.cse_hits for program in programs)
+        nodes = sum(program.size for program in programs) + cse_hits
+        self._local.stats = EvalStats(
+            nodes_evaluated=nodes, memo_hits=cse_hits, compiled=True
+        )
+        if self.metrics is None:
+            return
+        self._vm_exec_hist.observe(seconds)
+        kernel_counter = self._vm_kernel_counter
+        for program in programs:
+            for op, count in program.op_counts.items():
+                kernel_counter.inc(count, op=op)
+        self._nodes_counter.inc(nodes)
+        if cse_hits:
+            self._memo_hits_counter.inc(cse_hits)
+
+    def adopt_programs(self, other: "Evaluator") -> None:
+        """Share ``other``'s compiled-program cache from now on."""
+        self._programs = other._programs
+        self._programs_lock = other._programs_lock
 
     def program_cached(self, expr: A.Expr) -> bool:
         """Is a compiled program for ``expr`` already in the cache?"""

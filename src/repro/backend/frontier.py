@@ -53,7 +53,7 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.algebra import ast as A
 from repro.algebra.evaluator import CancelToken
@@ -76,7 +76,7 @@ from repro.faults.retry import CircuitBreaker
 from repro.obs import context as _trace_context
 from repro.obs.trace import maybe_span
 from repro.shard.merge import merge_region_sets
-from repro.shard.planner import classify
+from repro.shard.planner import classify, fold_extremes, resolve_bounds
 
 __all__ = ["BackendNode", "FrontierExecutor", "FrontierStats"]
 
@@ -406,34 +406,29 @@ class FrontierExecutor:
         trace_dict = trace.to_dict() if trace is not None else None
         plan = classify(expr)
         stats.rounds = plan.rounds
-        bounds: dict[str, int | None] = {}
 
-        def scatter(exprs: list[A.Expr], want: str) -> list[list[Any]]:
+        def scatter(
+            exprs: list[A.Expr], want: str, bounds: Mapping[A.Expr, int | None]
+        ) -> list[list[Any]]:
             seconds = [0.0] * self.groups
             stats.phase_seconds.append(seconds)
             phase = _Phase(
-                corpus, [to_text(e) for e in exprs], want, dict(bounds),
+                corpus, [to_text(e) for e in exprs], want,
+                {to_text(node): value for node, value in bounds.items()},
                 deadline_at, deadline, trace_dict, floor, cancel, stats, seconds,
             )
             return self._scatter(phase)
 
-        for round_no in range(1, plan.rounds + 1):
-            nodes_in_round = plan.nodes_in_round(round_no)
-            rights = list(dict.fromkeys(b.node.right for b in nodes_in_round))
-            per_group = scatter(rights, "exchange")
-            for j, right in enumerate(rights):
-                max_left = max(
-                    (p[j][0] for p in per_group if p[j][0] is not None), default=None
-                )
-                min_right = min(
-                    (p[j][1] for p in per_group if p[j][1] is not None), default=None
-                )
-                for b in nodes_in_round:
-                    if b.node.right == right:
-                        bounds[to_text(b.node)] = (
-                            max_left if isinstance(b.node, A.Preceding) else min_right
-                        )
-        per_group = scatter([expr], "sets")
+        def exchange(
+            rights: list[A.Expr], bounds: Mapping[A.Expr, int | None]
+        ) -> list[tuple[int | None, int | None]]:
+            per_group = scatter(rights, "exchange", bounds)
+            return [
+                fold_extremes(p[j] for p in per_group)
+                for j in range(len(rights))
+            ]
+
+        per_group = scatter([expr], "sets", resolve_bounds(plan, exchange))
         started = perf_counter()
         merged = merge_region_sets([_region_set(payload[0]) for payload in per_group])
         stats.merge_seconds = perf_counter() - started

@@ -210,10 +210,12 @@ class RegionSet:
             self._regions = tuple(map(Region, self._lefts, self._rights))
         return self._regions
 
-    def pairs(self) -> list[list[int]]:
-        """``[[left, right], …]`` in canonical order, read off the
-        arrays: the JSON form of a result, with no object view built."""
-        return [[left, right] for left, right in zip(self._lefts, self._rights)]
+    def pairs(self) -> list[tuple[int, int]]:
+        """``[(left, right), …]`` in canonical order, zipped off the
+        arrays in C: the JSON form of a result (tuples encode as arrays),
+        with no object view built and no tuple the collector keeps
+        tracking after one pass."""
+        return list(zip(self._lefts, self._rights))
 
     # ------------------------------------------------------------------
     # Set-theoretic operations (Definition 2.3, first group): linear

@@ -1,0 +1,463 @@
+"""Per-piece answers for live corpora.
+
+A live corpus (:class:`~repro.ingest.live.LiveCorpus`) is its base
+followed by ingested ``<document>`` trees, each placed at an offset past
+the text before it.  Call each of these runs of whole top-level trees a
+**piece**.  Every operator of Def. 2.3 except ``<``/``>`` relates regions
+of one top-level tree, and ``σ_p`` and match points read a word index
+that is the shifted concatenation of the pieces' own postings (no word
+crosses the newline between two pieces).  So an answer is the
+concatenation of per-piece answers, each shifted by its piece's offset:
+the piece invariance of Bojańczyk et al. and the S-deletion argument of
+Thm 4.1.
+
+``<``/``>`` need one scalar from their global right operand, exactly as
+in :mod:`repro.shard.planner`, and are resolved by the same
+:func:`~repro.shard.planner.resolve_bounds` loop the backend frontier
+runs: here the right operand's extremes come from its per-piece answers
+(the max left of ``<`` from the last non-empty piece, the min right of
+``>`` from the first).  Each piece then evaluates the plan as
+:func:`~repro.shard.rewrite.rewrite` leaves it, with the bound
+translated into the piece's coordinates and clamped to its extent —
+``[0, len+1]`` for ``<``, ``[-1, len]`` for ``>``.  After clamping only
+the piece that holds the bound sees a value that moves when other
+pieces change.  A name absent from a piece is the empty set there.
+
+Each piece keeps its answers in an :class:`AnswerMemo`, keyed by plan
+text plus the piece's clamped bounds.  The memo belongs to the
+document (or, for the base, to the corpus), so it outlives a commit and
+dies with the document: after a commit a read computes answers only for
+the pieces that miss — the new and changed documents and the piece that
+holds an order bound.
+
+Misses are computed in whichever of two ways costs less by
+:attr:`PieceReader.RUN_OVERHEAD`: a program run per missing piece, or —
+when many pieces miss, as for a plan seen for the first time — one run
+over the assembled instance, whose answer is cut at the piece offsets
+into the missing pieces' memos.  The scan for an order bound gives up
+for one whole run the same way.  So however many pieces miss, a read
+runs programs worth about one run over the whole corpus per part; only
+its bookkeeping (keys, lookups, cuts) grows with the number of pieces.
+"""
+
+from __future__ import annotations
+
+import threading
+from bisect import bisect_left
+from dataclasses import dataclass
+from time import perf_counter
+from typing import TYPE_CHECKING, Any, Mapping
+
+from repro.algebra import ast as A
+from repro.algebra.evaluator import Evaluator, limits_for
+from repro.algebra.printer import to_text
+from repro.core.regionset import RegionSet
+from repro.shard.planner import ShardPlan, classify, resolve_bounds
+from repro.shard.rewrite import OrderBound, rewrite
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Sequence
+
+    from repro.algebra.evaluator import CancelToken
+    from repro.core.instance import Instance
+    from repro.vm.program import Program
+
+__all__ = ["AnswerMemo", "Piece", "PieceReader"]
+
+
+#: A memo entry (see :class:`AnswerMemo`): endpoint arrays, the run
+#: ``[lo, hi)`` of them that is the piece's answer, and its origin.
+_Entry = tuple[list[int], list[int], int, int, int]
+
+
+class AnswerMemo(dict):
+    """One piece's answers, keyed by plan text; the oldest entry leaves
+    first once :attr:`CAPACITY` are held.
+
+    An answer is kept as a run ``[lo, hi)`` of endpoint arrays with an
+    **origin**: its coordinates are the piece's own plus the origin.  A
+    program run on the piece alone gives the whole of its arrays and
+    origin 0.  A run over the whole corpus gives every missing piece the
+    part of its arrays inside that piece, with the piece's offset then
+    as origin, so nothing is copied: those arrays live while any piece
+    keeps such an entry.  Reads are plain ``dict`` lookups; writers take
+    the lock.
+    """
+
+    CAPACITY = 32
+
+    __slots__ = ("_lock",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def put(self, key: Any, entry: "_Entry") -> None:
+        with self._lock:
+            if key not in self and len(self) >= self.CAPACITY:
+                del self[next(iter(self))]
+            self[key] = entry
+
+
+class Piece:
+    """A run of whole top-level trees: its instance in its own
+    coordinates, where it starts in the assembled text, how many
+    characters it spans, and its answers."""
+
+    __slots__ = ("instance", "offset", "length", "memo")
+
+    def __init__(
+        self, instance: "Instance", offset: int, length: int, memo: AnswerMemo
+    ):
+        self.instance = instance
+        self.offset = offset
+        self.length = length
+        self.memo = memo
+
+
+@dataclass(frozen=True, slots=True)
+class _Part:
+    """A (sub-)plan a read answers on every piece: the whole plan, or
+    the right operand of one of its ``<``/``>`` nodes."""
+
+    expr: A.Expr
+    text: str
+    names: frozenset[str]
+    inner: tuple[A.Expr, ...]  #: its ``<``/``>`` nodes, in walk order
+    preceding: tuple[bool, ...]  #: per inner node: ``<`` rather than ``>``
+
+    @classmethod
+    def of(cls, expr: A.Expr) -> "_Part":
+        inner = tuple(
+            dict.fromkeys(
+                node
+                for node in A.walk(expr)
+                if isinstance(node, (A.Preceding, A.Following))
+            )
+        )
+        return cls(
+            expr,
+            to_text(expr),
+            A.region_names(expr),
+            inner,
+            tuple(isinstance(node, A.Preceding) for node in inner),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class _Shape:
+    """What a read needs of a plan beyond its tree, built once per text."""
+
+    plan: ShardPlan
+    whole: _Part
+    #: By ``<``/``>`` right operand: its part, and whether a ``<`` node
+    #: reads its max left and a ``>`` node its min right.
+    rights: dict[A.Expr, tuple[_Part, bool, bool]]
+
+
+def _clamp(value: int | None, preceding: bool, piece: Piece) -> int | None:
+    """A global bound in ``piece``'s coordinates, clamped to its extent."""
+    if value is None:
+        return None
+    local = value - piece.offset
+    if preceding:
+        return min(max(local, 0), piece.length + 1)
+    return min(max(local, -1), piece.length)
+
+
+def _without(expr: A.Expr, absent: set[str]) -> A.Expr:
+    """``expr`` with every name in ``absent`` replaced by ``∅``."""
+    if isinstance(expr, A.NameRef):
+        return A.Empty() if expr.name in absent else expr
+    if isinstance(expr, OrderBound):
+        return OrderBound(_without(expr.child, absent), expr.kind, expr.bound)
+    out = expr
+    for i, child in enumerate(A.children(expr)):
+        new = _without(child, absent)
+        if new is not child:
+            out = A.replace_child(out, i, new)
+    return out
+
+
+def _concatenate(pieces: "Sequence[Piece]", entries: list[_Entry]) -> RegionSet:
+    lefts: list[int] = []
+    rights: list[int] = []
+    for piece, (ls, rs, lo, hi, origin) in zip(pieces, entries):
+        if lo == hi:
+            continue
+        shift = piece.offset - origin
+        if not shift:
+            lefts += ls[lo:hi]
+            rights += rs[lo:hi]
+        else:
+            lefts += [left + shift for left in ls[lo:hi]]
+            rights += [right + shift for right in rs[lo:hi]]
+    return RegionSet._from_arrays(lefts, rights)
+
+
+#: The per-engine counts of :meth:`PieceReader.stats`.
+_COUNTS = ("reads", "lookups", "misses", "evaluated", "batched")
+
+
+class PieceReader:
+    """The read path of an engine over a live corpus: every answer is
+    the concatenation of per-piece answers, each from the piece's memo
+    or, on a miss, computed (see the module docstring).
+
+    Shapes — a plan's :func:`~repro.shard.planner.classify` and the
+    texts its memo keys are made of — are kept per plan text beside the
+    evaluator's programs and, like them, handed from one generation's
+    reader to the next (``previous``).
+    """
+
+    #: What one program run costs beyond its input, in characters of
+    #: text.  A read computes misses per piece while their lengths plus
+    #: this overhead each sum to no more than one run over the whole
+    #: corpus (generated plays on a 2-core x86 box: a run costs ~25 µs
+    #: plus 13-17 ns per character of its instance).
+    RUN_OVERHEAD = 2000
+
+    def __init__(
+        self,
+        pieces: "Sequence[Piece]",
+        assembled: "Instance",
+        evaluator: Evaluator,
+        previous: "PieceReader | None" = None,
+    ):
+        self.pieces = pieces
+        self.assembled = assembled
+        self.evaluator = evaluator
+        #: Characters from the start of the first piece to the end of the last.
+        self.extent = pieces[-1].offset + pieces[-1].length if pieces else 0
+        if previous is not None:
+            self._shapes = previous._shapes
+            self._shapes_lock = previous._shapes_lock
+        else:
+            self._shapes: dict[str, _Shape] = {}
+            self._shapes_lock = threading.Lock()
+        self._counts = dict.fromkeys(_COUNTS, 0)
+        self._counts_lock = threading.Lock()
+
+    def stats(self) -> dict[str, int]:
+        """``pieces``; summed over answered reads: ``lookups`` of a
+        piece's answer, the ``misses`` among them, the pieces whose memo
+        received a computed answer (``evaluated``), and the reads that
+        ran a plan over the whole corpus (``batched``)."""
+        with self._counts_lock:
+            return {"pieces": len(self.pieces), **self._counts}
+
+    def evaluate(
+        self,
+        expr: A.Expr,
+        deadline: float | None = None,
+        cancel: "CancelToken | None" = None,
+    ) -> RegionSet:
+        """``expr`` over the whole corpus (see the module docstring)."""
+        started = perf_counter()
+        read = _Read(self, limits_for(deadline, cancel))
+        shape = self._shape(expr)
+        bounds = (
+            resolve_bounds(shape.plan, read.extremes_for(shape))
+            if shape.plan.boundary
+            else {}
+        )
+        result = read.answer(shape.whole, bounds)
+        with self._counts_lock:
+            counts = self._counts
+            counts["reads"] += 1
+            counts["lookups"] += read.lookups
+            counts["misses"] += read.misses
+            counts["evaluated"] += len(read.computed)
+            counts["batched"] += read.batched
+        self.evaluator.account(read.programs, perf_counter() - started)
+        return result
+
+    def _shape(self, expr: A.Expr) -> _Shape:
+        text = to_text(expr)
+        shape = self._shapes.get(text)
+        if shape is None:
+            plan = classify(expr)
+            rights: dict[A.Expr, tuple[_Part, bool, bool]] = {}
+            for b in plan.boundary:
+                right = b.node.right
+                part, last, first = rights.get(right) or (_Part.of(right), False, False)
+                if isinstance(b.node, A.Preceding):
+                    last = True
+                else:
+                    first = True
+                rights[right] = (part, last, first)
+            shape = _Shape(plan, _Part.of(expr), rights)
+            with self._shapes_lock:
+                shapes = self._shapes
+                if len(shapes) >= Evaluator.PROGRAM_CACHE_CAPACITY:
+                    del shapes[next(iter(shapes))]
+                shapes[text] = shape
+        return shape
+
+
+class _Read:
+    """One query's run over the pieces: its limits, checked once per
+    instruction across every run, the programs it ran and what it
+    found in the memos."""
+
+    __slots__ = (
+        "reader", "limits", "programs", "computed", "lookups", "misses", "batched"
+    )
+
+    def __init__(self, reader: PieceReader, limits: Any):
+        self.reader = reader
+        self.limits = limits
+        self.programs: list[Program] = []
+        self.computed: set[int] = set()  #: indexes of pieces
+        self.lookups = 0
+        self.misses = 0
+        self.batched = False
+
+    def extremes_for(self, shape: _Shape):
+        """The extremes callback of :func:`resolve_bounds`: of each right
+        operand, only the extreme some ``<`` (max left) or ``>`` (min
+        right) node reads."""
+
+        def extremes(rights, bounds):
+            found = []
+            for right in rights:
+                part, last, first = shape.rights[right]
+                found.append(
+                    (
+                        self.extreme(part, bounds, True) if last else None,
+                        self.extreme(part, bounds, False) if first else None,
+                    )
+                )
+            return found
+
+        return extremes
+
+    def extreme(
+        self, part: _Part, bounds: Mapping[A.Expr, int | None], last: bool
+    ) -> int | None:
+        """``part``'s max left (``last``) or min right over the corpus,
+        read off the non-empty piece nearest that end; one run over the
+        whole corpus once the misses on the way would cost more."""
+        reader = self.reader
+        pieces = reader.pieces
+        values = tuple(bounds[node] for node in part.inner)
+        order = range(len(pieces) - 1, -1, -1) if last else range(len(pieces))
+        spent, overhead = 0, reader.RUN_OVERHEAD
+        for i in order:
+            piece = pieces[i]
+            key = _key(part, values, piece)
+            entry = piece.memo.get(key)
+            self.lookups += 1
+            if entry is None:
+                self.misses += 1
+                spent += piece.length + overhead
+                if spent > reader.extent + overhead:
+                    whole = self.whole(part, values)
+                    if not whole._lefts:
+                        return None
+                    return whole._lefts[-1] if last else min(whole._rights)
+                entry = self.compute(part, values, piece, i, key)
+            ls, rs, lo, hi, origin = entry
+            if lo < hi:
+                shift = piece.offset - origin
+                return ls[hi - 1] + shift if last else min(rs[lo:hi]) + shift
+        return None
+
+    def answer(
+        self, part: _Part, bounds: Mapping[A.Expr, int | None]
+    ) -> RegionSet:
+        """``part`` over the corpus: every piece's memo entry, the misses
+        computed per piece or, when that would cost more, in one run over
+        the whole corpus that is then cut into the missing pieces' memos."""
+        reader = self.reader
+        pieces = reader.pieces
+        values = tuple(bounds[node] for node in part.inner)
+        keys = _keys(part, values, pieces)
+        got = [piece.memo.get(key) for piece, key in zip(pieces, keys)]
+        missing = [i for i, entry in enumerate(got) if entry is None]
+        self.lookups += len(pieces)
+        self.misses += len(missing)
+        if not missing:
+            return _concatenate(pieces, got)
+        overhead = reader.RUN_OVERHEAD
+        spent = sum(pieces[i].length + overhead for i in missing)
+        if spent <= reader.extent + overhead:
+            for i in missing:
+                got[i] = self.compute(part, values, pieces[i], i, keys[i])
+            return _concatenate(pieces, got)
+        whole = self.whole(part, values)
+        lefts, rights = whole._lefts, whole._rights
+        for i in missing:
+            piece = pieces[i]
+            offset = piece.offset
+            lo = bisect_left(lefts, offset)
+            hi = bisect_left(lefts, offset + piece.length, lo)
+            piece.memo.put(keys[i], (lefts, rights, lo, hi, offset))
+        self.computed.update(missing)
+        return whole
+
+    def compute(
+        self, part: _Part, values: tuple, piece: Piece, index: int, key: Any
+    ) -> _Entry:
+        """``part`` run on ``piece`` alone, into its memo."""
+        local = key[1:] if values else ()
+        absent = part.names.difference(piece.instance.names)
+        expr = part.expr
+        if local or absent:
+            # A form of this piece alone, compiled for this one run so
+            # per-piece bounds never crowd the program cache.
+            if local:
+                expr = rewrite(expr, dict(zip(part.inner, local)), {})
+            if absent:
+                expr = _without(expr, absent)
+            program = self.reader.evaluator.compile_uncached(expr)
+        else:
+            program = self.reader.evaluator.compiled_program(expr)[0]
+        answer = self.run(program, piece.instance)
+        entry = (answer._lefts, answer._rights, 0, len(answer), 0)
+        piece.memo.put(key, entry)
+        self.computed.add(index)
+        return entry
+
+    def whole(self, part: _Part, values: tuple) -> RegionSet:
+        """``part`` run over the whole corpus, under the global bounds."""
+        self.batched = True
+        evaluator = self.reader.evaluator
+        if values:
+            expr = rewrite(part.expr, dict(zip(part.inner, values)), {})
+            program = evaluator.compile_uncached(expr)
+        else:
+            program = evaluator.compiled_program(part.expr)[0]
+        return self.run(program, self.reader.assembled)
+
+    def run(self, program: "Program", instance: "Instance") -> RegionSet:
+        self.programs.append(program)
+        return self.reader.evaluator.run(program, instance, self.limits)
+
+
+def _key(part: _Part, values: tuple, piece: Piece) -> Any:
+    """``part``'s memo key on ``piece``: its text, then the piece's
+    clamped bounds, if any."""
+    if not values:
+        return part.text
+    return (
+        part.text,
+        *[_clamp(v, p, piece) for v, p in zip(values, part.preceding)],
+    )
+
+
+def _keys(part: _Part, values: tuple, pieces: "Sequence[Piece]") -> list[Any]:
+    """:func:`_key` on every piece, the one-bound case inlined."""
+    text = part.text
+    if not values:
+        return [text] * len(pieces)
+    if len(values) > 1:
+        return [_key(part, values, piece) for piece in pieces]
+    (value,) = values
+    if value is None:
+        return [(text, None)] * len(pieces)
+    if part.preceding[0]:
+        return [
+            (text, min(max(value - p.offset, 0), p.length + 1)) for p in pieces
+        ]
+    return [(text, min(max(value - p.offset, -1), p.length)) for p in pieces]

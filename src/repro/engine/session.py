@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.algebra import ast as A
 from repro.algebra.cost import CostModel
@@ -56,6 +56,10 @@ from repro.obs.querylog import QueryLog, QueryRecord
 from repro.obs.trace import Tracer, maybe_span
 from repro.optimize.optimizer import optimize
 from repro.rig.graph import RegionInclusionGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.pieces import PieceReader
+    from repro.ingest.live import LiveCorpus
 
 __all__ = ["Engine", "QueryPlan"]
 
@@ -114,6 +118,7 @@ class Engine:
         )
         self._views: dict[str, A.Expr] = {}
         self._cost_model: CostModel | None = None
+        self._reader: "PieceReader | None" = None
         self._shard_executor = None
         if shards is not None:
             from repro.shard import ShardExecutor
@@ -199,6 +204,36 @@ class Engine:
         engine._observe_index_build("load", perf_counter() - started)
         return engine
 
+    @classmethod
+    def from_live(
+        cls,
+        live: "LiveCorpus",
+        rig: RegionInclusionGraph | None = None,
+        telemetry: Telemetry | None = None,
+        previous: "Engine | None" = None,
+    ) -> "Engine":
+        """An engine over a live corpus's current generation.
+
+        Every :meth:`query` answers piece by piece from the corpus's
+        :attr:`~repro.ingest.live.LiveCorpus.pieces` (see
+        :mod:`repro.engine.pieces`); the assembled instance serves
+        ``explain``, statistics and navigation, and computes a read's
+        misses in one run when many pieces miss.  ``previous`` is the
+        engine of the generation before: its compiled programs and plan
+        shapes carry over, since they only name region sets.
+        """
+        from repro.engine.pieces import PieceReader
+
+        engine = cls(live.instance, rig=rig, telemetry=telemetry)
+        handed = None
+        if previous is not None:
+            engine._evaluator.adopt_programs(previous._evaluator)
+            handed = previous._reader
+        engine._reader = PieceReader(
+            live.pieces, live.instance, engine._evaluator, handed
+        )
+        return engine
+
     def _observe_index_build(self, kind: str, seconds: float) -> None:
         self._telemetry.metrics.histogram(INDEX_BUILD_SECONDS).observe(
             seconds, kind=kind
@@ -245,6 +280,8 @@ class Engine:
         }
         if self._shard_executor is not None:
             stats["shards"] = self._shard_executor.partition.summary()
+        if self._reader is not None:
+            stats["pieces"] = self._reader.stats()
         return stats
 
     def close(self) -> None:
@@ -310,7 +347,14 @@ class Engine:
             executed = plan.optimized if plan is not None else expr
             if root is not None:
                 root.set("text", to_text(expr))
-            if self._shard_executor is not None:
+            if self._reader is not None:
+                with maybe_span(
+                    tracer, "pieces", pieces=len(self._reader.pieces)
+                ):
+                    result = self._reader.evaluate(
+                        executed, deadline=deadline, cancel=cancel
+                    )
+            elif self._shard_executor is not None:
                 result = self._shard_executor.run(
                     executed, deadline=deadline, cancel=cancel
                 )

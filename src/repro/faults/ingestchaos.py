@@ -43,6 +43,16 @@ from repro.ingest import LiveCorpus
 
 __all__ = ["IngestChaosConfig", "IngestChaosReport", "run_ingest_chaos"]
 
+#: Added to the play mix: an order template whose bound lies in whichever
+#: ingested document last says "prophecy" (the write mix's vocabulary),
+#: and a bare match-point query, so both per-piece paths — clamped order
+#: bounds and piece-local word postings — serve under WAL faults and
+#: across the restart.
+CHAOS_EXTRA_QUERIES: dict[str, str] = {
+    "speeches_before_prophecy": 'speech before (line @ "prophecy")',
+    "prophecy_points": '"prophecy"',
+}
+
 
 @dataclass(frozen=True)
 class IngestChaosConfig:
@@ -347,7 +357,7 @@ def run_ingest_chaos(
             return run_load(
                 "127.0.0.1",
                 port,
-                PLAY_QUERIES,
+                {**PLAY_QUERIES, **CHAOS_EXTRA_QUERIES},
                 corpus="chaos",
                 qps=config.qps,
                 duration=seconds,

@@ -28,6 +28,14 @@ of pure appends extends the current assembled instance by its new
 documents; a batch with a delete or update moves every later document,
 so it extends the untouched *base* by every surviving document.
 
+The same placement defines the corpus's **pieces**
+(:attr:`LiveCorpus.pieces`): the base, then each surviving document with
+its local instance and offset.  :meth:`LiveCorpus._assemble` consumes
+that list, and an engine over the corpus answers from it piece by piece
+(:mod:`repro.engine.pieces`), keeping each piece's answers in a memo
+that lives on the document — or on the corpus, for the base — and so
+outlives every commit the document survives.
+
 Compaction (:meth:`LiveCorpus.compact`) merges all segments into one
 and physically drops tombstoned entries.  Because survivors keep their
 order, the assembled layout — and therefore every query result — is
@@ -44,6 +52,7 @@ from typing import Any
 from repro.core.instance import Instance
 from repro.core.wordindex import TextWordIndex
 from repro.engine.corpus import DOCUMENT_REGION_NAME
+from repro.engine.pieces import AnswerMemo, Piece
 from repro.errors import (
     DuplicateDocumentError,
     IngestError,
@@ -58,9 +67,9 @@ INGEST_OP_KINDS = ("append", "update", "delete")
 
 class _Doc:
     """One ingested document: raw text plus its parse, an instance in
-    the document's own coordinates."""
+    the document's own coordinates, and the answers read off it."""
 
-    __slots__ = ("doc_id", "text", "wrapped_len", "instance", "deleted")
+    __slots__ = ("doc_id", "text", "wrapped_len", "instance", "memo", "deleted")
 
     def __init__(self, doc_id: str, text: str):
         from repro.engine.tagged import parse_tagged_text
@@ -74,10 +83,19 @@ class _Doc:
         self.instance = Instance.from_columns(
             parsed.names, *parsed.columns(), parsed.word_index
         )
+        self.memo = AnswerMemo()
         self.deleted = False
 
     def wrapped(self) -> str:
         return f"<{DOCUMENT_REGION_NAME}>\n{self.text}\n</{DOCUMENT_REGION_NAME}>"
+
+    def retire(self) -> None:
+        """Make this entry a tombstone: its parse and its answers go
+        with it (engines of older generations keep theirs until they
+        are dropped); the id and text stay until compaction."""
+        self.deleted = True
+        self.instance = None
+        self.memo = None
 
 
 @dataclass
@@ -138,6 +156,14 @@ class LiveCorpus:
         self._tombstones = 0
         self._assembled = self._base
         self._end = self._base_end
+        #: The base piece alone (none without a base): every later
+        #: placement starts from it.
+        self._base_pieces: list[Piece] = []
+        if self._base_end is not None:
+            self._base_pieces.append(
+                Piece(self._base, 0, self._base_end, AnswerMemo())
+            )
+        self._pieces = self._base_pieces
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -147,6 +173,12 @@ class LiveCorpus:
     def instance(self) -> Instance:
         """The current assembled instance (the base when unmutated)."""
         return self._assembled
+
+    @property
+    def pieces(self) -> tuple[Piece, ...]:
+        """The assembled instance as pieces: the base, then every
+        surviving document, in order."""
+        return tuple(self._pieces)
 
     @property
     def document_count(self) -> int:
@@ -271,8 +303,7 @@ class LiveCorpus:
         for op in prepared.ops:
             kind, doc_id = op["op"], op["id"]
             if kind in ("update", "delete"):
-                old = self._index.pop(doc_id)
-                old.deleted = True
+                self._index.pop(doc_id).retire()
                 self._tombstones += 1
             if kind in ("append", "update"):
                 doc = prepared.docs[doc_id]
@@ -281,13 +312,14 @@ class LiveCorpus:
         if new_segment.docs:
             self._segments.append(new_segment)
         if prepared.appends_only:
-            self._assembled = self._assemble(
-                self._assembled, self._end, new_segment.docs
-            )
+            prefix, kept, end = self._assembled, self._pieces, self._end
+            docs = new_segment.docs
         else:
-            self._assembled = self._assemble(
-                self._base, self._base_end, self._survivors()
-            )
+            prefix, kept, end = self._base, self._base_pieces, self._base_end
+            docs = self._survivors()
+        placed = self._place(docs, end)
+        self._pieces = kept + placed
+        self._assembled = self._assemble(prefix, placed)
         # The new columns are large young lists that no commit garbage
         # has pushed out of the young generations: collect them into the
         # old one here, once, instead of in the next reads' collections.
@@ -311,19 +343,22 @@ class LiveCorpus:
             if not doc.deleted
         ]
 
-    def _assemble(
-        self, prefix: Instance, end: int | None, docs: list[_Doc]
-    ) -> Instance:
-        """``prefix`` — the instance of a text ``end`` characters long
-        (``None``: no text at all) — followed by ``docs``, each after a
-        newline whenever any text precedes it."""
+    def _place(self, docs: list[_Doc], end: int | None) -> list[Piece]:
+        """``docs`` as pieces placed after a text ``end`` characters long
+        (``None``: no text at all), each after a newline whenever any
+        text precedes it."""
         pieces = []
         for doc in docs:
             offset = 0 if end is None else end + 1
-            pieces.append((doc.instance, offset))
+            pieces.append(Piece(doc.instance, offset, doc.wrapped_len, doc.memo))
             end = offset + doc.wrapped_len
         self._end = end
-        return prefix.appended(pieces)
+        return pieces
+
+    @staticmethod
+    def _assemble(prefix: Instance, pieces: list[Piece]) -> Instance:
+        """``prefix`` followed by ``pieces``, each at its offset."""
+        return prefix.appended([(piece.instance, piece.offset) for piece in pieces])
 
     # ------------------------------------------------------------------
     # Compaction and checkpointing.

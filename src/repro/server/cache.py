@@ -8,9 +8,10 @@ key captures *which version* of the corpus answered — hence the
 reloaded, plus eager invalidation so stale entries do not pin memory
 until they age out.
 
-Values are whatever the service stores (immutable ``RegionSet`` results
-and their metadata); the cache itself never copies them, which is safe
-because region sets are immutable by construction.
+Values are whatever the service stores: reply dicts, JSON-ready, whose
+``regions`` is a list of ``(left, right)`` tuples.  The cache itself
+never copies them; the service hands out a fresh top-level dict per hit
+and nothing mutates the pairs.
 """
 
 from __future__ import annotations

@@ -130,7 +130,9 @@ class ServerConfig:
         Per-corpus shard count for sharded scatter-gather evaluation
         (``docs/internals.md``); 1 (the default) keeps the plain
         single-shard evaluator.  A :class:`CorpusSpec` may override it
-        per corpus via its own ``shards`` field.
+        per corpus via its own ``shards`` field.  It does not apply to
+        a corpus that takes writes (``ingest_enabled`` and a text-backed
+        index): that corpus answers per piece in every generation.
 
     Tracing knobs (``docs/observability.md``), active when ``tracing``:
 

@@ -267,8 +267,9 @@ class _CorpusHandle:
             "nesting_depth": stats["nesting_depth"],
             "breaker": self.breaker.snapshot(),
         }
-        if "shards" in stats:
-            info["shards"] = stats["shards"]
+        for key in ("shards", "pieces"):
+            if key in stats:
+                info[key] = stats[key]
         return info
 
 
@@ -738,7 +739,7 @@ class QueryService:
     def _replica_install(
         self, handle: _CorpusHandle, replica: _ReplicaState, generation: int
     ) -> int:
-        engine = self._engine_from_live(handle.spec, replica)
+        engine = self._engine_from_live(replica, handle.engine)
         return handle.install(engine, generation=generation)
 
     def replicate_apply(
@@ -915,8 +916,8 @@ class QueryService:
     ) -> tuple[Engine, _IngestState | None]:
         """Attach the write path to a freshly loaded corpus: open its
         WAL, fold in the checkpoint snapshot, re-apply every committed
-        batch past the watermark, and — when anything was recovered —
-        rebuild the serving engine over the assembled instance.
+        batch past the watermark, and serve the result
+        (:meth:`_writable_engine`).
 
         A corpus whose word index is not text-backed stays read-only
         (``None`` state; writes get :class:`IngestDisabledError`).
@@ -944,20 +945,46 @@ class QueryService:
         state = _IngestState(
             live, wal, rig=engine.rig, replayed_batches=replayed
         )
-        if live.document_count or live.tombstone_count:
-            engine = self._engine_from_live(spec, state)
+        engine = self._writable_engine(spec, state, engine, engine)
         self._sync_ingest_gauges(spec.name, state)
         return engine, state
 
-    def _engine_from_live(
-        self, spec: CorpusSpec, state: "_IngestState | _ReplicaState"
+    def _writable_engine(
+        self,
+        spec: CorpusSpec,
+        state: _IngestState,
+        loaded: Engine,
+        previous: Engine,
     ) -> Engine:
-        """A serving engine over the current assembled instance."""
-        return Engine(
-            state.live.instance,
-            rig=state.rig,
-            telemetry=self.telemetry,
-            shards=self._shards_for(spec),
+        """What a corpus that takes writes serves over a freshly loaded
+        base: the per-piece engine once it holds writes, else the base.
+        Never a sharded one: the corpus's pieces are its partition, and a
+        partition of the base alone would last only until the first
+        commit."""
+        if state.live.document_count or state.live.tombstone_count:
+            engine = self._engine_from_live(state, previous)
+        elif self._shards_for(spec) is not None:
+            engine = Engine(
+                loaded.instance,
+                text=loaded.text,
+                rig=loaded.rig,
+                telemetry=self.telemetry,
+            )
+        else:
+            return loaded
+        loaded.close()
+        return engine
+
+    def _engine_from_live(
+        self, state: "_IngestState | _ReplicaState", previous: Engine
+    ) -> Engine:
+        """A serving engine over the live corpus's current generation.
+
+        It answers per piece (:meth:`Engine.from_live`): the pieces are
+        the corpus's partition, so no shard executor is built.
+        ``previous`` hands over its compiled programs and plan shapes."""
+        return Engine.from_live(
+            state.live, rig=state.rig, telemetry=self.telemetry, previous=previous
         )
 
     def _ingest_state(self, name: str) -> _IngestState:
@@ -1024,7 +1051,7 @@ class QueryService:
                     self._ingest_batches.inc(outcome="wal_failed")
                     raise
                 state.live.commit(prepared)
-                engine = self._engine_from_live(handle.spec, state)
+                engine = self._engine_from_live(state, handle.engine)
                 generation = handle.install(engine)
                 state.batches += 1
                 shipped = None
@@ -1189,8 +1216,9 @@ class QueryService:
                     )
                 state.live = rebased
                 state.rig = engine.rig
-                if survivors:
-                    engine = self._engine_from_live(handle.spec, state)
+                engine = self._writable_engine(
+                    handle.spec, state, engine, handle.engine
+                )
                 generation = handle.install(engine)
             self._sync_ingest_gauges(handle.spec.name, state)
         else:

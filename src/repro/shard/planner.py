@@ -34,16 +34,22 @@ and schedules its exchange into **rounds**: a node can be resolved only
 after every ordering node inside its *right* operand has been, because
 the scalar is extracted from the right operand's per-shard results.
 Round ``r`` nodes depend only on rounds ``< r``, so the executor runs
-one scatter/gather of scalars per round.
+one scatter/gather of scalars per round; :func:`resolve_bounds` is that
+loop, shared by the backend frontier (one scatter per round) and a live
+corpus's per-piece reader (:mod:`repro.engine.pieces`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 from repro.algebra import ast as A
 
-__all__ = ["BoundaryNode", "ShardPlan", "classify"]
+__all__ = ["BoundaryNode", "ShardPlan", "classify", "fold_extremes", "resolve_bounds"]
+
+#: ``(max left, min right)`` of a region set; ``(None, None)`` when empty.
+Extremes = tuple["int | None", "int | None"]
 
 
 @dataclass(frozen=True)
@@ -110,3 +116,41 @@ def classify(expr: A.Expr) -> ShardPlan:
         )
     )
     return ShardPlan(expr, boundary, tuple(dict.fromkeys(patterns)))
+
+
+def fold_extremes(parts: Iterable[Extremes]) -> Extremes:
+    """The extremes of a union from its parts' extremes."""
+    max_left = min_right = None
+    for left, right in parts:
+        if left is not None and (max_left is None or left > max_left):
+            max_left = left
+        if right is not None and (min_right is None or right < min_right):
+            min_right = right
+    return max_left, min_right
+
+
+def resolve_bounds(
+    plan: ShardPlan,
+    extremes: Callable[
+        [list[A.Expr], Mapping[A.Expr, "int | None"]], list[Extremes]
+    ],
+) -> dict[A.Expr, "int | None"]:
+    """The global scalar of every ``<``/``>`` node of ``plan``.
+
+    Round by round, ``extremes(rights, bounds)`` answers the round's
+    distinct right operands, each under the scalars ``bounds`` resolved
+    in earlier rounds, with its global extremes.  A ``<`` node takes the
+    max left of its right operand, a ``>`` node the min right; ``None``
+    means the right operand was empty everywhere.
+    """
+    bounds: dict[A.Expr, int | None] = {}
+    for round_no in range(1, plan.rounds + 1):
+        nodes = plan.nodes_in_round(round_no)
+        rights = list(dict.fromkeys(b.node.right for b in nodes))
+        found = dict(zip(rights, extremes(rights, bounds)))
+        for b in nodes:
+            max_left, min_right = found[b.node.right]
+            bounds[b.node] = (
+                max_left if isinstance(b.node, A.Preceding) else min_right
+            )
+    return bounds

@@ -93,16 +93,21 @@ def expressions(
     max_depth: int = 3,
     extended: bool = True,
     depth: int = 0,
+    match_points: bool = False,
 ):
     """Random expression trees over the given names and patterns.
 
-    With ``extended`` the direct operators and ``bi`` may appear.  Used
-    for grand-consistency properties (indexed ≡ naive evaluation,
+    With ``extended`` the direct operators and ``bi`` may appear.  With
+    ``match_points`` (and ``patterns``) a leaf may be a word query — the
+    match points of a pattern, which need a text-backed word index.
+    Used for grand-consistency properties (indexed ≡ naive evaluation,
     parse/print round trips) over the *whole* operator surface.
     """
     from repro.algebra import ast as A
 
     if depth >= max_depth or draw(st.booleans()) and depth > 0:
+        if match_points and patterns and draw(st.integers(0, 3)) == 0:
+            return A.MatchPoints(draw(st.sampled_from(patterns)))
         return A.NameRef(draw(st.sampled_from(names)))
     binary_ops = [
         A.Union,
@@ -124,6 +129,7 @@ def expressions(
             max_depth=max_depth,
             extended=extended,
             depth=depth + 1,
+            match_points=match_points,
         )
     )
     if pick < len(binary_ops):

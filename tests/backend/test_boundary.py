@@ -146,7 +146,7 @@ class TestWireDecode:
 
     def test_float_and_str_endpoints_are_coerced(self):
         rows = [[1.0, "4"], ["6", 9.7]]
-        assert self.decode(rows).pairs() == [[1, 4], [6, 9]]
+        assert self.decode(rows).pairs() == [(1, 4), (6, 9)]
 
     def test_left_after_right_is_rejected(self):
         with pytest.raises(InvalidRegionError):
@@ -167,7 +167,7 @@ class TestWireDecode:
         assert list(map(tuple, result.pairs())) == sorted(set(map(tuple, rows)))
 
     def test_canonical_rows_pass_through(self):
-        assert self.decode([[0, 9], [1, 4], [6, 8]]).pairs() == [[0, 9], [1, 4], [6, 8]]
+        assert self.decode([[0, 9], [1, 4], [6, 8]]).pairs() == [(0, 9), (1, 4), (6, 8)]
 
 
 class TestInProcessBoundary:

@@ -37,7 +37,7 @@ def service():
 
 def _expected(service):
     engine = service._handle("play").engine
-    return [[r.left, r.right] for r in engine.query(QUERY)]
+    return [(r.left, r.right) for r in engine.query(QUERY)]
 
 
 def test_kill_failover_respawn_recovery(service):

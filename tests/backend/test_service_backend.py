@@ -35,7 +35,7 @@ class TestBackendQueryPath:
             'speech containing (speaker @ "ROMEO")',
             'bi(scene, speaker @ "ROMEO", speaker @ "JULIET")',
         ):
-            expected = [[r.left, r.right] for r in engine.query(query)]
+            expected = [(r.left, r.right) for r in engine.query(query)]
             response = service.execute(query, use_cache=False)
             assert response["regions"] == expected
 
@@ -65,7 +65,7 @@ class TestBackendQueryPath:
         finally:
             victim.backend.fail_requests = 0
         expected = [
-            [r.left, r.right] for r in engine.query("speech dwithin scene")
+            (r.left, r.right) for r in engine.query("speech dwithin scene")
         ]
         assert response["regions"] == expected
         assert response["backend"]["degraded"] is False
@@ -93,7 +93,7 @@ class TestDegradedFallback:
                 node.backend.fail_requests = 1000
             response = svc.execute("speech dwithin scene", use_cache=False)
             expected = [
-                [r.left, r.right] for r in engine.query("speech dwithin scene")
+                (r.left, r.right) for r in engine.query("speech dwithin scene")
             ]
             assert response["regions"] == expected
             backend = response["backend"]

@@ -195,7 +195,7 @@ class TestLayers:
 
     def test_pairs_reads_the_arrays(self):
         rs = RegionSet.of((0, 10), (2, 5)).union(RegionSet.of((7, 9)))
-        assert rs.pairs() == [[0, 10], [2, 5], [7, 9]]
+        assert rs.pairs() == [(0, 10), (2, 5), (7, 9)]
         assert rs._regions is None  # no object view was built
         assert RegionSet.empty().pairs() == []
 

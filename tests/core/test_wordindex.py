@@ -93,7 +93,7 @@ class TestMatchPointSets:
         # Hand-built tokens may coincide; a set has each region once.
         index = TextWordIndex([("ab", 5, 6), ("ac", 0, 1), ("ad", 5, 6), ("ab", 9, 9)])
         points = index.match_points("a*")
-        assert points.pairs() == [[0, 1], [5, 6], [9, 9]]
+        assert points.pairs() == [(0, 1), (5, 6), (9, 9)]
         assert index.match_points("a*") is points  # memoized
 
     def test_select_is_the_per_region_predicate_set_at_a_time(self, index):
@@ -108,13 +108,13 @@ class TestMatchPointSets:
         piece = TextWordIndex.from_text("cat dog")  # local: cat [0,2], dog [4,6]
         grown = index.extended([(piece, 40), (TextWordIndex.from_text("cat"), 50)])
         assert grown._postings["the"] is index._postings["the"]
-        assert grown.match_points("cat").pairs() == [[4, 6], [40, 42], [50, 52]]
-        assert grown.match_points("c*").pairs() == before + [[40, 42], [50, 52]]
-        assert grown.match_points("dog").pairs() == [[44, 46]]
+        assert grown.match_points("cat").pairs() == [(4, 6), (40, 42), (50, 52)]
+        assert grown.match_points("c*").pairs() == before + [(40, 42), (50, 52)]
+        assert grown.match_points("dog").pairs() == [(44, 46)]
         assert grown.vocabulary == sorted(index.vocabulary + ["dog"])
         assert grown.matches(Region(39, 43), "cat")
         # The old generation is untouched (snapshot isolation).
-        assert index.match_points("cat").pairs() == [[4, 6]]
+        assert index.match_points("cat").pairs() == [(4, 6)]
         assert index.match_points("c*").pairs() == before
         assert index.match_points("dog") == RegionSet.empty()
         assert index.extended([]) is index

@@ -93,6 +93,74 @@ class TestIngestCommit:
         assert info["corpora"]["play"]["batches"] == 1
 
 
+class TestLiveEngine:
+    def test_the_program_cache_survives_a_commit(self, service):
+        query = "line within (speech within scene)"
+        service.execute(query, use_cache=False)
+        expr = service._handle("play").engine.prepare(query)
+        service.ingest("play", [_append("a", "prophecy")])
+        assert service._handle("play").engine._evaluator.program_cached(expr)
+        service.ingest("play", [{"op": "delete", "id": "a"}])
+        explained = service.execute(query, explain_only=True)
+        assert explained["program_cache_hit"] is True
+
+    def test_reads_answer_per_piece_and_match_the_assembled_corpus(self, service):
+        from repro.algebra.evaluator import Evaluator
+
+        service.ingest("play", [_append("a", "prophecy"), _append("b", "dagger")])
+        service.ingest(
+            "play",
+            [{"op": "update", "id": "a", "text": _doc("storm")}, _append("c", "x")],
+        )
+        engine = service._handle("play").engine
+        assert engine.statistics()["pieces"]["pieces"] == 4  # base + 3
+        for query in (
+            "speech before (line @ \"storm\")",
+            "line after scene",
+            '"midnight"',
+            "speech dwithin scene",
+        ):
+            response = service.execute(query, use_cache=False)
+            expected = Evaluator().evaluate(query, engine.instance)
+            assert response["regions"] == expected.pairs(), query
+        assert engine.statistics()["pieces"]["reads"] == 4
+
+
+class TestShardsOnAWritableCorpus:
+    def test_it_is_never_sharded(self, tmp_path):
+        from repro.algebra.evaluator import Evaluator
+
+        service = QueryService(_config(tmp_path, shards=2))
+        try:
+            query = "speech before (line @ \"midnight\")"
+            for step in range(3):
+                engine = service._handle("play").engine
+                stats = engine.statistics()
+                (info,) = service.corpora_info()
+                assert "shards" not in stats and "shards" not in info
+                # The loaded base answers as a plain engine; from the
+                # first commit on, every generation answers per piece.
+                pieces = stats.get("pieces", {}).get("pieces")
+                assert pieces == (step + 1 if step else None)
+                assert info.get("pieces", {}).get("pieces") == pieces
+                response = service.execute(query, use_cache=False)
+                expected = Evaluator().evaluate(query, engine.instance)
+                assert response["regions"] == expected.pairs()
+                if step < 2:
+                    service.ingest("play", [_append(f"d{step}", "storm")])
+            service.reload_corpus("play")
+            assert "pieces" in service._handle("play").engine.statistics()
+        finally:
+            service.close()
+
+    def test_a_read_only_corpus_keeps_its_shards(self, tmp_path):
+        service = QueryService(_config(tmp_path, shards=2, ingest_enabled=False))
+        try:
+            assert "shards" in service._handle("play").engine.statistics()
+        finally:
+            service.close()
+
+
 class TestIngestDisabled:
     def test_writes_rejected_when_globally_disabled(self, tmp_path):
         service = QueryService(

@@ -45,7 +45,7 @@ class TestExecute:
     def test_matches_direct_engine_answer(self, service):
         engine = service._handle("play").engine
         expected = [
-            [r.left, r.right] for r in engine.query("speech dwithin scene")
+            (r.left, r.right) for r in engine.query("speech dwithin scene")
         ]
         response = service.execute("speech dwithin scene", use_cache=False)
         assert response["regions"] == expected
@@ -189,7 +189,7 @@ class TestParallelQueries:
         ]
         engine = service._handle("play").engine
         expected = {
-            q: [[r.left, r.right] for r in engine.query(q)] for q in queries
+            q: [(r.left, r.right) for r in engine.query(q)] for q in queries
         }
         results: dict[int, list] = {}
         errors: list[Exception] = []

@@ -153,7 +153,7 @@ class TestService:
             "speech containing speaker", corpus="plays", use_cache=False
         )
         expected = [
-            [r.left, r.right]
+            (r.left, r.right)
             for r in plain.query("speech containing speaker")
         ]
         assert response["regions"] == expected

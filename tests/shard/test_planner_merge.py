@@ -1,5 +1,5 @@
-"""Operator classification into exchange rounds, the k-way merge, and
-the hash of a routed plan."""
+"""Operator classification into exchange rounds, bound resolution, the
+k-way merge, and the hash of a routed plan."""
 
 import random
 
@@ -8,7 +8,7 @@ from repro.algebra.evaluator import Evaluator
 from repro.algebra.parser import parse
 from repro.core.regionset import RegionSet
 from repro.shard.merge import merge_region_sets
-from repro.shard.planner import classify
+from repro.shard.planner import classify, fold_extremes, resolve_bounds
 from repro.shard.rewrite import rewrite
 from repro.workloads.generators import random_text_instance
 
@@ -64,6 +64,48 @@ class TestClassify:
         assert plan.patterns == ("alpha",)
         assert not plan.boundary
         assert not plan.local
+
+
+class TestResolveBounds:
+    def test_fold_extremes_skips_empty_parts(self):
+        assert fold_extremes([(3, 9), (None, None), (7, 8)]) == (7, 8)
+        assert fold_extremes([(None, None)]) == (None, None)
+        assert fold_extremes([]) == (None, None)
+
+    def test_rounds_resolve_against_the_bounds_before_them(self):
+        # A before (B after C): C's min right resolves `after` in round 1;
+        # round 2 sees that bound when it asks for (B after C)'s max left.
+        expr = parse("A before (B after C)")
+        plan = classify(expr)
+        inner = plan.nodes_in_round(1)[0].node
+        outer = plan.nodes_in_round(2)[0].node
+        asked = []
+
+        def extremes(rights, bounds):
+            asked.append((rights, dict(bounds)))
+            return [(40, 11) if right == inner.right else (90, 5) for right in rights]
+
+        bounds = resolve_bounds(plan, extremes)
+        assert bounds == {inner: 11, outer: 90}
+        assert asked == [([inner.right], {}), ([outer.right], {inner: 11})]
+
+    def test_a_right_operand_shared_by_both_kinds_is_asked_once(self):
+        plan = classify(parse("(A before C) union (B after C)"))
+        calls = []
+
+        def extremes(rights, bounds):
+            calls.append(rights)
+            return [(None, None)] * len(rights)
+
+        bounds = resolve_bounds(plan, extremes)
+        assert len(calls) == 1 and len(calls[0]) == 1
+        assert set(bounds.values()) == {None}
+
+    def test_a_local_plan_asks_nothing(self):
+        def extremes(rights, bounds):
+            raise AssertionError("no exchange for a local plan")
+
+        assert resolve_bounds(classify(parse("A within B")), extremes) == {}
 
 
 class TestMerge:
@@ -127,8 +169,8 @@ class TestMerge:
             RegionSet._from_arrays([1, 5, 8], [2, 6, 9]),
         ]
         for parts, pairs in (
-            (concat, [[0, 3], [5, 9], [5, 10], [8, 9]]),
-            (interleaved, [[0, 3], [1, 2], [5, 6], [8, 9]]),
+            (concat, [(0, 3), (5, 9), (5, 10), (8, 9)]),
+            (interleaved, [(0, 3), (1, 2), (5, 6), (8, 9)]),
         ):
             merged = merge_region_sets(parts)
             assert merged.pairs() == pairs
