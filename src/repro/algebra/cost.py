@@ -17,6 +17,7 @@ cost".  Two models are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.algebra import ast as A
 from repro.core.instance import Instance
@@ -57,8 +58,17 @@ class CostModel:
 
     @classmethod
     def from_instance(cls, instance: Instance, **kwargs: float) -> "CostModel":
-        sizes = {name: float(len(instance.region_set(name))) for name in instance.names}
-        return cls(name_sizes=sizes, **kwargs)
+        return cls.from_sizes(
+            {name: len(instance.region_set(name)) for name in instance.names},
+            **kwargs,
+        )
+
+    @classmethod
+    def from_sizes(cls, sizes: Mapping[str, int], **kwargs: float) -> "CostModel":
+        """A model with exact ``sizes``, regions per name."""
+        return cls(
+            name_sizes={name: float(size) for name, size in sizes.items()}, **kwargs
+        )
 
     def estimate(self, expr: A.Expr) -> CostEstimate:
         """Estimated total cost and output cardinality for ``expr``."""

@@ -23,11 +23,23 @@ from repro.core.regionset import RegionSet
 from repro.core.wordindex import LabelWordIndex, TextWordIndex, WordIndex
 from repro.errors import EvaluationError, HierarchyError, UnknownRegionNameError
 
-__all__ = ["Instance"]
+__all__ = ["Instance", "appended_names"]
 
 
 def _as_region_set(value: RegionSet | Iterable[Region]) -> RegionSet:
     return value if isinstance(value, RegionSet) else RegionSet(value)
+
+
+def appended_names(
+    names: tuple[str, ...], added: Iterable[tuple[str, ...]]
+) -> tuple[str, ...]:
+    """The names of an instance named ``names`` once pieces named by
+    each of ``added`` are appended (:meth:`Instance.appended`): the same
+    tuple when they bring no new name, else every name, sorted."""
+    extra = {name for piece_names in added for name in piece_names}
+    if extra.issubset(names):
+        return names
+    return tuple(sorted(extra.union(names)))
 
 
 class Instance:
@@ -276,9 +288,7 @@ class Instance:
         word_index = self._word_index
         if not isinstance(word_index, TextWordIndex):
             raise HierarchyError("only instances with text word indexes can be appended to")
-        names = self._names
-        if any(name not in self._sets for piece, _ in pieces for name in piece._names):
-            names = tuple(sorted({*names, *(n for piece, _ in pieces for n in piece._names)}))
+        names = appended_names(self._names, (piece._names for piece, _ in pieces))
         number = {name: k for k, name in enumerate(names)}
         if names == self._names:
             ids = self._name_ids.copy()

@@ -38,6 +38,12 @@ into the missing pieces' memos.  The scan for an order bound gives up
 for one whole run the same way.  So however many pieces miss, a read
 runs programs worth about one run over the whole corpus per part; only
 its bookkeeping (keys, lookups, cuts) grows with the number of pieces.
+
+A generation's pieces and its assembled instance are one
+:class:`Assembly`.  The instance is built on first demand — by such a
+whole-corpus run, or by whoever asks for it — so a commit assembles
+nothing, and a generation that only ever reads from its memos never
+assembles at all.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.algebra import ast as A
 from repro.algebra.evaluator import Evaluator, limits_for
 from repro.algebra.printer import to_text
+from repro.core.instance import appended_names
 from repro.core.regionset import RegionSet
+from repro.obs.trace import maybe_span
 from repro.shard.planner import ShardPlan, classify, resolve_bounds
 from repro.shard.rewrite import OrderBound, rewrite
 
@@ -60,9 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.algebra.evaluator import CancelToken
     from repro.core.instance import Instance
+    from repro.obs.trace import Tracer
     from repro.vm.program import Program
 
-__all__ = ["AnswerMemo", "Piece", "PieceReader"]
+__all__ = ["AnswerMemo", "Assembly", "Piece", "PieceReader"]
 
 
 #: A memo entry (see :class:`AnswerMemo`): endpoint arrays, the run
@@ -113,6 +122,74 @@ class Piece:
         self.offset = offset
         self.length = length
         self.memo = memo
+
+
+class Assembly:
+    """One generation of a live corpus: its pieces and, built on first
+    demand, the instance they assemble into.
+
+    ``pieces`` is ``base_pieces`` (the base's piece, or none without a
+    base) followed by ``placed``, the documents; the assembled instance
+    is ``base`` with every placed piece appended at its offset
+    (:meth:`Instance.appended`).  It is built once, under a lock, by
+    whichever caller first asks; every later caller gets that object.
+    Names, per-name sizes and nesting depth need no assembly: the pieces
+    are disjoint top-level trees, so each is exact from the pieces.
+    """
+
+    __slots__ = (
+        "pieces", "names", "name_sizes", "_base", "_placed", "_instance", "_lock"
+    )
+
+    def __init__(
+        self,
+        base: "Instance",
+        base_pieces: "Sequence[Piece]",
+        placed: "Sequence[Piece]",
+    ):
+        self.pieces = (*base_pieces, *placed)
+        self._base = base
+        self._placed = placed
+        #: The assembled instance's names, in its order.
+        self.names = appended_names(
+            base.names, (piece.instance.names for piece in placed)
+        )
+        #: Regions per name, in :attr:`names` order.
+        self.name_sizes = dict.fromkeys(self.names, 0)
+        for piece in self.pieces:
+            instance = piece.instance
+            for name in instance.names:
+                self.name_sizes[name] += len(instance.region_set(name))
+        self._instance: "Instance | None" = None
+        self._lock = threading.Lock()
+
+    @property
+    def assembled(self) -> bool:
+        """Whether the assembled instance has been built."""
+        return self._instance is not None
+
+    def instance(self, tracer: "Tracer | None" = None) -> "Instance":
+        """The assembled instance, built (in an ``ingest.assemble`` span
+        under ``tracer``'s current one) on the first call."""
+        instance = self._instance
+        if instance is None:
+            with self._lock:
+                instance = self._instance
+                if instance is None:
+                    with maybe_span(
+                        tracer, "ingest.assemble", pieces=len(self.pieces)
+                    ):
+                        instance = self._base.appended(
+                            (piece.instance, piece.offset) for piece in self._placed
+                        )
+                    self._instance = instance
+        return instance
+
+    def nesting_depth(self) -> int:
+        """The assembled instance's nesting depth: the deepest piece's."""
+        return max(
+            (piece.instance.nesting_depth() for piece in self.pieces), default=0
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,13 +296,12 @@ class PieceReader:
 
     def __init__(
         self,
-        pieces: "Sequence[Piece]",
-        assembled: "Instance",
+        assembly: Assembly,
         evaluator: Evaluator,
         previous: "PieceReader | None" = None,
     ):
-        self.pieces = pieces
-        self.assembled = assembled
+        self.assembly = assembly
+        self.pieces = pieces = assembly.pieces
         self.evaluator = evaluator
         #: Characters from the start of the first piece to the end of the last.
         self.extent = pieces[-1].offset + pieces[-1].length if pieces else 0
@@ -239,12 +315,17 @@ class PieceReader:
         self._counts_lock = threading.Lock()
 
     def stats(self) -> dict[str, int]:
-        """``pieces``; summed over answered reads: ``lookups`` of a
-        piece's answer, the ``misses`` among them, the pieces whose memo
-        received a computed answer (``evaluated``), and the reads that
-        ran a plan over the whole corpus (``batched``)."""
+        """``pieces`` and whether the generation has been ``assembled``;
+        summed over answered reads: ``lookups`` of a piece's answer, the
+        ``misses`` among them, the pieces whose memo received a computed
+        answer (``evaluated``), and the reads that ran a plan over the
+        whole corpus (``batched``)."""
         with self._counts_lock:
-            return {"pieces": len(self.pieces), **self._counts}
+            return {
+                "pieces": len(self.pieces),
+                "assembled": self.assembly.assembled,
+                **self._counts,
+            }
 
     def evaluate(
         self,
@@ -428,7 +509,7 @@ class _Read:
             program = evaluator.compile_uncached(expr)
         else:
             program = evaluator.compiled_program(part.expr)[0]
-        return self.run(program, self.reader.assembled)
+        return self.run(program, self.reader.assembly.instance(evaluator.tracer))
 
     def run(self, program: "Program", instance: "Instance") -> RegionSet:
         self.programs.append(program)

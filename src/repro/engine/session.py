@@ -58,7 +58,7 @@ from repro.optimize.optimizer import optimize
 from repro.rig.graph import RegionInclusionGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.pieces import PieceReader
+    from repro.engine.pieces import Assembly, PieceReader
     from repro.ingest.live import LiveCorpus
 
 __all__ = ["Engine", "QueryPlan"]
@@ -103,7 +103,7 @@ class Engine:
 
     def __init__(
         self,
-        instance: Instance,
+        instance: Instance | None,
         text: str | None = None,
         rig: RegionInclusionGraph | None = None,
         telemetry: Telemetry | None = None,
@@ -118,6 +118,8 @@ class Engine:
         )
         self._views: dict[str, A.Expr] = {}
         self._cost_model: CostModel | None = None
+        #: Set, with ``instance`` None, only by :meth:`from_live`.
+        self._assembly: "Assembly | None" = None
         self._reader: "PieceReader | None" = None
         self._shard_executor = None
         if shards is not None:
@@ -216,22 +218,23 @@ class Engine:
 
         Every :meth:`query` answers piece by piece from the corpus's
         :attr:`~repro.ingest.live.LiveCorpus.pieces` (see
-        :mod:`repro.engine.pieces`); the assembled instance serves
-        ``explain``, statistics and navigation, and computes a read's
-        misses in one run when many pieces miss.  ``previous`` is the
-        engine of the generation before: its compiled programs and plan
-        shapes carry over, since they only name region sets.
+        :mod:`repro.engine.pieces`); region names, statistics and cost
+        estimates come from the pieces too.  The generation's assembled
+        instance is built on first demand — by :attr:`instance`
+        (navigation, ``save``, slices) or by a read whose misses run
+        once over the whole corpus.  ``previous`` is the engine of the
+        generation before: its compiled programs and plan shapes carry
+        over, since they only name region sets.
         """
         from repro.engine.pieces import PieceReader
 
-        engine = cls(live.instance, rig=rig, telemetry=telemetry)
+        engine = cls(None, rig=rig, telemetry=telemetry)
+        engine._assembly = live.assembly
         handed = None
         if previous is not None:
             engine._evaluator.adopt_programs(previous._evaluator)
             handed = previous._reader
-        engine._reader = PieceReader(
-            live.pieces, live.instance, engine._evaluator, handed
-        )
+        engine._reader = PieceReader(live.assembly, engine._evaluator, handed)
         return engine
 
     def _observe_index_build(self, kind: str, seconds: float) -> None:
@@ -245,6 +248,10 @@ class Engine:
 
     @property
     def instance(self) -> Instance:
+        """The indexed instance; on a live engine, its generation's
+        assembled instance, built on first access."""
+        if self._instance is None:
+            self._instance = self._assembly.instance(self._telemetry.tracer)
         return self._instance
 
     @property
@@ -259,6 +266,8 @@ class Engine:
 
     @property
     def region_names(self) -> tuple[str, ...]:
+        if self._assembly is not None:
+            return self._assembly.names
         return self._instance.names
 
     @property
@@ -268,14 +277,17 @@ class Engine:
         return self._shard_executor
 
     def statistics(self) -> dict[str, Any]:
-        """Index statistics: per-name cardinalities and nesting depth."""
+        """Index statistics: per-name cardinalities and nesting depth
+        (on a live engine, summed and maxed over its pieces)."""
+        regions = self._name_sizes()
         stats = {
-            "regions": {
-                name: len(self._instance.region_set(name))
-                for name in self._instance.names
-            },
-            "total": len(self._instance),
-            "nesting_depth": self._instance.nesting_depth(),
+            "regions": regions,
+            "total": sum(regions.values()),
+            "nesting_depth": (
+                self._assembly.nesting_depth()
+                if self._assembly is not None
+                else self._instance.nesting_depth()
+            ),
             "views": sorted(self._views),
         }
         if self._shard_executor is not None:
@@ -467,8 +479,15 @@ class Engine:
 
     def _ensure_cost_model(self) -> CostModel:
         if self._cost_model is None:
-            self._cost_model = CostModel.from_instance(self._instance)
+            self._cost_model = CostModel.from_sizes(self._name_sizes())
         return self._cost_model
+
+    def _name_sizes(self) -> dict[str, int]:
+        """Regions per name, in :attr:`region_names` order."""
+        if self._assembly is not None:
+            return dict(self._assembly.name_sizes)
+        instance = self._instance
+        return {name: len(instance.region_set(name)) for name in instance.names}
 
     def _record(
         self,
@@ -523,7 +542,7 @@ class Engine:
 
     def match_points(self, pattern: str) -> RegionSet:
         """The word-index match points of a pattern (PAT word queries)."""
-        return self._instance.match_points(pattern)
+        return self.instance.match_points(pattern)
 
     def extract(self, region: Region) -> str:
         """The raw text a region covers (requires the source text)."""
@@ -541,7 +560,7 @@ class Engine:
         cursor in?".
         """
         best: Region | None = None
-        for region in self._instance.all_regions().spanning(position):
+        for region in self.instance.all_regions().spanning(position):
             if best is None or best.includes(region):
                 best = region
         return best
@@ -551,19 +570,21 @@ class Engine:
         innermost = self.region_at(position)
         if innermost is None:
             return []
-        forest = self._instance.forest()
+        instance = self.instance
+        forest = instance.forest()
         chain = list(reversed(forest.ancestors_of(innermost))) + [innermost]
-        return [(self._instance.name_of(r), r) for r in chain]
+        return [(instance.name_of(r), r) for r in chain]
 
     def outline(self, max_depth: int | None = None) -> str:
         """An indented dump of the region tree (names and spans)."""
-        forest = self._instance.forest()
+        instance = self.instance
+        forest = instance.forest()
         lines: list[str] = []
         for region in forest.preorder:
             depth = forest.depth_of(region)
             if max_depth is not None and depth >= max_depth:
                 continue
-            name = self._instance.name_of(region)
+            name = instance.name_of(region)
             lines.append(f"{'  ' * depth}{name} [{region.left},{region.right}]")
         return "\n".join(lines)
 
@@ -588,7 +609,7 @@ class Engine:
 
     def define_view(self, name: str, query: str | A.Expr) -> None:
         """Register a named view; queries may use it like a region name."""
-        if name in self._instance.names:
+        if name in self.region_names:
             raise EvaluationError(
                 f"view name {name!r} collides with a region name"
             )
@@ -621,7 +642,7 @@ class Engine:
         return expr
 
     def _check_names(self, expr: A.Expr, allow_view: str | None = None) -> None:
-        known = set(self._instance.names) | set(self._views)
+        known = set(self.region_names) | set(self._views)
         for name in A.region_names(expr):
             if name not in known and name != allow_view:
                 raise UnknownRegionNameError(name, tuple(sorted(known)))
@@ -633,4 +654,4 @@ class Engine:
     def save(self, path: str | Path) -> None:
         from repro.engine.storage import save_instance
 
-        save_instance(self._instance, path)
+        save_instance(self.instance, path)

@@ -19,22 +19,23 @@ the server to exactly that.
 
 Each document is parsed exactly once, into its own local
 :class:`~repro.core.Instance`; placed after the text before it, it is a
-new top-level tree whose columns are its own shifted by one offset.
-One body, :meth:`LiveCorpus._assemble`, builds the assembled instance
-by :meth:`Instance.appended`: it concatenates shifted int columns onto a
-prefix instance, sharing every untouched name set and posting, with no
-sort, no hierarchy sweep and no :class:`~repro.core.Region`.  A batch
-of pure appends extends the current assembled instance by its new
-documents; a batch with a delete or update moves every later document,
-so it extends the untouched *base* by every surviving document.
+new top-level tree whose columns are its own shifted by one offset.  A
+commit only places: every surviving document after the untouched base,
+as the corpus's **pieces** (:attr:`LiveCorpus.pieces`) — the base, then
+each survivor with its local instance and offset.  An engine over the
+corpus answers from them piece by piece (:mod:`repro.engine.pieces`),
+keeping each piece's answers in a memo that lives on the document — or
+on the corpus, for the base — and so outlives every commit the document
+survives.
 
-The same placement defines the corpus's **pieces**
-(:attr:`LiveCorpus.pieces`): the base, then each surviving document with
-its local instance and offset.  :meth:`LiveCorpus._assemble` consumes
-that list, and an engine over the corpus answers from it piece by piece
-(:mod:`repro.engine.pieces`), keeping each piece's answers in a memo
-that lives on the document — or on the corpus, for the base — and so
-outlives every commit the document survives.
+A generation's pieces are one :class:`~repro.engine.pieces.Assembly`,
+whose assembled instance is built on first demand, once:
+:meth:`Instance.appended` concatenates the survivors' shifted int
+columns onto the base's, sharing every untouched name set and posting,
+with no sort, no hierarchy sweep and no :class:`~repro.core.Region`.
+:attr:`LiveCorpus.instance`, an engine's instance, its whole-corpus runs
+and the oracle checks all read that one object; region names, per-name
+sizes and nesting depth come from the pieces without it.
 
 Compaction (:meth:`LiveCorpus.compact`) merges all segments into one
 and physically drops tombstoned entries.  Because survivors keep their
@@ -45,14 +46,13 @@ generation.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.instance import Instance
 from repro.core.wordindex import TextWordIndex
 from repro.engine.corpus import DOCUMENT_REGION_NAME
-from repro.engine.pieces import AnswerMemo, Piece
+from repro.engine.pieces import AnswerMemo, Assembly, Piece
 from repro.errors import (
     DuplicateDocumentError,
     IngestError,
@@ -114,15 +114,15 @@ class PreparedBatch:
 
     ops: list[dict[str, Any]]
     docs: dict[str, _Doc]  # parsed append/update payloads by id
-    appends_only: bool
 
 
 class LiveCorpus:
     """The mutable document overlay of one ingest-enabled corpus.
 
     Not thread-safe by itself — the service serializes writers with a
-    per-corpus lock; readers only ever see fully-built immutable
-    :class:`Instance` snapshots returned by :meth:`commit`.
+    per-corpus lock; readers only ever see one generation's
+    :class:`~repro.engine.pieces.Assembly` (:attr:`assembly`), whose
+    pieces never change and whose instance is built under its own lock.
     """
 
     def __init__(
@@ -154,31 +154,35 @@ class LiveCorpus:
         self._segments: list[_Segment] = []
         self._index: dict[str, _Doc] = {}
         self._tombstones = 0
-        self._assembled = self._base
-        self._end = self._base_end
-        #: The base piece alone (none without a base): every later
-        #: placement starts from it.
+        #: The base piece alone (none without a base): every placement
+        #: starts from it.
         self._base_pieces: list[Piece] = []
         if self._base_end is not None:
             self._base_pieces.append(
                 Piece(self._base, 0, self._base_end, AnswerMemo())
             )
-        self._pieces = self._base_pieces
+        self._assembly = Assembly(self._base, self._base_pieces, ())
 
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
 
     @property
+    def assembly(self) -> Assembly:
+        """The current generation: its pieces and assembled instance."""
+        return self._assembly
+
+    @property
     def instance(self) -> Instance:
-        """The current assembled instance (the base when unmutated)."""
-        return self._assembled
+        """The current assembled instance (the base when unmutated),
+        built on first demand."""
+        return self._assembly.instance()
 
     @property
     def pieces(self) -> tuple[Piece, ...]:
         """The assembled instance as pieces: the base, then every
         surviving document, in order."""
-        return tuple(self._pieces)
+        return self._assembly.pieces
 
     @property
     def document_count(self) -> int:
@@ -237,7 +241,6 @@ class LiveCorpus:
         live = set(self._index)
         seen: set[str] = set()
         docs: dict[str, _Doc] = {}
-        appends_only = True
         for position, op in enumerate(ops):
             where = f"operation {position}"
             if not isinstance(op, dict):
@@ -264,20 +267,18 @@ class LiveCorpus:
                 docs[doc_id] = self._parse_payload(op, where)
                 live.add(doc_id)
             elif kind == "update":
-                appends_only = False
                 if doc_id not in live:
                     raise UnknownDocumentError(
                         f"document {doc_id!r} does not exist"
                     )
                 docs[doc_id] = self._parse_payload(op, where)
             else:  # delete
-                appends_only = False
                 if doc_id not in live:
                     raise UnknownDocumentError(
                         f"document {doc_id!r} does not exist"
                     )
                 live.discard(doc_id)
-        return PreparedBatch(ops=ops, docs=docs, appends_only=appends_only)
+        return PreparedBatch(ops=ops, docs=docs)
 
     def _parse_payload(self, op: dict[str, Any], where: str) -> _Doc:
         text = op.get("text")
@@ -292,12 +293,13 @@ class LiveCorpus:
         except ParseError as exc:
             raise IngestError(f"{where} does not parse: {exc}") from exc
 
-    def commit(self, prepared: PreparedBatch) -> Instance:
-        """Apply a prepared batch and return the new assembled instance.
+    def commit(self, prepared: PreparedBatch) -> Assembly:
+        """Apply a prepared batch and return the new generation.
 
-        A pure-append batch extends the current instance by its new
-        documents; a delete or update moves every later document, so the
-        base is extended by every survivor (parse-free either way).
+        Every survivor is placed after the untouched base (a delete or
+        update moves every later document); nothing is parsed or
+        assembled here — the generation's instance is built when first
+        asked for.
         """
         new_segment = _Segment()
         for op in prepared.ops:
@@ -311,27 +313,15 @@ class LiveCorpus:
                 self._index[doc_id] = doc
         if new_segment.docs:
             self._segments.append(new_segment)
-        if prepared.appends_only:
-            prefix, kept, end = self._assembled, self._pieces, self._end
-            docs = new_segment.docs
-        else:
-            prefix, kept, end = self._base, self._base_pieces, self._base_end
-            docs = self._survivors()
-        placed = self._place(docs, end)
-        self._pieces = kept + placed
-        self._assembled = self._assemble(prefix, placed)
-        # The new columns are large young lists that no commit garbage
-        # has pushed out of the young generations: collect them into the
-        # old one here, once, instead of in the next reads' collections.
-        gc.collect(1)
-        return self._assembled
+        self._assembly = Assembly(self._base, self._base_pieces, self._place())
+        return self._assembly
 
-    def apply(self, ops: Any) -> Instance:
+    def apply(self, ops: Any) -> Assembly:
         """:meth:`prepare` + :meth:`commit` (the WAL-replay path)."""
         return self.commit(self.prepare(ops))
 
     # ------------------------------------------------------------------
-    # Assembly.
+    # Placement.
     # ------------------------------------------------------------------
 
     def _survivors(self) -> list[_Doc]:
@@ -343,22 +333,16 @@ class LiveCorpus:
             if not doc.deleted
         ]
 
-    def _place(self, docs: list[_Doc], end: int | None) -> list[Piece]:
-        """``docs`` as pieces placed after a text ``end`` characters long
-        (``None``: no text at all), each after a newline whenever any
-        text precedes it."""
+    def _place(self) -> tuple[Piece, ...]:
+        """Every survivor as a piece placed after the base, each after a
+        newline whenever any text precedes it."""
         pieces = []
-        for doc in docs:
+        end = self._base_end  # None: no text at all
+        for doc in self._survivors():
             offset = 0 if end is None else end + 1
             pieces.append(Piece(doc.instance, offset, doc.wrapped_len, doc.memo))
             end = offset + doc.wrapped_len
-        self._end = end
-        return pieces
-
-    @staticmethod
-    def _assemble(prefix: Instance, pieces: list[Piece]) -> Instance:
-        """``prefix`` followed by ``pieces``, each at its offset."""
-        return prefix.appended([(piece.instance, piece.offset) for piece in pieces])
+        return tuple(pieces)
 
     # ------------------------------------------------------------------
     # Compaction and checkpointing.

@@ -218,7 +218,6 @@ class _CorpusHandle:
         self.loaded_at = monotonic()
         self.lock = threading.Lock()  # serializes reloads, not queries
         self.breaker = breaker
-        self._warm(engine)
 
     @property
     def engine(self) -> Engine:
@@ -232,12 +231,6 @@ class _CorpusHandle:
         """The atomically consistent ``(engine, generation)`` pair."""
         return self._published
 
-    @staticmethod
-    def _warm(engine: Engine) -> None:
-        # Build the lazily-cached forest up front so concurrent first
-        # queries don't race on its construction.
-        engine.instance.forest()
-
     def install(self, engine: Engine, generation: int | None = None) -> int:
         """Swap in a freshly loaded engine; returns the new generation.
 
@@ -250,7 +243,6 @@ class _CorpusHandle:
         compare like with like across the topology.
         """
         with self.lock:
-            self._warm(engine)
             if generation is None:
                 generation = self._published[1] + 1
             self._published = (engine, int(generation))

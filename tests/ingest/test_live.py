@@ -232,14 +232,6 @@ class TestValidation:
         assert live.segment_count == 1
         assert encode_instance(live.instance) == before
 
-    def test_appends_only_flag(self):
-        live = _live()
-        live.apply([_append("a", "prophecy")])
-        assert live.prepare([_append("b", "x")]).appends_only is True
-        assert (
-            live.prepare([{"op": "delete", "id": "a"}]).appends_only is False
-        )
-
 
 class TestCompaction:
     def test_nothing_to_do_returns_none(self):

@@ -5,12 +5,15 @@ concatenation of per-piece answers, each shifted by its piece's offset
 and memoized on the piece.  The model-based suite holds that answer to
 the evaluator on the assembled instance and to the naive oracle on a
 re-parse of the combined text after every write, with misses computed
-per piece, in one run over the whole corpus, or either by cost; the
-mechanism tests count the pieces on which a program ran and the runs a
-read makes.
+per piece, in one run over the whole corpus, or either by cost, and
+holds the lazily assembled instance bit-identical to that re-parse; the
+mechanism tests count the pieces on which a program ran, the runs a
+read makes and the assemblies a generation builds.
 """
 
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -24,10 +27,13 @@ from hypothesis.stateful import (
 )
 
 from repro.algebra import ast as A
+from repro.algebra.cost import CostModel
 from repro.algebra.evaluator import Evaluator
 from repro.algebra.parser import parse
+from repro.core.instance import Instance
 from repro.engine.pieces import AnswerMemo, PieceReader
 from repro.engine.session import Engine
+from repro.engine.storage import encode_instance
 from repro.engine.tagged import parse_tagged_text
 from repro.errors import QueryCancelled, QueryTimeout, UnknownRegionNameError
 from repro.obs.metrics import VM_COMPILE_TOTAL, VM_EXEC_SECONDS
@@ -161,6 +167,16 @@ class LiveCorpusModel(RuleBasedStateMachine):
     @invariant()
     def the_battery_agrees(self):
         check(self.live, self.engine, [parse(q) for q in BATTERY])
+
+    @invariant()
+    def the_assembled_instance_is_the_oracle(self):
+        # One object per generation, bit-identical to a re-parse.
+        instance = self.engine.instance
+        assert instance is self.live.instance
+        oracle = self.live.oracle_instance()
+        if oracle is not None:
+            assert encode_instance(instance) == encode_instance(oracle)
+            assert instance.forest()._parent_pos == oracle.forest()._parent_pos
 
     def teardown(self):
         if hasattr(self, "overhead"):
@@ -446,3 +462,133 @@ class TestObservation:
         stats = engine.statistics()["pieces"]
         assert stats["reads"] == 6 * len(MIX16)
         assert stats["lookups"] >= stats["reads"] * len(live.pieces)
+
+
+# ----------------------------------------------------------------------
+# Lazy assembly: a generation builds its instance only on demand.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Every :meth:`Instance.appended` call, as the instance it returned."""
+    built = []
+    real = Instance.appended
+
+    def appended(self, pieces):
+        out = real(self, pieces)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(Instance, "appended", appended)
+    return built
+
+
+def _mixed_commit(live: LiveCorpus, rng: random.Random) -> None:
+    live.apply(
+        [
+            {"op": "append", "id": "new", "text": generate_play(rng, 1, 2, 3, 2)},
+            {"op": "update", "id": "d3", "text": generate_play(rng, 1, 2, 3, 2)},
+            {"op": "delete", "id": "d0"},
+        ]
+    )
+
+
+class TestLazyAssembly:
+    def test_reads_statistics_and_estimates_after_a_commit_assemble_nothing(
+        self, assemblies
+    ):
+        live, rng = _play_corpus()
+        engine = Engine.from_live(live)
+        for query in MIX16.values():
+            engine.query(query)
+        assemblies.clear()
+        _mixed_commit(live, rng)
+        live.compact()
+        engine = Engine.from_live(live, previous=engine)
+        for query in MIX16.values():
+            engine.query(query)  # each records a cost estimate
+        engine.explain(MIX16["within_chain"])
+        stats = engine.statistics()
+        assert assemblies == []
+        assert stats["pieces"]["assembled"] is False
+        assert stats["pieces"]["batched"] == 0
+        # Asked for, the generation assembles once, and says so.
+        assert engine.instance is live.instance
+        assert len(assemblies) == 1
+        assert engine.statistics()["pieces"]["assembled"] is True
+
+    @pytest.mark.parametrize("base", ["text", "none"])
+    def test_statistics_from_pieces_equal_the_assembled_instances(self, base):
+        live = LiveCorpus() if base == "none" else LiveCorpus(
+            parse_tagged_text(BASE).instance, BASE
+        )
+        live.apply(
+            [
+                {"op": "append", "id": "p", "text": "<b> x <b> y </b> </b>"},
+                # A name the base lacks: the assembled names are sorted.
+                {"op": "append", "id": "q", "text": "<z> <a> <b> <c> y </c> </b> </a> </z>"},
+            ]
+        )
+        live.apply([{"op": "update", "id": "p", "text": "<c> z </c>"}])
+        engine = Engine.from_live(live)
+        stats = engine.statistics()
+        names = engine.region_names
+        model = engine._ensure_cost_model()
+        assert not live.assembly.assembled
+        plain = Engine(live.instance)
+        expected = plain.statistics()
+        assert names == live.instance.names
+        assert list(stats["regions"].items()) == list(expected["regions"].items())
+        assert (stats["total"], stats["nesting_depth"]) == (
+            expected["total"],
+            expected["nesting_depth"],
+        )
+        assert model.name_sizes == CostModel.from_instance(live.instance).name_sizes
+
+    def test_concurrent_first_touches_share_one_build(
+        self, assemblies, monkeypatch
+    ):
+        live, rng = _play_corpus()
+        _mixed_commit(live, rng)
+        engine = Engine.from_live(live)
+        real = Instance.appended
+
+        def slow(self, pieces):
+            time.sleep(0.02)  # hold the build open while the others arrive
+            return real(self, pieces)
+
+        monkeypatch.setattr(Instance, "appended", slow)
+        assemblies.clear()
+        start = threading.Barrier(8)
+        got = []
+
+        def touch():
+            start.wait()
+            got.append(engine.instance)
+
+        threads = [threading.Thread(target=touch) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(got) == 8
+        assert len(assemblies) == 1
+        assert all(instance is got[0] for instance in got)
+        assert got[0] is live.instance
+
+    def test_the_build_is_a_span_under_the_read_that_forced_it(self):
+        live, rng = _play_corpus()
+        _mixed_commit(live, rng)
+        engine = Engine.from_live(live)
+        engine.enable_tracing()
+        engine.query(MIX16["within_chain"])  # a first read runs batched
+        root = engine.tracer.last_root
+        names = [span.name for span in root.walk()]
+        assert names.count("ingest.assemble") == 1
+        (pieces,) = [span for span in root.walk() if span.name == "pieces"]
+        assert [child.name for child in pieces.children] == ["ingest.assemble"]
+        engine.query(MIX16["bi_scene"])
+        assert "ingest.assemble" not in [
+            span.name for span in engine.tracer.last_root.walk()
+        ]
