@@ -169,7 +169,7 @@ def bench_e16_query_latency(benchmark, instance, hedge_budget):
 
 
 def bench_e16_failover_bound(instance):
-    from repro.faults.backendchaos import BackendChaosConfig, run_backend_chaos
+    from repro.faults.chaos import ChaosConfig, run_chaos
 
     unhedged = _measure(instance, hedge_budget=0.0, seed=7)
     hedged = _measure(instance, hedge_budget=HEDGE_BUDGET, seed=7)
@@ -182,12 +182,13 @@ def bench_e16_failover_bound(instance):
     for row in (unhedged, hedged):
         assert [(r.left, r.right) for r in row.pop("result")] == expected
 
-    chaos = run_backend_chaos(
-        BackendChaosConfig(
+    chaos = run_chaos(
+        ChaosConfig(
+            mode="backend-kill",
             seed=0,
             qps=30.0,
             warmup_seconds=0.5,
-            kill_seconds=2.5,
+            fault_seconds=2.5,
             recovery_seconds=1.5,
             breaker_reset=0.5,
             respawn_delay=0.3,

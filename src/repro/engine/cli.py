@@ -976,102 +976,24 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.mode == "backend-kill":
-        from repro.faults.backendchaos import (
-            BackendChaosConfig,
-            run_backend_chaos,
-        )
-
-        backend_config = BackendChaosConfig(
-            seed=args.seed,
-            scale=args.scale,
-            groups=max(2, args.shards),
-            qps=args.qps,
-            concurrency=args.concurrency,
-            warmup_seconds=args.warmup_seconds,
-            kill_seconds=args.fault_seconds,
-            recovery_seconds=args.recovery_seconds,
-        )
-        backend_report = run_backend_chaos(backend_config)
-        if args.json:
-            print(json.dumps(backend_report.summary()))
-        else:
-            print(backend_report.format_report())
-        return 0 if backend_report.ok else 1
-
-    if args.mode == "replication":
-        from repro.faults.replicationchaos import (
-            ReplicationChaosConfig,
-            run_replication_chaos,
-        )
-
-        replication_config = ReplicationChaosConfig(
-            seed=args.seed,
-            scale=args.scale,
-            groups=max(2, args.shards),
-            qps=args.qps,
-            concurrency=args.concurrency,
-            warmup_seconds=args.warmup_seconds,
-            fault_seconds=args.fault_seconds,
-            recovery_seconds=args.recovery_seconds,
-            # Ship batches are low-volume like WAL records; scale the
-            # shared --fault-rate up so a short run still fires faults.
-            ship_fault_rate=min(0.9, args.fault_rate * 7.0),
-        )
-        replication_report = run_replication_chaos(replication_config)
-        if args.json:
-            print(json.dumps(replication_report.summary()))
-        else:
-            print(replication_report.format_report())
-        return 0 if replication_report.ok else 1
-
-    if args.mode == "ingest":
-        from repro.faults.ingestchaos import (
-            IngestChaosConfig,
-            run_ingest_chaos,
-        )
-
-        ingest_config = IngestChaosConfig(
-            seed=args.seed,
-            scale=args.scale,
-            qps=args.qps,
-            concurrency=args.concurrency,
-            warmup_seconds=args.warmup_seconds,
-            fault_seconds=args.fault_seconds,
-            recovery_seconds=args.recovery_seconds,
-            # The shared --fault-rate is calibrated for high-volume read
-            # paths; WAL records are only a few per second, so scale it
-            # up to get a comparable number of fires per run.
-            wal_fault_rate=min(0.9, args.fault_rate * 7.0),
-        )
-        ingest_report = run_ingest_chaos(ingest_config)
-        if args.json:
-            print(json.dumps(ingest_report.summary()))
-        else:
-            print(ingest_report.format_report())
-        return 0 if ingest_report.ok else 1
-
     from repro.faults.chaos import ChaosConfig, run_chaos
 
-    config = ChaosConfig(
-        seed=args.seed,
-        scale=args.scale,
-        shards=args.shards,
-        qps=args.qps,
-        concurrency=args.concurrency,
-        warmup_seconds=args.warmup_seconds,
-        fault_seconds=args.fault_seconds,
-        recovery_seconds=args.recovery_seconds,
-        storage_fault_rate=args.fault_rate,
-        evaluator_fault_rate=args.fault_rate / 12.5,
-        kill_rate=args.fault_rate / 5.0,
-        corrupt_disk=not args.no_disk_corruption,
+    report = run_chaos(
+        ChaosConfig(
+            mode=args.mode,
+            seed=args.seed,
+            scale=args.scale,
+            shards=args.shards,
+            qps=args.qps,
+            concurrency=args.concurrency,
+            warmup_seconds=args.warmup_seconds,
+            fault_seconds=args.fault_seconds,
+            recovery_seconds=args.recovery_seconds,
+            fault_rate=args.fault_rate,
+            corrupt_disk=not args.no_disk_corruption,
+        )
     )
-    report = run_chaos(config)
-    if args.json:
-        print(json.dumps(report.summary()))
-    else:
-        print(report.format_report())
+    print(json.dumps(report.summary()) if args.json else report.format_report())
     return 0 if report.ok else 1
 
 

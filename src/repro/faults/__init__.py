@@ -1,6 +1,6 @@
 """Fault injection and resilience machinery (see ``docs/robustness.md``).
 
-Three pieces:
+On the serving path:
 
 * :mod:`repro.faults.registry` — a deterministic, seedable registry of
   named fault points sprinkled through storage, the evaluator, the
@@ -9,10 +9,17 @@ Three pieces:
 * :mod:`repro.faults.retry` — bounded exponential-backoff retry and a
   per-corpus circuit breaker, used by the service around corpus
   (re)loads and job dispatch.
-* :mod:`repro.faults.chaos` — the ``repro chaos`` harness: drive the
-  load generator against a fault-injected service and check the
-  invariants the paper's deletion/reduction theorems make checkable
-  (no corrupted responses, bounded error rate, full recovery).
+
+Behind ``repro chaos`` (imported on demand, never by the service):
+
+* :mod:`repro.faults.scenario` — the chaos scenario engine: a run is
+  phases × fault schedule × workload × oracle × invariants, with one
+  collector verifying every ``200`` against the paper's oracles (the
+  fault-free baseline and Thm 4.4's reduced instance, or a mirror of the
+  acknowledged writes rebuilt from scratch).
+* :mod:`repro.faults.chaos` — the four modes (``service``,
+  ``backend-kill``, ``ingest``, ``replication``) declared over it, and
+  :func:`~repro.faults.chaos.run_chaos`.
 """
 
 from repro.faults.registry import (

@@ -1,21 +1,17 @@
 """The backend-kill chaos harness: report mechanics plus one short run."""
 
-from repro.faults.backendchaos import (
-    BackendChaosConfig,
-    BackendChaosReport,
-    run_backend_chaos,
-)
+from repro.faults.chaos import BackendKillReport, ChaosConfig, run_chaos
 
 
 class TestReport:
     def test_ok_iff_no_violations(self):
-        report = BackendChaosReport(seed=1)
+        report = BackendKillReport(seed=1)
         assert report.ok
         report.violations.append("something broke")
         assert not report.ok
 
     def test_summary_and_format(self):
-        report = BackendChaosReport(seed=3)
+        report = BackendKillReport(seed=3)
         report.topology = {"nodes": 2, "groups": 2, "replicas": 2}
         report.responses["kill"] = {"200": 50}
         report.killed_node = "b1"
@@ -30,7 +26,7 @@ class TestReport:
         assert "b1: closed" in text
 
     def test_format_lists_violations(self):
-        report = BackendChaosReport(seed=0)
+        report = BackendKillReport(seed=0)
         report.violations.append("the supervisor never respawned b0")
         text = report.format_report()
         assert "FAILED" in text
@@ -43,12 +39,13 @@ class TestRunBackendChaos:
         SIGKILL'd mid-load, failover keeps availability, the supervisor
         respawns it, breakers re-close, and every response matches the
         single-process oracle."""
-        report = run_backend_chaos(
-            BackendChaosConfig(
+        report = run_chaos(
+            ChaosConfig(
+                mode="backend-kill",
                 seed=0,
                 qps=30.0,
                 warmup_seconds=0.5,
-                kill_seconds=2.5,
+                fault_seconds=2.5,
                 recovery_seconds=1.5,
                 breaker_reset=0.5,
                 respawn_delay=0.3,

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.engine.session import Engine
-from repro.faults.chaos import ChaosConfig, ChaosReport, _Oracles, run_chaos
+from repro.faults.chaos import ChaosConfig, ChaosReport, run_chaos
+from repro.faults.scenario import _Oracles
 from repro.workloads.corpora import generate_play
 from repro.workloads.queries import PLAY_QUERIES
 

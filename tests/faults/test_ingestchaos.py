@@ -1,21 +1,17 @@
 """The ingest chaos harness: report mechanics plus one short run."""
 
-from repro.faults.ingestchaos import (
-    IngestChaosConfig,
-    IngestChaosReport,
-    run_ingest_chaos,
-)
+from repro.faults.chaos import ChaosConfig, IngestReport, run_chaos
 
 
 class TestReport:
     def test_ok_iff_no_violations(self):
-        report = IngestChaosReport(seed=1)
+        report = IngestReport(seed=1)
         assert report.ok
         report.violations.append("a committed batch vanished")
         assert not report.ok
 
     def test_summary_and_format(self):
-        report = IngestChaosReport(seed=3)
+        report = IngestReport(seed=3)
         report.responses["warmup"] = {"200": 40}
         report.writes_acked = 12
         report.writes_failed = 3
@@ -33,7 +29,7 @@ class TestReport:
         assert "merged 4 segment(s)" in text
 
     def test_format_lists_violations(self):
-        report = IngestChaosReport(seed=0)
+        report = IngestReport(seed=0)
         report.violations.append("post-restart state diverged from mirror")
         text = report.format_report()
         assert "FAILED" in text
@@ -47,16 +43,17 @@ class TestRunIngestChaos:
         cold restart that must replay to a bit-identical corpus, and a
         final three-way oracle (serving state == acked-batch mirror ==
         rebuilt-from-scratch re-parse)."""
-        config = IngestChaosConfig(
+        config = ChaosConfig(
+            mode="ingest",
             seed=0,
             qps=40.0,
             write_rate=10.0,
             warmup_seconds=0.8,
             fault_seconds=2.4,
             recovery_seconds=1.2,
-            wal_fault_rate=0.35,
+            fault_rate=0.05,  # a WAL fault rate of 0.35
         )
-        report = run_ingest_chaos(config)
+        report = run_chaos(config)
         assert report.ok, report.violations
         assert report.corrupted_responses == 0
         assert report.verified_responses > 0
@@ -68,17 +65,18 @@ class TestRunIngestChaos:
     def test_same_seed_same_outcome(self):
         """Chaos is deterministic by seed: two identical configs observe
         the same write stream and the same fault decisions."""
-        config = IngestChaosConfig(
+        config = ChaosConfig(
+            mode="ingest",
             seed=4,
             qps=20.0,
             write_rate=8.0,
             warmup_seconds=0.5,
             fault_seconds=1.6,
             recovery_seconds=0.8,
-            wal_fault_rate=0.5,
+            fault_rate=0.5 / 7,  # a WAL fault rate of 0.5
         )
-        first = run_ingest_chaos(config)
-        second = run_ingest_chaos(config)
+        first = run_chaos(config)
+        second = run_chaos(config)
         assert first.ok, first.violations
         assert second.ok, second.violations
         assert first.writes_acked == second.writes_acked
