@@ -100,7 +100,7 @@ def _sharded_measurements(instance, expr, shards: int) -> dict:
             path = stats.critical_path_seconds() or elapsed
             if path < critical:
                 critical, merge = path, stats.merge_seconds
-        segments = len(executor.partition)
+        segments = len(executor.pieces)
     return {
         "shards": shards,
         "segments": segments,

@@ -19,11 +19,13 @@ protocol over a text wire format:
 * ``want`` — ``"sets"`` for region results, ``"exchange"`` for the two
   scalars per query that exchange rounds fold.
 
-Match points route through the one router,
-:meth:`~repro.shard.partition.Segment.route`: the word index is
-position-keyed and shared by every restriction, so a backend keeps only
-the occurrences whose left endpoint its group owns; an
-occurrence spanning a cut raises
+A group's slice is a :class:`~repro.engine.pieces.Piece` of the cut,
+and a backend parses each query text once, into a plan cache shared by
+all its slices.  Match points route through the one router,
+:meth:`Piece.route <repro.engine.pieces.Piece.route>`: the word index
+is position-keyed and shared by every piece of the cut, so a backend
+keeps only the occurrences whose left endpoint lies in its piece's
+span; an occurrence spanning a cut raises
 :class:`~repro.errors.BackendUnsupportedError`, which the frontier
 answers with the always-correct local fallback rather than failover
 (every replica would refuse identically).
@@ -32,7 +34,7 @@ answers with the always-correct local fallback rather than failover
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -42,10 +44,10 @@ from repro.algebra.parser import parse
 from repro.algebra.printer import to_text
 from repro.core.instance import Instance
 from repro.core.regionset import RegionSet
-from repro.core.wordindex import TextWordIndex
+from repro.engine.pieces import Piece
 from repro.errors import BackendUnsupportedError, ReplicaLaggingError
 from repro.obs.trace import maybe_span
-from repro.shard.partition import Partition, Segment, partition_instance
+from repro.shard.partition import partition_instance
 from repro.shard.rewrite import rewrite
 
 __all__ = [
@@ -196,17 +198,20 @@ class ShardBackend:
 class ShardSlice:
     """Group ``g``-of-``G`` of one corpus generation, ready to evaluate.
 
-    ``segment.instance`` is the restricted sub-instance; its word index
-    is the *full* corpus index (shared by construction —
-    ``W(r, p)`` is position-keyed), which is what lets a slice route
-    match points by ownership without seeing its siblings.
+    ``segment`` is the group's :class:`~repro.engine.pieces.Piece`: a
+    restricted sub-instance in the corpus's coordinates whose word index
+    is the *full* corpus index (shared by construction — ``W(r, p)`` is
+    position-keyed), which is what lets a slice route match points by
+    its span without seeing its siblings.  ``plans`` is the provider's
+    parse of each query text.
     """
 
-    segment: Segment
+    segment: Piece
     group: int
     groups: int
     generation: int
     evaluator: Evaluator
+    plans: "_Plans"
 
 
 class SliceProvider:
@@ -214,10 +219,12 @@ class SliceProvider:
 
     ``lookup(corpus)`` returns ``(instance, generation)`` for the
     *current* generation — the query service backs it with its corpus
-    handles, a backend subprocess with its own engines.  Partitions are
-    cached per ``(corpus, generation, groups)`` and older generations
-    are dropped on sight, so a hot reload invalidates slices the same
-    way it invalidates the result cache.
+    handles, a backend subprocess with its own engines.  The cut is
+    cached per ``(corpus, groups)`` for the instance object and
+    generation it was cut from, and recut when either changes: a hot
+    reload bumps the generation, and a replication repair that
+    re-publishes the *same* generation with corrected content serves a
+    new instance.
     """
 
     def __init__(
@@ -230,9 +237,9 @@ class SliceProvider:
         self._tracer = tracer
         self._metrics = metrics
         self._lock = threading.Lock()
-        #: (corpus, groups) ->
-        #:     (generation, partition, evaluator, empty segment | None)
-        self._cache: dict[tuple[str, int], list[Any]] = {}
+        #: (corpus, groups) -> (instance, generation, pieces, evaluator)
+        self._cache: dict[tuple[str, int], tuple[Any, ...]] = {}
+        self._plans = _Plans()
 
     def slice_for(self, corpus: str, group: int, groups: int) -> ShardSlice:
         if groups < 1 or not (0 <= group < groups):
@@ -243,42 +250,18 @@ class SliceProvider:
         key = (corpus, groups)
         with self._lock:
             cached = self._cache.get(key)
-            if cached is not None and cached[0] == generation:
-                _, partition, evaluator, empty = cached
-            else:
-                partition = partition_instance(instance, groups)
-                evaluator = Evaluator(tracer=self._tracer, metrics=self._metrics)
-                empty = None
-                cached = [generation, partition, evaluator, empty]
+            if cached is None or cached[0] is not instance or cached[1] != generation:
+                cached = (
+                    instance,
+                    generation,
+                    partition_instance(instance, groups),
+                    Evaluator(tracer=self._tracer, metrics=self._metrics),
+                )
                 self._cache[key] = cached
-            if group >= len(partition.segments):
-                # A corpus with fewer top-level trees than groups cannot
-                # be cut that finely; surplus groups own nothing and
-                # answer every query with an empty slice, which keeps
-                # placement uniform across corpora of any shape.
-                if empty is None:
-                    empty = _empty_segment(instance)
-                    cached[3] = empty
-                segment = empty
-            else:
-                segment = partition.segments[group]
+        _, _, pieces, evaluator = cached
         return ShardSlice(
-            segment=segment,
-            group=group,
-            groups=groups,
-            generation=generation,
-            evaluator=evaluator,
+            pieces[group], group, groups, generation, evaluator, self._plans
         )
-
-    def install(self, corpus: str, generation: int, partition: Partition) -> None:
-        """Serve ``corpus`` at ``generation`` from a partition the caller
-        already cut, as ``len(partition)`` groups — an engine's own, so
-        its instance is partitioned once."""
-        evaluator = Evaluator(tracer=self._tracer, metrics=self._metrics)
-        with self._lock:
-            self._cache[(corpus, len(partition))] = [
-                generation, partition, evaluator, None
-            ]
 
     def shard_query(
         self,
@@ -332,49 +315,51 @@ class SliceProvider:
             checksums[group] = slice_checksum(slice_)
         return generation, checksums
 
-    def invalidate(self, corpus: str) -> None:
-        """Drop every cached partition of ``corpus``.
 
-        The generation check on lookup already catches normal churn;
-        this exists for the one case content changes *without* a bump —
-        a replication snapshot repair re-publishing the same generation
-        with corrected regions."""
-        with self._lock:
-            for key in [k for k in self._cache if k[0] == corpus]:
-                del self._cache[key]
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """A query text parsed, with what :func:`evaluate_slice` reads off
+    its tree: the match-point patterns, and each distinct ``<``/``>``
+    node with its printed text, the key of its bound."""
 
+    expr: A.Expr
+    patterns: frozenset[str]
+    orders: tuple[tuple[A.Expr, str], ...]
 
-def _empty_segment(instance: Instance) -> Segment:
-    """A segment owning no positions and holding no regions — what a
-    surplus group (more groups than top-level trees) evaluates against.
-    The inverted ownership span makes ``owns()`` false everywhere, so
-    match-point routing keeps nothing either."""
-    return Segment(
-        index=-1, instance=instance.trees(0, 0), roots=(), own_left=1, own_right=0
-    )
-
-
-def _route_points(slice_: ShardSlice, patterns: set[str]) -> dict[str, RegionSet]:
-    """This slice's share of each pattern's occurrences
-    (:meth:`~repro.shard.partition.Segment.route`)."""
-    if not patterns:
-        return {}
-    word_index = slice_.segment.instance.word_index
-    if not isinstance(word_index, TextWordIndex):
-        raise BackendUnsupportedError(
-            "match points need a text-backed word index"
+    @classmethod
+    def of(cls, text: str) -> "_Plan":
+        expr = parse(text)
+        nodes = list(A.walk(expr))
+        orders = dict.fromkeys(
+            node for node in nodes if isinstance(node, (A.Preceding, A.Following))
         )
-    routed: dict[str, RegionSet] = {}
-    for pattern in patterns:
-        share = slice_.segment.route(word_index.match_points(pattern))
-        if share is None:
-            # No slice can host the occurrence soundly, so the whole
-            # query must go single-process.
-            raise BackendUnsupportedError(
-                f"occurrence of {pattern!r} spans a partition cut"
-            )
-        routed[pattern] = share
-    return routed
+        return cls(
+            expr,
+            frozenset(node.pattern for node in nodes if isinstance(node, A.MatchPoints)),
+            tuple((node, to_text(node)) for node in orders),
+        )
+
+
+class _Plans:
+    """Plans by query text, parsed once: the oldest leaves first once
+    :attr:`Evaluator.PROGRAM_CACHE_CAPACITY` are held.  Plans only — a
+    plan is a function of its text, never of a slice — so one cache
+    serves every slice and generation of a provider."""
+
+    def __init__(self) -> None:
+        self._plans: dict[str, _Plan] = {}
+        self._lock = threading.Lock()
+
+    def plan(self, text: str) -> _Plan:
+        plan = self._plans.get(text)
+        if plan is None:
+            plan = _Plan.of(text)
+            with self._lock:
+                plans = self._plans
+                if len(plans) >= Evaluator.PROGRAM_CACHE_CAPACITY:
+                    del plans[next(iter(plans))]
+                plans[text] = plan
+        return plan
 
 
 def evaluate_slice(
@@ -392,23 +377,19 @@ def evaluate_slice(
     """
     if want not in ("sets", "exchange"):
         raise BackendUnsupportedError(f"unknown want {want!r}")
-    exprs = [parse(text) for text in queries]
+    plans = [slice_.plans.plan(text) for text in queries]
     node_bounds: dict[A.Expr, int | None] = {}
     patterns: set[str] = set()
-    for expr in exprs:
-        for node in A.walk(expr):
-            if isinstance(node, A.MatchPoints):
-                patterns.add(node.pattern)
-            elif isinstance(node, (A.Preceding, A.Following)):
-                if node not in node_bounds:
-                    resolved = bounds.get(to_text(node), _UNRESOLVED)
-                    if resolved is not _UNRESOLVED:
-                        node_bounds[node] = resolved
-    points = _route_points(slice_, patterns)
+    for plan in plans:
+        patterns |= plan.patterns
+        for node, text in plan.orders:
+            if text in bounds:
+                node_bounds[node] = bounds[text]
+    points = slice_.segment.route(patterns) if patterns else {}
     payload: list[Any] = []
     started = perf_counter()
-    for expr in exprs:
-        rewritten = rewrite(expr, node_bounds, points)
+    for plan in plans:
+        rewritten = rewrite(plan.expr, node_bounds, points)
         result = slice_.evaluator.evaluate(
             rewritten, slice_.segment.instance, deadline=deadline
         )
@@ -435,6 +416,3 @@ def slice_checksum(slice_: ShardSlice) -> str:
     canonical = _json.dumps(content, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-
-#: Sentinel distinguishing "no bound sent" from "bound is None (empty)".
-_UNRESOLVED = object()

@@ -3,7 +3,7 @@
 :class:`FrontierExecutor` is the one scatter-gather body: exchange
 rounds folding two scalars per ordering node, then a final scatter and
 an order-preserving k-way merge.  ``Engine(shards=K)`` runs it over one
-in-process backend per segment (:class:`~repro.shard.ShardExecutor`),
+in-process backend per piece (:class:`~repro.shard.ShardExecutor`),
 the query service over its configured topology.  Each shard group's
 task goes to a **backend node** chosen by consistent hashing, with
 three layers of robustness per call:

@@ -129,6 +129,14 @@ class TextWordIndex:
         """``(token, posting)`` for every distinct token, in vocabulary order."""
         return [(text, self._postings[text]) for text in self._vocabulary]
 
+    def end(self) -> int:
+        """One past the last occurrence's right endpoint (0 when empty).
+        A token's occurrences are disjoint, so its posting's last one
+        ends last."""
+        return 1 + max(
+            (p._rights[-1] for p in self._postings.values() if p._rights), default=-1
+        )
+
     # ------------------------------------------------------------------
 
     @property

@@ -522,9 +522,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 0
     print(f"{len(regions)} region(s)")
     if engine.shard_executor is not None:
-        for line in _shard_summary_lines(
-            engine.shard_executor.partition.summary()
-        ):
+        for line in _shard_summary_lines(engine.shard_executor.summary()):
             print(line)
     regions = shown
     for region in regions:

@@ -1,15 +1,18 @@
-"""Per-piece answers for live corpora.
+"""Pieces — runs of whole top-level trees — and per-piece answers for
+live corpora.
 
-A live corpus (:class:`~repro.ingest.live.LiveCorpus`) is its base
-followed by ingested ``<document>`` trees, each placed at an offset past
-the text before it.  Call each of these runs of whole top-level trees a
-**piece**.  Every operator of Def. 2.3 except ``<``/``>`` relates regions
-of one top-level tree, and ``σ_p`` and match points read a word index
-that is the shifted concatenation of the pieces' own postings (no word
-crosses the newline between two pieces).  So an answer is the
-concatenation of per-piece answers, each shifted by its piece's offset:
-the piece invariance of Bojańczyk et al. and the S-deletion argument of
-Thm 4.1.
+A :class:`Piece` is the one type for a contiguous run of whole
+top-level trees: a read-only instance cut K ways for the shard backends
+(:func:`~repro.shard.partition.partition_instance`) is K pieces, and a
+live corpus (:class:`~repro.ingest.live.LiveCorpus`) is its base
+followed by ingested ``<document>`` trees, each a piece placed at an
+offset past the text before it.  Every operator of Def. 2.3 except
+``<``/``>`` relates regions of one top-level tree, and ``σ_p`` and match
+points read a word index that is the shifted concatenation of the
+pieces' own postings (no word crosses the newline between two pieces).
+So an answer is the concatenation of per-piece answers, each shifted by
+its piece's offset: the piece invariance of Bojańczyk et al. and the
+S-deletion argument of Thm 4.1.
 
 ``<``/``>`` need one scalar from their global right operand, exactly as
 in :mod:`repro.shard.planner`, and are resolved by the same
@@ -59,12 +62,14 @@ from repro.algebra.evaluator import Evaluator, limits_for
 from repro.algebra.printer import to_text
 from repro.core.instance import appended_names
 from repro.core.regionset import RegionSet
+from repro.core.wordindex import TextWordIndex
+from repro.errors import BackendUnsupportedError
 from repro.obs.trace import maybe_span
 from repro.shard.planner import ShardPlan, classify, resolve_bounds
 from repro.shard.rewrite import OrderBound, rewrite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Sequence
+    from collections.abc import Iterable, Sequence
 
     from repro.algebra.evaluator import CancelToken
     from repro.core.instance import Instance
@@ -109,19 +114,72 @@ class AnswerMemo(dict):
 
 
 class Piece:
-    """A run of whole top-level trees: its instance in its own
-    coordinates, where it starts in the assembled text, how many
-    characters it spans, and its answers."""
+    """A run of whole top-level trees: its instance, the span
+    ``[offset, offset + length)`` of the text axis it covers, the point
+    of that axis where its instance's coordinate 0 lies (``origin``),
+    and its answers.
 
-    __slots__ = ("instance", "offset", "length", "memo")
+    A live corpus's piece holds an instance in its own coordinates, so
+    its origin is its offset, and an answer memo; :class:`PieceReader`
+    reads only such pieces.  A piece cut from a read-only instance
+    (:func:`~repro.shard.partition.partition_instance`) slices that
+    instance's columns and shares its word index, so its origin is 0,
+    and it keeps no answers.
+    """
+
+    __slots__ = ("instance", "offset", "length", "origin", "memo")
 
     def __init__(
-        self, instance: "Instance", offset: int, length: int, memo: AnswerMemo
+        self,
+        instance: "Instance",
+        offset: int,
+        length: int,
+        origin: int,
+        memo: AnswerMemo | None = None,
     ):
         self.instance = instance
         self.offset = offset
         self.length = length
+        self.origin = origin
         self.memo = memo
+
+    def owns(self, position: int) -> bool:
+        """Whether ``position`` of the text axis lies in this piece's span."""
+        return self.offset <= position < self.offset + self.length
+
+    def route(self, patterns: "Iterable[str]") -> dict[str, RegionSet]:
+        """This piece's share of each pattern's match points, in its
+        instance's coordinates: the occurrences whose left endpoint lies
+        in its span, one slice of the sorted arrays.
+
+        Raises :class:`~repro.errors.BackendUnsupportedError` when one of
+        them ends past the span: an occurrence spanning a cut can be
+        hosted soundly by no piece (replicating it would break operators
+        that relate it to regions on both sides), so the query must not
+        be answered piecewise.  So does a word index with no text."""
+        word_index = self.instance.word_index
+        if not isinstance(word_index, TextWordIndex):
+            raise BackendUnsupportedError(
+                "match points need a text-backed word index"
+            )
+        lo = self.offset - self.origin
+        hi = lo + self.length
+        routed: dict[str, RegionSet] = {}
+        for pattern in patterns:
+            points = word_index.match_points(pattern)
+            lefts = points._lefts
+            a = bisect_left(lefts, lo)
+            b = bisect_left(lefts, hi, a)
+            if a == b:
+                routed[pattern] = RegionSet.empty()
+                continue
+            rights = points._rights[a:b]
+            if max(rights) >= hi:
+                raise BackendUnsupportedError(
+                    f"occurrence of {pattern!r} spans a partition cut"
+                )
+            routed[pattern] = RegionSet._from_arrays(lefts[a:b], rights)
+        return routed
 
 
 class Assembly:

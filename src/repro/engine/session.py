@@ -291,7 +291,7 @@ class Engine:
             "views": sorted(self._views),
         }
         if self._shard_executor is not None:
-            stats["shards"] = self._shard_executor.partition.summary()
+            stats["shards"] = self._shard_executor.summary()
         if self._reader is not None:
             stats["pieces"] = self._reader.stats()
         return stats

@@ -712,6 +712,7 @@ REPLICATION = Scenario(
     server=_replication_server,
     faults=_replication_faults,
     oracle=mirror_oracle(_FloorMirror),
+    queries={**PLAY_QUERIES, **CHAOS_EXTRA_QUERIES},
     write_rate=6.0,
     phases=(
         Phase("warmup", lambda c: c.warmup_seconds),

@@ -2,11 +2,12 @@
 
 A :class:`LiveCorpus` holds an (optional) immutable *base* instance —
 whatever the corpus was loaded with — plus ingested documents grouped
-into **segments**: each committed append batch lands in a fresh segment
-(the shard partitioner already cuts at top-level-tree boundaries, so a
-segment is also a natural shard slice).  Deletes and updates never
-rewrite a segment; they mark the old entry as a **tombstone** and (for
-updates) re-append the new text at the end.
+into **segments**: each committed append batch lands in a fresh segment.
+A segment is bookkeeping for compaction; reads see pieces, one per
+surviving document (the run-of-trees type the shard partitioner cuts a
+read-only instance into).  Deletes and updates never rewrite a
+segment; they mark the old entry as a **tombstone** and (for updates)
+re-append the new text at the end.
 
 The assembled corpus is defined by its *layout*: the base text, then
 every surviving document wrapped in the reserved ``<document>`` tag,
@@ -147,9 +148,8 @@ class LiveCorpus:
             if base_text is not None:
                 self._base_end = len(base_text)
             else:
-                self._base_end = 1 + max(
-                    [base_instance._rights_max()]
-                    + [max(posting._rights) for _, posting in word_index.postings()]
+                self._base_end = max(
+                    base_instance._rights_max() + 1, word_index.end()
                 )
         self._segments: list[_Segment] = []
         self._index: dict[str, _Doc] = {}
@@ -159,7 +159,7 @@ class LiveCorpus:
         self._base_pieces: list[Piece] = []
         if self._base_end is not None:
             self._base_pieces.append(
-                Piece(self._base, 0, self._base_end, AnswerMemo())
+                Piece(self._base, 0, self._base_end, 0, AnswerMemo())
             )
         self._assembly = Assembly(self._base, self._base_pieces, ())
 
@@ -340,7 +340,9 @@ class LiveCorpus:
         end = self._base_end  # None: no text at all
         for doc in self._survivors():
             offset = 0 if end is None else end + 1
-            pieces.append(Piece(doc.instance, offset, doc.wrapped_len, doc.memo))
+            pieces.append(
+                Piece(doc.instance, offset, doc.wrapped_len, offset, doc.memo)
+            )
             end = offset + doc.wrapped_len
         return tuple(pieces)
 

@@ -798,7 +798,8 @@ class QueryService:
         the anti-entropy repair.  The generation is forced to the
         frontier's even when it is not an increment (a divergence repair
         re-publishes the *same* generation with corrected content), so
-        the slice and result caches are invalidated explicitly."""
+        the result cache is invalidated explicitly; the slice provider
+        recuts on its own, seeing a new instance."""
         handle = self._handle(corpus)
         name = handle.spec.name
         replica = self._replica_state(handle)
@@ -807,7 +808,6 @@ class QueryService:
                 dict(state), replica.base_instance, replica.base_text
             )
             applied = self._replica_install(handle, replica, int(generation))
-        self._slice_provider.invalidate(name)
         self.cache.invalidate((name,))
         return {"corpus": name, "applied": applied, "status": "applied"}
 

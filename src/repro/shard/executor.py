@@ -1,20 +1,21 @@
 """``Engine(shards=K)``'s scatter-gather: a frontier over K in-process
 backends.
 
-:class:`ShardExecutor` owns the partition of one instance (cut once, at
-construction) and runs every query through the one scatter-gather body,
+:class:`ShardExecutor` cuts one instance into pieces once, at
+construction (its slice provider's own cut), and runs every query
+through the one scatter-gather body,
 :class:`~repro.backend.frontier.FrontierExecutor`: one
-:class:`~repro.backend.inprocess.InProcessBackend` per segment, every
+:class:`~repro.backend.inprocess.InProcessBackend` per piece, every
 group on the calling thread, each ``<``/``>`` resolved by one exchanged
 scalar per cut, the per-group answers k-way merged.
 
-Failure policy is the frontier's: with two or more segments every group
+Failure policy is the frontier's: with two or more pieces every group
 has two replicas, so a failed call (fault point ``backend.rpc``) fails
 over to the sibling node; a group with no replica left, or a plan no
 slice can answer soundly (a match point spanning a cut, a label-only
 word index), is evaluated locally on the whole instance, as is every
-query over a one-segment partition.  ``last_stats.fallback`` says which
-(``unavailable``, ``unsupported`` or ``single_segment``).
+query over an instance with one top-level tree.  ``last_stats.fallback``
+says which (``unavailable``, ``unsupported`` or ``single_segment``).
 
 Deadlines and cancel tokens: the deadline bounds every call, in flight
 or not, and an expired one raises :class:`~repro.errors.QueryTimeout`
@@ -34,10 +35,10 @@ from repro.algebra.parser import parse
 from repro.core.instance import Instance
 from repro.core.regionset import RegionSet
 from repro.errors import EvaluationError, QueryTimeout, ReproError
-from repro.shard.partition import Partition, partition_instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backend.frontier import FrontierStats
+    from repro.engine.pieces import Piece
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
@@ -70,14 +71,19 @@ class ShardExecutor:
 
         if pool != "thread":
             raise ReproError(f"unknown shard pool {pool!r} (available: thread)")
-        self.partition: Partition = partition_instance(instance, shards)
         self._instance = instance
         self._evaluator = Evaluator(tracer=tracer, metrics=metrics)
+        self.requested = shards
         slices = SliceProvider(
             lambda corpus: (instance, 0), tracer=tracer, metrics=metrics
         )
-        slices.install(_CORPUS, 0, self.partition)
-        groups = len(self.partition)
+        # One group per top-level tree at most: more would only add
+        # zero-length pieces.
+        groups = max(1, min(shards, len(instance.forest().roots())))
+        self.pieces: tuple[Piece, ...] = tuple(
+            slices.slice_for(_CORPUS, group, groups).segment
+            for group in range(groups)
+        )
         self._frontier = FrontierExecutor(
             [
                 BackendNode(InProcessBackend(f"shard{i}", slices), CircuitBreaker())
@@ -97,6 +103,33 @@ class ShardExecutor:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+    def summary(self) -> dict[str, Any]:
+        """The cut, JSON-ready (CLI ``stats`` and ``/corpora``): per
+        piece its roots, regions and the span of its trees, and the
+        trees on either side of each cut."""
+        roots = [piece.instance.forest().roots() for piece in self.pieces]
+        return {
+            "requested": self.requested,
+            "segments": [
+                {
+                    "index": index,
+                    "roots": len(trees),
+                    "regions": len(piece.instance),
+                    "span": [
+                        trees[0].left if trees else None,
+                        trees[-1].right if trees else None,
+                    ],
+                }
+                for index, (piece, trees) in enumerate(zip(self.pieces, roots))
+            ],
+            "cuts": len(self.pieces) - 1,
+            "boundary_regions": [
+                [left[-1].as_tuple(), right[0].as_tuple()]
+                for left, right in zip(roots, roots[1:])
+                if left and right
+            ],
+        }
 
     @property
     def last_stats(self) -> "FrontierStats | None":
@@ -137,6 +170,6 @@ class ShardExecutor:
             evaluate_locally,
             deadline=deadline,
             cancel=cancel,
-            fallback="single_segment" if len(self.partition) <= 1 else None,
+            fallback="single_segment" if len(self.pieces) <= 1 else None,
         )
         return result

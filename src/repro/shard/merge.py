@@ -1,8 +1,7 @@
 """Order-preserving reassembly of per-shard results.
 
-Segments own disjoint, increasing spans of the position axis, and every
-region a shard task can return lies inside its segment's ownership
-span, so per-shard result sets — each already in canonical
+Pieces own disjoint, increasing spans of the position axis, and every
+region a shard task can return lies inside its piece's span, so per-shard result sets — each already in canonical
 ``(left, right)`` order — concatenate into a globally sorted,
 duplicate-free sequence.  :func:`merge_region_sets` verifies that
 boundary condition in O(K) and concatenates the endpoint arrays;

@@ -2,12 +2,12 @@
 
 With an instance cut at top-level forest boundaries
 (:mod:`repro.shard.partition`), evaluating an expression independently
-per segment and unioning the results is correct for every operator
+per piece and unioning the results is correct for every operator
 except two kinds of node:
 
 =====================  ==============================================
 ``∪ ∩ −``              shard-local: identity-based over region sets
-                       that partition disjointly across segments
+                       that partition disjointly across pieces
 ``⊃ ⊂``                shard-local: ``r ⊃ s`` forces ``r`` and ``s``
                        into the same top-level tree
 ``⊃_d ⊂_d``            shard-local: direct inclusion is the parent
@@ -19,7 +19,7 @@ except two kinds of node:
 ``bi``                 shard-local: both witnesses nest strictly
                        inside the source region
 ``< >``                **boundary-crossing**: a region may precede or
-                       follow regions in *other* segments
+                       follow regions in *other* pieces
 ``match points``       **boundary-crossing**: word occurrences are
                        not instance regions, so one may span a cut
 =====================  ==============================================

@@ -5,8 +5,8 @@ the query per shard so the ordinary evaluator produces the shard's slice
 of the global answer:
 
 * a :class:`RegionLiteral` replaces a match-point leaf with the
-  occurrences *routed to this shard* by the partitioner's ownership
-  spans;
+  occurrences *routed to this shard* by its piece's span
+  (:meth:`~repro.engine.pieces.Piece.route`);
 * an :class:`OrderBound` replaces a resolved ``<``/``>`` node: the
   right operand disappears entirely, leaving a filter of the (still
   per-shard) left operand against the globally exchanged scalar —

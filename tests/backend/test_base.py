@@ -3,7 +3,8 @@
 Every test checks the same invariant the frontier relies on: the union
 of per-group slice evaluations equals single-process evaluation, for
 any group count — including more groups than the corpus has top-level
-trees (surplus groups own nothing and answer with empty sets).
+trees (a group past them gets a zero-length piece, which owns nothing
+and answers with empty sets).
 """
 
 import hashlib
@@ -76,12 +77,17 @@ class TestSliceEvaluation:
         assert list(_union_of_slices(provider, query, groups)) == list(expected)
 
     def test_surplus_groups_answer_empty(self, provider, instance):
-        # 4 top-level trees, 8 groups: groups 4..7 own nothing.
+        # 4 top-level trees, 8 groups: groups 4..7 get a zero-length piece.
         query = ORDER_FREE_QUERIES[0]
         for group in range(4, 8):
             slice_ = provider.slice_for("play", group, 8)
-            payload, _ = evaluate_slice(slice_, [query], "sets", {})
-            assert len(payload) == 1 and list(payload[0]) == []
+            assert slice_.segment.length == 0
+            payload, _ = evaluate_slice(slice_, [query, '"love"'], "sets", {})
+            assert len(payload) == 2 and list(payload[0]) == list(payload[1]) == []
+            # The digest replicas compare: every name, no region.
+            assert slice_checksum(slice_) == (
+                "91b8d0adf143ed97a06ef2153304ffc6da20420d1c3b98ce3f89bf4762fcc041"
+            )
         expected = Evaluator("indexed").evaluate(parse(query), instance)
         assert list(_union_of_slices(provider, query, 8)) == list(expected)
 
@@ -106,6 +112,24 @@ class TestSliceEvaluation:
         slice_ = provider.slice_for("play", 0, 2)
         payload, _ = evaluate_slice(slice_, ORDER_FREE_QUERIES[:3], "sets", {})
         assert len(payload) == 3
+
+    def test_same_text_is_parsed_once(self, provider, monkeypatch):
+        import repro.backend.base as base
+
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(base, "parse", counting_parse)
+        text = 'speech containing "love"'
+        slice_ = provider.slice_for("play", 0, 2)
+        first, _ = evaluate_slice(slice_, [text], "sets", {})
+        again, _ = evaluate_slice(provider.slice_for("play", 1, 2), [text], "sets", {})
+        repeat, _ = evaluate_slice(slice_, [text], "sets", {})
+        assert calls == [text]
+        assert list(first[0]) == list(repeat[0])
 
     def test_unknown_want_rejected(self, provider):
         slice_ = provider.slice_for("play", 0, 2)
@@ -173,3 +197,26 @@ class TestSliceProviderCache:
         a = provider.slice_for("play", 6, 8)
         b = provider.slice_for("play", 7, 8)
         assert a.segment is b.segment
+        assert a.segment.length == 0 and len(a.segment.instance) == 0
+        assert not any(a.segment.owns(p) for p in range(-1, a.segment.offset + 2))
+
+    def test_same_generation_repair_serves_the_new_instance(self, instance):
+        # A replication repair re-publishes the same generation with
+        # corrected content: a new instance object behind the lookup.
+        repaired = Instance(
+            {
+                "speech": RegionSet.of((0, 12), (16, 24)),
+                "line": RegionSet.of((1, 4), (17, 22)),
+            }
+        )
+        current = {"instance": instance}
+        provider = SliceProvider(lambda name: (current["instance"], 5))
+        stale = provider.slice_for("play", 0, 2)
+        assert stale.segment.instance.names == instance.names
+        current["instance"] = repaired
+        slices = [provider.slice_for("play", group, 2) for group in range(2)]
+        assert all(s.generation == 5 for s in slices)
+        assert [s.segment.instance.region_set("line").pairs() for s in slices] == [
+            [(1, 4)],
+            [(17, 22)],
+        ]

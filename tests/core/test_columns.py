@@ -62,9 +62,9 @@ class TestLaziness:
         engine = Engine.load(path)
         for query in MIX:
             assert engine.query(query)
-        partition = partition_instance(engine.instance, 2)
-        assert len(partition) == 2
-        for instance in [engine.instance] + [s.instance for s in partition.segments]:
+        pieces = partition_instance(engine.instance, 2)
+        assert len(pieces) == 2
+        for instance in [engine.instance] + [piece.instance for piece in pieces]:
             assert all(view is None for view in object_views(instance))
 
     @given(hierarchical_instances())
@@ -113,15 +113,16 @@ class TestLaziness:
             instance = random_instance(rng, max_nodes=40)
             forest = instance.forest()
             for shards in (1, 2, 3, 5):
-                for segment in partition_instance(instance, shards).segments:
-                    sub = segment.instance
+                for piece in partition_instance(instance, shards):
+                    sub = piece.instance
+                    roots = [r for r in forest.roots() if piece.owns(r.left)]
                     for name in instance.names:
                         expected = {
                             r
                             for r in instance.region_set(name)
                             if any(
                                 root.left <= r.left and r.right <= root.right
-                                for root in segment.roots
+                                for root in roots
                             )
                         }
                         assert set(sub.region_set(name)) == expected

@@ -129,13 +129,14 @@ class TestRequestPath:
             parses.clear()
             first = svc.execute("(speech) dwithin scene")
             assert first["cached"] is False
-            # The wire format is text: each backend call parses what it
-            # was sent.  The coordinator side parses the request once.
+            # The wire format is text: both groups are sent the same
+            # text, which their slice provider parses once, into its
+            # plan cache.  The coordinator side parses the request once.
             wire = parses.pop("repro.backend.base", 0)
             assert parses == {"repro.engine.session": 1}
             if topology == "frontier":
                 assert "fallback" not in first["backend"]
-                assert wire >= 2
+                assert wire == 1
             else:
                 assert wire == 0
 

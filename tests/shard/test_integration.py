@@ -50,7 +50,7 @@ class TestEngine:
     def test_executor_exposed_and_partitioned(self, sharded_engine):
         executor = sharded_engine.shard_executor
         assert executor is not None
-        assert len(executor.partition) == 3
+        assert len(executor.pieces) == 3
 
     def test_statistics_include_partition_summary(self, sharded_engine):
         stats = sharded_engine.statistics()
@@ -109,10 +109,9 @@ class TestCorpus:
             )
         engine = corpus.engine()
         try:
-            partition = engine.shard_executor.partition
             documents = engine.instance.region_set("document")
-            for segment in partition.segments:
-                for root in segment.roots:
+            for piece in engine.shard_executor.pieces:
+                for root in piece.instance.forest().roots():
                     assert root in documents
         finally:
             engine.close()
