@@ -83,7 +83,6 @@ def _build_service(
                 path=str(source),
             ),
         ),
-        shards=1,
         ingest_enabled=True,
         ingest_dir=str(ingest_dir),
         ingest_fsync=True,

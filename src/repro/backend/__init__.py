@@ -12,9 +12,9 @@ whole evaluation process:
   same text-protocol exchange rounds the in-process executor runs)
   against its restricted sub-instance;
 * :mod:`repro.backend.inprocess` — backends as plain objects in the
-  frontier's process (behind ``Engine(shards=K)``, the service's
-  in-process mode, and the test/bench harness for failover and
-  hedging);
+  frontier's process (behind :class:`~repro.shard.ShardExecutor`, the
+  service's in-process mode, and the test/bench harness for failover
+  and hedging);
 * :mod:`repro.backend.httpclient` — backends as separate ``repro
   serve`` subprocesses spoken to over ``POST /shard/query`` with
   deadline and trace context propagated in headers;

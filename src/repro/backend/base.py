@@ -218,14 +218,20 @@ class SliceProvider:
     """Builds and caches :class:`ShardSlice`\\ s per corpus generation.
 
     ``lookup(corpus)`` returns ``(instance, generation)`` for the
-    *current* generation — the query service backs it with its corpus
-    handles, a backend subprocess with its own engines.  The cut is
-    cached per ``(corpus, groups)`` for the instance object and
-    generation it was cut from, and recut when either changes: a hot
-    reload bumps the generation, and a replication repair that
-    re-publishes the *same* generation with corrected content serves a
-    new instance.
+    generation the caller reads — the query service backs it with the
+    snapshot the request captured (its own in-process groups) or else
+    its corpus handles' current one (remote ``/shard/query`` calls,
+    checksums), a :class:`~repro.shard.ShardExecutor` with its one
+    instance.  Cuts are cached per ``(corpus, groups)`` for the
+    :data:`KEPT_CUTS` newest generations, each with the instance object
+    it was cut from, so reads still in flight at G and new reads at
+    G+1 after a commit each reuse their own cut.  A generation is recut
+    when its instance changes: a replication repair that re-publishes
+    the *same* generation with corrected content serves a new instance.
     """
+
+    #: Generations whose cuts stay cached per ``(corpus, groups)``.
+    KEPT_CUTS = 2
 
     def __init__(
         self,
@@ -237,8 +243,8 @@ class SliceProvider:
         self._tracer = tracer
         self._metrics = metrics
         self._lock = threading.Lock()
-        #: (corpus, groups) -> (instance, generation, pieces, evaluator)
-        self._cache: dict[tuple[str, int], tuple[Any, ...]] = {}
+        #: (corpus, groups) -> {generation: (instance, pieces, evaluator)}
+        self._cache: dict[tuple[str, int], dict[int, tuple[Any, ...]]] = {}
         self._plans = _Plans()
 
     def slice_for(self, corpus: str, group: int, groups: int) -> ShardSlice:
@@ -247,18 +253,19 @@ class SliceProvider:
                 f"bad slice request: group {group} of {groups}"
             )
         instance, generation = self._lookup(corpus)
-        key = (corpus, groups)
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is None or cached[0] is not instance or cached[1] != generation:
+            cuts = self._cache.setdefault((corpus, groups), {})
+            cached = cuts.get(generation)
+            if cached is None or cached[0] is not instance:
                 cached = (
                     instance,
-                    generation,
                     partition_instance(instance, groups),
                     Evaluator(tracer=self._tracer, metrics=self._metrics),
                 )
-                self._cache[key] = cached
-        _, _, pieces, evaluator = cached
+                cuts[generation] = cached
+                for old in sorted(cuts)[: -self.KEPT_CUTS]:
+                    del cuts[old]
+        _, pieces, evaluator = cached
         return ShardSlice(
             pieces[group], group, groups, generation, evaluator, self._plans
         )

@@ -2,11 +2,11 @@
 
 :class:`FrontierExecutor` is the one scatter-gather body: exchange
 rounds folding two scalars per ordering node, then a final scatter and
-an order-preserving k-way merge.  ``Engine(shards=K)`` runs it over one
-in-process backend per piece (:class:`~repro.shard.ShardExecutor`),
-the query service over its configured topology.  Each shard group's
-task goes to a **backend node** chosen by consistent hashing, with
-three layers of robustness per call:
+an order-preserving k-way merge.  :class:`~repro.shard.ShardExecutor`
+runs it over one in-process backend per piece, the query service over
+its configured topology — the only way a service scatters.  Each shard
+group's task goes to a **backend node** chosen by consistent hashing,
+with three layers of robustness per call:
 
 1. **Per-backend circuit breakers** — a node that keeps failing stops
    being asked (its breaker opens), is re-probed on a timer, and its

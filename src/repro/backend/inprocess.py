@@ -1,9 +1,12 @@
 """Shard backends living in the frontier's own process.
 
 Each :class:`InProcessBackend` is one logical node of a topology — the
-service's in-process mode, or one segment of ``Engine(shards=K)`` —
-serving any ``(corpus, group)`` slice from a shared
-:class:`SliceProvider`.
+service's in-process mode, or one segment of a
+:class:`~repro.shard.ShardExecutor` — serving any ``(corpus, group)``
+slice from a shared :class:`SliceProvider`.  In a service, that
+provider cuts the slice from the snapshot the request captured, so an
+in-process group never answers from a newer generation than the
+request's own.
 The frontier treats it like a remote backend — breakers, failover,
 deadlines and the ``backend.rpc`` fault point all apply — which is what
 makes single-process deployments and the test suite exercise the same
@@ -69,7 +72,7 @@ class InProcessBackend(ShardBackend):
         # tracer (same process, contextvars carried the parent in), so
         # it is not shipped back for adoption as a subprocess's is.  A
         # lagging slice cannot happen in a healthy in-process topology
-        # (slices come from the frontier's own handles) — but the
+        # (slices come from the request's own snapshot) — but the
         # contract is uniform, so tests can drive that path here too.
         result, _span = self._slices.shard_query(
             self.node_id,
@@ -86,7 +89,7 @@ class InProcessBackend(ShardBackend):
 
     # ------------------------------------------------------------------
     # Replication: an in-process node reads the frontier's own corpus
-    # handles, so every committed batch is visible the moment it is
+    # snapshots, so every committed batch is visible the moment it is
     # installed — shipping is acknowledged as already-applied.
     # ------------------------------------------------------------------
 

@@ -205,12 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest deadline a request may ask for",
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="per-corpus shard count for scatter-gather evaluation",
-    )
-    serve.add_argument(
         "--optimize", action="store_true", help="optimize queries by default"
     )
     serve.add_argument(
@@ -432,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=2,
-        help="per-corpus shard count the service evaluates with",
+        help="shard groups each corpus is scattered over (at least 2)",
     )
     chaos.add_argument("--qps", type=float, default=60.0)
     chaos.add_argument("--concurrency", type=int, default=4)
@@ -455,11 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_engine(
-    path: Path, rig_name: str | None, shards: int | None = None
-) -> Engine:
+def _load_engine(path: Path, rig_name: str | None) -> Engine:
     rig = figure_1_rig() if rig_name == "figure1" else None
-    return Engine.load(path, rig=rig, shards=shards)
+    return Engine.load(path, rig=rig)
+
+
+def _shard_executor(engine: Engine, shards: int):
+    """``--shards K``: the engine's instance cut into K pieces, recording
+    into the engine's telemetry."""
+    from repro.shard import ShardExecutor
+
+    return ShardExecutor(
+        engine.instance, shards, tracer=engine.tracer, metrics=engine.metrics
+    )
 
 
 def _shard_summary_lines(summary: dict) -> list[str]:
@@ -492,7 +494,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    engine = _load_engine(args.index, args.rig, shards=args.shards)
+    engine = _load_engine(args.index, args.rig)
     if getattr(args, "profile", False):
         from repro.algebra.profile import profile
 
@@ -503,7 +505,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"{report.cache_hits} memo hit(s)"
         )
         return 0
-    result = engine.query(args.query, optimize_query=args.optimize)
+    summary = None
+    if args.shards is not None:
+        plan = (
+            engine.plan(args.query).optimized
+            if args.optimize
+            else engine.prepare(args.query)
+        )
+        with _shard_executor(engine, args.shards) as executor:
+            result = executor.run(plan)
+            summary = executor.summary()
+    else:
+        result = engine.query(args.query, optimize_query=args.optimize)
     regions = sorted(result, key=lambda r: (r.left, r.right))
     limit = getattr(args, "limit", None)
     shown = regions if limit is None else regions[:limit]
@@ -521,8 +534,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(annotate(text, RegionSet(shown)))
         return 0
     print(f"{len(regions)} region(s)")
-    if engine.shard_executor is not None:
-        for line in _shard_summary_lines(engine.shard_executor.summary()):
+    if summary is not None:
+        for line in _shard_summary_lines(summary):
             print(line)
     regions = shown
     for region in regions:
@@ -544,8 +557,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    engine = _load_engine(args.index, None, shards=args.shards)
+    engine = _load_engine(args.index, None)
     stats = engine.statistics()
+    if args.shards is not None:
+        with _shard_executor(engine, args.shards) as executor:
+            stats["shards"] = executor.summary()
     telemetry = getattr(args, "telemetry", False)
     if telemetry:
         stats["telemetry"] = engine.telemetry()
@@ -719,7 +735,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracing=args.trace,
         trace_sample_rate=args.trace_sample,
         corpora=tuple(specs),
-        shards=args.shards,
         backend_nodes=nodes,
         backend_groups=groups,
         backend_replicas=replicas,

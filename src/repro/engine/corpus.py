@@ -29,15 +29,10 @@ DOCUMENT_REGION_NAME = "document"
 class Corpus:
     """A collection of tagged documents indexed as one instance."""
 
-    def __init__(
-        self,
-        rig: RegionInclusionGraph | None = None,
-        shards: int | None = None,
-    ):
+    def __init__(self, rig: RegionInclusionGraph | None = None):
         self._texts: list[str] = []
         self._names: list[str] = []
         self._rig = rig
-        self._shards = shards
         self._engine: Engine | None = None
 
     def add(self, text: str, name: str | None = None) -> None:
@@ -75,11 +70,7 @@ class Corpus:
                 f"<{DOCUMENT_REGION_NAME}>\n{text}\n</{DOCUMENT_REGION_NAME}>"
                 for text in self._texts
             )
-            self._engine = Engine.from_tagged_text(
-                combined,
-                rig=self._rig,
-                shards=self._shards,
-            )
+            self._engine = Engine.from_tagged_text(combined, rig=self._rig)
         return self._engine
 
     def query(self, query: str, optimize_query: bool = False) -> RegionSet:

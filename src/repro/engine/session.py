@@ -107,7 +107,6 @@ class Engine:
         text: str | None = None,
         rig: RegionInclusionGraph | None = None,
         telemetry: Telemetry | None = None,
-        shards: int | None = None,
     ):
         self._instance = instance
         self._text = text
@@ -121,16 +120,6 @@ class Engine:
         #: Set, with ``instance`` None, only by :meth:`from_live`.
         self._assembly: "Assembly | None" = None
         self._reader: "PieceReader | None" = None
-        self._shard_executor = None
-        if shards is not None:
-            from repro.shard import ShardExecutor
-
-            self._shard_executor = ShardExecutor(
-                instance,
-                shards,
-                tracer=self._telemetry.tracer,
-                metrics=self._telemetry.metrics,
-            )
 
     # ------------------------------------------------------------------
     # Constructors.
@@ -141,7 +130,6 @@ class Engine:
         cls,
         text: str,
         rig: RegionInclusionGraph | None = None,
-        shards: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> "Engine":
         """Index an SGML-like tagged document."""
@@ -155,7 +143,6 @@ class Engine:
             text=document.text,
             rig=rig,
             telemetry=telemetry,
-            shards=shards,
         )
         engine._observe_index_build("tagged", perf_counter() - started)
         return engine
@@ -164,7 +151,6 @@ class Engine:
     def from_source(
         cls,
         text: str,
-        shards: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> "Engine":
         """Index toy program source code (Figure 1 structure and RIG)."""
@@ -179,7 +165,6 @@ class Engine:
             text=document.text,
             rig=figure_1_rig(),
             telemetry=telemetry,
-            shards=shards,
         )
         engine._observe_index_build("source", perf_counter() - started)
         return engine
@@ -189,7 +174,6 @@ class Engine:
         cls,
         path: str | Path,
         rig: RegionInclusionGraph | None = None,
-        shards: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> "Engine":
         from repro.engine.storage import load_instance
@@ -197,12 +181,7 @@ class Engine:
         _faults.fire("index.build")
         started = perf_counter()
         instance = load_instance(path)
-        engine = cls(
-            instance,
-            rig=rig,
-            telemetry=telemetry,
-            shards=shards,
-        )
+        engine = cls(instance, rig=rig, telemetry=telemetry)
         engine._observe_index_build("load", perf_counter() - started)
         return engine
 
@@ -270,12 +249,6 @@ class Engine:
             return self._assembly.names
         return self._instance.names
 
-    @property
-    def shard_executor(self):
-        """The :class:`~repro.shard.ShardExecutor` when ``shards`` was
-        given at construction, else ``None``."""
-        return self._shard_executor
-
     def statistics(self) -> dict[str, Any]:
         """Index statistics: per-name cardinalities and nesting depth
         (on a live engine, summed and maxed over its pieces)."""
@@ -290,16 +263,14 @@ class Engine:
             ),
             "views": sorted(self._views),
         }
-        if self._shard_executor is not None:
-            stats["shards"] = self._shard_executor.summary()
         if self._reader is not None:
             stats["pieces"] = self._reader.stats()
         return stats
 
     def close(self) -> None:
-        """Release the shard executor's backends, if any."""
-        if self._shard_executor is not None:
-            self._shard_executor.close()
+        """Release what the engine holds: nothing outside the process's
+        own memory, so this is a no-op kept for callers that close
+        every engine they build."""
 
     # ------------------------------------------------------------------
     # Observability.
@@ -366,17 +337,13 @@ class Engine:
                     result = self._reader.evaluate(
                         executed, deadline=deadline, cancel=cancel
                     )
-            elif self._shard_executor is not None:
-                result = self._shard_executor.run(
-                    executed, deadline=deadline, cancel=cancel
-                )
             else:
                 result = self._evaluator.evaluate(
                     executed, self._instance, deadline=deadline, cancel=cancel
                 )
             if root is not None:
                 root.set("cardinality", len(result))
-        self._record(
+        self.record(
             kind="query",
             query=text if text is not None else query,
             executed=executed,
@@ -384,11 +351,7 @@ class Engine:
             result=result,
             seconds=perf_counter() - started,
             parse_seconds=parse_seconds,
-            stats=(
-                self._evaluator.last_stats
-                if self._shard_executor is None
-                else None
-            ),
+            stats=self._evaluator.last_stats,
         )
         return result
 
@@ -422,7 +385,7 @@ class Engine:
                 expr = self.prepare(query)
                 parse_seconds = perf_counter() - parse_started
             plan, program_cache_hit = self._plan_ex(expr)
-        self._record(
+        self.record(
             kind="explain",
             query=text if text is not None else query,
             executed=plan.optimized,
@@ -489,7 +452,7 @@ class Engine:
         instance = self._instance
         return {name: len(instance.region_set(name)) for name in instance.names}
 
-    def _record(
+    def record(
         self,
         kind: str,
         query: str | A.Expr,
@@ -500,6 +463,13 @@ class Engine:
         parse_seconds: float,
         stats: EvalStats | None,
     ) -> None:
+        """Log one answered query or explain: count it in
+        ``queries_total``, observe ``parse_seconds`` and (for a query)
+        ``result_cardinality``, and append a :class:`QueryRecord`
+        stamped with the current trace id.  :meth:`query` and
+        :meth:`explain` call it; so does a caller that answered a plan
+        of this engine's some other way, such as the query service's
+        frontier topology."""
         metrics = self._telemetry.metrics
         metrics.counter(QUERIES_TOTAL).inc(kind=kind)
         metrics.histogram(PARSE_SECONDS).observe(parse_seconds)

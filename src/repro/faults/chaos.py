@@ -47,8 +47,7 @@ class ChaosConfig:
     mode: str = "service"  #: one of ``MODES``
     seed: int = 0
     scale: int = 2  #: size of each generated play
-    #: service: the corpus's shard count; backend-kill and replication:
-    #: its shard groups (at least 2)
+    #: the shard groups the corpus is scattered over (at least 2)
     shards: int = 2
     qps: float = 60.0
     concurrency: int = 4
@@ -178,9 +177,13 @@ _SERVICE_BREAKER_THRESHOLD = 3
 
 
 def _service_server(run: Run):
+    """One service scattering through an in-process frontier:
+    ``max(2, shards)`` groups × 2 replicas on 2 nodes."""
     return ServerConfig(
         workers=4, queue_depth=32, cache_enabled=True, default_deadline=5.0,
-        corpora=(index_corpus(run),), shards=run.config.shards,
+        corpora=(index_corpus(run),),
+        backend_nodes=2, backend_groups=max(2, run.config.shards),
+        backend_replicas=2, backend_mode="inprocess",
         retry_attempts=3, retry_base_delay=0.02, retry_max_delay=0.1,
         dispatch_retries=2, breaker_threshold=_SERVICE_BREAKER_THRESHOLD,
         breaker_reset=run.config.breaker_reset,

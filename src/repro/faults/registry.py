@@ -13,7 +13,7 @@ doing their real work:
 ``pool.worker``       a request picking up its run slot in the gate
 ``cache.get``         a result-cache probe in the query service
 ``backend.rpc``       one frontier→backend shard call attempt (any
-                      transport, ``Engine(shards=K)`` included)
+                      transport, ``ShardExecutor`` included)
 ``replication.ship``  one WAL-batch ship from the frontier to a replica
 ====================  ==================================================
 

@@ -390,7 +390,6 @@ def live_corpus(run: Run) -> dict[str, Any]:
                       seed=run.config.seed, scale=max(1, run.config.scale))
     return dict(
         corpora=(spec,),
-        shards=1,  # ingest rebuilds engines per commit; keep them cheap
         ingest_enabled=True, ingest_dir=str(run.workdir), ingest_fsync=True,
         compaction_enabled=False,
     )

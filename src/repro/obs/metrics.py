@@ -152,7 +152,7 @@ INDEX_REBUILDS_TOTAL = "index_rebuilds_total"
 POOL_WORKER_DEATHS_TOTAL = "pool_worker_deaths_total"
 
 # The scatter-gather frontier (repro.backend), behind both
-# Engine(shards=K) and the service topology — see docs/server.md
+# ShardExecutor and the service topology — see docs/server.md
 # ("Topology & failover") and docs/robustness.md.
 BACKEND_REQUESTS_TOTAL = "backend_requests_total"
 BACKEND_RPC_SECONDS = "backend_rpc_seconds"

@@ -52,11 +52,8 @@ class CorpusSpec:
     scale: int = 4  #: size multiplier for synthetic corpora
     source: str | None = None  #: rebuild document for ``kind="index"``
     source_format: str = "tagged"
-    shards: int | None = None  #: override ``ServerConfig.shards`` per corpus
 
     def __post_init__(self) -> None:
-        if self.shards is not None and self.shards < 1:
-            raise ReproError("a corpus needs at least one shard")
         if self.kind not in ("index", "tagged", "source", "synthetic"):
             raise ReproError(f"unknown corpus kind {self.kind!r}")
         if self.kind == "synthetic" and self.path not in _SYNTHETIC_KINDS:
@@ -79,8 +76,6 @@ class CorpusSpec:
         if self.source is not None:
             data["source"] = self.source
             data["source_format"] = self.source_format
-        if self.shards is not None:
-            data["shards"] = self.shards
         return data
 
 
@@ -126,13 +121,6 @@ class ServerConfig:
     ``stale_when_degraded``
         While degraded, a cache miss may be answered by a matching
         entry from an older corpus generation (marked ``"stale": true``).
-    ``shards``
-        Per-corpus shard count for sharded scatter-gather evaluation
-        (``docs/internals.md``); 1 (the default) keeps the plain
-        single-shard evaluator.  A :class:`CorpusSpec` may override it
-        per corpus via its own ``shards`` field.  It does not apply to
-        a corpus that takes writes (``ingest_enabled`` and a text-backed
-        index): that corpus answers per piece in every generation.
 
     Tracing knobs (``docs/observability.md``), active when ``tracing``:
 
@@ -145,12 +133,15 @@ class ServerConfig:
     ``trace_slow_seconds``
         A request at or above this duration is tail-kept as ``slow``.
 
-    Backend topology knobs (``docs/server.md``, "Topology & failover"):
+    Backend topology knobs (``docs/server.md``, "Topology & failover")
+    — the one way a service scatters a corpus:
 
     ``backend_nodes``
         Backend node count; 0 (the default) disables the frontier and
-        keeps evaluation in-process.  With ``backend_mode="http"`` each
-        node is a supervised ``repro serve`` subprocess.
+        evaluates each query on one engine.  With ``backend_mode="http"``
+        each node is a supervised ``repro serve`` subprocess; with
+        ``"inprocess"`` each is a slice server in this process that
+        answers from the generation the request captured.
     ``backend_groups`` / ``backend_replicas``
         Shard groups per corpus and replicas per group.  Each
         ``(corpus, group)`` is placed on ``backend_replicas`` distinct
@@ -170,8 +161,8 @@ class ServerConfig:
 
     Replication knobs (``docs/robustness.md``, "Replication &
     anti-entropy"), meaningful only with ``backend_mode="http"`` —
-    in-process backends share the frontier's corpus handles and are
-    always current:
+    in-process backends read the snapshot each request captured, so
+    they are never behind it:
 
     ``replication_enabled``
         Ship every committed WAL batch to every backend node so
@@ -256,7 +247,6 @@ class ServerConfig:
     health_min_samples: int = 10
     probe_interval: int = 10
     stale_when_degraded: bool = True
-    shards: int = 1
     backend_nodes: int = 0
     backend_groups: int = 2
     backend_replicas: int = 1
@@ -292,8 +282,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ReproError("server needs at least one worker")
-        if self.shards < 1:
-            raise ReproError("server needs at least one shard per corpus")
         if self.queue_depth < 0:
             raise ReproError("queue depth cannot be negative")
         if self.cache_capacity < 1:
@@ -394,7 +382,6 @@ class ServerConfig:
             "degraded_threshold": self.degraded_threshold,
             "unhealthy_threshold": self.unhealthy_threshold,
             "stale_when_degraded": self.stale_when_degraded,
-            "shards": self.shards,
             "backend_nodes": self.backend_nodes,
             "backend_groups": self.backend_groups,
             "backend_replicas": self.backend_replicas,

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import tempfile
 import threading
+from contextvars import ContextVar
 from pathlib import Path
 from time import monotonic, perf_counter
 from typing import Any, Callable
@@ -117,6 +118,12 @@ from repro.server.pool import AdmissionGate
 
 __all__ = ["QueryService", "UnknownCorpusError"]
 
+#: ``(corpus, engine, generation)`` of the read whose scatter is running
+#: in this context — the snapshot this process's in-process groups read.
+_READ_SNAPSHOT: ContextVar[tuple[str, Engine, int] | None] = ContextVar(
+    "repro_read_snapshot", default=None
+)
+
 
 class UnknownCorpusError(ReproError):
     """A request named a corpus the service does not serve."""
@@ -131,40 +138,30 @@ class UnknownCorpusError(ReproError):
         super().__init__(f"unknown corpus {name!r}{hint}")
 
 
-def _build_engine(
-    spec: CorpusSpec,
-    telemetry: Telemetry,
-    shards: int | None = None,
-) -> Engine:
+def _build_engine(spec: CorpusSpec, telemetry: Telemetry) -> Engine:
     """Load one corpus per its spec, sharing the service telemetry."""
     if spec.kind == "index":
-        return Engine.load(spec.path, shards=shards, telemetry=telemetry)
+        return Engine.load(spec.path, telemetry=telemetry)
     if spec.kind == "synthetic":
-        return _index_text(_synthesize(spec), spec.path, telemetry, shards)
+        return _index_text(_synthesize(spec), spec.path, telemetry)
     text = Path(spec.path).read_text(encoding="utf-8")
-    return _index_text(text, spec.kind, telemetry, shards)
+    return _index_text(text, spec.kind, telemetry)
 
 
-def _index_text(
-    text: str, text_format: str, telemetry: Telemetry, shards: int | None
-) -> Engine:
+def _index_text(text: str, text_format: str, telemetry: Telemetry) -> Engine:
     """Index program source (Figure 1 RIG) or, by default, tagged text."""
     if text_format == "source":
-        return Engine.from_source(text, shards=shards, telemetry=telemetry)
-    return Engine.from_tagged_text(text, shards=shards, telemetry=telemetry)
+        return Engine.from_source(text, telemetry=telemetry)
+    return Engine.from_tagged_text(text, telemetry=telemetry)
 
 
-def _rebuild_engine(
-    spec: CorpusSpec,
-    telemetry: Telemetry,
-    shards: int | None = None,
-) -> Engine:
+def _rebuild_engine(spec: CorpusSpec, telemetry: Telemetry) -> Engine:
     """Rebuild an ``index`` corpus from its source document and try to
     re-save the index file (best-effort) — the corruption-recovery path."""
     from repro.engine.storage import save_instance
 
     text = Path(spec.source).read_text(encoding="utf-8")
-    engine = _index_text(text, spec.source_format, telemetry, shards)
+    engine = _index_text(text, spec.source_format, telemetry)
     try:
         save_instance(engine.instance, spec.path)
     except (ReproError, OSError):
@@ -259,9 +256,8 @@ class _CorpusHandle:
             "nesting_depth": stats["nesting_depth"],
             "breaker": self.breaker.snapshot(),
         }
-        for key in ("shards", "pieces"):
-            if key in stats:
-                info[key] = stats[key]
+        if "pieces" in stats:
+            info["pieces"] = stats["pieces"]
         return info
 
 
@@ -553,7 +549,15 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _slice_lookup(self, corpus: str):
-        engine, generation = self._handle(corpus).snapshot()
+        """What a slice of ``corpus`` is cut from: the snapshot the
+        request scattering it captured (this process's in-process
+        groups), else the corpus's current one (a remote frontier's
+        ``/shard/query``, the anti-entropy checksums)."""
+        captured = _READ_SNAPSHOT.get()
+        if captured is not None and captured[0] == corpus:
+            engine, generation = captured[1], captured[2]
+        else:
+            engine, generation = self._handle(corpus).snapshot()
         return engine.instance, generation
 
     def _start_frontier(self) -> None:
@@ -847,16 +851,9 @@ class QueryService:
     # Corpus management.
     # ------------------------------------------------------------------
 
-    def _shards_for(self, spec: CorpusSpec) -> int | None:
-        """The effective shard count of a corpus: its own override, else
-        the service default; ``None`` (plain evaluation) when it is 1."""
-        shards = spec.shards if spec.shards is not None else self.config.shards
-        return shards if shards > 1 else None
-
     def _load_engine(self, spec: CorpusSpec) -> Engine:
         """Build a corpus engine under retry; quarantine + rebuild from
         source when corruption survives the retries."""
-        shards = self._shards_for(spec)
 
         def on_retry(_attempt: int, _delay: float, _exc: BaseException) -> None:
             self._retry_attempts.inc(op="load", corpus=spec.name)
@@ -866,7 +863,7 @@ class QueryService:
 
         try:
             return retry_call(
-                lambda: _build_engine(spec, self.telemetry, shards),
+                lambda: _build_engine(spec, self.telemetry),
                 policy=self._retry_policy,
                 retry_on=_RETRYABLE_LOAD,
                 op=f"load:{spec.name}",
@@ -879,7 +876,7 @@ class QueryService:
             from repro.engine.storage import quarantine_index
 
             quarantine_index(spec.path)
-            engine = _rebuild_engine(spec, self.telemetry, shards)
+            engine = _rebuild_engine(spec, self.telemetry)
             self._rebuilds.inc(corpus=spec.name)
             return engine
 
@@ -937,43 +934,25 @@ class QueryService:
         state = _IngestState(
             live, wal, rig=engine.rig, replayed_batches=replayed
         )
-        engine = self._writable_engine(spec, state, engine, engine)
+        engine = self._writable_engine(state, engine, engine)
         self._sync_ingest_gauges(spec.name, state)
         return engine, state
 
     def _writable_engine(
-        self,
-        spec: CorpusSpec,
-        state: _IngestState,
-        loaded: Engine,
-        previous: Engine,
+        self, state: _IngestState, loaded: Engine, previous: Engine
     ) -> Engine:
         """What a corpus that takes writes serves over a freshly loaded
-        base: the per-piece engine once it holds writes, else the base.
-        Never a sharded one: the corpus's pieces are its partition, and a
-        partition of the base alone would last only until the first
-        commit."""
+        base: the per-piece engine once it holds writes, else the base."""
         if state.live.document_count or state.live.tombstone_count:
-            engine = self._engine_from_live(state, previous)
-        elif self._shards_for(spec) is not None:
-            engine = Engine(
-                loaded.instance,
-                text=loaded.text,
-                rig=loaded.rig,
-                telemetry=self.telemetry,
-            )
-        else:
-            return loaded
-        loaded.close()
-        return engine
+            return self._engine_from_live(state, previous)
+        return loaded
 
     def _engine_from_live(
         self, state: "_IngestState | _ReplicaState", previous: Engine
     ) -> Engine:
         """A serving engine over the live corpus's current generation.
 
-        It answers per piece (:meth:`Engine.from_live`): the pieces are
-        the corpus's partition, so no shard executor is built.
+        It answers per piece (:meth:`Engine.from_live`).
         ``previous`` hands over its compiled programs and plan shapes."""
         return Engine.from_live(
             state.live, rig=state.rig, telemetry=self.telemetry, previous=previous
@@ -1208,9 +1187,7 @@ class QueryService:
                     )
                 state.live = rebased
                 state.rig = engine.rig
-                engine = self._writable_engine(
-                    handle.spec, state, engine, handle.engine
-                )
+                engine = self._writable_engine(state, engine, handle.engine)
                 generation = handle.install(engine)
             self._sync_ingest_gauges(handle.spec.name, state)
         else:
@@ -1546,9 +1523,9 @@ class QueryService:
         try:
             eval_started = perf_counter()
             if self.frontier is not None:
-                planned = engine.plan(expr).optimized if optimize else expr
                 result, backend_info = self._frontier_query(
-                    corpus, generation, planned, remaining, evaluate_locally
+                    corpus, engine, generation, query, expr, optimize,
+                    remaining, evaluate_locally,
                 )
             else:
                 result = evaluate_locally()
@@ -1573,8 +1550,11 @@ class QueryService:
     def _frontier_query(
         self,
         corpus: str,
+        engine: Engine,
         generation: int,
-        planned: A.Expr,
+        query: str,
+        expr: A.Expr,
+        optimize: bool,
         remaining: float,
         evaluate_locally: Callable[[], Any],
     ) -> tuple[Any, dict[str, Any]]:
@@ -1593,13 +1573,31 @@ class QueryService:
         than answers from the past (and if *every* replica of a group
         is behind, the local fallback — whose engine IS the captured
         snapshot — serves the exact floor generation).
+
+        A read the frontier answers is logged through the captured
+        engine's :meth:`~repro.engine.session.Engine.record`, as a local
+        read is by ``engine.query``: it counts in ``queries_total`` and
+        lands in the query log with its trace id.
+
+        In-process groups cut their slices from the captured ``engine``
+        itself, handed to :meth:`_slice_lookup` through
+        ``_READ_SNAPSHOT`` (pooled groups inherit it by
+        ``copy_context``): a commit landing mid-request cannot change
+        what the request reads.
         """
         frontier = self.frontier
         assert frontier is not None
         floor = generation if self.replication is not None else 0
-        result, stats = frontier.query(
-            corpus, planned, evaluate_locally, deadline=remaining, floor=floor
-        )
+        started = perf_counter()
+        plan = engine.plan(expr) if optimize else None
+        planned = plan.optimized if plan is not None else expr
+        token = _READ_SNAPSHOT.set((corpus, engine, generation))
+        try:
+            result, stats = frontier.query(
+                corpus, planned, evaluate_locally, deadline=remaining, floor=floor
+            )
+        finally:
+            _READ_SNAPSHOT.reset(token)
         if stats.fallback is not None:
             return result, {
                 "mode": self.config.backend_mode,
@@ -1608,6 +1606,17 @@ class QueryService:
                 "detail": stats.detail,
                 "degraded": stats.degraded,
             }
+        # The request's one parse happened at admission.
+        engine.record(
+            kind="query",
+            query=query,
+            executed=planned,
+            plan=plan,
+            result=result,
+            seconds=perf_counter() - started,
+            parse_seconds=0.0,
+            stats=None,
+        )
         return result, {
             "mode": self.config.backend_mode,
             "groups": stats.groups,

@@ -25,9 +25,10 @@ decomposition a sharded executor needs:
 * the **merge** (:mod:`repro.shard.merge`) reassembles per-shard
   results with an order-preserving k-way merge.
 
-``Engine(shards=K)`` and ``ServerConfig(shards=K)`` are the front
-doors; ``docs/internals.md`` has the operator classification table and
-the correctness argument.
+:class:`ShardExecutor` is the library front door (``repro query
+--shards K`` uses it); a service scatters through its backend topology
+(``ServerConfig.backend_groups``) instead.  ``docs/internals.md`` has
+the operator classification table and the correctness argument.
 """
 
 from repro.shard.executor import ShardExecutor

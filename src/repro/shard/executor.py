@@ -1,5 +1,10 @@
-"""``Engine(shards=K)``'s scatter-gather: a frontier over K in-process
-backends.
+"""The library's scatter-gather over one instance: a frontier over K
+in-process backends.
+
+A standalone facade — ``repro query --shards K``, ``repro stats
+--shards K`` and the benchmarks build one over an instance they hold;
+an :class:`~repro.engine.Engine` never does, and a service scatters
+through its own backend topology instead.
 
 :class:`ShardExecutor` cuts one instance into pieces once, at
 construction (its slice provider's own cut), and runs every query

@@ -192,6 +192,24 @@ class TestSliceProviderCache:
         rebuilt = provider.slice_for("play", 0, 2)
         assert rebuilt.generation == 2
 
+    def test_reads_either_side_of_a_commit_keep_their_cuts(self, instance):
+        # In-flight reads at G and new reads at G+1 interleave after a
+        # commit; each generation keeps its own cut, and only the
+        # oldest beyond KEPT_CUTS is dropped.
+        generation = {"value": 1}
+        provider = SliceProvider(lambda name: (instance, generation["value"]))
+        old = provider.slice_for("play", 0, 2)
+        generation["value"] = 2
+        new = provider.slice_for("play", 0, 2)
+        generation["value"] = 1
+        assert provider.slice_for("play", 0, 2).segment is old.segment
+        generation["value"] = 2
+        assert provider.slice_for("play", 0, 2).segment is new.segment
+        generation["value"] = 3
+        provider.slice_for("play", 0, 2)
+        generation["value"] = 1
+        assert provider.slice_for("play", 0, 2).segment is not old.segment
+
     def test_surplus_segment_is_cached(self, instance):
         provider = SliceProvider(lambda name: (instance, 1))
         a = provider.slice_for("play", 6, 8)

@@ -126,11 +126,18 @@ class TestLiveEngine:
         assert engine.statistics()["pieces"]["reads"] == 4
 
 
+#: A two-group in-process topology: the one way a service shards.
+TOPOLOGY = dict(backend_nodes=2, backend_groups=2, backend_mode="inprocess")
+
+
 class TestShardsOnAWritableCorpus:
     def test_it_is_never_sharded(self, tmp_path):
+        # The engine itself never shards: the loaded base answers as a
+        # plain engine, every later generation per piece, and the
+        # topology scatters whichever generation a read captured.
         from repro.algebra.evaluator import Evaluator
 
-        service = QueryService(_config(tmp_path, shards=2))
+        service = QueryService(_config(tmp_path, **TOPOLOGY))
         try:
             query = "speech before (line @ \"midnight\")"
             for step in range(3):
@@ -138,14 +145,14 @@ class TestShardsOnAWritableCorpus:
                 stats = engine.statistics()
                 (info,) = service.corpora_info()
                 assert "shards" not in stats and "shards" not in info
-                # The loaded base answers as a plain engine; from the
-                # first commit on, every generation answers per piece.
                 pieces = stats.get("pieces", {}).get("pieces")
                 assert pieces == (step + 1 if step else None)
                 assert info.get("pieces", {}).get("pieces") == pieces
                 response = service.execute(query, use_cache=False)
                 expected = Evaluator().evaluate(query, engine.instance)
                 assert response["regions"] == expected.pairs()
+                assert response["backend"]["groups"] == 2
+                assert "fallback" not in response["backend"]
                 if step < 2:
                     service.ingest("play", [_append(f"d{step}", "storm")])
             service.reload_corpus("play")
@@ -154,9 +161,14 @@ class TestShardsOnAWritableCorpus:
             service.close()
 
     def test_a_read_only_corpus_keeps_its_shards(self, tmp_path):
-        service = QueryService(_config(tmp_path, shards=2, ingest_enabled=False))
+        service = QueryService(
+            _config(tmp_path, ingest_enabled=False, **TOPOLOGY)
+        )
         try:
-            assert "shards" in service._handle("play").engine.statistics()
+            response = service.execute("speech dwithin scene", use_cache=False)
+            assert response["backend"]["groups"] == 2
+            assert "fallback" not in response["backend"]
+            assert "shards" not in service._handle("play").engine.statistics()
         finally:
             service.close()
 

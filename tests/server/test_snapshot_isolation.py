@@ -1,20 +1,27 @@
 """Snapshot isolation of the read path: a query that captured
 generation G keeps answering from G's engine even while ingest commits
-publish G+1, G+2, … — across plain, thread-sharded, and process-sharded
-evaluation."""
+publish G+1, G+2, … — on one engine, through an in-process topology
+(whose groups read the captured snapshot, not the handle), and on a
+:class:`~repro.shard.ShardExecutor` cut from one generation."""
 
 import threading
 import time
 
 import pytest
 
-from repro.engine import Engine
 from repro.engine.tagged import parse_tagged_text
 from repro.faults.registry import FaultSpec, injected_faults
 from repro.ingest import LiveCorpus
 from repro.server import CorpusSpec, QueryService, ServerConfig
+from repro.shard import ShardExecutor
 
 PLAY = CorpusSpec(name="play", kind="synthetic", path="play", seed=11, scale=2)
+
+#: Two shard groups on two in-process nodes, two replicas each.
+TOPOLOGY = dict(
+    backend_nodes=2, backend_groups=2, backend_replicas=2,
+    backend_mode="inprocess",
+)
 
 BASE = (
     "<document>\n"
@@ -113,11 +120,11 @@ class TestHandleSnapshot:
     def test_concurrent_readers_always_see_a_consistent_snapshot(
         self, tmp_path
     ):
-        # Thread-sharded scatter-gather readers racing single-append
-        # commits: every response's cardinality must match the
-        # generation it claims (each commit adds exactly one speech),
-        # which a torn mid-install read could not satisfy.
-        service = _service(tmp_path, shards=2)
+        # Readers scattering through the in-process topology race
+        # single-append commits: every response's cardinality must match
+        # the generation it claims (each commit adds exactly one speech),
+        # which a group reading a newer generation could not satisfy.
+        service = _service(tmp_path, **TOPOLOGY)
         try:
             base = service.execute("speech", use_cache=False)["cardinality"]
             stop = threading.Event()
@@ -147,24 +154,74 @@ class TestHandleSnapshot:
             service.close()
 
 
+class TestTopologySnapshot:
+    # With latency injected the groups wait, so they run on the
+    # frontier's pool and reach the snapshot through copy_context.
+    @pytest.mark.parametrize("latency", [0.0, 0.005], ids=["inline", "pooled"])
+    def test_in_process_groups_read_the_captured_snapshot(
+        self, tmp_path, latency
+    ):
+        # Capture as _execute does, let a commit publish the next
+        # generation, then scatter with what was captured: the groups
+        # must cut their slices from the captured engine.
+        service = _service(tmp_path, backend_hedge_budget=0.0, **TOPOLOGY)
+        try:
+            for node in service.frontier.nodes:
+                node.backend.inject_latency = latency
+            engine, generation = service._handle("play").snapshot()
+            expected = engine.query("speech").pairs()
+            service.ingest("play", [_append("a", "prophecy")])
+            assert service._handle("play").generation == generation + 1
+            response = service._run_query(
+                "play", engine, generation, "speech",
+                engine.prepare("speech"), False, 5.0, 0.0,
+            )
+            assert "fallback" not in response["backend"]
+            assert response["regions"] == expected
+        finally:
+            service.close()
+
+    def test_a_commit_mid_request_is_neither_read_nor_cached(
+        self, tmp_path, monkeypatch
+    ):
+        # The commit lands after the request captured its snapshot and
+        # before it scatters; the answer, and the cache entry filed
+        # under the captured generation, are the captured generation's.
+        service = _service(tmp_path, cache_enabled=True, **TOPOLOGY)
+        try:
+            base = service.execute("speech", use_cache=False)
+            run_query = service._run_query
+
+            def commit_then_run(*args):
+                service.ingest("play", [_append("late", "prophecy")])
+                return run_query(*args)
+
+            monkeypatch.setattr(service, "_run_query", commit_then_run)
+            response = service.execute("speech")
+            monkeypatch.undo()
+            assert response["generation"] == base["generation"]
+            assert response["regions"] == base["regions"]
+            cached = service.cache.get(
+                ("play", base["generation"], "speech", False)
+            )
+            assert cached["regions"] == base["regions"]
+            latest = service.execute("speech")
+            assert latest["generation"] == base["generation"] + 1
+            assert latest["cardinality"] == base["cardinality"] + 1
+        finally:
+            service.close()
+
+
 class TestShardedSnapshot:
     def test_sharded_engine_is_a_frozen_snapshot(self):
-        # A sharded engine cuts its instance once, at construction; an
-        # old engine's slices never see a commit.
+        # A shard executor cuts its instance once, at construction; an
+        # old executor's slices never see a commit.
         live = LiveCorpus(parse_tagged_text(BASE).instance, BASE)
         live.apply([_append("a", "prophecy"), _append("b", "dagger")])
-        old = Engine(live.instance, shards=2)
-        try:
-            before = [[r.left, r.right] for r in old.query("speech")]
+        with ShardExecutor(live.instance, 2) as old:
+            before = old.run("speech").pairs()
             assert len(before) == 3
             live.apply([_append("c", "ghost")])
-            new = Engine(live.instance, shards=2)
-            try:
-                assert [
-                    [r.left, r.right] for r in old.query("speech")
-                ] == before
-                assert len(new.query("speech")) == 4
-            finally:
-                new.close()
-        finally:
-            old.close()
+            with ShardExecutor(live.instance, 2) as new:
+                assert old.run("speech").pairs() == before
+                assert len(new.run("speech")) == 4

@@ -1,8 +1,9 @@
 """End-to-end request tracing: stitching, sampling, SLO wiring.
 
-Drives the real service (in-process and over HTTP) on a sharded tagged
-corpus — several concatenated plays, so the partitioner has a forest to
-cut and one request genuinely fans out to multiple shard groups.
+Drives the real service (in-process and over HTTP) on a tagged corpus
+scattered through a two-group in-process topology — several
+concatenated plays, so the partitioner has a forest to cut and one
+request genuinely fans out to multiple shard groups.
 """
 
 import http.client
@@ -40,14 +41,14 @@ def corpus_path(tmp_path_factory):
 
 
 def make_service(corpus_path, **overrides):
-    spec = CorpusSpec(
-        name="plays", kind="tagged", path=str(corpus_path), shards=2
-    )
+    spec = CorpusSpec(name="plays", kind="tagged", path=str(corpus_path))
     defaults = dict(
         workers=2,
         queue_depth=8,
         corpora=(spec,),
-        shards=2,
+        backend_nodes=2,
+        backend_groups=2,
+        backend_mode="inprocess",
         tracing=True,
         trace_sample_rate=1.0,
     )
@@ -224,6 +225,7 @@ class TestSampling:
             response = service.execute(
                 "speech dwithin scene", use_cache=False
             )
+            assert "fallback" not in response["backend"]
             records = service._handle("plays").engine.query_log.records()
             assert records[-1].trace_id == response["trace_id"]
         finally:

@@ -247,11 +247,9 @@ class TestOneScatterGather:
         monkeypatch.setattr(FrontierExecutor, "run", recording_run)
         rng = random.Random(3)
         text = "\n".join(generate_play(rng, acts=1) for _ in range(3))
-        engine = Engine.from_tagged_text(text, shards=2)
-        try:
-            result = engine.query("speech containing (speaker before line)")
-        finally:
-            engine.close()
+        engine = Engine.from_tagged_text(text)
+        with ShardExecutor(engine.instance, 2) as executor:
+            result = executor.run("speech containing (speaker before line)")
         assert len(calls) == 1
         assert len(result) == len(
             Engine.from_tagged_text(text).query(
