@@ -26,7 +26,7 @@ whole evaluation process:
 * :mod:`repro.backend.supervisor` — subprocess lifecycle: spawn, watch,
   respawn after a crash (and SIGKILL on demand, for the chaos harness);
 * :mod:`repro.backend.replication` — WAL log shipping of committed
-  ingest batches to every backend replica, generation-floor reads,
+  ingest batches to every backend replica, exact-generation reads,
   batch/snapshot catch-up for lagging nodes, and the periodic
   anti-entropy checksum sweep.
 

@@ -130,13 +130,14 @@ class ShardBackend:
     ) -> BackendResult:
         """Evaluate ``queries`` against group ``group`` of ``groups``.
 
-        ``floor`` is the read's generation floor: the lowest corpus
+        A non-zero ``floor`` is the read's generation: the one corpus
         generation this answer may come from (the generation the
-        frontier acknowledged the caller's writes at).  A backend whose
-        replica is still behind raises
-        :class:`~repro.errors.ReplicaLaggingError` — a failover-able
-        :class:`~repro.errors.BackendError` — instead of answering from
-        the past.
+        frontier stamps on the response and keys its cache by, at or
+        after the caller's acknowledged writes).  A backend whose
+        replica is at any other generation, behind or already past it,
+        raises :class:`~repro.errors.ReplicaLaggingError` — a
+        failover-able :class:`~repro.errors.BackendError` — so every
+        phase and group of one read answers from one generation.
 
         Raises :class:`~repro.errors.BackendError` for failures worth
         failing over (transport, remote crash, lagging replica),
@@ -243,7 +244,7 @@ class SliceProvider:
         self._tracer = tracer
         self._metrics = metrics
         self._lock = threading.Lock()
-        #: (corpus, groups) -> {generation: (instance, pieces, evaluator)}
+        #: (corpus, groups) -> {generation: (instance, slices)}
         self._cache: dict[tuple[str, int], dict[int, tuple[Any, ...]]] = {}
         self._plans = _Plans()
 
@@ -252,23 +253,28 @@ class SliceProvider:
             raise BackendUnsupportedError(
                 f"bad slice request: group {group} of {groups}"
             )
+        return self._slices(corpus, groups)[group]
+
+    def _slices(self, corpus: str, groups: int) -> tuple[ShardSlice, ...]:
+        """All ``groups`` slices of the generation ``lookup`` returns:
+        one lookup, and one cut per instance."""
         instance, generation = self._lookup(corpus)
         with self._lock:
             cuts = self._cache.setdefault((corpus, groups), {})
             cached = cuts.get(generation)
             if cached is None or cached[0] is not instance:
-                cached = (
-                    instance,
-                    partition_instance(instance, groups),
-                    Evaluator(tracer=self._tracer, metrics=self._metrics),
-                )
+                evaluator = Evaluator(tracer=self._tracer, metrics=self._metrics)
+                cached = (instance, tuple(
+                    ShardSlice(piece, group, groups, generation, evaluator,
+                               self._plans)
+                    for group, piece in enumerate(
+                        partition_instance(instance, groups)
+                    )
+                ))
                 cuts[generation] = cached
                 for old in sorted(cuts)[: -self.KEPT_CUTS]:
                     del cuts[old]
-        _, pieces, evaluator = cached
-        return ShardSlice(
-            pieces[group], group, groups, generation, evaluator, self._plans
-        )
+        return cached[1]
 
     def shard_query(
         self,
@@ -287,7 +293,7 @@ class SliceProvider:
         playing backend both do.  Returns the result and the finished
         ``backend.query`` span (``None`` when tracing is off)."""
         slice_ = self.slice_for(corpus, group, groups)
-        if floor > 0 and slice_.generation < floor:
+        if floor > 0 and slice_.generation != floor:
             raise ReplicaLaggingError(corpus, slice_.generation, floor)
         with maybe_span(
             self._tracer,
@@ -313,14 +319,12 @@ class SliceProvider:
     ) -> tuple[int, dict[int, str]]:
         """``(generation, {group: content checksum})`` over all
         ``groups`` slices of ``corpus`` — what the anti-entropy sweep
-        compares between the frontier and its replicas."""
-        generation = self._lookup(corpus)[1]
-        checksums: dict[int, str] = {}
-        for group in range(groups):
-            slice_ = self.slice_for(corpus, group, groups)
-            generation = slice_.generation
-            checksums[group] = slice_checksum(slice_)
-        return generation, checksums
+        compares between the frontier and its replicas.  One lookup:
+        every checksum comes from the generation reported."""
+        slices = self._slices(corpus, groups)
+        return slices[0].generation, {
+            slice_.group: slice_checksum(slice_) for slice_ in slices
+        }
 
 
 @dataclass(frozen=True, slots=True)

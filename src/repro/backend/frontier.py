@@ -84,6 +84,15 @@ __all__ = ["BackendNode", "FrontierExecutor", "FrontierStats"]
 _LATENCY_WINDOW = 64
 
 
+def _record_refusal(node: "BackendNode", exc: BackendError) -> None:
+    """A failed call on ``node``'s breaker.  A replica already past the
+    read's generation is healthy and current, so it does not count."""
+    if isinstance(exc, ReplicaLaggingError) and exc.applied > exc.floor:
+        node.breaker.record_success()
+    else:
+        node.breaker.record_failure()
+
+
 def _region_set(entry: Any) -> RegionSet:
     """One group's ``want="sets"`` answer as a :class:`RegionSet`.
 
@@ -387,12 +396,12 @@ class FrontierExecutor:
     ) -> tuple[RegionSet, FrontierStats]:
         """Evaluate ``expr`` over all shard groups of ``corpus``.
 
-        Same result as single-process evaluation.  ``floor`` stamps
-        every backend call with the read's generation floor (see
+        Same result as single-process evaluation.  A non-zero ``floor``
+        stamps every backend call, exchange and ``sets`` phases alike,
+        with the read's generation (see
         :meth:`~repro.backend.base.ShardBackend.shard_query`); a replica
-        behind the floor fails over like any other backend failure, so
-        the caller never reads a generation older than the one its
-        writes were acknowledged at.  Raises
+        at any other generation fails over like any other backend
+        failure, so the merged answer is that one generation's.  Raises
         :class:`~repro.errors.BackendUnsupportedError` (caller must
         evaluate locally), :class:`~repro.errors.BackendUnavailableError`
         (caller should evaluate locally and mark the response degraded),
@@ -520,7 +529,7 @@ class FrontierExecutor:
         return None
 
     def _failed(self, node, exc, phase, attempts) -> None:
-        node.breaker.record_failure()
+        _record_refusal(node, exc)
         if self._failovers is not None:
             self._failovers.inc(corpus=phase.corpus)
         phase.stats.failovers += 1
@@ -595,7 +604,7 @@ class FrontierExecutor:
                 if exc is None:
                     node.breaker.record_success()
                 elif isinstance(exc, BackendError):
-                    node.breaker.record_failure()
+                    _record_refusal(node, exc)
 
             future.add_done_callback(settle)
 

@@ -39,9 +39,10 @@ snapshot re-ship and counted in ``replication_divergence_total``.
 Lag feeds health: a node more than ``lag_limit`` generations behind
 (or unreachable) raises ``replication:<node>`` pressure on the health
 monitor, which degrades the service the same way an open corpus
-breaker does.  Reads are protected independently of all of this by the
-generation floor (see ``ShardBackend.shard_query``); the coordinator's
-job is to make replicas *catch up to* the floor, not to gate reads.
+breaker does.  Reads are protected independently of all of this: a
+replica answers a read only at the generation the read is stamped with
+(see ``ShardBackend.shard_query``); the coordinator's job is to make
+replicas *catch up to* it, not to gate reads.
 """
 
 from __future__ import annotations

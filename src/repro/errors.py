@@ -172,17 +172,6 @@ class CorpusUnavailableError(ReproError):
         )
 
 
-class WorkerCrashedError(ReproError):
-    """An evaluation died holding its run slot.
-
-    The gate releases the slot and the service re-dispatches the
-    request; callers only see this when the retry budget is exhausted.
-    """
-
-    code = "worker_crashed"
-    status = 500
-
-
 class PatternError(ReproError):
     """A pattern string was malformed for the selected pattern language."""
 
@@ -235,17 +224,6 @@ class FaultInjected(ReproError):
         super().__init__(message or f"injected fault at {point!r}")
 
 
-class WorkerKilled(FaultInjected):
-    """A ``kill``-mode fault: the evaluation that drew this fault dies.
-    Raised at the ``pool.worker`` fault point and translated by the
-    admission gate into :class:`WorkerCrashedError`."""
-
-    code = "worker_killed"
-
-    def __init__(self, point: str = "pool.worker"):
-        super().__init__(point, f"injected worker death at {point!r}")
-
-
 class BackendError(ReproError):
     """A shard-backend RPC failed: transport trouble (connection refused
     or reset while a backend process is down) or a remote-side error the
@@ -257,12 +235,12 @@ class BackendError(ReproError):
 
 
 class ReplicaLaggingError(BackendError):
-    """A backend answered a generation-floored read while its replica of
-    the corpus was still behind the floor.  A :class:`BackendError`
-    subclass so the frontier's normal failover machinery (breaker
-    bookkeeping, next-replica retry, hedging) applies; HTTP callers that
-    hit a lagging backend directly see ``503`` with a ``Retry-After``
-    hint sized to the replication interval."""
+    """A backend was asked for a read at one corpus generation while
+    its replica was at another (still behind it, or already past it).
+    A :class:`BackendError` subclass so the frontier's normal failover
+    machinery (breaker bookkeeping, next-replica retry, hedging)
+    applies; HTTP callers that hit such a backend directly see ``503``
+    with a ``Retry-After`` hint sized to the replication interval."""
 
     code = "replica_lagging"
     status = 503
@@ -280,7 +258,7 @@ class ReplicaLaggingError(BackendError):
         self.retry_after = retry_after
         super().__init__(
             f"replica of corpus {corpus!r} is at generation {applied}, "
-            f"behind the read floor {floor}"
+            f"the read needs {floor}"
         )
 
 

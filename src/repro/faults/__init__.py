@@ -4,11 +4,11 @@ On the serving path:
 
 * :mod:`repro.faults.registry` — a deterministic, seedable registry of
   named fault points sprinkled through storage, the evaluator, the
-  admission gate, and the service cache.  Inactive (the production state)
-  every point is one ``is None`` check.
+  VM, the service cache, backend calls and replication.  Inactive (the
+  production state) every point is one ``is None`` check.
 * :mod:`repro.faults.retry` — bounded exponential-backoff retry and a
-  per-corpus circuit breaker, used by the service around corpus
-  (re)loads and job dispatch.
+  circuit breaker, used by the service around corpus (re)loads and by
+  the frontier per backend node.
 
 Behind ``repro chaos`` (imported on demand, never by the service):
 

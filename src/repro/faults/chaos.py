@@ -23,7 +23,6 @@ from repro.faults.scenario import (
     Run,
     Scenario,
     ScenarioReport,
-    _FloorMirror,
     counts_line,
     execute,
     index_corpus,
@@ -128,7 +127,6 @@ class ChaosReport(ScenarioReport):
     reloads: dict[str, int] = field(default_factory=dict)
     breaker_trips: int = 0
     breaker_final_state: str = ""
-    worker_deaths: int = 0
     rebuilds: int = 0
     rpc_errors: int = 0  #: ``backend.rpc`` faults injected into shard calls
     failovers: int = 0  #: shard calls retried on the sibling replica
@@ -155,8 +153,7 @@ class ChaosReport(ScenarioReport):
             f"faults fired: {counts_line(self.fault_fires)}",
             f"reloads: {counts_line(self.reloads)}",
             f"breaker: {self.breaker_trips} trip(s), final state "
-            f"{self.breaker_final_state}; worker deaths: "
-            f"{self.worker_deaths}; index rebuilds: {self.rebuilds}",
+            f"{self.breaker_final_state}; index rebuilds: {self.rebuilds}",
             f"vm: {self.vm_kernel_faults} kernel fault(s) injected into "
             "the compiled path",
             f"shards: {self.rpc_errors} call error(s) injected, "
@@ -185,7 +182,7 @@ def _service_server(run: Run):
         backend_nodes=2, backend_groups=max(2, run.config.shards),
         backend_replicas=2, backend_mode="inprocess",
         retry_attempts=3, retry_base_delay=0.02, retry_max_delay=0.1,
-        dispatch_retries=2, breaker_threshold=_SERVICE_BREAKER_THRESHOLD,
+        breaker_threshold=_SERVICE_BREAKER_THRESHOLD,
         breaker_reset=run.config.breaker_reset,
         health_window=2.0, degraded_threshold=0.02, unhealthy_threshold=0.6,
         health_min_samples=8,
@@ -213,7 +210,6 @@ def _service_faults(config: ChaosConfig) -> tuple[FaultSpec, ...]:
                   latency=latency),
         FaultSpec("vm.kernel", "error", probability=0.004),
         FaultSpec("vm.kernel", "latency", probability=0.01, latency=latency),
-        FaultSpec("pool.worker", "kill", probability=rate / 5.0),
         FaultSpec("backend.rpc", "error", probability=0.05),
     )
 
@@ -270,7 +266,6 @@ def _service_finish(run: Run) -> None:
     report.fault_fires = dict(registry.snapshot()["fires"])
     report.breaker_trips = run.handle.breaker.trips
     report.breaker_final_state = run.handle.breaker.state
-    report.worker_deaths = service.pool.stats()["worker_deaths"]
     counters = run.counters()
     report.rebuilds = _counter(counters, "index_rebuilds_total")
     report.rpc_errors = registry.fires(point="backend.rpc", mode="error")
@@ -299,11 +294,10 @@ def _service_finish(run: Run) -> None:
                                  for p in ("fault", "recovery"))
     server_errors, tail_errors = (c.get("500", 0) + c.get("504", 0)
                                   for c in (fault_counts, tail_counts))
-    # Only evaluator errors and worker kills can surface as 5xx query
+    # Only evaluator and kernel errors can surface as 5xx query
     # responses; storage/index faults fail reloads, not queries.
-    injected = sum(registry.fires(point=point, mode=mode) for point, mode in (
-        ("evaluator.step", "error"), ("vm.kernel", "error"),
-        ("pool.worker", "kill")))
+    injected = sum(registry.fires(point=point, mode="error")
+                   for point in ("evaluator.step", "vm.kernel"))
     sheds = fault_counts.get("503", 0)
     burn_alerts = report.slo.get("availability", {}).get("activations", 0)
     _require(
@@ -551,7 +545,7 @@ INGEST = Scenario(
     faults=lambda c: (
         FaultSpec("storage.write", "error", probability=_wal_rate(c)),
     ),
-    oracle=mirror_oracle(),
+    oracle=mirror_oracle,
     queries={**PLAY_QUERIES, **CHAOS_EXTRA_QUERIES},
     use_cache=True,
     write_rate=8.0,
@@ -714,7 +708,7 @@ REPLICATION = Scenario(
     report=ReplicationReport,
     server=_replication_server,
     faults=_replication_faults,
-    oracle=mirror_oracle(_FloorMirror),
+    oracle=mirror_oracle,
     queries={**PLAY_QUERIES, **CHAOS_EXTRA_QUERIES},
     write_rate=6.0,
     phases=(

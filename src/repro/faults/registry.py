@@ -10,7 +10,6 @@ doing their real work:
 ``index.build``       building an engine from text or a saved index
 ``evaluator.step``    one operator evaluation inside the evaluator
 ``vm.kernel``         one kernel execution inside the plan VM (repro.vm)
-``pool.worker``       a request picking up its run slot in the gate
 ``cache.get``         a result-cache probe in the query service
 ``backend.rpc``       one frontier→backend shard call attempt (any
                       transport, ``ShardExecutor`` included)
@@ -25,15 +24,12 @@ path).  Activating a registry arms any subset of points with
 drawn from one seeded RNG, so a chaos run with a fixed seed injects a
 reproducible fault load.
 
-Four fault modes:
+Three fault modes:
 
 * ``error`` — raise a typed :class:`~repro.errors.FaultInjected`;
 * ``latency`` — sleep ``spec.latency`` seconds, then continue;
 * ``corrupt`` — deterministically flip bytes in the payload flowing
-  through the point (only points that pass data, e.g. storage reads);
-* ``kill`` — raise :class:`~repro.errors.WorkerKilled`; the
-  admission gate translates this into an evaluation that died holding
-  its run slot (slot released, request re-dispatched).
+  through the point (only points that pass data, e.g. storage reads).
 
 Every fire lands in the ``fault_injections_total{point,mode}`` counter
 of the registry's metrics registry (the process-global one by default),
@@ -49,7 +45,7 @@ from dataclasses import dataclass, field
 from time import sleep
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.errors import FaultInjected, ReproError, WorkerKilled
+from repro.errors import FaultInjected, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -73,14 +69,13 @@ FAULT_POINTS = (
     "index.build",
     "evaluator.step",
     "vm.kernel",
-    "pool.worker",
     "cache.get",
     "backend.rpc",
     "replication.ship",
 )
 
 #: The ways a fault point can misbehave.
-FAULT_MODES = ("error", "latency", "corrupt", "kill")
+FAULT_MODES = ("error", "latency", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -195,8 +190,8 @@ class FaultRegistry:
     def fire(self, point: str, data: bytes | None = None) -> bytes | None:
         """Traverse ``point``: roll every armed spec there, in order.
 
-        Returns ``data`` (possibly corrupted); raises for ``error`` and
-        ``kill`` fires.  Latency fires sleep outside the lock.
+        Returns ``data`` (possibly corrupted); raises for ``error``
+        fires.  Latency fires sleep outside the lock.
         """
         delay = 0.0
         raise_exc: ReproError | None = None
@@ -224,9 +219,6 @@ class FaultRegistry:
                 elif spec.mode == "corrupt":
                     if data is not None:
                         data = corrupt_bytes(data, self._rng)
-                elif spec.mode == "kill":
-                    raise_exc = WorkerKilled(point)
-                    break
                 else:  # "error"
                     error = spec.error
                     raise_exc = (

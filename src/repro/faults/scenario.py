@@ -7,10 +7,9 @@ over a temporary directory, each :class:`Phase` an open-loop load seeded
 ``config.seed + i``.  One collector counts statuses, ``degraded`` and
 ``fallback`` answers and write acks per phase and hands every ``200`` to
 the oracle: :class:`_Oracles` for a fixed corpus (the fault-free baseline
-and the Thm 4.4 reduced-instance relation), :class:`_Mirror` for a live
-one (the acknowledged writes replayed, keyed by generation) and
-:class:`_FloorMirror` over replicas.  :class:`Run` holds the steps and
-invariants modes share.
+and the Thm 4.4 reduced-instance relation) and :class:`_Mirror` for a
+live one, replicated or not (the acknowledged writes replayed, keyed by
+generation).  :class:`Run` holds the steps and invariants modes share.
 """
 
 from __future__ import annotations
@@ -287,13 +286,21 @@ class _Mirror:
 
     def _check(self, epoch, generation, query, got, expected) -> None:
         self.verified += 1
-        if got != expected:
-            self.problems.append(
-                f"response for {query!r} at generation {generation} "
-                f"(epoch {epoch}) disagrees with the acked-writes oracle "
-                f"({len(expected - got)} missing, {len(got - expected)} "
-                "extra regions)"
-            )
+        if got == expected:
+            return
+        problem = (
+            f"response for {query!r} at generation {generation} "
+            f"(epoch {epoch}) disagrees with the acked-writes oracle "
+            f"({len(expected - got)} missing, {len(got - expected)} "
+            "extra regions)"
+        )
+        # Name the generation it does answer, if any: a stale read or
+        # one from before a restart reads differently from corruption.
+        for e, other in sorted(self._instances):
+            if self._expected_regions(e, other, query) == got:
+                problem += f"; it is generation {other}'s answer (epoch {e})"
+                break
+        self.problems.append(problem)
 
     def settle_pending(self) -> int:
         """Verify every parked response (call only while quiescent);
@@ -310,56 +317,18 @@ class _Mirror:
             return unmatched
 
 
-class _FloorMirror(_Mirror):
-    """The mirror, relaxed for generation *floors*: over replicas the
-    generation a response reports is a floor, and a replica that already
-    applied a later batch answers with the fresher regions.  A ``200`` is
-    good iff it matches its stamped generation **or a later one in the
-    same epoch**; matching only an earlier one is a stale read through
-    the floor, matching none is corruption.
-    """
-
-    def _check(self, epoch, generation, query, got, expected) -> None:
-        self.verified += 1
-        if got == expected:
-            return
-        known = sorted(g for (e, g) in self._instances if e == epoch)
-        for later in (g for g in known if g > generation):
-            fresher = self._expected_regions(epoch, later, query)
-            if fresher is not None and got == fresher:
-                return  # ahead of the stamped floor — monotone, fine
-        for earlier in reversed([g for g in known if g < generation]):
-            staler = self._expected_regions(epoch, earlier, query)
-            if staler is not None and got == staler:
-                self.problems.append(
-                    f"response for {query!r} matched generation {earlier} "
-                    f"but was stamped {generation} (epoch {epoch}) — a "
-                    "stale read leaked through the generation floor"
-                )
-                return
-        self.problems.append(
-            f"response for {query!r} at generation {generation} "
-            f"(epoch {epoch}) matches no acked generation at all — "
-            "corrupted regions"
-        )
-
-
 def fixed_oracle(run: Run) -> _Oracles:
     """A fixed corpus's oracle, from the engine the service loaded."""
     return _Oracles(run.handle.engine, run.scenario.queries)
 
 
-def mirror_oracle(kind: type[_Mirror] = _Mirror) -> Callable[[Run], _Mirror]:
-    """A live corpus's oracle: a ``kind`` mirror of the served base."""
-
-    def build(run: Run) -> _Mirror:
-        engine = run.handle.engine
-        assert engine.text is not None  # synthetic corpora carry their text
-        mirror = kind(engine.instance, engine.text)
-        mirror.register(run.handle.generation)
-        return mirror
-
-    return build
+def mirror_oracle(run: Run) -> _Mirror:
+    """A live corpus's oracle: a mirror of the served base."""
+    engine = run.handle.engine
+    assert engine.text is not None  # synthetic corpora carry their text
+    mirror = _Mirror(engine.instance, engine.text)
+    mirror.register(run.handle.generation)
+    return mirror
 
 
 # -- corpora and declarations -------------------------------------------
@@ -421,7 +390,7 @@ class Scenario:
     finish: Callable[[Run], None]  #: final readings + invariants
     #: the fault schedule: specs armed on the run's seeded registry
     faults: Callable[[ChaosConfig], tuple[FaultSpec, ...]] = lambda config: ()
-    #: built once the service is up (``fixed_oracle``/``mirror_oracle()``)
+    #: built once the service is up (``fixed_oracle``/``mirror_oracle``)
     oracle: Callable[[Run], Any] = fixed_oracle
     queries: Mapping[str, str] = field(default_factory=lambda: PLAY_QUERIES)
     use_cache: bool = False  #: loadgen cache flag (off: every 200 fresh)

@@ -73,7 +73,6 @@ __all__ = [
     "BREAKER_TRANSITIONS_TOTAL",
     "STORAGE_QUARANTINED_TOTAL",
     "INDEX_REBUILDS_TOTAL",
-    "POOL_WORKER_DEATHS_TOTAL",
     "BACKEND_REQUESTS_TOTAL",
     "BACKEND_RPC_SECONDS",
     "BACKEND_FAILOVERS_TOTAL",
@@ -149,7 +148,6 @@ BREAKER_STATE = "breaker_state"
 BREAKER_TRANSITIONS_TOTAL = "breaker_transitions_total"
 STORAGE_QUARANTINED_TOTAL = "storage_quarantined_total"
 INDEX_REBUILDS_TOTAL = "index_rebuilds_total"
-POOL_WORKER_DEATHS_TOTAL = "pool_worker_deaths_total"
 
 # The scatter-gather frontier (repro.backend), behind both
 # ShardExecutor and the service topology — see docs/server.md

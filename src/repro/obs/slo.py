@@ -357,7 +357,7 @@ class SLOObservatory:
             SLObjective(
                 name="latency",
                 sli="latency",
-                objective=config.slo_latency_objective,
+                objective=0.95,
                 latency_threshold=config.slo_latency_threshold,
             ),
         )

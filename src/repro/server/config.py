@@ -106,10 +106,6 @@ class ServerConfig:
 
     ``retry_attempts`` / ``retry_base_delay`` / ``retry_max_delay``
         Backoff policy around corpus (re)loads.
-    ``dispatch_retries``
-        How many times the service re-dispatches a request whose
-        evaluation died holding its run slot
-        (:class:`~repro.errors.WorkerCrashedError`) before giving up.
     ``breaker_threshold`` / ``breaker_reset``
         Per-corpus circuit breaker: consecutive load failures that trip
         it, and the seconds an open breaker waits before half-opening.
@@ -117,19 +113,18 @@ class ServerConfig:
         The sliding window (seconds) and error-rate thresholds of the
         health state machine; ``health_min_samples`` outcomes must be in
         the window before leaving ``healthy``; when unhealthy every
-        ``probe_interval``-th request is admitted as a probe.
-    ``stale_when_degraded``
-        While degraded, a cache miss may be answered by a matching
-        entry from an older corpus generation (marked ``"stale": true``).
+        ``probe_interval``-th request is admitted as a probe.  While
+        degraded, a cache miss may be answered by a matching entry from
+        the previous corpus generation (marked ``"stale": true``).
 
     Tracing knobs (``docs/observability.md``), active when ``tracing``:
 
     ``trace_sample_rate``
         Fraction of requests head-sampled for per-operator ``eval.*``
         detail; every request still records the coarse span skeleton.
-    ``trace_store_capacity`` / ``trace_tail_capacity``
-        Ring sizes for head-sampled traces and for tail-kept
-        (slow/error/fault) traces, respectively.
+    ``trace_tail_capacity``
+        Ring size for tail-kept (slow/error/fault) traces; head-sampled
+        traces keep the last 256.
     ``trace_slow_seconds``
         A request at or above this duration is tail-kept as ``slow``.
 
@@ -148,12 +143,10 @@ class ServerConfig:
         nodes by consistent hashing; a group is unavailable only when
         *all* its replicas fail, and even then the service degrades to
         local evaluation rather than failing the query.
-    ``backend_hedge_quantile`` / ``backend_hedge_min_seconds``
-        A call outliving the primary node's recent latency at this
-        quantile (but at least ``min_seconds``) is hedged to the next
-        replica; first answer wins.
     ``backend_hedge_budget``
-        Hedges may not exceed this fraction of primary calls (0
+        A call outliving the primary node's recent p95 latency (but at
+        least 50 ms) is hedged to the next replica, first answer wins;
+        hedges may not exceed this fraction of primary calls (0
         disables hedging).
     ``backend_respawn_delay``
         Seconds the supervisor waits before respawning a dead backend
@@ -184,7 +177,10 @@ class ServerConfig:
 
     ``ingest_enabled``
         Accept ``POST /ingest`` mutations.  Off by default: a read-only
-        service never pays the write path's locks or disk I/O.
+        service never pays the write path's locks or disk I/O.  A
+        commit keeps the cache entries of the current and the previous
+        generation (the ones degraded mode serves stale) and drops older
+        ones; a reload still invalidates the whole corpus.
     ``ingest_dir``
         Directory for the per-corpus write-ahead logs and checkpoint
         snapshots; a temporary directory is created (and the WAL is
@@ -192,27 +188,22 @@ class ServerConfig:
     ``ingest_fsync``
         fsync every committed batch (and checkpoint).  Turning it off
         trades crash durability for commit latency — tests only.
-    ``ingest_keep_generations``
-        How many recent generations of a corpus's cache entries an
-        ingest commit keeps resident (older ones are dropped).  Kept
-        entries from superseded generations are what degraded mode
-        serves stale; a reload still invalidates the whole corpus.
     ``compaction_enabled`` / ``compaction_interval`` /
-    ``compaction_min_segments`` / ``compaction_small_docs``
+    ``compaction_min_segments``
         The background compactor: every ``compaction_interval`` seconds
         (skipped entirely while the service is not healthy) it merges
         the segments of at most one corpus that has tombstones or at
-        least ``compaction_min_segments`` segments holding
-        ``compaction_small_docs`` or fewer live documents each.
+        least ``compaction_min_segments`` segments holding 32 or fewer
+        live documents each.
 
     SLO knobs (always active; they only read request outcomes):
 
     ``slo_availability_objective``
         Target fraction of counted requests (200/500/504) that must not
         fail server-side.
-    ``slo_latency_objective`` / ``slo_latency_threshold``
-        Target fraction of successful requests answered within the
-        threshold (seconds).
+    ``slo_latency_threshold``
+        95% of successful requests should be answered within this many
+        seconds.
     ``slo_fast_window`` / ``slo_slow_window`` / ``slo_burn_threshold``
         Multi-window burn-rate alerting: fast-burn fires only when both
         windows burn the error budget at ``slo_burn_threshold`` times
@@ -238,7 +229,6 @@ class ServerConfig:
     retry_attempts: int = 3
     retry_base_delay: float = 0.05
     retry_max_delay: float = 0.5
-    dispatch_retries: int = 2
     breaker_threshold: int = 3
     breaker_reset: float = 5.0
     health_window: float = 10.0
@@ -246,13 +236,10 @@ class ServerConfig:
     unhealthy_threshold: float = 0.50
     health_min_samples: int = 10
     probe_interval: int = 10
-    stale_when_degraded: bool = True
     backend_nodes: int = 0
     backend_groups: int = 2
     backend_replicas: int = 1
     backend_mode: str = "inprocess"
-    backend_hedge_quantile: float = 0.95
-    backend_hedge_min_seconds: float = 0.05
     backend_hedge_budget: float = 0.1
     backend_respawn_delay: float = 0.5
     replication_enabled: bool = True
@@ -261,17 +248,13 @@ class ServerConfig:
     ingest_enabled: bool = False
     ingest_dir: str | None = None
     ingest_fsync: bool = True
-    ingest_keep_generations: int = 2
     compaction_enabled: bool = True
     compaction_interval: float = 5.0
     compaction_min_segments: int = 4
-    compaction_small_docs: int = 32
     trace_sample_rate: float = 0.1
-    trace_store_capacity: int = 256
     trace_tail_capacity: int = 256
     trace_slow_seconds: float = 0.25
     slo_availability_objective: float = 0.99
-    slo_latency_objective: float = 0.95
     slo_latency_threshold: float = 0.5
     slo_fast_window: float = 60.0
     slo_slow_window: float = 300.0
@@ -292,8 +275,6 @@ class ServerConfig:
             )
         if self.retry_attempts < 1:
             raise ReproError("retry_attempts must be at least 1")
-        if self.dispatch_retries < 0:
-            raise ReproError("dispatch_retries cannot be negative")
         if self.breaker_threshold < 1:
             raise ReproError("breaker_threshold must be at least 1")
         if self.breaker_reset <= 0:
@@ -320,10 +301,6 @@ class ServerConfig:
             raise ReproError(
                 "backend_replicas cannot exceed backend_nodes"
             )
-        if not (0.0 < self.backend_hedge_quantile <= 1.0):
-            raise ReproError("backend_hedge_quantile must be in (0, 1]")
-        if self.backend_hedge_min_seconds < 0:
-            raise ReproError("backend_hedge_min_seconds cannot be negative")
         if self.backend_hedge_budget < 0:
             raise ReproError("backend_hedge_budget cannot be negative")
         if self.backend_respawn_delay <= 0:
@@ -332,26 +309,18 @@ class ServerConfig:
             raise ReproError("replication_interval must be positive seconds")
         if self.replication_lag_limit < 1:
             raise ReproError("replication_lag_limit must be at least 1")
-        if self.ingest_keep_generations < 1:
-            raise ReproError("ingest_keep_generations must be at least 1")
         if self.compaction_interval <= 0:
             raise ReproError("compaction_interval must be positive seconds")
         if self.compaction_min_segments < 2:
             raise ReproError("compaction_min_segments must be at least 2")
-        if self.compaction_small_docs < 1:
-            raise ReproError("compaction_small_docs must be at least 1")
         if not (0.0 <= self.trace_sample_rate <= 1.0):
             raise ReproError("trace_sample_rate must be in [0, 1]")
-        if self.trace_store_capacity < 1 or self.trace_tail_capacity < 1:
-            raise ReproError("trace ring capacities must be at least 1")
+        if self.trace_tail_capacity < 1:
+            raise ReproError("trace_tail_capacity must be at least 1")
         if self.trace_slow_seconds <= 0:
             raise ReproError("trace_slow_seconds must be positive")
-        for objective in (
-            self.slo_availability_objective,
-            self.slo_latency_objective,
-        ):
-            if not (0.0 < objective < 1.0):
-                raise ReproError("SLO objectives must be in (0, 1)")
+        if not (0.0 < self.slo_availability_objective < 1.0):
+            raise ReproError("SLO objectives must be in (0, 1)")
         if self.slo_latency_threshold <= 0:
             raise ReproError("slo_latency_threshold must be positive seconds")
         if not (0 < self.slo_fast_window <= self.slo_slow_window):
@@ -375,19 +344,15 @@ class ServerConfig:
             "optimize_default": self.optimize_default,
             "tracing": self.tracing,
             "retry_attempts": self.retry_attempts,
-            "dispatch_retries": self.dispatch_retries,
             "breaker_threshold": self.breaker_threshold,
             "breaker_reset": self.breaker_reset,
             "health_window": self.health_window,
             "degraded_threshold": self.degraded_threshold,
             "unhealthy_threshold": self.unhealthy_threshold,
-            "stale_when_degraded": self.stale_when_degraded,
             "backend_nodes": self.backend_nodes,
             "backend_groups": self.backend_groups,
             "backend_replicas": self.backend_replicas,
             "backend_mode": self.backend_mode,
-            "backend_hedge_quantile": self.backend_hedge_quantile,
-            "backend_hedge_min_seconds": self.backend_hedge_min_seconds,
             "backend_hedge_budget": self.backend_hedge_budget,
             "backend_respawn_delay": self.backend_respawn_delay,
             "replication_enabled": self.replication_enabled,
@@ -396,17 +361,13 @@ class ServerConfig:
             "ingest_enabled": self.ingest_enabled,
             "ingest_dir": self.ingest_dir,
             "ingest_fsync": self.ingest_fsync,
-            "ingest_keep_generations": self.ingest_keep_generations,
             "compaction_enabled": self.compaction_enabled,
             "compaction_interval": self.compaction_interval,
             "compaction_min_segments": self.compaction_min_segments,
-            "compaction_small_docs": self.compaction_small_docs,
             "trace_sample_rate": self.trace_sample_rate,
-            "trace_store_capacity": self.trace_store_capacity,
             "trace_tail_capacity": self.trace_tail_capacity,
             "trace_slow_seconds": self.trace_slow_seconds,
             "slo_availability_objective": self.slo_availability_objective,
-            "slo_latency_objective": self.slo_latency_objective,
             "slo_latency_threshold": self.slo_latency_threshold,
             "slo_fast_window": self.slo_fast_window,
             "slo_slow_window": self.slo_slow_window,

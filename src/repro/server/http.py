@@ -35,8 +35,8 @@ Endpoints:
                                       ``X-Repro-Trace`` headers carry
                                       the cross-process context; a
                                       ``floor`` body field is the read's
-                                      generation floor (``503
-                                      replica_lagging`` when behind)
+                                      generation (``503
+                                      replica_lagging`` at any other)
 ``POST /replicate/apply``             backend-role RPC: apply one
                                       shipped WAL batch at the
                                       frontier's generation
@@ -56,10 +56,9 @@ deadline ≤ 0), ``404`` unknown corpus, document, or path, ``409``
 duplicate document id or a write to a corpus whose remote backends are
 not replicated (``ingest_unreplicated``), ``429`` admission
 rejection (with ``Retry-After``), ``503`` load shed, corpus breaker
-open, or a shard replica behind the read floor (``replica_lagging``;
-all with ``Retry-After``), ``504`` query deadline exceeded, ``500``
-evaluations that died in their run slot, injected faults, and anything
-unexpected.
+open, or a shard replica not at the read's generation
+(``replica_lagging``; all with ``Retry-After``), ``504`` query deadline
+exceeded, ``500`` injected faults and anything unexpected.
 
 Every error envelope carries a stable machine-readable ``code``
 (``{"error": …, "code": …}``) from the taxonomy in

@@ -13,13 +13,7 @@ import threading
 from time import monotonic, perf_counter
 from typing import Any, Callable
 
-from repro.errors import (
-    QueryTimeout,
-    ServerOverloadedError,
-    WorkerCrashedError,
-    WorkerKilled,
-)
-from repro.faults import registry as _faults
+from repro.errors import QueryTimeout, ServerOverloadedError
 
 __all__ = ["AdmissionGate"]
 
@@ -52,7 +46,7 @@ class AdmissionGate:
         self._lock = threading.Lock()
         self._closed = False
         self._waiting = self._inflight = 0
-        self._completed = self._rejected = self._deaths = 0
+        self._completed = self._rejected = 0
         # EWMA of service time, seeding the Retry-After estimate.
         self._ewma_seconds = 0.05
 
@@ -95,18 +89,6 @@ class AdmissionGate:
             self._admission.release()
 
     def _run_in_slot(self, fn: Callable[[float], Any], queued: float) -> Any:
-        # Fault point: an evaluation can die on picking up its slot
-        # (chaos only — the check is one module-attribute load).
-        if _faults._active is not None:
-            try:
-                _faults._active.fire("pool.worker")
-            except WorkerKilled:
-                with self._lock:
-                    self._deaths += 1
-                raise WorkerCrashedError(
-                    "the evaluation died holding its run slot; "
-                    "the slot was released"
-                ) from None
         with self._lock:
             self._inflight += 1
         started = perf_counter()
@@ -134,7 +116,6 @@ class AdmissionGate:
                 "inflight": self._inflight,
                 "completed": self._completed,
                 "rejected": self._rejected,
-                "worker_deaths": self._deaths,
                 "ewma_seconds": self._ewma_seconds,
             }
 

@@ -28,8 +28,7 @@ arrival; the cache key and the evaluation both come from that tree.
 Resilience (``docs/robustness.md``): corpus (re)loads run under a
 bounded-backoff retry and a per-corpus circuit breaker; a persistently
 corrupt index file is quarantined and the engine rebuilt from source
-text when the spec names one; an evaluation that died holding its run
-slot is re-dispatched; a :class:`~repro.server.health.HealthMonitor`
+text when the spec names one; a :class:`~repro.server.health.HealthMonitor`
 classifies the service healthy/degraded/unhealthy from request
 outcomes — while degraded the optimizer pass is skipped and cache misses
 may be answered by a stale entry from an older generation, and while
@@ -63,7 +62,6 @@ from repro.errors import (
     ServerOverloadedError,
     ServiceUnhealthyError,
     StorageError,
-    WorkerCrashedError,
     http_status,
 )
 from repro.faults import registry as _faults
@@ -92,7 +90,6 @@ from repro.obs.metrics import (
     INGEST_OPS_TOTAL,
     INGEST_SEGMENTS,
     INGEST_TOMBSTONES,
-    POOL_WORKER_DEATHS_TOTAL,
     REPLICATION_LAGGING_READS_TOTAL,
     RETRY_ATTEMPTS_TOTAL,
     RETRY_EXHAUSTED_TOTAL,
@@ -236,8 +233,8 @@ class _CorpusHandle:
 
         ``generation`` forces the published generation instead of
         bumping — the replication apply path, where the number is the
-        *frontier's* and must match exactly so generation-floor reads
-        compare like with like across the topology.
+        *frontier's* and must match exactly so a read stamped with a
+        generation finds it on the replicas that hold it.
         """
         with self.lock:
             if generation is None:
@@ -338,6 +335,15 @@ class _ReplicaState:
 #: persistent one exhausts the retries and reaches the rebuild path).
 _RETRYABLE_LOAD = (StorageError, FaultInjected, OSError)
 
+#: Generations of a corpus whose cache entries an ingest commit keeps
+#: resident: the current one, plus the one before it for degraded mode
+#: to serve stale (a reload still invalidates the whole corpus).
+_KEEP_GENERATIONS = 2
+
+#: The compactor's size tier: a segment holding this many live documents
+#: or fewer counts toward ``compaction_min_segments``.
+_COMPACTION_SMALL_DOCS = 32
+
 
 class QueryService:
     """See the module docstring.  Construct, then :meth:`execute`."""
@@ -395,7 +401,6 @@ class QueryService:
         self._rebuilds = metrics.counter(
             INDEX_REBUILDS_TOTAL, help="indexes rebuilt from source text"
         )
-        self._worker_deaths = metrics.counter(POOL_WORKER_DEATHS_TOTAL)
         self.health = HealthMonitor(
             window_seconds=self.config.health_window,
             degraded_threshold=self.config.degraded_threshold,
@@ -429,7 +434,6 @@ class QueryService:
         self._sampler = HeadSampler(self.config.trace_sample_rate)
         if self.config.tracing:
             self.traces = TraceStore(
-                capacity=self.config.trace_store_capacity,
                 tail_capacity=self.config.trace_tail_capacity,
                 slow_threshold=self.config.trace_slow_seconds,
                 metrics=metrics,
@@ -500,7 +504,7 @@ class QueryService:
         )
         self._replication_lagging_reads = metrics.counter(
             REPLICATION_LAGGING_READS_TOTAL,
-            help="shard reads refused for being behind the generation floor",
+            help="shard reads refused for not being at the read's generation",
         )
         # Replica-side state for WAL log shipping: populated lazily on
         # the first replicate RPC when *this* process is a backend.
@@ -606,8 +610,6 @@ class QueryService:
             nodes,
             groups=config.backend_groups,
             replicas=config.backend_replicas,
-            hedge_quantile=config.backend_hedge_quantile,
-            hedge_min_seconds=config.backend_hedge_min_seconds,
             hedge_budget=config.backend_hedge_budget,
             metrics=self.telemetry.metrics,
             tracer=tracer,
@@ -677,11 +679,11 @@ class QueryService:
         frontier's :class:`~repro.obs.context.TraceContext`, the
         evaluation runs under it and the finished ``backend.query`` span
         subtree is returned for frontier-side adoption.  A non-zero
-        ``floor`` is the frontier's generation floor: answering from an
-        older generation would time-travel an acknowledged write, so a
-        behind replica refuses with
-        :class:`~repro.errors.ReplicaLaggingError` (a 503 on the wire)
-        and lets the frontier fail over.
+        ``floor`` is the read's generation: answering from an older one
+        would time-travel an acknowledged write, and from a newer one
+        would mix generations within one read, so a replica at any other
+        generation refuses with :class:`~repro.errors.ReplicaLaggingError`
+        (a 503 on the wire) and lets the frontier fail over.
         """
         name = self._handle(corpus).spec.name
         token = None
@@ -885,14 +887,19 @@ class QueryService:
             if spec.name in self._corpora:
                 raise ReproError(f"corpus {spec.name!r} is already served")
         engine = self._load_engine(spec)
-        ingest_state = None
+        recovered, ingest_state = engine, None
         if self.config.ingest_enabled:
-            engine, ingest_state = self._recover_ingest(spec, engine)
+            recovered, ingest_state = self._recover_ingest(spec, engine)
         handle = _CorpusHandle(
             spec,
             engine,
             self._make_breaker(f"breaker:{spec.name}", corpus=spec.name),
         )
+        if recovered is not engine:
+            # Generation 1 is the base every blank replica loads, so
+            # recovered writes are published as a later generation: one
+            # number never names two contents across a restart.
+            handle.install(recovered)
         with self._corpora_lock:
             if spec.name in self._corpora:
                 raise ReproError(f"corpus {spec.name!r} is already served")
@@ -1035,7 +1042,7 @@ class QueryService:
                     shipped = self.replication.ship(
                         handle.spec.name, seq, prepared.ops, generation
                     )
-        floor = generation - self.config.ingest_keep_generations + 1
+        floor = generation - _KEEP_GENERATIONS + 1
         invalidated = self.cache.invalidate_generations_below(
             handle.spec.name, floor
         )
@@ -1114,7 +1121,7 @@ class QueryService:
         for name, state in list(self._ingest.items()):
             live = state.live
             if live.tombstone_count > 0 or (
-                live.small_segment_count(config.compaction_small_docs)
+                live.small_segment_count(_COMPACTION_SMALL_DOCS)
                 >= config.compaction_min_segments
             ):
                 names.append(name)
@@ -1251,7 +1258,7 @@ class QueryService:
             elif isinstance(exc, QueryTimeout):
                 self._timeouts.inc()
                 self.health.record_failure()
-            elif isinstance(exc, (WorkerCrashedError, FaultInjected)):
+            elif isinstance(exc, FaultInjected):
                 self.health.record_failure()
             # Everything else is the client's (parse, validation, an
             # unknown corpus) or unexpected: not a health signal.
@@ -1382,9 +1389,9 @@ class QueryService:
         # key and the evaluation both come from this tree.
         expr = engine.prepare(query)
         if endpoint == "explain":
-            plan, cache_hits = self._dispatch(
-                budget,
+            plan, cache_hits = self.pool.run(
                 lambda _queued: engine.explain_with_caches(expr, text=query),
+                budget,
             )
             # Cache hits are reported distinctly: "plan_cache_hit" is the
             # engine's CostModel, "program_cache_hit" the compiled VM
@@ -1412,7 +1419,7 @@ class QueryService:
                 self._cache_hits.inc()
                 return {**cached, "cached": True}
             self._cache_misses.inc()
-            if degraded and self.config.stale_when_degraded:
+            if degraded:
                 stale = self._stale_lookup(handle.spec.name, plan_key, optimize)
                 if stale is not None:
                     self._stale_served.inc()
@@ -1421,10 +1428,9 @@ class QueryService:
         # the evaluation must use it rather than re-read ``handle.engine``,
         # or an ingest commit landing in between would pair a new engine
         # with the old generation — breaking snapshot isolation and
-        # poisoning the generation-keyed cache.  The same captured
-        # generation doubles as the read's replication floor.
-        response = self._dispatch(
-            budget,
+        # poisoning the generation-keyed cache.  Replicas answer at
+        # exactly this captured generation too.
+        response = self.pool.run(
             lambda queued: self._run_query(
                 handle.spec.name,
                 engine,
@@ -1435,6 +1441,7 @@ class QueryService:
                 budget,
                 queued,
             ),
+            budget,
         )
         response.update(
             corpus=handle.spec.name, generation=generation, query=query
@@ -1469,22 +1476,6 @@ class QueryService:
             return None
         _key, value = found
         return dict(value)
-
-    def _dispatch(self, budget: float, run: Callable[[float], Any]) -> Any:
-        """``run(queued_seconds)`` through the admission gate, on this
-        thread, re-dispatching when the evaluation dies holding its run
-        slot (``dispatch_retries`` budget)."""
-        attempts = self.config.dispatch_retries + 1
-        for attempt in range(attempts):
-            try:
-                return self.pool.run(run, budget)
-            except WorkerCrashedError:
-                self._worker_deaths.inc()
-                if attempt + 1 >= attempts:
-                    self._retry_exhausted.inc(op="dispatch")
-                    raise
-                self._retry_attempts.inc(op="dispatch")
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def _clamp_deadline(self, deadline: float | None) -> float:
         if deadline is None:
@@ -1568,11 +1559,13 @@ class QueryService:
         backends may cost the distributed path, never correctness.
 
         With replication active, the captured ``generation`` is stamped
-        on the scatter as the read's floor: read-your-writes, because a
-        replica still behind the acknowledged generation refuses rather
-        than answers from the past (and if *every* replica of a group
-        is behind, the local fallback — whose engine IS the captured
-        snapshot — serves the exact floor generation).
+        on every call of the scatter, and a replica at any other
+        generation refuses: read-your-writes, because a replica still
+        behind the acknowledged generation never answers from the past,
+        and one answer, because a replica already past it never mixes a
+        newer generation into an exchange or a group.  If *no* replica
+        of a group is at it, the local fallback — whose engine IS the
+        captured snapshot — serves that generation.
 
         A read the frontier answers is logged through the captured
         engine's :meth:`~repro.engine.session.Engine.record`, as a local

@@ -181,6 +181,28 @@ class TestSliceChecksum:
         )
 
 
+    def test_group_checksums_read_one_generation(self):
+        # A lookup whose corpus commits between any two calls: every
+        # checksum must still come from the generation reported.
+        rng = random.Random(7)
+        corpus, instances = Corpus(), []
+        for _ in range(4):
+            corpus.add(generate_play(rng, acts=1, scenes_per_act=2))
+            instances.append(corpus.engine().instance)
+        calls = iter(range(len(instances)))
+
+        def lookup(name):
+            n = next(calls)
+            return instances[n], n + 1
+
+        generation, checksums = SliceProvider(lookup).group_checksums("play", 2)
+        still = SliceProvider(lambda name: (instances[0], 1))
+        assert generation == 1
+        assert checksums == {
+            g: slice_checksum(still.slice_for("play", g, 2)) for g in range(2)
+        }
+
+
 class TestSliceProviderCache:
     def test_new_generation_invalidates(self, instance):
         generation = {"value": 1}

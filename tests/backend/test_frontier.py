@@ -166,6 +166,51 @@ class TestFailover:
             frontier.close()
 
 
+class TestGeneration:
+    def test_a_read_answers_exactly_its_generation(self):
+        # The replica asked first is already one commit past the read's
+        # generation; it must fail over, not answer from G+1.
+        rng = random.Random(43)
+        corpus = Corpus()
+        for _ in range(2):
+            corpus.add(generate_play(rng, acts=1, scenes_per_act=2))
+        older = corpus.engine().instance
+        corpus.add(generate_play(rng, acts=1, scenes_per_act=2))
+        newer = corpus.engine().instance
+        at = {}
+        backends = [
+            InProcessBackend(f"b{i}", SliceProvider(lambda name, i=i: at[i]))
+            for i in range(2)
+        ]
+        frontier = FrontierExecutor(
+            [BackendNode(b, CircuitBreaker(failure_threshold=1)) for b in backends],
+            groups=1, replicas=2,
+        )
+        try:
+            first, second = frontier.replicas_for("play", 0)
+            at[int(first.id[1:])] = (newer, 8)
+            at[int(second.id[1:])] = (older, 7)
+            for query in ("speech", "speech before speech"):
+                expr = parse(query)
+                expected = Evaluator("indexed").evaluate(expr, older)
+                assert list(expected) != list(
+                    Evaluator("indexed").evaluate(expr, newer)
+                )
+                result, stats = frontier.run("play", expr, floor=7)
+                assert list(result) == list(expected)
+                assert stats.nodes_used and set(stats.nodes_used) == {second.id}
+                assert stats.failovers >= 1
+            # Past the read's generation is healthy and current: the
+            # refusal does not count against the replica's breaker.
+            assert first.breaker.state == CircuitBreaker.CLOSED
+            at[int(second.id[1:])] = (older, 6)  # behind it: that counts
+            with pytest.raises(BackendUnavailableError):
+                frontier.run("play", parse("speech"), floor=7)
+            assert second.breaker.state == CircuitBreaker.OPEN
+        finally:
+            frontier.close()
+
+
 class TestHedging:
     def test_slow_primary_is_hedged(self, instance):
         frontier, nodes = make_frontier(

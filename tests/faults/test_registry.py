@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FaultInjected, ReproError, StorageError, WorkerKilled
+from repro.errors import FaultInjected, ReproError, StorageError
 from repro.faults import (
     FaultRegistry,
     FaultSpec,
@@ -47,13 +47,6 @@ class TestFire:
         registry.arm(FaultSpec("storage.read", "error", error=StorageError))
         with pytest.raises(StorageError):
             registry.fire("storage.read")
-
-    def test_kill_mode_raises_worker_killed(self):
-        registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
-        registry.arm(FaultSpec("pool.worker", "kill"))
-        with pytest.raises(WorkerKilled) as excinfo:
-            registry.fire("pool.worker")
-        assert excinfo.value.code == "worker_killed"
 
     def test_corrupt_mode_flips_bytes(self):
         registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
@@ -110,13 +103,13 @@ class TestFire:
         metrics = MetricsRegistry()
         registry = FaultRegistry(seed=1, metrics=metrics)
         registry.arm(FaultSpec("storage.read", "corrupt"))
-        registry.arm(FaultSpec("pool.worker", "kill"))
+        registry.arm(FaultSpec("backend.rpc", "error"))
         registry.fire("storage.read", b"abc")
-        with pytest.raises(WorkerKilled):
-            registry.fire("pool.worker")
+        with pytest.raises(FaultInjected):
+            registry.fire("backend.rpc")
         assert registry.fires() == 2
         assert registry.fires(point="storage.read") == 1
-        assert registry.fires(mode="kill") == 1
+        assert registry.fires(mode="error") == 1
         counted = metrics.counter("fault_injections_total").snapshot()
         assert sum(counted.values()) == 2
 

@@ -20,7 +20,7 @@ from repro.faults.chaos import (
     IngestReport,
     ReplicationReport,
 )
-from repro.faults.scenario import Run, _FloorMirror, _Mirror, _Oracles
+from repro.faults.scenario import Run, _Mirror, _Oracles
 from repro.workloads.corpora import generate_play
 from repro.workloads.queries import PLAY_QUERIES
 
@@ -51,12 +51,12 @@ def play_engine():
 
 @pytest.fixture
 def generations(play_engine):
-    """``(mirror kind) -> (mirror, answers)``: a mirror at generations
-    0, 1, 2 (one appended speech each) and the answer to ``QUERY`` at
-    each generation."""
+    """``() -> (mirror, answers)``: a mirror at generations 0, 1, 2 (one
+    appended speech each) and the answer to ``QUERY`` at each
+    generation."""
 
-    def build(kind):
-        mirror = kind(play_engine.instance, play_engine.text)
+    def build():
+        mirror = _Mirror(play_engine.instance, play_engine.text)
         mirror.register(0)
         answers = [_regions(mirror.live.instance)]
         for generation in (1, 2):
@@ -69,39 +69,56 @@ def generations(play_engine):
 
 
 class TestFloorMirror:
+    """Answers fresher than their stamp, which a generation-floor check
+    let through: the exact mirror passes each only under the generation
+    it belongs to."""
+
     def test_a_later_generation_passes(self, generations):
-        mirror, answers = generations(_FloorMirror)
-        mirror.verify(1, QUERY, answers[2])
-        mirror.verify(0, QUERY, answers[1])
+        mirror, answers = generations()
+        mirror.verify(2, QUERY, answers[2])
+        mirror.verify(1, QUERY, answers[1])
         mirror.verify(2, QUERY, answers[2])
         assert mirror.problems == []
         assert mirror.verified == 3
 
-    def test_an_earlier_generation_is_a_floor_violation(self, generations):
-        mirror, answers = generations(_FloorMirror)
-        mirror.verify(2, QUERY, answers[0])
-        assert len(mirror.problems) == 1
-        assert "matched generation 0 but was stamped 2" in mirror.problems[0]
-        assert "generation floor" in mirror.problems[0]
-
-    def test_no_generation_is_corruption(self, generations):
-        mirror, answers = generations(_FloorMirror)
-        shifted = [[l + 1, r + 1] for l, r in answers[1]]
-        mirror.verify(1, QUERY, shifted)
-        assert len(mirror.problems) == 1
-        assert "matches no acked generation" in mirror.problems[0]
-        assert "corrupted regions" in mirror.problems[0]
-
     def test_the_exact_mirror_flags_a_fresher_answer(self, generations):
-        mirror, answers = generations(_Mirror)
+        mirror, answers = generations()
         mirror.verify(1, QUERY, answers[2])
         assert len(mirror.problems) == 1
         assert "disagrees with the acked-writes oracle" in mirror.problems[0]
+        assert "it is generation 2's answer (epoch 0)" in mirror.problems[0]
+
+
+class TestMirror:
+    """Live corpora, replicated or not, are checked at exactly the
+    generation each response is stamped with."""
+
+    def test_the_stamped_generation_passes(self, generations):
+        mirror, answers = generations()
+        for generation, answer in enumerate(answers):
+            mirror.verify(generation, QUERY, answer)
+        assert mirror.problems == []
+        assert mirror.verified == 3
+
+    def test_an_earlier_generation_is_flagged(self, generations):
+        mirror, answers = generations()
+        mirror.verify(2, QUERY, answers[0])
+        assert len(mirror.problems) == 1
+        assert "at generation 2" in mirror.problems[0]
+        assert "it is generation 0's answer (epoch 0)" in mirror.problems[0]
+
+    def test_no_generation_is_corruption(self, generations):
+        mirror, answers = generations()
+        shifted = [[l + 1, r + 1] for l, r in answers[1]]
+        mirror.verify(1, QUERY, shifted)
+        assert len(mirror.problems) == 1
+        assert "disagrees with the acked-writes oracle" in mirror.problems[0]
+        assert "it is generation" not in mirror.problems[0]
 
 
 class TestSettlePending:
     def test_counts_generations_the_mirror_never_saw(self, generations):
-        mirror, answers = generations(_Mirror)
+        mirror, answers = generations()
         mirror.verify(7, QUERY, answers[2])
         mirror.verify(9, QUERY, answers[2])
         assert len(mirror.pending) == 2
@@ -110,8 +127,8 @@ class TestSettlePending:
         assert mirror.verified == 0
 
     def test_an_answer_ahead_of_its_ack_settles(self, generations):
-        mirror, _ = generations(_Mirror)
-        twin, _ = generations(_Mirror)
+        mirror, _ = generations()
+        twin, _ = generations()
         twin.commit(_append("doc3"), 3)
         mirror.verify(3, QUERY, _regions(twin.live.instance))
         assert len(mirror.pending) == 1  # the ack has not arrived yet
@@ -255,7 +272,7 @@ SUMMARY_KEYS = {
         "ok", "seed", "duration_seconds", "responses", "verified_responses",
         "corrupted_responses", "reduction_checks", "fault_fires",
         "vm_kernel_faults", "reloads", "breaker_trips", "breaker_final_state",
-        "worker_deaths", "rebuilds", "rpc_errors", "failovers",
+        "rebuilds", "rpc_errors", "failovers",
         "local_fallbacks", "traces_kept", "fault_marked_traces",
         "fault_marked_spans", "slo", "slowest_traces", "health_states_seen",
         "final_health", "loadgen", "violations",

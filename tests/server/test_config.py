@@ -42,6 +42,25 @@ class TestServerConfig:
         with pytest.raises(ReproError):
             ServerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "dispatch_retries",
+            "stale_when_degraded",
+            "ingest_keep_generations",
+            "compaction_small_docs",
+            "trace_store_capacity",
+            "slo_latency_objective",
+            "backend_hedge_quantile",
+            "backend_hedge_min_seconds",
+        ],
+    )
+    def test_removed_knobs_are_unknown(self, name):
+        # Each was set by no caller; its value is now a constant.
+        with pytest.raises(TypeError):
+            ServerConfig(**{name: 1})
+        assert name not in ServerConfig().to_dict()
+
 
 class TestBackendTopologyKnobs:
     def test_topology_defaults_disabled(self):
@@ -71,9 +90,9 @@ class TestBackendTopologyKnobs:
             {"backend_groups": 0},
             {"backend_replicas": 0},
             {"backend_nodes": 1, "backend_replicas": 2},
-            {"backend_hedge_quantile": 0.0},
-            {"backend_hedge_quantile": 1.5},
-            {"backend_hedge_min_seconds": -0.1},
+            {"replication_interval": 0.0},
+            {"replication_lag_limit": 0},
+            {"backend_respawn_delay": -1.0},
             {"backend_hedge_budget": -0.5},
             {"backend_respawn_delay": 0.0},
         ],

@@ -236,7 +236,6 @@ _ERROR_ARGS = {
     "QueryTimeout": (1.0,),
     "CorpusUnavailableError": ("c",),
     "FaultInjected": ("p",),
-    "WorkerKilled": (),
     "ReplicaLaggingError": ("c", 1, 2),
     "BackendUnavailableError": ("c", 0),
     "IngestUnreplicatedError": ("c",),

@@ -318,6 +318,9 @@ class TestRestartRecovery:
             info = revived.ingest_info()["corpora"]["play"]
             assert info["documents"] == 1
             assert info["replayed_batches"] == 2
+            # Generation 1 is the bare base a blank replica serves; the
+            # recovered corpus must not share its number.
+            assert revived._handle("play").generation == 2
             assert (
                 revived.execute("speech", use_cache=False)["cardinality"]
                 == cardinality

@@ -6,14 +6,7 @@ import time
 
 import pytest
 
-from repro.errors import (
-    FaultInjected,
-    QueryTimeout,
-    ServerOverloadedError,
-    WorkerCrashedError,
-)
-from repro.faults.registry import FaultSpec, injected_faults
-from repro.obs.metrics import MetricsRegistry
+from repro.errors import QueryTimeout, ServerOverloadedError
 from repro.server import AdmissionGate
 
 
@@ -227,30 +220,6 @@ class TestAdmission:
         waiter.join(timeout=5)
         assert not waiter.is_alive()
         assert queued[0] >= 0.02
-
-
-class TestFaultPoint:
-    def test_injected_error_releases_the_slot(self, gate):
-        ran = []
-        with injected_faults(
-            FaultSpec("pool.worker", "error", max_fires=1),
-            metrics=MetricsRegistry(),
-        ):
-            with pytest.raises(FaultInjected):
-                gate.run(ran.append, 1.0)
-        assert ran == []  # fired at slot pickup, before the evaluation
-        assert gate.stats()["worker_deaths"] == 0
-        assert_no_permit_held(gate)
-
-    def test_kill_surfaces_as_worker_crashed_and_releases_the_slot(self, gate):
-        with injected_faults(
-            FaultSpec("pool.worker", "kill", max_fires=1),
-            metrics=MetricsRegistry(),
-        ):
-            with pytest.raises(WorkerCrashedError):
-                gate.run(lambda _queued: None, 1.0)
-        assert gate.stats()["worker_deaths"] == 1
-        assert_no_permit_held(gate)
 
 
 class TestShutdown:

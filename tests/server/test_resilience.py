@@ -1,5 +1,5 @@
 """The serving layer under failure: corruption recovery, breaker,
-health state machine, stale serving, shedding, and worker death."""
+health state machine, stale serving and shedding."""
 
 import json
 import random
@@ -15,7 +15,6 @@ from repro.errors import (
     FaultInjected,
     ServiceUnhealthyError,
     StorageError,
-    WorkerCrashedError,
 )
 from repro.faults import FaultSpec, injected_faults
 from repro.obs.metrics import MetricsRegistry
@@ -359,41 +358,6 @@ class TestDegradedServing:
             assert "served" in outcomes  # the probe trickle
             counters = service.metrics_snapshot()["metrics"]["counters"]
             assert sum(counters.get("server_shed_total", {}).values()) >= 1
-        finally:
-            service.close()
-
-
-class TestWorkerDeath:
-    def test_single_kill_is_transparent_to_the_client(self):
-        service = QueryService(
-            ServerConfig(workers=2, corpora=(PLAY,), dispatch_retries=2)
-        )
-        try:
-            with injected_faults(
-                FaultSpec("pool.worker", "kill", max_fires=1),
-                metrics=MetricsRegistry(),
-            ):
-                response = service.execute("speech", use_cache=False)
-            assert response["cardinality"] > 0
-            stats = service.pool.stats()
-            assert stats["worker_deaths"] == 1
-            assert stats["workers"] == 2  # a replacement was spawned
-        finally:
-            service.close()
-
-    def test_kills_exhaust_dispatch_retries(self):
-        service = QueryService(
-            ServerConfig(workers=2, corpora=(PLAY,), dispatch_retries=1)
-        )
-        try:
-            with injected_faults(
-                FaultSpec("pool.worker", "kill"), metrics=MetricsRegistry()
-            ):
-                with pytest.raises(WorkerCrashedError) as excinfo:
-                    service.execute("speech", use_cache=False)
-            assert excinfo.value.code == "worker_crashed"
-            # The pool recovered: replacements serve the next query.
-            assert service.execute("speech", use_cache=False)["cardinality"] > 0
         finally:
             service.close()
 
