@@ -27,8 +27,8 @@ whole evaluation process:
   respawn after a crash (and SIGKILL on demand, for the chaos harness);
 * :mod:`repro.backend.replication` — WAL log shipping of committed
   ingest batches to every backend replica, exact-generation reads,
-  batch/snapshot catch-up for lagging nodes, and the periodic
-  anti-entropy checksum sweep.
+  snapshot repair for nodes off the frontier's generation, and the
+  periodic anti-entropy checksum sweep.
 
 ``docs/server.md`` ("Topology & failover") is the operator guide;
 ``docs/robustness.md`` documents the backend-kill chaos mode.

@@ -176,9 +176,9 @@ class ShardBackend:
     ) -> dict[str, Any]:
         """Replace this node's replica of ``corpus`` wholesale with
         ``state`` (a :meth:`LiveCorpus.state`-shaped document dump),
-        publishing ``generation`` — the catch-up path when shipped batch
-        history no longer covers the node's gap, and the repair path
-        when anti-entropy finds divergence."""
+        publishing ``generation`` — the one repair the coordinator
+        ships, to a node behind or ahead of the frontier or one whose
+        content anti-entropy found diverged."""
         raise NotImplementedError
 
     def replicate_status(self, corpus: str, groups: int) -> dict[str, Any]:
@@ -224,11 +224,15 @@ class SliceProvider:
     its corpus handles' current one (remote ``/shard/query`` calls,
     checksums), a :class:`~repro.shard.ShardExecutor` with its one
     instance.  Cuts are cached per ``(corpus, groups)`` for the
-    :data:`KEPT_CUTS` newest generations, each with the instance object
-    it was cut from, so reads still in flight at G and new reads at
-    G+1 after a commit each reuse their own cut.  A generation is recut
-    when its instance changes: a replication repair that re-publishes
-    the *same* generation with corrected content serves a new instance.
+    :data:`KEPT_CUTS` most recently cut generations, each with the
+    instance object it was cut from, so reads still in flight at G and
+    new reads at G+1 after a commit each reuse their own cut.  A
+    generation is recut when its instance changes: a replication repair
+    that re-publishes the *same* generation with corrected content
+    serves a new instance.  Eviction follows cut order, not generation
+    number: a snapshot that resets a replica to a lower generation keeps
+    its new cut, and a straggling read at an old generation does not
+    push out the cuts current reads use.
     """
 
     #: Generations whose cuts stay cached per ``(corpus, groups)``.
@@ -271,8 +275,9 @@ class SliceProvider:
                         partition_instance(instance, groups)
                     )
                 ))
+                cuts.pop(generation, None)
                 cuts[generation] = cached
-                for old in sorted(cuts)[: -self.KEPT_CUTS]:
+                for old in list(cuts)[: -self.KEPT_CUTS]:
                     del cuts[old]
         return cached[1]
 

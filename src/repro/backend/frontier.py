@@ -23,9 +23,10 @@ with three layers of robustness per call:
    double the request volume.
 
 :meth:`FrontierExecutor.query` is the one fallback decision: a plan no
-slice can answer soundly (``unsupported``) or a group with no replica
-left (``unavailable``, marked degraded) is evaluated locally instead —
-complete and correct, just not distributed.
+slice can answer soundly (``unsupported``), a group whose replicas have
+all committed past the read's generation (``superseded``), or a group
+with no replica left (``unavailable``, marked degraded) is evaluated
+locally instead — complete and correct, just not distributed.
 
 Pools and hedges are for transports that wait
 (:attr:`~repro.backend.base.ShardBackend.waits`).  A group none of
@@ -84,10 +85,19 @@ __all__ = ["BackendNode", "FrontierExecutor", "FrontierStats"]
 _LATENCY_WINDOW = 64
 
 
+def _past(refusal: Any) -> bool:
+    """Whether a refusal came from a replica already past the read's
+    generation: healthy and current, only newer than the read."""
+    return (
+        isinstance(refusal, ReplicaLaggingError)
+        and refusal.applied > refusal.floor
+    )
+
+
 def _record_refusal(node: "BackendNode", exc: BackendError) -> None:
     """A failed call on ``node``'s breaker.  A replica already past the
-    read's generation is healthy and current, so it does not count."""
-    if isinstance(exc, ReplicaLaggingError) and exc.applied > exc.floor:
+    read's generation does not count."""
+    if _past(exc):
         node.breaker.record_success()
     else:
         node.breaker.record_failure()
@@ -360,8 +370,10 @@ class FrontierExecutor:
         cannot answer: the one place that decides.
 
         ``unsupported`` (some slice cannot evaluate the plan soundly —
-        e.g. a word occurrence spans a cut) is routine; ``unavailable``
-        (some group lost every replica) also sets ``stats.degraded``.
+        e.g. a word occurrence spans a cut) and ``superseded`` (every
+        replica of some group refused as already past the read's
+        generation) are routine; ``unavailable`` (some group lost every
+        replica) also sets ``stats.degraded``.
         A caller that already knows the query must run locally passes
         its reason as ``fallback`` and no backend is called.  Either way
         the reason lands in ``stats.fallback`` and in
@@ -375,8 +387,13 @@ class FrontierExecutor:
                     return self.run(corpus, expr, deadline, floor, cancel)
             except (BackendUnsupportedError, BackendUnavailableError) as exc:
                 stats = self._local.stats
-                stats.degraded = isinstance(exc, BackendUnavailableError)
-                fallback = "unavailable" if stats.degraded else "unsupported"
+                if isinstance(exc, BackendUnsupportedError):
+                    fallback = "unsupported"
+                elif exc.superseded:
+                    fallback = "superseded"
+                else:
+                    fallback = "unavailable"
+                    stats.degraded = True
                 stats.detail = str(exc)
         else:
             stats = FrontierStats(groups=self.groups)
@@ -492,7 +509,8 @@ class FrontierExecutor:
         then sequential failover over the untried replicas."""
         order = self.replicas_for(phase.corpus, group)
         tried: set[str] = set()
-        attempts: list[str] = []
+        # (node id, its error or why it was skipped), per replica
+        attempts: list[tuple[str, Any]] = []
         node = self._next_replica(order, tried, attempts, phase.stats)
         if node is not None:
             self._budget.record_primary()
@@ -510,7 +528,12 @@ class FrontierExecutor:
             except BackendError as exc:
                 self._failed(node, exc, phase, attempts)
             node = self._next_replica(order, tried, attempts, phase.stats)
-        raise BackendUnavailableError(phase.corpus, group, attempts)
+        raise BackendUnavailableError(
+            phase.corpus,
+            group,
+            [f"{node_id}: {why}" for node_id, why in attempts],
+            superseded=all(_past(why) for _, why in attempts),
+        )
 
     def _next_replica(self, order, tried, attempts, stats) -> BackendNode | None:
         """The next untried replica whose breaker admits a call.
@@ -525,7 +548,7 @@ class FrontierExecutor:
                 return node
             tried.add(node.id)
             stats.breaker_skips += 1
-            attempts.append(f"{node.id}: breaker open")
+            attempts.append((node.id, "breaker open"))
         return None
 
     def _failed(self, node, exc, phase, attempts) -> None:
@@ -533,7 +556,7 @@ class FrontierExecutor:
         if self._failovers is not None:
             self._failovers.inc(corpus=phase.corpus)
         phase.stats.failovers += 1
-        attempts.append(f"{node.id}: {exc}")
+        attempts.append((node.id, exc))
 
     def _hedged_call(
         self, primary, order, tried, attempts, phase: _Phase, group: int

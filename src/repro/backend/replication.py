@@ -1,4 +1,4 @@
-"""WAL log shipping to backend replicas, catch-up, and anti-entropy.
+"""WAL log shipping to backend replicas, snapshot repair, and anti-entropy.
 
 The missing half of live ingestion over a multi-process topology: the
 frontier owns the WAL (durability) and the backends own serving slices
@@ -19,13 +19,15 @@ rejects mismatches; the coordinator treats any non-``applied`` answer
 as that node falling behind — **a ship failure never fails the
 ingest**; the write was already durable in the frontier's WAL.
 
-**Catch-up.**  A bounded per-corpus history of shipped batches lets a
-briefly-absent node (respawned, partitioned, or one that rejected a
-corrupt copy) be walked forward batch-by-batch.  When the gap is older
-than the history window, the node gets a full state snapshot (the same
+**Catch-up.**  A node whose applied generation differs from the
+frontier's — respawned blank, partitioned, one that rejected a corrupt
+copy, or one left over from a previous frontier incarnation whose
+generation counter reset — gets a full state snapshot (the same
 ``LiveCorpus.state`` shape the WAL checkpoints) at the current
-generation instead.  Catch-up runs from the periodic sweep, and is
-re-entrant per ``(node, corpus)``.
+generation.  One repair for every gap: a snapshot never depends on what
+base the node held.  Catch-up runs from the periodic sweep, and is
+re-entrant per ``(node, corpus)``.  It is sent under the corpus writer
+lock, so snapshots and ships reach a node in commit order.
 
 **Anti-entropy.**  The sweep also audits nodes that *claim* to be
 current: ``replicate_status`` returns a content checksum per shard
@@ -49,9 +51,8 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, ContextManager, Mapping, Sequence
 
 from repro.errors import BackendError, FaultInjected
 from repro.faults import registry as _faults
@@ -60,10 +61,6 @@ from repro.obs import metrics as _m
 from repro.obs.trace import maybe_span
 
 __all__ = ["ReplicationCoordinator"]
-
-#: Shipped batches remembered per corpus for batch-wise catch-up; a gap
-#: older than this is repaired with a full snapshot instead.
-HISTORY_LIMIT = 256
 
 
 class _NodeLedger:
@@ -88,27 +85,32 @@ class _NodeLedger:
 class ReplicationCoordinator:
     """See the module docstring.
 
-    ``state_provider(corpus)`` must return a consistent
-    ``(state, generation)`` pair — the service backs it with the corpus
-    writer lock, so the snapshot and the generation it publishes always
-    agree.  ``checksum_provider(corpus)`` returns the frontier's own
-    ``(generation, {group: checksum})`` truth for anti-entropy.
-    ``corpora()`` enumerates the writable corpora worth sweeping.
+    ``state_provider(corpus)`` is a context manager that holds the
+    corpus writer lock — the one ``ship()`` is called under — and yields
+    ``(generation, dump)``: the published generation and a zero-argument
+    callable returning the ``LiveCorpus.state`` dump at it.
+    ``checksum_provider(corpus)`` returns the frontier's own
+    ``(generation, {group: checksum})`` truth for anti-entropy, and
+    ``generation_provider(corpus)`` its published generation, the one
+    lag is measured against.  ``corpora()`` enumerates the writable
+    corpora worth sweeping.
     """
 
     def __init__(
         self,
         frontier: Any,
         corpora: Callable[[], Sequence[str]],
-        state_provider: Callable[[str], tuple[dict[str, Any], int]],
+        state_provider: Callable[
+            [str],
+            ContextManager[tuple[int, Callable[[], dict[str, Any]]]],
+        ],
         checksum_provider: Callable[[str], tuple[int, dict[int, str]]],
+        generation_provider: Callable[[str], int],
         metrics: Any,
         tracer: Any = None,
         health: Any = None,
         interval: float = 2.0,
         lag_limit: int = 8,
-        history_limit: int = HISTORY_LIMIT,
-        generation_provider: Callable[[str], int] | None = None,
     ):
         self.frontier = frontier
         self._corpora = corpora
@@ -119,9 +121,6 @@ class ReplicationCoordinator:
         self._health = health
         self.interval = float(interval)
         self.lag_limit = int(lag_limit)
-        self._history_limit = int(history_limit)
-        #: corpus -> deque of (generation, seq, ops) in commit order.
-        self._history: dict[str, deque] = {}
         self._ledgers: dict[str, _NodeLedger] = {
             node.id: _NodeLedger() for node in frontier.nodes
         }
@@ -144,7 +143,7 @@ class ReplicationCoordinator:
         )
         self._catchups = metrics.counter(
             _m.REPLICATION_CATCHUPS_TOTAL,
-            "catch-up repairs, by kind (batches | snapshot)",
+            "snapshot repairs shipped, by node",
         )
         self._sweeps = metrics.counter(
             _m.REPLICATION_ANTI_ENTROPY_RUNS_TOTAL,
@@ -198,7 +197,7 @@ class ReplicationCoordinator:
 
         Returns ``{"nodes", "applied", "failed"}`` counts for the ingest
         response.  Never raises: a node that cannot take the batch is
-        left to the sweep's catch-up.
+        left to the sweep's snapshot repair.
         """
         record = {
             "corpus": corpus,
@@ -210,11 +209,6 @@ class ReplicationCoordinator:
         wire = json.dumps(
             record, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-        with self._lock:
-            history = self._history.setdefault(
-                corpus, deque(maxlen=self._history_limit)
-            )
-            history.append((record["generation"], record["seq"], record["ops"]))
         nodes = self._nodes_for(corpus)
         applied = failed = 0
         with maybe_span(
@@ -280,11 +274,11 @@ class ReplicationCoordinator:
         return False
 
     # ------------------------------------------------------------------
-    # Catch-up and anti-entropy.
+    # Snapshot repair and anti-entropy.
     # ------------------------------------------------------------------
 
     def sweep(self) -> dict[str, Any]:
-        """One catch-up + anti-entropy pass over every (node, corpus).
+        """One repair + anti-entropy pass over every (node, corpus).
 
         Safe to call directly (tests, chaos harnesses) as well as from
         the background thread.
@@ -296,7 +290,7 @@ class ReplicationCoordinator:
             for node in self._nodes_for(corpus):
                 outcome = self._audit(node, corpus, truth_gen, truth_sums)
                 corpus_report[node.id] = outcome
-                if outcome in ("caught_up", "repaired"):
+                if outcome == "repaired":
                     report["repaired"] += 1
             report["corpora"][corpus] = corpus_report
         self._refresh_lag()
@@ -321,13 +315,11 @@ class ReplicationCoordinator:
         applied = int(status.get("applied", 0))
         with self._lock:
             ledger.applied[corpus] = applied
-        if applied < truth_gen:
-            return self._catch_up(node, corpus, applied, truth_gen)
-        if applied > truth_gen:
-            # A replica from a previous frontier incarnation (the
-            # frontier restarted and its generation counter reset):
-            # its number line no longer means anything — reset it.
-            return self._snapshot_ship(node, corpus)
+        if applied != truth_gen:
+            # Behind (missed ships, respawned blank) or ahead (left
+            # from a previous frontier incarnation whose generation
+            # counter reset): either way, replace it wholesale.
+            return self._snapshot_ship(node, corpus, diverged=False)
         reported = {
             int(group): checksum
             for group, checksum in dict(status.get("checksums", {})).items()
@@ -337,73 +329,48 @@ class ReplicationCoordinator:
             for group, checksum in truth_sums.items()
             if reported.get(group) != checksum
         ]
-        if applied == truth_gen and diverged:
+        if diverged:
             self._divergence.inc(node=node.id, corpus=corpus)
             ledger.last_error = (
                 f"divergence in groups {sorted(diverged)} at "
                 f"generation {applied}"
             )
-            return self._snapshot_ship(node, corpus)
+            return self._snapshot_ship(node, corpus, diverged=True)
         return "current"
 
-    def _catch_up(
-        self, node: Any, corpus: str, applied: int, target: int
-    ) -> str:
-        """Walk one lagging node forward: batches when the history still
-        covers its gap, a full snapshot otherwise."""
-        ledger = self._ledger(node.id)
-        ledger.catchups += 1
-        with self._lock:
-            history = list(self._history.get(corpus, ()))
-        missing = [
-            entry for entry in history if applied < entry[0] <= target
-        ]
-        covered = bool(missing) and missing[0][0] == applied + 1 and all(
-            b[0] == a[0] + 1 for a, b in zip(missing, missing[1:])
-        ) and missing[-1][0] >= target
-        if not covered:
-            return self._snapshot_ship(node, corpus)
-        with maybe_span(
-            self._tracer,
-            "replication.catchup",
-            node=node.id,
-            corpus=corpus,
-            batches=len(missing),
-        ):
-            for generation, seq, ops in missing:
-                record = {
-                    "corpus": corpus,
-                    "seq": int(seq),
-                    "generation": int(generation),
-                    "ops": ops,
-                }
-                record["checksum"] = wal_checksum(record)
-                wire = json.dumps(
-                    record, sort_keys=True, separators=(",", ":")
-                ).encode("utf-8")
-                if not self._ship_one(node, corpus, wire, generation):
-                    # Mid-walk failure (restarted again, new corruption):
-                    # fall back to the unconditional repair.
-                    return self._snapshot_ship(node, corpus)
-        self._catchups.inc(node=node.id, kind="batches")
-        return "caught_up"
-
-    def _snapshot_ship(self, node: Any, corpus: str) -> str:
+    def _snapshot_ship(self, node: Any, corpus: str, diverged: bool) -> str:
         """Replace the node's replica wholesale at the current
-        generation — the repair of last resort, always sufficient."""
+        generation — the one repair, whatever the node held.
+
+        The snapshot is dumped and sent under the corpus writer lock,
+        the lock ``ship()`` runs under, so it takes its place in commit
+        order: no ship of G+1 can land before a snapshot of G and be
+        rolled back by it.  A node the audit found at another generation
+        is asked again under the lock first — the audit routinely races
+        the ship of a generation already installed, and a node that ship
+        has since brought to the truth needs no repair."""
         ledger = self._ledger(node.id)
-        state, generation = self._state_provider(corpus)
         try:
-            with maybe_span(
-                self._tracer,
-                "replication.snapshot",
-                node=node.id,
-                corpus=corpus,
-                generation=generation,
-            ):
-                answer = node.backend.replicate_snapshot(
-                    corpus, state, generation
-                )
+            with self._state_provider(corpus) as (generation, dump):
+                if not diverged:
+                    status = node.backend.replicate_status(
+                        corpus, self.frontier.groups
+                    )
+                    applied = int(status.get("applied", 0))
+                    if applied == generation:
+                        with self._lock:
+                            ledger.applied[corpus] = applied
+                        return "current"
+                with maybe_span(
+                    self._tracer,
+                    "replication.snapshot",
+                    node=node.id,
+                    corpus=corpus,
+                    generation=generation,
+                ):
+                    answer = node.backend.replicate_snapshot(
+                        corpus, dump(), generation
+                    )
         except BackendError as exc:
             ledger.reachable = False
             ledger.last_error = str(exc)
@@ -411,9 +378,10 @@ class ReplicationCoordinator:
             return "unreachable"
         ledger.reachable = True
         ledger.last_error = None
+        ledger.catchups += 1
         with self._lock:
             ledger.applied[corpus] = int(answer.get("applied", generation))
-        self._catchups.inc(node=node.id, kind="snapshot")
+        self._catchups.inc(node=node.id)
         return "repaired"
 
     # ------------------------------------------------------------------
@@ -426,7 +394,7 @@ class ReplicationCoordinator:
             ledger = self._ledger(node.id)
             worst = 0
             for corpus in list(self._corpora()):
-                truth_gen, _ = self._truth_generation(corpus)
+                truth_gen = self._truth_generation(corpus)
                 with self._lock:
                     applied = ledger.applied.get(corpus, 0)
                 worst = max(worst, truth_gen - applied)
@@ -438,23 +406,15 @@ class ReplicationCoordinator:
                     f"replication:{node.id}", worst > self.lag_limit
                 )
 
-    def _truth_generation(self, corpus: str) -> tuple[int, None]:
-        with self._lock:
-            history = self._history.get(corpus)
-            if history:
-                return history[-1][0], None
-        # No batch shipped yet this process: whatever the frontier's
-        # published generation says.
+    def _truth_generation(self, corpus: str) -> int:
+        """The frontier's published generation of ``corpus``."""
         try:
-            if self._generation_provider is not None:
-                return int(self._generation_provider(corpus)), None
-            generation, _ = self._checksum_provider(corpus)
+            return int(self._generation_provider(corpus))
         except Exception:  # pragma: no cover - corpus dropped mid-walk
-            generation = 0
-        return generation, None
+            return 0
 
     def lag(self, node_id: str, corpus: str) -> int:
-        truth, _ = self._truth_generation(corpus)
+        truth = self._truth_generation(corpus)
         with self._lock:
             ledger = self._ledgers.get(node_id)
             applied = ledger.applied.get(corpus, 0) if ledger else 0
@@ -471,15 +431,9 @@ class ReplicationCoordinator:
                 node_id: ledger.snapshot()
                 for node_id, ledger in sorted(self._ledgers.items())
             }
-            history = {
-                corpus: len(entries)
-                for corpus, entries in sorted(self._history.items())
-            }
         return {
             "interval": self.interval,
             "lag_limit": self.lag_limit,
-            "history_limit": self._history_limit,
-            "history": history,
             "nodes": nodes,
         }
 

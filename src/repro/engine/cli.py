@@ -205,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest deadline a request may ask for",
     )
     serve.add_argument(
-        "--optimize", action="store_true", help="optimize queries by default"
-    )
-    serve.add_argument(
         "--topology",
         default=None,
         metavar="GxR",
@@ -315,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--qps", type=float, default=20.0)
     loadgen.add_argument("--duration", type=float, default=3.0)
     loadgen.add_argument("--concurrency", type=int, default=4)
-    loadgen.add_argument("--optimize", action="store_true")
     loadgen.add_argument(
         "--no-cache", action="store_true", help="ask the server to skip its cache"
     )
@@ -731,7 +727,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_enabled=not args.no_cache,
         default_deadline=args.deadline,
         max_deadline=args.max_deadline,
-        optimize_default=args.optimize,
         tracing=args.trace,
         trace_sample_rate=args.trace_sample,
         corpora=tuple(specs),
@@ -808,7 +803,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         qps=args.qps,
         duration=args.duration,
         concurrency=args.concurrency,
-        optimize=args.optimize,
         use_cache=not args.no_cache,
         seed=args.seed,
         ingest_rate=args.ingest_rate,

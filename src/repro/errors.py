@@ -276,14 +276,24 @@ class BackendUnsupportedError(ReproError):
 class BackendUnavailableError(ReproError):
     """Every replica of some shard group failed (or had an open
     breaker).  The frontier degrades to local single-process evaluation;
-    the response is still complete and correct, but marked degraded."""
+    the response is still complete and correct, but marked degraded —
+    unless ``superseded``: every replica refused only because it had
+    already committed past the read's generation, and nothing is
+    unhealthy."""
 
     code = "backend_unavailable"
 
-    def __init__(self, corpus: str, group: int, attempts: "list[str] | None" = None):
+    def __init__(
+        self,
+        corpus: str,
+        group: int,
+        attempts: "list[str] | None" = None,
+        superseded: bool = False,
+    ):
         self.corpus = corpus
         self.group = group
         self.attempts = list(attempts or [])
+        self.superseded = superseded
         detail = f" ({'; '.join(self.attempts)})" if self.attempts else ""
         super().__init__(
             f"no live replica for shard group {group} of corpus {corpus!r}{detail}"

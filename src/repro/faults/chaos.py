@@ -579,7 +579,7 @@ class ReplicationReport(ScenarioReport):
     ship_fault_fires: int = 0
     ship_failures: int = 0
     batches_shipped: int = 0
-    catchups: dict[str, int] = field(default_factory=dict)  #: per kind
+    catchups: dict[str, int] = field(default_factory=dict)  #: per node
     divergences_repaired: int = 0
     replayed_batches: int = 0
     restart_bit_identical: bool = False
@@ -676,8 +676,8 @@ def _replication_finish(run: Run) -> None:
         for name in ("batches_shipped", "ship_failures", "divergence")
     )
     for labels, count in counters.get("replication_catchups_total", {}).items():
-        kind = dict(parse_label_text(labels)).get("kind", "?")
-        report.catchups[kind] = report.catchups.get(kind, 0) + int(count)
+        node = dict(parse_label_text(labels)).get("node", "?")
+        report.catchups[node] = report.catchups.get(node, 0) + int(count)
 
     run.require_200("warmup", "during warmup with every replica healthy")
     run.check_kill("replica")

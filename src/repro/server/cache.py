@@ -87,7 +87,7 @@ class ResultCache:
         ``predicate`` — without refreshing recency or touching stats.
 
         The degraded-mode stale lookup: the service scans for an entry
-        matching (corpus, plan, optimize) at *any* generation when the
+        matching (corpus, plan) at *any* generation when the
         current generation misses.  O(entries) under the lock, used only
         while degraded.
         """

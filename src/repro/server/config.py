@@ -95,8 +95,7 @@ class ServerConfig:
         shed load early rather than time out everything late.
     ``cache_capacity`` / ``cache_enabled``
         Result-cache entries (LRU).  Keyed by (corpus, generation,
-        normalized plan, optimize flag); reloading a corpus invalidates
-        its entries.
+        normalized plan); reloading a corpus invalidates its entries.
     ``default_deadline`` / ``max_deadline``
         Seconds.  Every query gets a deadline (requests may lower or
         raise theirs up to ``max_deadline``); the evaluator aborts
@@ -222,7 +221,6 @@ class ServerConfig:
     cache_enabled: bool = True
     default_deadline: float = 5.0
     max_deadline: float = 60.0
-    optimize_default: bool = False
     tracing: bool = False
     query_log_capacity: int = 1024
     corpora: tuple[CorpusSpec, ...] = field(default_factory=tuple)
@@ -341,7 +339,6 @@ class ServerConfig:
             "cache_enabled": self.cache_enabled,
             "default_deadline": self.default_deadline,
             "max_deadline": self.max_deadline,
-            "optimize_default": self.optimize_default,
             "tracing": self.tracing,
             "retry_attempts": self.retry_attempts,
             "breaker_threshold": self.breaker_threshold,

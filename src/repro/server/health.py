@@ -7,8 +7,7 @@ window and classifies the service:
 * **healthy** — error rate below ``degraded_threshold``;
 * **degraded** — error rate above it, or external pressure (an open
   corpus circuit breaker).  The service keeps answering but turns on
-  its degraded behaviours: serve stale cache entries, skip the
-  optimizer pass;
+  its degraded behaviour: a cache miss may be served a stale entry;
 * **unhealthy** — error rate above ``unhealthy_threshold``.  The
   service sheds load (``503`` + ``Retry-After``) except for a trickle
   of probe requests, so it can observe recovery without being buried.

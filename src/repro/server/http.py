@@ -7,8 +7,7 @@ Endpoints:
 
 ====================================  =======================================
 ``POST /query``                       evaluate; body ``{"query": …,
-                                      "corpus": …, "optimize": bool,
-                                      "deadline": seconds,
+                                      "corpus": …, "deadline": seconds,
                                       "use_cache": bool}``
 ``GET /query?q=…&corpus=…``           same, for curl convenience
 ``POST /explain``                     the optimizer's plan, not executed
@@ -297,8 +296,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not query:
             raise ValueError("missing query parameter 'q'")
         request: dict[str, Any] = {"query": query, "corpus": first("corpus")}
-        if first("optimize") is not None:
-            request["optimize"] = first("optimize") not in ("0", "false", "no")
         if first("deadline") is not None:
             request["deadline"] = float(first("deadline"))
         self._run(request, explain_only=False)
@@ -333,7 +330,6 @@ class _Handler(BaseHTTPRequestHandler):
         response = self.server.service.execute(
             query,
             corpus=request.get("corpus"),
-            optimize=request.get("optimize"),
             deadline=deadline,
             use_cache=bool(request.get("use_cache", True)),
             explain_only=explain_only,

@@ -273,7 +273,6 @@ def run_load(
     qps: float = 20.0,
     duration: float = 3.0,
     concurrency: int = 4,
-    optimize: bool = False,
     use_cache: bool = True,
     timeout: float = 10.0,
     seed: int = 7,
@@ -439,7 +438,6 @@ def run_load(
                     {
                         "query": index_query,
                         "corpus": corpus,
-                        "optimize": optimize,
                         "use_cache": use_cache,
                     }
                 )

@@ -12,8 +12,8 @@ owns:
   requests evaluate at once and how many wait to (reject-early under
   overload); a request evaluates on the thread it arrived on;
 * a :class:`~repro.server.cache.ResultCache` keyed by
-  ``(corpus, generation, normalized plan, optimize flag)`` — reloading a
-  corpus bumps the generation and eagerly invalidates its entries;
+  ``(corpus, generation, normalized plan)`` — reloading a corpus bumps
+  the generation and eagerly invalidates its entries;
 * one shared :class:`~repro.obs.Telemetry` bundle all engines record
   into, extended with the ``server_*`` metrics, so ``/metrics`` is a
   single registry snapshot.
@@ -30,19 +30,20 @@ bounded-backoff retry and a per-corpus circuit breaker; a persistently
 corrupt index file is quarantined and the engine rebuilt from source
 text when the spec names one; a :class:`~repro.server.health.HealthMonitor`
 classifies the service healthy/degraded/unhealthy from request
-outcomes — while degraded the optimizer pass is skipped and cache misses
-may be answered by a stale entry from an older generation, and while
-unhealthy load is shed with ``503`` except for a trickle of probes.
+outcomes — while degraded a cache miss may be answered by a stale entry
+from an older generation, and while unhealthy load is shed with ``503``
+except for a trickle of probes.
 """
 
 from __future__ import annotations
 
 import tempfile
 import threading
+from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 from time import monotonic, perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.algebra import ast as A
 from repro.algebra.printer import to_text
@@ -638,17 +639,22 @@ class QueryService:
             )
             self.replication.start()
 
-    def _replication_state(self, corpus: str) -> tuple[dict[str, Any], int]:
-        """A consistent ``(LiveCorpus.state dump, generation)`` pair for
-        snapshot catch-up — the writer lock makes them agree."""
+    @contextmanager
+    def _replication_state(
+        self, corpus: str
+    ) -> Iterator[tuple[int, Callable[[], dict[str, Any]]]]:
+        """Hold ``corpus``'s writer lock and yield its generation with a
+        dump of its live state at that generation: a snapshot repair
+        sent inside takes its place among the ships, which leave under
+        the same lock."""
         handle = self._handle(corpus)
         state = self._ingest.get(handle.spec.name)
         if state is None:
-            return {"through_batch": 0, "docs": []}, handle.generation
+            yield handle.generation, lambda: {"through_batch": 0, "docs": []}
+            return
         with state.lock:
-            return (
-                state.live.state(through_batch=state.wal.last_seq),
-                handle.generation,
+            yield handle.generation, lambda: state.live.state(
+                through_batch=state.wal.last_seq
             )
 
     def _replication_checksums(self, corpus: str) -> tuple[int, dict[int, str]]:
@@ -800,12 +806,12 @@ class QueryService:
         self, corpus: str | None, state: dict[str, Any], generation: int
     ) -> dict[str, Any]:
         """Replace this process's replica of ``corpus`` wholesale — the
-        catch-up path when shipped history no longer covers the gap, and
-        the anti-entropy repair.  The generation is forced to the
-        frontier's even when it is not an increment (a divergence repair
-        re-publishes the *same* generation with corrected content), so
-        the result cache is invalidated explicitly; the slice provider
-        recuts on its own, seeing a new instance."""
+        coordinator's one repair, for a gap and for divergence alike.
+        The generation is forced to the frontier's even when it is not
+        an increment (a divergence repair re-publishes the *same*
+        generation with corrected content), so the result cache is
+        invalidated explicitly; the slice provider recuts on its own,
+        seeing a new instance."""
         handle = self._handle(corpus)
         name = handle.spec.name
         replica = self._replica_state(handle)
@@ -1037,8 +1043,8 @@ class QueryService:
                     # Ship inside the writer lock: batches leave in
                     # commit order, so replicas apply a pure sequence.
                     # A ship failure never fails the ingest — the batch
-                    # is already durable in the WAL, and the sweep will
-                    # walk lagging nodes forward.
+                    # is already durable in the WAL, and the sweep
+                    # snapshot-repairs a node that missed it.
                     shipped = self.replication.ship(
                         handle.spec.name, seq, prepared.ops, generation
                     )
@@ -1222,7 +1228,6 @@ class QueryService:
         self,
         query: str,
         corpus: str | None = None,
-        optimize: bool | None = None,
         deadline: float | None = None,
         use_cache: bool = True,
         explain_only: bool = False,
@@ -1242,9 +1247,7 @@ class QueryService:
         status = "200"
         error: BaseException | None = None
         try:
-            response = self._execute(
-                endpoint, query, corpus, optimize, deadline, use_cache
-            )
+            response = self._execute(endpoint, query, corpus, deadline, use_cache)
         except Exception as exc:
             status, error = str(http_status(exc)), exc
             if isinstance(exc, ServiceUnhealthyError):
@@ -1363,7 +1366,6 @@ class QueryService:
         endpoint: str,
         query: str,
         corpus: str | None,
-        optimize: bool | None,
         deadline: float | None,
         use_cache: bool,
     ) -> dict[str, Any]:
@@ -1376,13 +1378,6 @@ class QueryService:
         degraded = self.health.state != HEALTHY
         handle = self._handle(corpus)
         engine, generation = handle.snapshot()
-        optimize = (
-            self.config.optimize_default if optimize is None else bool(optimize)
-        )
-        if optimize and degraded and endpoint != "explain":
-            # Degraded mode: skip the optimizer pass — evaluate the
-            # parsed plan directly, trading plan quality for less work.
-            optimize = False
         budget = self._clamp_deadline(deadline)
         # The one parse (+ view expansion and name check) of the request:
         # errors turn into 400s without taking a run slot, and the cache
@@ -1412,7 +1407,7 @@ class QueryService:
             }
         caching = use_cache and self.config.cache_enabled
         plan_key = to_text(expr)
-        key = (handle.spec.name, generation, plan_key, optimize)
+        key = (handle.spec.name, generation, plan_key)
         if caching:
             cached = self._cache_get(key)
             if cached is not None:
@@ -1420,7 +1415,7 @@ class QueryService:
                 return {**cached, "cached": True}
             self._cache_misses.inc()
             if degraded:
-                stale = self._stale_lookup(handle.spec.name, plan_key, optimize)
+                stale = self._stale_lookup(handle.spec.name, plan_key)
                 if stale is not None:
                     self._stale_served.inc()
                     return {**stale, "cached": True, "stale": True}
@@ -1437,7 +1432,6 @@ class QueryService:
                 generation,
                 query,
                 expr,
-                optimize,
                 budget,
                 queued,
             ),
@@ -1459,17 +1453,14 @@ class QueryService:
             return None
         return self.cache.get(key)
 
-    def _stale_lookup(
-        self, corpus: str, plan_key: str, optimize: bool
-    ) -> dict[str, Any] | None:
+    def _stale_lookup(self, corpus: str, plan_key: str) -> dict[str, Any] | None:
         """Degraded mode: a matching entry from *any* generation."""
         found = self.cache.get_where(
             lambda k: (
                 isinstance(k, tuple)
-                and len(k) == 4
+                and len(k) == 3
                 and k[0] == corpus
                 and k[2] == plan_key
-                and k[3] == optimize
             )
         )
         if found is None:
@@ -1491,7 +1482,6 @@ class QueryService:
         generation: int,
         query: str,
         expr: A.Expr,
-        optimize: bool,
         budget: float,
         queued: float,
     ) -> dict[str, Any]:
@@ -1505,9 +1495,7 @@ class QueryService:
             raise QueryTimeout(budget)
 
         def evaluate_locally() -> Any:
-            return engine.query(
-                expr, optimize_query=optimize, deadline=remaining, text=query
-            )
+            return engine.query(expr, deadline=remaining, text=query)
 
         self._inflight_gauge.inc()
         backend_info = None
@@ -1515,8 +1503,8 @@ class QueryService:
             eval_started = perf_counter()
             if self.frontier is not None:
                 result, backend_info = self._frontier_query(
-                    corpus, engine, generation, query, expr, optimize,
-                    remaining, evaluate_locally,
+                    corpus, engine, generation, query, expr, remaining,
+                    evaluate_locally,
                 )
             else:
                 result = evaluate_locally()
@@ -1530,7 +1518,6 @@ class QueryService:
         response = {
             "regions": result.pairs(),
             "cardinality": len(result),
-            "optimized": optimize,
             "eval_seconds": eval_seconds,
             "queued_seconds": queued,
         }
@@ -1545,17 +1532,17 @@ class QueryService:
         generation: int,
         query: str,
         expr: A.Expr,
-        optimize: bool,
         remaining: float,
         evaluate_locally: Callable[[], Any],
     ) -> tuple[Any, dict[str, Any]]:
         """Evaluate via the backend topology, falling back locally.
 
-        Two fallbacks, both returning complete and correct results:
+        Three fallbacks, all returning complete and correct results:
         ``unsupported`` (the plan cannot be sharded — e.g. a word
-        occurrence spans a partition cut) is routine; ``unavailable``
-        (some shard group lost *all* its replicas) marks the response
-        degraded — the PR-5 invariant, now across processes: losing
+        occurrence spans a partition cut) and ``superseded`` (every
+        replica of a group has already committed past the read's
+        generation) are routine; ``unavailable`` (some shard group lost
+        *all* its replicas) marks the response degraded — losing
         backends may cost the distributed path, never correctness.
 
         With replication active, the captured ``generation`` is stamped
@@ -1582,12 +1569,10 @@ class QueryService:
         assert frontier is not None
         floor = generation if self.replication is not None else 0
         started = perf_counter()
-        plan = engine.plan(expr) if optimize else None
-        planned = plan.optimized if plan is not None else expr
         token = _READ_SNAPSHOT.set((corpus, engine, generation))
         try:
             result, stats = frontier.query(
-                corpus, planned, evaluate_locally, deadline=remaining, floor=floor
+                corpus, expr, evaluate_locally, deadline=remaining, floor=floor
             )
         finally:
             _READ_SNAPSHOT.reset(token)
@@ -1603,8 +1588,8 @@ class QueryService:
         engine.record(
             kind="query",
             query=query,
-            executed=planned,
-            plan=plan,
+            executed=expr,
+            plan=None,
             result=result,
             seconds=perf_counter() - started,
             parse_seconds=0.0,

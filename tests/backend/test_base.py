@@ -232,6 +232,32 @@ class TestSliceProviderCache:
         generation["value"] = 1
         assert provider.slice_for("play", 0, 2).segment is not old.segment
 
+    def test_a_reset_to_a_lower_generation_keeps_its_cut(self, instance):
+        # A snapshot resets a replica below the generations it cached
+        # (a restarted frontier's counter starts over): the new, lowest
+        # cut must survive eviction, or every later read recuts.
+        generation = {"value": 22}
+        provider = SliceProvider(lambda name: (instance, generation["value"]))
+        provider.slice_for("play", 0, 2)
+        generation["value"] = 23
+        provider.slice_for("play", 0, 2)
+        generation["value"] = 5
+        first = provider.slice_for("play", 0, 2)
+        assert provider.slice_for("play", 0, 2) is first
+
+    def test_a_straggler_does_not_evict_the_newest_cut(self, instance):
+        # In-process reads carry their captured generation, so a read
+        # still in flight two commits back arrives after the newer cuts.
+        generation = {"value": 2}
+        provider = SliceProvider(lambda name: (instance, generation["value"]))
+        provider.slice_for("play", 0, 2)
+        generation["value"] = 3
+        newest = provider.slice_for("play", 0, 2)
+        generation["value"] = 1
+        provider.slice_for("play", 0, 2)
+        generation["value"] = 3
+        assert provider.slice_for("play", 0, 2) is newest
+
     def test_surplus_segment_is_cached(self, instance):
         provider = SliceProvider(lambda name: (instance, 1))
         a = provider.slice_for("play", 6, 8)

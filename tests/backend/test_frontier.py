@@ -166,17 +166,23 @@ class TestFailover:
             frontier.close()
 
 
+@pytest.fixture(scope="module")
+def generations():
+    """Two instances of one corpus, one commit apart: ``(older, newer)``."""
+    rng = random.Random(43)
+    corpus = Corpus()
+    for _ in range(2):
+        corpus.add(generate_play(rng, acts=1, scenes_per_act=2))
+    older = corpus.engine().instance
+    corpus.add(generate_play(rng, acts=1, scenes_per_act=2))
+    return older, corpus.engine().instance
+
+
 class TestGeneration:
-    def test_a_read_answers_exactly_its_generation(self):
+    def test_a_read_answers_exactly_its_generation(self, generations):
         # The replica asked first is already one commit past the read's
         # generation; it must fail over, not answer from G+1.
-        rng = random.Random(43)
-        corpus = Corpus()
-        for _ in range(2):
-            corpus.add(generate_play(rng, acts=1, scenes_per_act=2))
-        older = corpus.engine().instance
-        corpus.add(generate_play(rng, acts=1, scenes_per_act=2))
-        newer = corpus.engine().instance
+        older, newer = generations
         at = {}
         backends = [
             InProcessBackend(f"b{i}", SliceProvider(lambda name, i=i: at[i]))
@@ -209,6 +215,41 @@ class TestGeneration:
             assert second.breaker.state == CircuitBreaker.OPEN
         finally:
             frontier.close()
+
+    @pytest.mark.parametrize(
+        "other, fallback, degraded",
+        [("past", "superseded", False), ("error", "unavailable", True)],
+        ids=["past", "error"],
+    )
+    def test_a_read_every_replica_moved_past_is_superseded(
+        self, generations, other, fallback, degraded
+    ):
+        # A read in flight across a commit finds every replica already
+        # past its generation: nothing is unhealthy, so the local
+        # fallback answers it as routine.  One plain failure among the
+        # refusals keeps it unavailable and degraded.
+        older, newer = generations
+        backends = [
+            InProcessBackend(f"b{i}", SliceProvider(lambda name: (newer, 8)))
+            for i in range(2)
+        ]
+        if other == "error":
+            backends[1].fail_requests = 1
+        frontier = FrontierExecutor(
+            [BackendNode(b, CircuitBreaker(failure_threshold=3)) for b in backends],
+            groups=1, replicas=2,
+        )
+        expr = parse("speech")
+        expected = Evaluator("indexed").evaluate(expr, older)
+        try:
+            result, stats = frontier.query(
+                "play", expr, lambda: Evaluator("indexed").evaluate(expr, older),
+                floor=7,
+            )
+        finally:
+            frontier.close()
+        assert list(result) == list(expected)
+        assert (stats.fallback, stats.degraded) == (fallback, degraded)
 
 
 class TestHedging:

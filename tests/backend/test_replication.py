@@ -1,5 +1,7 @@
-"""ReplicationCoordinator: shipping, catch-up, anti-entropy, and lag."""
+"""ReplicationCoordinator: shipping, snapshot repair, anti-entropy, and lag."""
 
+import threading
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 from repro.backend.replication import ReplicationCoordinator
@@ -81,18 +83,23 @@ def _rig(nodes=2, groups=2, truth_generation=1, truth_sums=None):
     sums = truth_sums if truth_sums is not None else {
         g: f"sum-{g}" for g in range(groups)
     }
+    writer = threading.Lock()
+
+    @contextmanager
+    def state_provider(corpus):
+        with writer:
+            yield truth["generation"], lambda: {"through_batch": 0, "docs": []}
+
     coordinator = ReplicationCoordinator(
         frontier,
         corpora=lambda: ("play",),
-        state_provider=lambda corpus: (
-            {"through_batch": 0, "docs": []},
-            truth["generation"],
-        ),
+        state_provider=state_provider,
         checksum_provider=lambda corpus: (truth["generation"], dict(sums)),
         metrics=MetricsRegistry(),
         generation_provider=lambda corpus: truth["generation"],
     )
     coordinator._truth = truth  # test handle to move the frontier forward
+    coordinator._writer = writer  # the corpus writer lock commits ship under
     return coordinator, backends
 
 
@@ -171,7 +178,7 @@ class TestShip:
 
 
 class TestCatchUp:
-    def test_lagging_node_walks_forward_through_history(self):
+    def test_lagging_node_is_snapshot_repaired(self):
         coordinator, backends = _rig()
         coordinator._truth["generation"] = 2
         coordinator.ship("play", seq=1, ops=OPS, generation=2)
@@ -182,15 +189,15 @@ class TestCatchUp:
                 "play", seq=generation - 1, ops=OPS, generation=generation
             )
         backends[1].down = False
-        backends[1].checksums = {0: "sum-0", 1: "sum-1"}
         sweep = coordinator.sweep()
-        assert sweep["corpora"]["play"]["b1"] == "caught_up"
-        assert [r["generation"] for r in backends[1].applies] == [2, 3, 4]
-        assert backends[1].snapshots == []
+        assert sweep["corpora"]["play"] == {"b0": "current", "b1": "repaired"}
+        assert [r["generation"] for r in backends[1].applies] == [2]
+        assert [s[2] for s in backends[1].snapshots] == [4]
+        assert coordinator.snapshot()["nodes"]["b1"]["catchups"] == 1
+        assert coordinator.snapshot()["nodes"]["b0"]["catchups"] == 0
 
-    def test_gap_older_than_history_gets_a_snapshot(self):
+    def test_node_that_missed_every_ship_is_snapshot_repaired(self):
         coordinator, backends = _rig()
-        coordinator._history_limit = 2  # tiny window
         backends[1].down = True
         for generation in (2, 3, 4, 5):
             coordinator._truth["generation"] = generation
@@ -204,7 +211,7 @@ class TestCatchUp:
         assert backends[1].snapshots[0][2] == 5
         assert coordinator.snapshot()["nodes"]["b1"]["applied"] == {"play": 5}
 
-    def test_blank_node_with_no_history_gets_a_snapshot(self):
+    def test_blank_node_is_snapshot_repaired(self):
         coordinator, backends = _rig(truth_generation=7)
         sweep = coordinator.sweep()
         assert sweep["corpora"]["play"]["b0"] == "repaired"
@@ -221,6 +228,52 @@ class TestCatchUp:
         sweep = coordinator.sweep()
         assert sweep["corpora"]["play"]["b0"] == "repaired"
         assert backends[0].snapshots[0][2] == 2
+
+    def test_a_ship_that_lands_after_the_audit_needs_no_repair(self):
+        # The audit races the ship of a generation already installed: by
+        # the time the repair holds the writer lock the node is current.
+        coordinator, backends = _rig(truth_generation=2)
+        backends[0].applied_generation = 1
+        backends[1].applied_generation = 2
+        status = backends[0].replicate_status
+
+        def status_then_ship_lands(corpus, groups):
+            answer = status(corpus, groups)
+            backends[0].applied_generation = 2
+            return answer
+
+        backends[0].replicate_status = status_then_ship_lands
+        sweep = coordinator.sweep()
+        assert sweep["corpora"]["play"]["b0"] == "current"
+        assert backends[0].snapshots == []
+        assert coordinator.snapshot()["nodes"]["b0"]["applied"] == {"play": 2}
+
+    def test_a_snapshot_never_rolls_back_a_later_ship(self):
+        # A commit of generation 3 that arrives while the repair at 2 is
+        # in flight must ship after it, not before: a snapshot at 2
+        # landing on a node that acked 3 would refuse every read at 3.
+        coordinator, backends = _rig(nodes=1, truth_generation=2)
+        node = backends[0]
+        snapshot = node.replicate_snapshot
+        committer = []
+
+        def commit_3():
+            with coordinator._writer:
+                coordinator._truth["generation"] = 3
+                coordinator.ship("play", seq=2, ops=OPS, generation=3)
+
+        def snapshot_racing_a_commit(corpus, state, generation):
+            committer.append(threading.Thread(target=commit_3))
+            committer[0].start()
+            committer[0].join(timeout=0.2)
+            return snapshot(corpus, state, generation)
+
+        node.replicate_snapshot = snapshot_racing_a_commit
+        assert coordinator.sweep()["corpora"]["play"]["b0"] == "repaired"
+        committer[0].join(timeout=5.0)
+        assert [s[2] for s in node.snapshots] == [2]
+        assert [r["generation"] for r in node.applies] == [3]
+        assert node.applied_generation == 3
 
     def test_unreachable_node_is_reported_not_repaired(self):
         coordinator, backends = _rig()
@@ -262,11 +315,6 @@ class TestLag:
         assert coordinator.lag("b0", "play") == 2
         assert coordinator.lag("b1", "play") == 5
 
-    def test_history_beats_the_generation_provider(self):
-        coordinator, _ = _rig(truth_generation=1)
-        coordinator.ship("play", seq=1, ops=OPS, generation=4)
-        assert coordinator.lag("unknown-node", "play") == 4
-
     def test_unknown_node_lags_by_the_full_truth(self):
         coordinator, _ = _rig(truth_generation=3)
         assert coordinator.lag("never-seen", "play") == 3
@@ -292,6 +340,6 @@ class TestLifecycle:
         coordinator, _ = _rig()
         coordinator.ship("play", seq=1, ops=OPS, generation=2)
         snapshot = coordinator.snapshot()
-        assert snapshot["history"] == {"play": 1}
+        assert set(snapshot) == {"interval", "lag_limit", "nodes"}
         assert set(snapshot["nodes"]) == {"b0", "b1"}
         assert snapshot["lag_limit"] == coordinator.lag_limit

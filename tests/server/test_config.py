@@ -53,6 +53,7 @@ class TestServerConfig:
             "slo_latency_objective",
             "backend_hedge_quantile",
             "backend_hedge_min_seconds",
+            "optimize_default",
         ],
     )
     def test_removed_knobs_are_unknown(self, name):

@@ -122,7 +122,7 @@ class TestEndpoints:
             server,
             "POST",
             "/explain",
-            {"query": "line within speech within scene", "optimize": True},
+            {"query": "line within speech within scene"},
         )
         assert status == 200
         assert "plan" in body and "regions" not in body

@@ -189,11 +189,11 @@ class TestCacheInvalidation:
     def test_ingest_retires_only_aged_out_generations(self, service):
         # keep_generations=2: a commit to generation g keeps g-1 warm.
         cache = service.cache
-        cache.put(("play", 1, "plan", False), {"regions": []})
+        cache.put(("play", 1, "plan"), {"regions": []})
         service.ingest("play", [_append("a", "x")])  # generation 2
-        assert ("play", 1, "plan", False) in cache
+        assert ("play", 1, "plan") in cache
         service.ingest("play", [_append("b", "y")])  # generation 3
-        assert ("play", 1, "plan", False) not in cache
+        assert ("play", 1, "plan") not in cache
 
     def test_reload_still_invalidates_the_whole_corpus(self, service):
         first = service.execute("speech")

@@ -315,23 +315,6 @@ class TestDegradedServing:
         finally:
             service.health.set_pressure("test", False)
 
-    def test_optimizer_skipped_while_degraded(self, service):
-        service.health.set_pressure("test", True)
-        try:
-            response = service.execute(
-                "line within speech within scene",
-                optimize=True,
-                use_cache=False,
-            )
-            # The optimizer pass was skipped: no plan cost fields beyond
-            # the evaluation itself, and the answer is still correct.
-            expected = service.execute(
-                "line within speech within scene", use_cache=False
-            )
-            assert response["regions"] == expected["regions"]
-        finally:
-            service.health.set_pressure("test", False)
-
     def test_unhealthy_service_sheds_with_503(self):
         service = QueryService(
             ServerConfig(

@@ -60,7 +60,7 @@ class TestExecute:
 
     def test_explain_does_not_execute(self, service):
         response = service.execute(
-            "line within speech within scene", explain_only=True, optimize=True
+            "line within speech within scene", explain_only=True
         )
         assert "plan" in response
         assert "regions" not in response

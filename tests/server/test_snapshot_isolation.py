@@ -174,7 +174,7 @@ class TestTopologySnapshot:
             assert service._handle("play").generation == generation + 1
             response = service._run_query(
                 "play", engine, generation, "speech",
-                engine.prepare("speech"), False, 5.0, 0.0,
+                engine.prepare("speech"), 5.0, 0.0,
             )
             assert "fallback" not in response["backend"]
             assert response["regions"] == expected
@@ -201,9 +201,7 @@ class TestTopologySnapshot:
             monkeypatch.undo()
             assert response["generation"] == base["generation"]
             assert response["regions"] == base["regions"]
-            cached = service.cache.get(
-                ("play", base["generation"], "speech", False)
-            )
+            cached = service.cache.get(("play", base["generation"], "speech"))
             assert cached["regions"] == base["regions"]
             latest = service.execute("speech")
             assert latest["generation"] == base["generation"] + 1
