@@ -7,9 +7,11 @@ the many before reads can rely on the replicas.  The
 :class:`ReplicationCoordinator` runs frontier-side and does three jobs:
 
 **Shipping.**  ``ship()`` is called synchronously from the ingest
-commit path, while the corpus writer lock is still held — shipping in
-commit order is what lets a replica apply batches as a pure sequence
-with no reordering buffer.  Each batch becomes a checksummed record
+commit path, while the corpus writer lock is still held and before the
+commit's generation is published — shipping in commit order is what
+lets a replica apply batches as a pure sequence with no reordering
+buffer, and publishing after the ship is what keeps reads stamped with
+a generation away from replicas it is still travelling to.  Each batch becomes a checksummed record
 (the same canonical-JSON sha256 discipline as the WAL's on-disk
 records), is serialized once, passed through the ``replication.ship``
 fault point *per node* (so an injected corruption hits one replica's

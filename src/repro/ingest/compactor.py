@@ -1,8 +1,9 @@
 """The background segment compactor.
 
 A single daemon thread that periodically asks for compaction
-*candidates* — ingest-enabled corpora whose small-segment count crossed
-the size-tier trigger, or that carry tombstones — and compacts **at
+*candidates* — corpora with live state (ingest-enabled ones and
+replicas) whose small-segment count crossed the size-tier trigger, or
+that carry tombstones — and compacts **at
 most one corpus per tick** (the rate limit: compaction holds the
 corpus's writer lock and burns CPU re-checkpointing, so it must trickle
 rather than storm).  When the :class:`~repro.server.health.HealthMonitor`

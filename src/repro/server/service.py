@@ -196,7 +196,8 @@ def _synthesize(spec: CorpusSpec) -> str:
 
 
 class _CorpusHandle:
-    """One served corpus: engine + generation + reload lock + breaker.
+    """One served corpus: engine + generation + reload lock + breaker,
+    and the live state of a corpus that takes writes.
 
     The engine and its generation are published together as one tuple
     so a reader can capture a consistent ``(engine, generation)`` pair
@@ -205,14 +206,16 @@ class _CorpusHandle:
     (or vice versa), which breaks generation-keyed caching.
     """
 
-    __slots__ = ("spec", "_published", "loaded_at", "lock", "breaker")
+    __slots__ = ("spec", "_published", "loaded_at", "lock", "breaker", "state")
 
     def __init__(self, spec: CorpusSpec, engine: Engine, breaker: CircuitBreaker):
         self.spec = spec
         self._published: tuple[Engine, int] = (engine, 1)
         self.loaded_at = monotonic()
-        self.lock = threading.Lock()  # serializes reloads, not queries
+        # Serializes installs and attaching a live state, not queries.
+        self.lock = threading.RLock()
         self.breaker = breaker
+        self.state: _LiveState | None = None
 
     @property
     def engine(self) -> Engine:
@@ -233,9 +236,8 @@ class _CorpusHandle:
         keeps it alive); new requests see the new generation atomically.
 
         ``generation`` forces the published generation instead of
-        bumping — the replication apply path, where the number is the
-        *frontier's* and must match exactly so a read stamped with a
-        generation finds it on the replicas that hold it.
+        bumping — the write routes, which decide the number themselves
+        (:meth:`QueryService._publish`).
         """
         with self.lock:
             if generation is None:
@@ -259,41 +261,53 @@ class _CorpusHandle:
         return info
 
 
-class _IngestState:
-    """The write path of one ingest-enabled corpus.
+class _LiveState:
+    """The write state of one corpus: a :class:`LiveCorpus` overlay on
+    ``base`` — the ``(instance, text)`` a snapshot repair or a reload
+    rebuilds it from.  The role is ``wal``: a corpus with one takes
+    writes by ``POST /ingest`` and mints its generations; one without
+    is a replica, written only by ship at the frontier's generations.
 
-    ``lock`` serializes writers (batch commits, compaction, reload
-    rebasing) — readers never take it; they see engine swaps through
-    :meth:`_CorpusHandle.install` exactly as reloads do, which is what
-    makes reads snapshot-isolated against concurrent writes.
+    ``lock`` serializes writers; readers never take it — they see engine
+    swaps through :meth:`_CorpusHandle.install`, which is what makes
+    reads snapshot-isolated against concurrent writes.
     """
 
     __slots__ = (
         "live",
-        "wal",
         "lock",
         "rig",
+        "base",
+        "wal",
         "batches",
         "replayed_batches",
         "compactions",
     )
 
-    def __init__(
-        self,
-        live: LiveCorpus,
-        wal: WriteAheadLog,
-        rig: Any = None,
-        replayed_batches: int = 0,
-    ):
-        self.live = live
-        self.wal = wal
+    def __init__(self, engine: Engine):
+        self.base = (engine.instance, engine.text)
+        self.live = LiveCorpus(*self.base)
         self.lock = threading.Lock()
-        self.rig = rig
+        self.rig = engine.rig
+        self.wal: WriteAheadLog | None = None
         self.batches = 0
-        self.replayed_batches = replayed_batches
+        self.replayed_batches = 0
         self.compactions = 0
 
+    def rebuild(self, state: dict[str, Any]) -> None:
+        """Replace the overlay with ``state``'s documents over the base."""
+        self.live = LiveCorpus.from_state(state, *self.base)
+
+    def rebase(self, engine: Engine) -> None:
+        """Re-append the surviving documents over a freshly loaded base,
+        so a reload never silently drops a committed write."""
+        survivors = self.live.state(through_batch=0)
+        self.base = (engine.instance, engine.text)
+        self.rig = engine.rig
+        self.rebuild(survivors)
+
     def info(self) -> dict[str, Any]:
+        wal = self.wal
         return {
             "documents": self.live.document_count,
             "segments": self.live.segment_count,
@@ -301,34 +315,9 @@ class _IngestState:
             "batches": self.batches,
             "replayed_batches": self.replayed_batches,
             "compactions": self.compactions,
-            "wal_bytes": self.wal.size_bytes(),
-            "next_batch_seq": self.wal.next_seq,
+            "wal_bytes": wal.size_bytes() if wal is not None else None,
+            "next_batch_seq": wal.next_seq if wal is not None else None,
         }
-
-
-class _ReplicaState:
-    """The replica side of WAL log shipping, on a backend node.
-
-    A backend process holds no WAL of its own — the frontier's WAL *is*
-    the durability story — so a replica is just a
-    :class:`~repro.ingest.live.LiveCorpus` overlay rebased on the base
-    engine this process loaded at spawn.  The base is captured at the
-    first replicate call, before any shipped batch replaces the served
-    engine, so a snapshot catch-up can always rebuild from scratch.
-
-    ``lock`` serializes applies and snapshot replacements; reads never
-    take it (they go through the handle's atomic publish, exactly like
-    frontier-side ingest commits).
-    """
-
-    __slots__ = ("base_instance", "base_text", "rig", "live", "lock")
-
-    def __init__(self, base_instance: Any, base_text: str, rig: Any):
-        self.base_instance = base_instance
-        self.base_text = base_text
-        self.rig = rig
-        self.live = LiveCorpus(base_instance, base_text)
-        self.lock = threading.Lock()
 
 
 #: Load failures worth retrying: transient I/O, injected faults, and
@@ -440,7 +429,7 @@ class QueryService:
                 metrics=metrics,
             )
         # Live ingestion (docs/internals.md, "Segments, generations, and
-        # the WAL"): per-corpus write state, plus the WAL directory — a
+        # the WAL"): each handle's live state, plus the WAL directory — a
         # private temporary one when the config names none.
         self._ingest_ops = metrics.counter(
             INGEST_OPS_TOTAL, help="ingest operations applied, by kind"
@@ -469,7 +458,6 @@ class QueryService:
         self._compaction_seconds = metrics.histogram(
             COMPACTION_SECONDS, help="compaction wall time"
         )
-        self._ingest: dict[str, _IngestState] = {}
         self._ingest_tmpdir: tempfile.TemporaryDirectory | None = None
         self._ingest_dir: Path | None = None
         if self.config.ingest_enabled:
@@ -488,14 +476,6 @@ class QueryService:
         self._closed = False
         for spec in self.config.corpora:
             self.add_corpus(spec)
-        if self.config.ingest_enabled and self.config.compaction_enabled:
-            self.compactor = BackgroundCompactor(
-                self._compaction_candidates,
-                self.compact,
-                interval=self.config.compaction_interval,
-                health=self.health,
-            )
-            self.compactor.start()
         # Backend topology (docs/server.md, "Topology & failover").  The
         # slice provider exists regardless: it also answers the
         # ``/shard/query`` endpoint when *this* process is someone
@@ -507,10 +487,6 @@ class QueryService:
             REPLICATION_LAGGING_READS_TOTAL,
             help="shard reads refused for not being at the read's generation",
         )
-        # Replica-side state for WAL log shipping: populated lazily on
-        # the first replicate RPC when *this* process is a backend.
-        self._replicas: dict[str, _ReplicaState] = {}
-        self._replicas_lock = threading.Lock()
         self.frontier: FrontierExecutor | None = None
         self.supervisor = None
         self.replication = None
@@ -627,7 +603,11 @@ class QueryService:
 
             self.replication = ReplicationCoordinator(
                 self.frontier,
-                corpora=lambda: tuple(self._ingest),
+                corpora=lambda: tuple(
+                    name
+                    for name, state in self._live_states()
+                    if state.wal is not None
+                ),
                 state_provider=self._replication_state,
                 checksum_provider=self._replication_checksums,
                 generation_provider=lambda name: self._handle(name).generation,
@@ -648,10 +628,7 @@ class QueryService:
         sent inside takes its place among the ships, which leave under
         the same lock."""
         handle = self._handle(corpus)
-        state = self._ingest.get(handle.spec.name)
-        if state is None:
-            yield handle.generation, lambda: {"through_batch": 0, "docs": []}
-            return
+        state = handle.state
         with state.lock:
             yield handle.generation, lambda: state.live.state(
                 through_batch=state.wal.last_seq
@@ -731,20 +708,21 @@ class QueryService:
     # :mod:`repro.backend.replication` for the shipping side.
     # ------------------------------------------------------------------
 
-    def _replica_state(self, handle: _CorpusHandle) -> _ReplicaState:
-        with self._replicas_lock:
-            replica = self._replicas.get(handle.spec.name)
-            if replica is None:
-                engine = handle.engine
-                replica = _ReplicaState(engine.instance, engine.text, engine.rig)
-                self._replicas[handle.spec.name] = replica
-            return replica
-
-    def _replica_install(
-        self, handle: _CorpusHandle, replica: _ReplicaState, generation: int
-    ) -> int:
-        engine = self._engine_from_live(replica, handle.engine)
-        return handle.install(engine, generation=generation)
+    def _replica(self, handle: _CorpusHandle) -> _LiveState:
+        """The live state a shipped write lands in: attached over the
+        served engine on the first ship.  A corpus that owns a WAL
+        refuses — its content is exactly its log, and a shipped batch
+        would publish a generation no WAL holds."""
+        with handle.lock:
+            if handle.state is None:
+                handle.state = _LiveState(handle.engine)
+        state = handle.state
+        if state.wal is not None:
+            raise IngestError(
+                f"corpus {handle.spec.name!r} owns a write-ahead log; it "
+                "takes writes by POST /ingest, not by replication"
+            )
+        return state
 
     def replicate_apply(
         self,
@@ -771,36 +749,27 @@ class QueryService:
             "generation": generation,
             "ops": [dict(op) for op in ops],
         }
-        replica = self._replica_state(handle)
-        with replica.lock:
+        state = self._replica(handle)
+        with state.lock:
             current = handle.generation
             if wal_checksum(record) != str(checksum):
-                return {
-                    "corpus": name,
-                    "applied": current,
-                    "status": "checksum_mismatch",
-                }
-            if current >= generation:
-                return {"corpus": name, "applied": current, "status": "stale"}
-            if current != generation - 1:
-                return {
-                    "corpus": name,
-                    "applied": current,
-                    "status": "out_of_order",
-                }
-            try:
-                replica.live.apply(record["ops"])
-            except IngestError:
-                # The frontier validated this batch before committing it,
-                # so a rejection here means the replica's state drifted;
-                # report it and let the sweep snapshot-repair.
-                return {
-                    "corpus": name,
-                    "applied": current,
-                    "status": "out_of_order",
-                }
-            applied = self._replica_install(handle, replica, generation)
-        return {"corpus": name, "applied": applied, "status": "applied"}
+                status = "checksum_mismatch"
+            elif current >= generation:
+                status = "stale"
+            elif current != generation - 1:
+                status = "out_of_order"
+            else:
+                try:
+                    state.live.apply(record["ops"])
+                except IngestError:
+                    # The frontier validated this batch before committing
+                    # it, so a rejection here means the replica's state
+                    # drifted; report it and let the sweep repair.
+                    status = "out_of_order"
+                else:
+                    current, _ = self._publish(handle, state, generation)
+                    status = "applied"
+        return {"corpus": name, "applied": current, "status": status}
 
     def replicate_snapshot(
         self, corpus: str | None, state: dict[str, Any], generation: int
@@ -814,12 +783,10 @@ class QueryService:
         seeing a new instance."""
         handle = self._handle(corpus)
         name = handle.spec.name
-        replica = self._replica_state(handle)
+        replica = self._replica(handle)
         with replica.lock:
-            replica.live = LiveCorpus.from_state(
-                dict(state), replica.base_instance, replica.base_text
-            )
-            applied = self._replica_install(handle, replica, int(generation))
+            replica.rebuild(dict(state))
+            applied, _ = self._publish(handle, replica, int(generation))
         self.cache.invalidate((name,))
         return {"corpus": name, "applied": applied, "status": "applied"}
 
@@ -893,99 +860,134 @@ class QueryService:
             if spec.name in self._corpora:
                 raise ReproError(f"corpus {spec.name!r} is already served")
         engine = self._load_engine(spec)
-        recovered, ingest_state = engine, None
-        if self.config.ingest_enabled:
-            recovered, ingest_state = self._recover_ingest(spec, engine)
         handle = _CorpusHandle(
             spec,
             engine,
             self._make_breaker(f"breaker:{spec.name}", corpus=spec.name),
         )
-        if recovered is not engine:
-            # Generation 1 is the base every blank replica loads, so
-            # recovered writes are published as a later generation: one
-            # number never names two contents across a restart.
-            handle.install(recovered)
+        if self.config.ingest_enabled:
+            handle.state = state = self._recover(spec, engine)
+            if state is not None:
+                live = state.live
+                with state.lock:
+                    if live.document_count or live.tombstone_count:
+                        # Generation 1 is the base every blank replica
+                        # loads, so recovered writes are published as a
+                        # later generation: one number never names two
+                        # contents across a restart.
+                        self._publish(handle, state)
+                    else:
+                        self._sync_ingest_gauges(spec.name, state)
         with self._corpora_lock:
             if spec.name in self._corpora:
                 raise ReproError(f"corpus {spec.name!r} is already served")
             self._corpora[spec.name] = handle
-            if ingest_state is not None:
-                self._ingest[spec.name] = ingest_state
 
-    def _recover_ingest(
-        self, spec: CorpusSpec, engine: Engine
-    ) -> tuple[Engine, _IngestState | None]:
-        """Attach the write path to a freshly loaded corpus: open its
-        WAL, fold in the checkpoint snapshot, re-apply every committed
-        batch past the watermark, and serve the result
-        (:meth:`_writable_engine`).
+    def _recover(self, spec: CorpusSpec, engine: Engine) -> _LiveState | None:
+        """The write state of a freshly loaded corpus: open its WAL,
+        fold in the checkpoint snapshot, and re-apply every committed
+        batch past the watermark.
 
         A corpus whose word index is not text-backed stays read-only
-        (``None`` state; writes get :class:`IngestDisabledError`).
+        (``None``; writes get :class:`IngestDisabledError`).
         """
         try:
-            live = LiveCorpus(engine.instance, engine.text)
+            state = _LiveState(engine)
         except IngestError:
-            return engine, None
+            return None
         assert self._ingest_dir is not None
-        wal = WriteAheadLog(
+        state.wal = WriteAheadLog(
             self._ingest_dir,
             spec.name,
             fsync=self.config.ingest_fsync,
             metrics=self.telemetry.metrics,
         )
-        snapshot = wal.load_snapshot()
+        snapshot = state.wal.load_snapshot()
         through = 0
         if snapshot is not None:
-            live = LiveCorpus.from_state(snapshot, engine.instance, engine.text)
+            state.rebuild(snapshot)
             through = int(snapshot["through_batch"])
-        replayed = 0
-        for _seq, ops in wal.replay(after=through):
-            live.apply(ops)
-            replayed += 1
-        state = _IngestState(
-            live, wal, rig=engine.rig, replayed_batches=replayed
-        )
-        engine = self._writable_engine(state, engine, engine)
-        self._sync_ingest_gauges(spec.name, state)
-        return engine, state
-
-    def _writable_engine(
-        self, state: _IngestState, loaded: Engine, previous: Engine
-    ) -> Engine:
-        """What a corpus that takes writes serves over a freshly loaded
-        base: the per-piece engine once it holds writes, else the base."""
-        if state.live.document_count or state.live.tombstone_count:
-            return self._engine_from_live(state, previous)
-        return loaded
-
-    def _engine_from_live(
-        self, state: "_IngestState | _ReplicaState", previous: Engine
-    ) -> Engine:
-        """A serving engine over the live corpus's current generation.
-
-        It answers per piece (:meth:`Engine.from_live`).
-        ``previous`` hands over its compiled programs and plan shapes."""
-        return Engine.from_live(
-            state.live, rig=state.rig, telemetry=self.telemetry, previous=previous
-        )
-
-    def _ingest_state(self, name: str) -> _IngestState:
-        state = self._ingest.get(name)
-        if state is None:
-            if not self.config.ingest_enabled:
-                raise IngestDisabledError(
-                    "ingestion is disabled; start the server with ingest "
-                    "enabled to accept writes"
-                )
-            raise IngestDisabledError(
-                f"corpus {name!r} does not accept writes "
-                "(its word index is not text-backed)"
-            )
+        for _seq, ops in state.wal.replay(after=through):
+            state.live.apply(ops)
+            state.replayed_batches += 1
         return state
 
-    def _sync_ingest_gauges(self, name: str, state: _IngestState) -> None:
+    def _publish(
+        self,
+        handle: _CorpusHandle,
+        state: _LiveState,
+        generation: int | None = None,
+        batch: tuple[int, list[dict[str, Any]]] | None = None,
+    ) -> tuple[int, dict[str, Any] | None]:
+        """Serve ``state``'s live corpus as ``handle``'s engine — the one
+        body every write route ends in; the caller holds ``state.lock``.
+
+        ``generation`` forces the number (a replica's, the frontier's);
+        else a corpus with a WAL mints the next and a replica keeps its
+        own.  ``batch``, a committed ``(seq, ops)``, is shipped before
+        the install, so no read is stamped with a generation whose ship
+        is in flight.  Returns the generation and the ship summary.
+        """
+        if generation is None:
+            generation = handle.generation + (state.wal is not None)
+        shipped = None
+        if batch is not None and self.replication is not None:
+            shipped = self.replication.ship(handle.spec.name, *batch, generation)
+        handle.install(
+            Engine.from_live(
+                state.live,
+                rig=state.rig,
+                telemetry=self.telemetry,
+                previous=handle.engine,
+            ),
+            generation,
+        )
+        self._sync_ingest_gauges(handle.spec.name, state)
+        self._start_compactor()
+        return generation, shipped
+
+    def _writer(self, handle: _CorpusHandle, wal: bool) -> _LiveState:
+        """``handle``'s live state, or :class:`IngestDisabledError` when
+        it has none — or, with ``wal``, when it is a replica."""
+        state = handle.state
+        if state is not None and (state.wal is not None or not wal):
+            return state
+        if not self.config.ingest_enabled:
+            raise IngestDisabledError(
+                "ingestion is disabled; start the server with ingest "
+                "enabled to accept writes"
+            )
+        raise IngestDisabledError(
+            f"corpus {handle.spec.name!r} does not accept writes "
+            "(its word index is not text-backed)"
+        )
+
+    def _start_compactor(self) -> None:
+        """Start the background compactor at the first publish: only a
+        published write leaves segments, tombstones or a WAL to fold."""
+        config = self.config
+        with self._corpora_lock:
+            if self.compactor or self._closed or not config.compaction_enabled:
+                return
+            self.compactor = BackgroundCompactor(
+                self._compaction_candidates,
+                self.compact,
+                interval=config.compaction_interval,
+                health=self.health,
+            )
+            self.compactor.start()
+
+    def _live_states(self) -> list[tuple[str, _LiveState]]:
+        """``(name, state)`` of every corpus holding live state."""
+        with self._corpora_lock:
+            handles = list(self._corpora.values())
+        return sorted(
+            (handle.spec.name, handle.state)
+            for handle in handles
+            if handle.state is not None
+        )
+
+    def _sync_ingest_gauges(self, name: str, state: _LiveState) -> None:
         self._ingest_documents.set(state.live.document_count, corpus=name)
         self._ingest_segments.set(state.live.segment_count, corpus=name)
         self._ingest_tombstones.set(state.live.tombstone_count, corpus=name)
@@ -998,14 +1000,15 @@ class QueryService:
         Order of operations is the durability contract: validate (bad
         batches are rejected before touching disk), WAL-append (fsync'd;
         an acknowledged batch is exactly a durable one), apply to the
-        live overlay, build the new engine, and atomically publish it as
-        the next generation.  In-flight queries keep their snapshot; the
-        result cache only retires generations that aged out of the
-        keep-window, so degraded mode can still serve recent stale
-        entries.
+        live overlay, ship to the replicas, and atomically publish the
+        next generation (:meth:`_publish`) — the ack follows, so the
+        writer's next read sees its write.  In-flight queries keep their
+        snapshot; the result cache only retires generations that aged
+        out of the keep-window, so degraded mode can still serve recent
+        stale entries.
         """
         handle = self._handle(corpus)
-        state = self._ingest_state(handle.spec.name)
+        state = self._writer(handle, wal=True)
         if (
             self.frontier is not None
             and self.config.backend_mode == "http"
@@ -1035,19 +1038,15 @@ class QueryService:
                     self._ingest_batches.inc(outcome="wal_failed")
                     raise
                 state.live.commit(prepared)
-                engine = self._engine_from_live(state, handle.engine)
-                generation = handle.install(engine)
                 state.batches += 1
-                shipped = None
-                if self.replication is not None:
-                    # Ship inside the writer lock: batches leave in
-                    # commit order, so replicas apply a pure sequence.
-                    # A ship failure never fails the ingest — the batch
-                    # is already durable in the WAL, and the sweep
-                    # snapshot-repairs a node that missed it.
-                    shipped = self.replication.ship(
-                        handle.spec.name, seq, prepared.ops, generation
-                    )
+                # Shipped inside the writer lock: batches leave in commit
+                # order, so replicas apply a pure sequence.  A ship
+                # failure never fails the ingest — the batch is already
+                # durable in the WAL, and the sweep snapshot-repairs a
+                # node that missed it.
+                generation, shipped = self._publish(
+                    handle, state, batch=(seq, prepared.ops)
+                )
         floor = generation - _KEEP_GENERATIONS + 1
         invalidated = self.cache.invalidate_generations_below(
             handle.spec.name, floor
@@ -1057,7 +1056,6 @@ class QueryService:
         self._ingest_batches.inc(outcome="committed")
         elapsed = perf_counter() - started
         self._ingest_commit_seconds.observe(elapsed, corpus=handle.spec.name)
-        self._sync_ingest_gauges(handle.spec.name, state)
         response = {
             "corpus": handle.spec.name,
             "generation": generation,
@@ -1080,10 +1078,12 @@ class QueryService:
         layout, so no generation bump (and no cache invalidation) is
         needed — in-flight and future queries are untouched.  The
         checkpoint happens whenever the WAL is non-empty, even when no
-        segments needed merging, so replay work stays bounded.
+        segments needed merging, so replay work stays bounded; a
+        replica has no WAL and only merges.
         """
         handle = self._handle(corpus)
-        state = self._ingest_state(handle.spec.name)
+        state = self._writer(handle, wal=False)
+        wal = state.wal
         started = perf_counter()
         with maybe_span(
             self.telemetry.tracer, "ingest.compact", corpus=handle.spec.name
@@ -1091,11 +1091,13 @@ class QueryService:
             with state.lock:
                 summary = state.live.compact()
                 checkpointed = False
-                if summary is not None or state.wal.size_bytes() > 0:
-                    state.wal.save_snapshot(
-                        state.live.state(through_batch=state.wal.last_seq)
+                if wal is not None and (
+                    summary is not None or wal.size_bytes() > 0
+                ):
+                    wal.save_snapshot(
+                        state.live.state(through_batch=wal.last_seq)
                     )
-                    state.wal.truncate()
+                    wal.truncate()
                     checkpointed = True
                 if summary is not None:
                     state.compactions += 1
@@ -1122,16 +1124,13 @@ class QueryService:
     def _compaction_candidates(self) -> list[str]:
         """Corpora the background compactor should visit: tombstones to
         drop, or enough small segments to cross the size-tier trigger."""
-        config = self.config
-        names = []
-        for name, state in list(self._ingest.items()):
-            live = state.live
-            if live.tombstone_count > 0 or (
-                live.small_segment_count(_COMPACTION_SMALL_DOCS)
-                >= config.compaction_min_segments
-            ):
-                names.append(name)
-        return sorted(names)
+        return [
+            name
+            for name, state in self._live_states()
+            if state.live.tombstone_count > 0
+            or state.live.small_segment_count(_COMPACTION_SMALL_DOCS)
+            >= self.config.compaction_min_segments
+        ]
 
     def ingest_info(self) -> dict[str, Any]:
         """Write-path state per corpus (surfaced in ``/healthz``)."""
@@ -1139,8 +1138,7 @@ class QueryService:
             "enabled": self.config.ingest_enabled,
             "directory": str(self._ingest_dir) if self._ingest_dir else None,
             "corpora": {
-                name: state.info()
-                for name, state in sorted(self._ingest.items())
+                name: state.info() for name, state in self._live_states()
             },
         }
 
@@ -1183,28 +1181,17 @@ class QueryService:
             breaker.record_failure()
             raise
         breaker.record_success()
-        state = self._ingest.get(handle.spec.name)
-        if state is not None:
-            # Rebase the live overlay onto the fresh base: surviving
-            # ingested documents are re-appended on top of the reloaded
-            # engine, so a reload never silently drops committed writes.
-            with state.lock:
-                rebased = LiveCorpus(engine.instance, engine.text)
-                survivors = state.live.documents()
-                if survivors:
-                    rebased.apply(
-                        [
-                            {"op": "append", "id": doc_id, "text": text}
-                            for doc_id, text in survivors
-                        ]
-                    )
-                state.live = rebased
-                state.rig = engine.rig
-                engine = self._writable_engine(state, engine, handle.engine)
+        with handle.lock:
+            state = handle.state
+            if state is None:
                 generation = handle.install(engine)
-            self._sync_ingest_gauges(handle.spec.name, state)
-        else:
-            generation = handle.install(engine)
+        if state is not None:
+            # A corpus with a WAL publishes its rebased overlay as its
+            # next generation; a replica re-publishes the one it holds,
+            # which only its frontier's ships move.
+            with state.lock:
+                state.rebase(engine)
+                generation, _ = self._publish(handle, state)
         # A reload is a wholesale base swap: every cached generation of
         # this corpus is suspect, so invalidate by corpus prefix (the
         # generation-window retirement is only for ingest commits).

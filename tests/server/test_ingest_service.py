@@ -1,14 +1,16 @@
 """The service write path: ingest commits, generation-window cache
-invalidation, compaction, WAL recovery across restarts, and the HTTP
-``/ingest`` + ``/compact`` adapters."""
+invalidation, compaction, WAL recovery across restarts, the replica
+side of log shipping, and the HTTP ``/ingest`` + ``/compact`` adapters."""
 
 import pytest
 
 from repro.errors import (
     DuplicateDocumentError,
     IngestDisabledError,
+    IngestError,
     UnknownDocumentError,
 )
+from repro.ingest import wal_checksum
 from repro.server import CorpusSpec, QueryService, ServerConfig, create_server
 
 PLAY = CorpusSpec(name="play", kind="synthetic", path="play", seed=11, scale=2)
@@ -349,6 +351,166 @@ class TestRestartRecovery:
             revived.close()
 
 
+def _ship(service, generation: int, ops: list, checksum: str | None = None):
+    """A frontier's ship of the batch that made ``generation``."""
+    record = {
+        "corpus": "play",
+        "seq": generation - 1,
+        "generation": generation,
+        "ops": ops,
+    }
+    return service.replicate_apply(
+        "play",
+        record["seq"],
+        ops,
+        generation,
+        checksum if checksum is not None else wal_checksum(record),
+    )
+
+
+@pytest.fixture
+def replica(tmp_path):
+    """A backend node's service: no WAL, so its writes come by ship."""
+    svc = QueryService(
+        _config(
+            tmp_path,
+            ingest_enabled=False,
+            compaction_enabled=True,
+            compaction_interval=60.0,  # ticked by hand below
+        )
+    )
+    yield svc
+    svc.close()
+
+
+class TestReplica:
+    def test_a_reload_keeps_the_shipped_generation(self, replica):
+        base = replica.execute("speech", use_cache=False)["cardinality"]
+        assert _ship(replica, 2, [_append("a", "prophecy")])["status"] == (
+            "applied"
+        )
+        assert replica.reload_corpus("play")["generation"] == 2
+        after = replica.execute("speech", use_cache=False)
+        assert after["generation"] == 2
+        assert after["cardinality"] == base + 1
+        # The frontier's next ship still lines up.
+        shipped = _ship(replica, 3, [_append("b", "storm")])
+        assert shipped == {"corpus": "play", "applied": 3, "status": "applied"}
+        assert (
+            replica.execute("speech", use_cache=False)["cardinality"]
+            == base + 2
+        )
+
+    def test_a_corrupt_ship_is_refused(self, replica):
+        shipped = _ship(replica, 2, [_append("a", "x")], checksum="0" * 64)
+        assert shipped["status"] == "checksum_mismatch"
+        assert shipped["applied"] == 1
+        assert replica._handle("play").generation == 1
+
+    def test_the_compactor_drops_a_replicas_tombstones(self, replica):
+        _ship(replica, 2, [_append("a", "x"), _append("b", "y")])
+        _ship(replica, 3, [{"op": "delete", "id": "a"}])
+        before = replica.execute("speech", use_cache=False)
+        assert replica.ingest_info()["corpora"]["play"]["tombstones"] == 1
+        assert replica.compactor.run_once() == "play"
+        info = replica.ingest_info()["corpora"]["play"]
+        assert info["tombstones"] == 0
+        assert info["wal_bytes"] is None  # a replica has no checkpoint
+        after = replica.execute("speech", use_cache=False)
+        assert after["generation"] == before["generation"] == 3
+        assert after["regions"] == before["regions"]
+
+    def test_racing_first_ships_attach_one_state(self):
+        # Eight threads race the first ship of generation 2 onto each of
+        # 32 corpora with no live state yet: one overlay is attached per
+        # corpus, one ship applies, and the rest find it already there.
+        import sys
+        import threading
+
+        specs = tuple(
+            CorpusSpec(name=f"p{i}", kind="synthetic", path="play", seed=i)
+            for i in range(32)
+        )
+        service = QueryService(
+            ServerConfig(workers=2, corpora=specs, compaction_enabled=False)
+        )
+        ops = [_append("a", "x")]
+        statuses: dict[str, list[str]] = {spec.name: [] for spec in specs}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, seen in statuses.items():
+                record = {"corpus": name, "seq": 1, "generation": 2, "ops": ops}
+                barrier = threading.Barrier(8)
+
+                def ship():
+                    barrier.wait(timeout=10)
+                    answer = service.replicate_apply(
+                        name, 1, ops, 2, wal_checksum(record)
+                    )
+                    seen.append(answer["status"])
+
+                threads = [threading.Thread(target=ship) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+            corpora = service.ingest_info()["corpora"]
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        for name, seen in statuses.items():
+            assert sorted(seen) == ["applied"] + ["stale"] * 7, name
+            assert corpora[name]["documents"] == 1, name
+
+    def test_a_replica_takes_no_posted_writes(self, replica):
+        _ship(replica, 2, [_append("a", "x")])
+        with pytest.raises(IngestDisabledError):
+            replica.ingest("play", [_append("b", "y")])
+
+
+class TestWalCorpusRefusesReplication:
+    @pytest.mark.parametrize("route", ["apply", "snapshot"])
+    def test_a_shipped_write_is_refused(self, service, route):
+        service.ingest("play", [_append("a", "prophecy")])
+        before = service.execute("speech", use_cache=False)
+        with pytest.raises(IngestError) as excinfo:
+            if route == "apply":
+                _ship(service, before["generation"] + 1, [_append("b", "x")])
+            else:
+                service.replicate_snapshot(
+                    "play", {"through_batch": 0, "docs": []}, 7
+                )
+        assert excinfo.value.code == "ingest_error"
+        after = service.execute("speech", use_cache=False)
+        assert after["generation"] == before["generation"]
+        assert after["regions"] == before["regions"]
+        # Its own next commit keeps everything it acknowledged.
+        response = service.ingest("play", [_append("c", "storm")])
+        assert response["documents"] == 2
+
+
+class TestPublishAfterShip:
+    def test_no_read_sees_a_generation_before_its_ship_returns(self, service):
+        seen = []
+
+        class Coordinator:
+            def ship(self, corpus, seq, ops, generation):
+                read = service.execute("speech", use_cache=False)
+                seen.append((generation, read["generation"]))
+                return {"nodes": 0, "applied": 0, "failed": 0}
+
+            def close(self):
+                pass
+
+        service.replication = Coordinator()
+        response = service.ingest("play", [_append("a", "prophecy")])
+        assert seen == [(2, 1)]
+        assert response["generation"] == 2
+        assert service.execute("speech", use_cache=False)["generation"] == 2
+
+
 class TestHttpAdapters:
     @pytest.fixture
     def server(self, service):
@@ -429,6 +591,16 @@ class TestHttpAdapters:
         )
         assert status == 200
         assert body["checkpointed"] is True
+
+    def test_replicate_to_a_wal_corpus_maps_to_400(self, server):
+        status, body = self._request(
+            server,
+            "POST",
+            "/replicate/snapshot",
+            {"corpus": "play", "state": {"docs": []}, "generation": 5},
+        )
+        assert status == 400
+        assert body["code"] == "ingest_error"
 
     def test_ingest_disabled_maps_to_400(self, tmp_path):
         service = QueryService(
