@@ -6,9 +6,9 @@ The contract (ISSUE 6, restated per request by ISSUE 24): with tracing
 request more than a service with the observability machinery stubbed
 out entirely.  The implementation meets this by front-loading every
 per-request decision: ``_begin_trace`` is one ``None`` check when
-tracing is off, SLO recording is two bucket increments with burn gauges
-deferred to scrape time, and a request evaluates on the thread that
-carries its context, so there is nothing to propagate.  The bound is
+tracing is off, SLO recording is two bucket increments, and a request
+evaluates on the thread that carries its context, so there is nothing
+to propagate.  The bound is
 absolute because what it bounds is: the accounting costs the same few
 microseconds whatever the request around it costs, so a ratio moves
 when the *request* gets cheaper (it read 1.002 while a request paid a

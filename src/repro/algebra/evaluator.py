@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from time import monotonic, perf_counter
+from time import monotonic
 from typing import TYPE_CHECKING, Literal, Protocol, runtime_checkable
 
 from repro.algebra import ast as A
@@ -114,13 +114,11 @@ class Evaluator:
     disabling it exists for the ablation benchmarks.
 
     ``tracer``/``metrics`` attach the observability layer to the indexed
-    strategy: with either present :attr:`last_stats` is kept; with
-    metrics every instruction is timed into the
-    ``eval_node_seconds{op=...}`` histogram; with the tracer enabled the
-    program runs under a ``vm.execute`` span, and a detail-sampled
-    request additionally gets one ``eval.<op>`` span per executed
-    instruction.  With both absent — the default — the program runs
-    untimed.
+    strategy: with either present :attr:`last_stats` is kept; with the
+    tracer enabled the program runs under a ``vm.execute`` span, and a
+    detail-sampled request additionally gets one ``eval.<op>`` span per
+    executed instruction.  With both absent — the default — the program
+    runs untimed.
     """
 
     #: Capacity of the per-evaluator compiled-program LRU cache.
@@ -138,29 +136,7 @@ class Evaluator:
         self.strategy: Strategy = strategy
         self.memoize = memoize
         self.tracer = tracer
-        self.metrics = metrics
         self._observed = tracer is not None or metrics is not None
-        self._node_hist = None
-        self._nodes_counter = self._memo_hits_counter = None
-        self._vm_compile_counter = None
-        self._vm_kernel_counter = None
-        self._vm_exec_hist = None
-        if metrics is not None:
-            from repro.obs.metrics import (
-                EVAL_NODE_SECONDS,
-                EVAL_NODES_TOTAL,
-                MEMO_HITS_TOTAL,
-                VM_COMPILE_TOTAL,
-                VM_EXEC_SECONDS,
-                VM_KERNEL_INVOCATIONS_TOTAL,
-            )
-
-            self._node_hist = metrics.histogram(EVAL_NODE_SECONDS)
-            self._nodes_counter = metrics.counter(EVAL_NODES_TOTAL)
-            self._memo_hits_counter = metrics.counter(MEMO_HITS_TOTAL)
-            self._vm_compile_counter = metrics.counter(VM_COMPILE_TOTAL)
-            self._vm_kernel_counter = metrics.counter(VM_KERNEL_INVOCATIONS_TOTAL)
-            self._vm_exec_hist = metrics.histogram(VM_EXEC_SECONDS)
         # Compiled-program cache (expr -> Program).  A program only
         # names region sets, so it stays valid across index generations:
         # a live corpus's next engine adopts this cache (adopt_programs).
@@ -223,8 +199,6 @@ class Evaluator:
             program = self._programs.get(expr)
             if program is not None:
                 self._programs.move_to_end(expr)
-                if self._vm_compile_counter is not None:
-                    self._vm_compile_counter.inc(outcome="hit")
                 return program, True
         program = self.compile_uncached(expr)
         with self._programs_lock:
@@ -238,25 +212,20 @@ class Evaluator:
         forms, such as a plan with its order bounds inlined."""
         from repro.vm.compiler import compile_expr
 
-        program = compile_expr(expr, cse=self.memoize)
-        if self._vm_compile_counter is not None:
-            self._vm_compile_counter.inc(outcome="compiled")
-        return program
+        return compile_expr(expr, cse=self.memoize)
 
     def run(
         self, program: "Program", instance: Instance, limits: _Limits | None
     ) -> RegionSet:
-        """One of several runs that answer a query together: instructions
-        are timed as in :meth:`evaluate`, but the query is accounted once,
-        by :meth:`account`, after its last run."""
+        """One of several runs that answer a query together: the query is
+        accounted once, by :meth:`account`, after its last run."""
         from repro.vm.machine import execute
 
-        return execute(program, instance, limits, self._node_hist)
+        return execute(program, instance, limits)
 
-    def account(self, programs: "list[Program]", seconds: float) -> None:
-        """Account one query answered by ``programs`` run in ``seconds``
-        in all: this thread's :attr:`last_stats`, the VM execution
-        histogram (observed once) and the kernel and node counters."""
+    def account(self, programs: "list[Program]") -> None:
+        """Account one query answered by ``programs`` in this thread's
+        :attr:`last_stats`."""
         if not self._observed:
             return
         cse_hits = sum(program.cse_hits for program in programs)
@@ -264,16 +233,6 @@ class Evaluator:
         self._local.stats = EvalStats(
             nodes_evaluated=nodes, memo_hits=cse_hits, compiled=True
         )
-        if self.metrics is None:
-            return
-        self._vm_exec_hist.observe(seconds)
-        kernel_counter = self._vm_kernel_counter
-        for program in programs:
-            for op, count in program.op_counts.items():
-                kernel_counter.inc(count, op=op)
-        self._nodes_counter.inc(nodes)
-        if cse_hits:
-            self._memo_hits_counter.inc(cse_hits)
 
     def adopt_programs(self, other: "Evaluator") -> None:
         """Share ``other``'s compiled-program cache from now on."""
@@ -291,9 +250,7 @@ class Evaluator:
         """Execute under whatever observability is attached."""
         from repro.vm.machine import execute
 
-        metrics = self.metrics
         tracer = self.tracer
-        started = perf_counter() if metrics is not None else 0.0
         if tracer is not None and tracer.enabled:
             # Per-instruction detail is the expensive part of a trace, so
             # it is double-gated: the tracer must be on, and the active
@@ -306,19 +263,10 @@ class Evaluator:
                 instructions=program.size,
                 cse_hits=program.cse_hits,
             ) as span:
-                result = execute(program, instance, limits, self._node_hist, detail)
+                result = execute(program, instance, limits, detail)
                 span.set("cardinality", len(result))
-        else:
-            result = execute(program, instance, limits, self._node_hist)
-        if metrics is not None:
-            self._vm_exec_hist.observe(perf_counter() - started)
-            kernel_counter = self._vm_kernel_counter
-            for op, count in program.op_counts.items():
-                kernel_counter.inc(count, op=op)
-            self._nodes_counter.inc(program.size + program.cse_hits)
-            if program.cse_hits:
-                self._memo_hits_counter.inc(program.cse_hits)
-        return result
+            return result
+        return execute(program, instance, limits)
 
 
 _DEFAULT = Evaluator("indexed")

@@ -288,25 +288,21 @@ class FrontierExecutor:
         self._call_pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * groups + 2), thread_name_prefix="repro-hedge"
         )
-        self._requests = self._rpc_seconds = self._fallbacks = None
-        self._failovers = self._hedges = self._hedge_wins = None
+        self._requests = self._fallbacks = None
+        self._failovers = self._hedges = None
         if metrics is not None:
             from repro.obs.metrics import (
                 BACKEND_FAILOVERS_TOTAL,
-                BACKEND_HEDGE_WINS_TOTAL,
                 BACKEND_HEDGES_TOTAL,
                 BACKEND_REQUESTS_TOTAL,
-                BACKEND_RPC_SECONDS,
                 FRONTIER_FALLBACK_TOTAL,
             )
 
             self._requests = metrics.counter(
                 BACKEND_REQUESTS_TOTAL, help="backend RPCs by node and outcome"
             )
-            self._rpc_seconds = metrics.histogram(BACKEND_RPC_SECONDS)
             self._failovers = metrics.counter(BACKEND_FAILOVERS_TOTAL)
             self._hedges = metrics.counter(BACKEND_HEDGES_TOTAL)
-            self._hedge_wins = metrics.counter(BACKEND_HEDGE_WINS_TOTAL)
             self._fallbacks = metrics.counter(
                 FRONTIER_FALLBACK_TOTAL,
                 help="frontier queries answered by local evaluation, by reason",
@@ -612,8 +608,6 @@ class FrontierExecutor:
                     winner = payload
                     if node is hedge_node:
                         stats.hedge_wins += 1
-                        if self._hedge_wins is not None:
-                            self._hedge_wins.inc(corpus=phase.corpus)
         self._absorb_losers(pending, futures)
         return winner
 
@@ -678,9 +672,14 @@ class FrontierExecutor:
             )
         except BackendError as exc:
             if self._requests is not None:
-                outcome = (
-                    "lagging" if isinstance(exc, ReplicaLaggingError) else "error"
-                )
+                # A refusal is "behind" (the replica has not reached the
+                # read's generation) or "past" (it already moved on).
+                if not isinstance(exc, ReplicaLaggingError):
+                    outcome = "error"
+                elif _past(exc):
+                    outcome = "past"
+                else:
+                    outcome = "behind"
                 self._requests.inc(node=node.id, outcome=outcome)
             raise
         except QueryTimeout:
@@ -693,8 +692,6 @@ class FrontierExecutor:
         phase.stats.nodes_used.append(node.id)
         if self._requests is not None:
             self._requests.inc(node=node.id, outcome="ok")
-        if self._rpc_seconds is not None:
-            self._rpc_seconds.observe(seconds)
         if (
             result.span is not None
             and self.tracer is not None

@@ -19,7 +19,10 @@ copy, not the commit), re-parsed, and delivered via
 ``replicate_apply``.  The receiving node recomputes the checksum and
 rejects mismatches; the coordinator treats any non-``applied`` answer
 as that node falling behind — **a ship failure never fails the
-ingest**; the write was already durable in the frontier's WAL.
+ingest**; the write was already durable in the frontier's WAL.  A
+reload mints a generation with no batch behind it: ``resync()`` sends
+every node a snapshot of the rebased state instead, under the same
+lock and before the same publish.
 
 **Catch-up.**  A node whose applied generation differs from the
 frontier's — respawned blank, partitioned, one that rejected a corrupt
@@ -53,7 +56,6 @@ from __future__ import annotations
 
 import json
 import threading
-from time import perf_counter
 from typing import Any, Callable, ContextManager, Mapping, Sequence
 
 from repro.errors import BackendError, FaultInjected
@@ -135,21 +137,9 @@ class ReplicationCoordinator:
             _m.REPLICATION_SHIP_FAILURES_TOTAL,
             "per-node ship attempts that did not end in an apply",
         )
-        self._apply_seconds = metrics.histogram(
-            _m.REPLICATION_APPLY_SECONDS,
-            help="round-trip seconds for one replicate_apply",
-        )
-        self._lag_gauge = metrics.gauge(
-            _m.REPLICATION_LAG,
-            "generations a node's worst replica trails the frontier",
-        )
         self._catchups = metrics.counter(
             _m.REPLICATION_CATCHUPS_TOTAL,
             "snapshot repairs shipped, by node",
-        )
-        self._sweeps = metrics.counter(
-            _m.REPLICATION_ANTI_ENTROPY_RUNS_TOTAL,
-            "anti-entropy sweep passes completed",
         )
         self._divergence = metrics.counter(
             _m.REPLICATION_DIVERGENCE_TOTAL,
@@ -228,6 +218,29 @@ class ReplicationCoordinator:
         self._refresh_lag()
         return {"nodes": len(nodes), "applied": applied, "failed": failed}
 
+    def resync(
+        self, corpus: str, generation: int, state: dict[str, Any]
+    ) -> dict[str, Any]:
+        """Snapshot every node serving ``corpus`` to ``generation``: the
+        ship of a reload, which has no batch to send.
+
+        Called like :meth:`ship`, under the corpus writer lock and before
+        the generation is published, so it never re-takes that lock.
+        Returns the same counts; a node that cannot take the snapshot is
+        left to the sweep, as a failed ship is.
+        """
+        nodes = self._nodes_for(corpus)
+        applied = sum(
+            self._send_snapshot(node, corpus, generation, state) == "repaired"
+            for node in nodes
+        )
+        self._refresh_lag()
+        return {
+            "nodes": len(nodes),
+            "applied": applied,
+            "failed": len(nodes) - applied,
+        }
+
     def _ship_one(
         self, node: Any, corpus: str, wire: bytes, generation: int
     ) -> bool:
@@ -239,7 +252,6 @@ class ReplicationCoordinator:
             self._ship_failures.inc(node=node.id, reason="fault")
             ledger.last_error = str(exc)
             return False
-        started = perf_counter()
         try:
             shipped = json.loads((payload or b"").decode("utf-8"))
             answer = node.backend.replicate_apply(
@@ -260,7 +272,6 @@ class ReplicationCoordinator:
             ledger.reachable = False
             ledger.last_error = str(exc)
             return False
-        self._apply_seconds.observe(perf_counter() - started, node=node.id)
         ledger.reachable = True
         status = str(answer.get("status", ""))
         with self._lock:
@@ -296,7 +307,6 @@ class ReplicationCoordinator:
                     report["repaired"] += 1
             report["corpora"][corpus] = corpus_report
         self._refresh_lag()
-        self._sweeps.inc()
         return report
 
     def _audit(
@@ -363,21 +373,29 @@ class ReplicationCoordinator:
                         with self._lock:
                             ledger.applied[corpus] = applied
                         return "current"
-                with maybe_span(
-                    self._tracer,
-                    "replication.snapshot",
-                    node=node.id,
-                    corpus=corpus,
-                    generation=generation,
-                ):
-                    answer = node.backend.replicate_snapshot(
-                        corpus, dump(), generation
-                    )
+                return self._send_snapshot(node, corpus, generation, dump())
         except BackendError as exc:
-            ledger.reachable = False
-            ledger.last_error = str(exc)
-            self._ship_failures.inc(node=node.id, reason="snapshot")
-            return "unreachable"
+            return self._snapshot_failed(node, exc)
+
+    def _send_snapshot(
+        self, node: Any, corpus: str, generation: int, state: dict[str, Any]
+    ) -> str:
+        """Deliver one snapshot of ``corpus`` at ``generation``; the
+        caller holds the corpus writer lock."""
+        ledger = self._ledger(node.id)
+        try:
+            with maybe_span(
+                self._tracer,
+                "replication.snapshot",
+                node=node.id,
+                corpus=corpus,
+                generation=generation,
+            ):
+                answer = node.backend.replicate_snapshot(
+                    corpus, state, generation
+                )
+        except BackendError as exc:
+            return self._snapshot_failed(node, exc)
         ledger.reachable = True
         ledger.last_error = None
         ledger.catchups += 1
@@ -386,12 +404,19 @@ class ReplicationCoordinator:
         self._catchups.inc(node=node.id)
         return "repaired"
 
+    def _snapshot_failed(self, node: Any, exc: BackendError) -> str:
+        ledger = self._ledger(node.id)
+        ledger.reachable = False
+        ledger.last_error = str(exc)
+        self._ship_failures.inc(node=node.id, reason="snapshot")
+        return "unreachable"
+
     # ------------------------------------------------------------------
     # Lag accounting.
     # ------------------------------------------------------------------
 
     def _refresh_lag(self) -> None:
-        """Worst-corpus lag per node -> gauge + health pressure."""
+        """Worst-corpus lag per node -> health pressure."""
         for node in self.frontier.nodes:
             ledger = self._ledger(node.id)
             worst = 0
@@ -402,7 +427,6 @@ class ReplicationCoordinator:
                 worst = max(worst, truth_gen - applied)
             if not ledger.reachable:
                 worst = max(worst, self.lag_limit + 1)
-            self._lag_gauge.set(worst, node=node.id)
             if self._health is not None:
                 self._health.set_pressure(
                     f"replication:{node.id}", worst > self.lag_limit

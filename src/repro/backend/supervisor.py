@@ -69,7 +69,6 @@ class BackendSupervisor:
         respawn_delay: float = 0.5,
         ready_timeout: float = 20.0,
         extra_args: Sequence[str] = (),
-        metrics: Any = None,
     ):
         if count < 1:
             raise ValueError("the supervisor needs at least one backend")
@@ -85,13 +84,6 @@ class BackendSupervisor:
         self._lock = threading.Lock()
         self._stopping = False
         self._monitor: threading.Thread | None = None
-        self._respawn_metric = None
-        if metrics is not None:
-            from repro.obs.metrics import BACKEND_RESPAWNS_TOTAL
-
-            self._respawn_metric = metrics.counter(
-                BACKEND_RESPAWNS_TOTAL, help="backend subprocess respawns"
-            )
 
     # ------------------------------------------------------------------
 
@@ -184,8 +176,6 @@ class BackendSupervisor:
                     continue  # next sweep retries; the slot stays dead
                 with self._lock:
                     child.respawns += 1
-                if self._respawn_metric is not None:
-                    self._respawn_metric.inc(node=child.node_id)
             sleep(0.2)
 
     # ------------------------------------------------------------------

@@ -679,6 +679,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from repro.obs.metrics import SERVER_REQUESTS_TOTAL
     from repro.server import CorpusSpec, QueryService, ServerConfig, create_server
 
     specs = [
@@ -778,7 +779,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stop.wait()
     server.stop()
     thread.join(timeout=5.0)
-    requests = service.telemetry.metrics.counter("server_requests_total")
+    requests = service.telemetry.metrics.counter(SERVER_REQUESTS_TOTAL)
     print(f"shut down cleanly after {requests.total():.0f} request(s)")
     return 0
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.algebra import ast as A
@@ -392,7 +391,6 @@ class PieceReader:
         cancel: "CancelToken | None" = None,
     ) -> RegionSet:
         """``expr`` over the whole corpus (see the module docstring)."""
-        started = perf_counter()
         read = _Read(self, limits_for(deadline, cancel))
         shape = self._shape(expr)
         bounds = (
@@ -408,7 +406,7 @@ class PieceReader:
             counts["misses"] += read.misses
             counts["evaluated"] += len(read.computed)
             counts["batched"] += read.batched
-        self.evaluator.account(read.programs, perf_counter() - started)
+        self.evaluator.account(read.programs)
         return result
 
     def _shape(self, expr: A.Expr) -> _Shape:

@@ -44,13 +44,7 @@ from repro.core.regionset import RegionSet
 from repro.errors import EvaluationError, UnknownRegionNameError
 from repro.faults import registry as _faults
 from repro.obs import Telemetry
-from repro.obs.metrics import (
-    CARDINALITY_BUCKETS,
-    INDEX_BUILD_SECONDS,
-    PARSE_SECONDS,
-    QUERIES_TOTAL,
-    RESULT_CARDINALITY,
-)
+from repro.obs.metrics import INDEX_BUILD_SECONDS
 from repro.obs import context as _trace_context
 from repro.obs.querylog import QueryLog, QueryRecord
 from repro.obs.trace import Tracer, maybe_span
@@ -323,9 +317,7 @@ class Engine:
         started = perf_counter()
         with maybe_span(tracer, "query", optimize=optimize_query) as root:
             with maybe_span(tracer, "parse"):
-                parse_started = perf_counter()
                 expr = self.prepare(query)
-                parse_seconds = perf_counter() - parse_started
             plan = self._plan(expr) if optimize_query else None
             executed = plan.optimized if plan is not None else expr
             if root is not None:
@@ -350,7 +342,6 @@ class Engine:
             plan=plan,
             result=result,
             seconds=perf_counter() - started,
-            parse_seconds=parse_seconds,
             stats=self._evaluator.last_stats,
         )
         return result
@@ -381,9 +372,7 @@ class Engine:
         started = perf_counter()
         with maybe_span(tracer, "explain"):
             with maybe_span(tracer, "parse"):
-                parse_started = perf_counter()
                 expr = self.prepare(query)
-                parse_seconds = perf_counter() - parse_started
             plan, program_cache_hit = self._plan_ex(expr)
         self.record(
             kind="explain",
@@ -392,7 +381,6 @@ class Engine:
             plan=plan,
             result=None,
             seconds=perf_counter() - started,
-            parse_seconds=parse_seconds,
             stats=None,
         )
         return plan, {
@@ -424,7 +412,6 @@ class Engine:
             rig=self._rig,
             cost_model=self._ensure_cost_model(),
             tracer=self._telemetry.tracer,
-            metrics=self._telemetry.metrics,
         )
         program, program_cached = self._evaluator.compiled_program(
             result.expression
@@ -460,19 +447,13 @@ class Engine:
         plan: QueryPlan | None,
         result: RegionSet | None,
         seconds: float,
-        parse_seconds: float,
         stats: EvalStats | None,
     ) -> None:
-        """Log one answered query or explain: count it in
-        ``queries_total``, observe ``parse_seconds`` and (for a query)
-        ``result_cardinality``, and append a :class:`QueryRecord`
-        stamped with the current trace id.  :meth:`query` and
-        :meth:`explain` call it; so does a caller that answered a plan
-        of this engine's some other way, such as the query service's
-        frontier topology."""
-        metrics = self._telemetry.metrics
-        metrics.counter(QUERIES_TOTAL).inc(kind=kind)
-        metrics.histogram(PARSE_SECONDS).observe(parse_seconds)
+        """Log one answered query or explain: append a
+        :class:`QueryRecord` stamped with the current trace id.
+        :meth:`query` and :meth:`explain` call it; so does a caller that
+        answered a plan of this engine's some other way, such as the
+        query service's frontier topology."""
         try:
             estimate = self._ensure_cost_model().estimate(executed)
         except TypeError:
@@ -482,9 +463,6 @@ class Engine:
         cardinality = error = None
         if result is not None:
             cardinality = len(result)
-            metrics.histogram(
-                RESULT_CARDINALITY, CARDINALITY_BUCKETS
-            ).observe(cardinality)
             if estimate is not None:
                 error = (
                     abs(estimate.cardinality - cardinality) / max(cardinality, 1)

@@ -173,21 +173,8 @@ class _Parser:
 
 
 def parse_source(text: str) -> SourceDocument:
-    """Parse toy source code into a :class:`SourceDocument`.
-
-    Build time lands in the process-wide
-    ``index_build_seconds{kind=source}`` histogram.
-    """
-    from time import perf_counter
-
-    from repro.obs.metrics import INDEX_BUILD_SECONDS, global_registry
-
-    started = perf_counter()
-    document = SourceDocument(text, _Parser(text).parse())
-    global_registry().histogram(INDEX_BUILD_SECONDS).observe(
-        perf_counter() - started, kind="source"
-    )
-    return document
+    """Parse toy source code into a :class:`SourceDocument`."""
+    return SourceDocument(text, _Parser(text).parse())
 
 
 def generate_program_source(

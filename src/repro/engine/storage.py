@@ -268,36 +268,22 @@ def load_instance(path: str | Path) -> Instance:
     Raises :class:`~repro.errors.StorageError` for I/O failures and
     other format versions, and :class:`~repro.errors.CorruptIndexError`
     when the file exists but fails decoding or checksum verification.
-    Load time lands in the process-wide
-    ``index_build_seconds{kind=load}`` histogram.
     """
-    from time import perf_counter
-
-    from repro.obs.metrics import INDEX_BUILD_SECONDS, global_registry
-
-    started = perf_counter()
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise StorageError(f"cannot read index from {path}: {exc}") from exc
     raw = _faults.fire("storage.read", raw)
-    instance = decode_instance(raw, f"index file {path}")
-    global_registry().histogram(INDEX_BUILD_SECONDS).observe(
-        perf_counter() - started, kind="load"
-    )
-    return instance
+    return decode_instance(raw, f"index file {path}")
 
 
 def quarantine_index(path: str | Path) -> Path | None:
     """Move a corrupt index file aside so it is never loaded again.
 
     Renames ``index.json`` to ``index.json.quarantined`` (with a numeric
-    suffix if that name is taken) in the same directory, and counts the
-    event in ``storage_quarantined_total``.  Returns the quarantine path,
-    or ``None`` when the file had already vanished.
+    suffix if that name is taken) in the same directory.  Returns the
+    quarantine path, or ``None`` when the file had already vanished.
     """
-    from repro.obs.metrics import STORAGE_QUARANTINED_TOTAL, global_registry
-
     source = Path(path)
     destination = source.with_name(source.name + ".quarantined")
     attempt = 0
@@ -308,7 +294,4 @@ def quarantine_index(path: str | Path) -> Path | None:
         os.replace(source, destination)
     except OSError:
         return None
-    global_registry().counter(
-        STORAGE_QUARANTINED_TOTAL, help="corrupt index files moved aside"
-    ).inc()
     return destination

@@ -59,14 +59,8 @@ def parse_tagged_text(text: str) -> TaggedDocument:
     """Parse tagged text into a :class:`TaggedDocument`.
 
     Raises :class:`~repro.errors.ParseError` on mismatched or unclosed
-    tags.  Build time lands in the process-wide
-    ``index_build_seconds{kind=tagged}`` histogram.
+    tags.
     """
-    from time import perf_counter
-
-    from repro.obs.metrics import INDEX_BUILD_SECONDS, global_registry
-
-    started = perf_counter()
     regions: dict[str, list[Region]] = {}
     tokens: list[Token] = []
     stack: list[tuple[str, int]] = []  # (tag name, position of '<')
@@ -95,9 +89,6 @@ def parse_tagged_text(text: str) -> TaggedDocument:
     instance = Instance(
         {name: RegionSet(rs) for name, rs in sorted(regions.items())},
         TextWordIndex(tokens),
-    )
-    global_registry().histogram(INDEX_BUILD_SECONDS).observe(
-        perf_counter() - started, kind="tagged"
     )
     return TaggedDocument(text, instance)
 

@@ -29,7 +29,18 @@ from repro.faults.scenario import (
     live_corpus,
     mirror_oracle,
 )
-from repro.obs.metrics import parse_label_text
+from repro.obs.metrics import (
+    BACKEND_FAILOVERS_TOTAL,
+    BACKEND_HEDGES_TOTAL,
+    BACKEND_REQUESTS_TOTAL,
+    FRONTIER_FALLBACK_TOTAL,
+    INDEX_REBUILDS_TOTAL,
+    REPLICATION_BATCHES_SHIPPED_TOTAL,
+    REPLICATION_CATCHUPS_TOTAL,
+    REPLICATION_DIVERGENCE_TOTAL,
+    REPLICATION_SHIP_FAILURES_TOTAL,
+    parse_label_text,
+)
 from repro.server.config import ServerConfig
 from repro.workloads.queries import PLAY_QUERIES
 
@@ -267,12 +278,12 @@ def _service_finish(run: Run) -> None:
     report.breaker_trips = run.handle.breaker.trips
     report.breaker_final_state = run.handle.breaker.state
     counters = run.counters()
-    report.rebuilds = _counter(counters, "index_rebuilds_total")
+    report.rebuilds = _counter(counters, INDEX_REBUILDS_TOTAL)
     report.rpc_errors = registry.fires(point="backend.rpc", mode="error")
     report.vm_kernel_faults = registry.fires(point="vm.kernel")
-    report.failovers = _counter(counters, "backend_failovers_total")
+    report.failovers = _counter(counters, BACKEND_FAILOVERS_TOTAL)
     report.local_fallbacks = int(
-        counters.get("frontier_fallback_total", {}).get("reason=unavailable", 0)
+        counters.get(FRONTIER_FALLBACK_TOTAL, {}).get("reason=unavailable", 0)
     )
     report.health_states_seen = service.health.states_seen()
     report.final_health = service.health.state
@@ -413,8 +424,8 @@ def _backend_finish(run: Run) -> None:
                       for name in ("kill", "recovery")}
     report.final_breakers = run.breakers()
     counters = run.counters()
-    report.failovers = _counter(counters, "backend_failovers_total")
-    report.hedges = _counter(counters, "backend_hedges_total")
+    report.failovers = _counter(counters, BACKEND_FAILOVERS_TOTAL)
+    report.hedges = _counter(counters, BACKEND_HEDGES_TOTAL)
 
     run.require_200("warmup", "during warmup with every backend healthy")
     run.check_kill("backend")
@@ -573,6 +584,9 @@ class ReplicationReport(ScenarioReport):
 
     topology: dict[str, Any] = field(default_factory=dict)
     degraded: dict[str, int] = field(default_factory=dict)  #: per phase
+    fallbacks: dict[str, int] = field(default_factory=dict)  #: per reason
+    #: replica refusals of a read's generation: ``behind`` it or ``past`` it
+    refusals: dict[str, int] = field(default_factory=dict)
     writes: dict[str, dict[str, int]] = field(default_factory=dict)
     writes_acked: int = 0
     writes_failed: int = 0
@@ -598,6 +612,9 @@ class ReplicationReport(ScenarioReport):
             f"verified {self.verified_responses} responses against the "
             f"acked-writes oracle, {self.corrupted_responses} corrupted "
             "or stale",
+            f"degraded responses: {counts_line(self.degraded)}; "
+            f"fallbacks: {counts_line(self.fallbacks)}",
+            f"replica refusals: {counts_line(self.refusals)}",
             f"writes: {self.writes_acked} acked, {self.writes_failed} "
             f"failed; {self.batches_shipped} batch-applies shipped, "
             f"{self.ship_failures} ship failure(s) "
@@ -662,7 +679,8 @@ def _respawn_and_catch_up(run: Run) -> None:
 def _replication_finish(run: Run) -> None:
     report, service = run.report, run.service
     report.topology = _topology_reading(run)
-    report.degraded, report.writes = run.degraded, run.writes
+    report.degraded, report.fallbacks = run.degraded, run.fallbacks
+    report.writes = run.writes
     report.writes_acked, report.writes_failed = run.acked, run.failed
     report.ship_fault_fires = run.registry.fires(point="replication.ship")
     report.final_sweep = run.await_current(_SETTLE_SECONDS)
@@ -671,13 +689,21 @@ def _replication_finish(run: Run) -> None:
                         for node in service.frontier.nodes}
     report.documents_final = run.oracle.live.document_count
     counters = run.counters()
-    report.batches_shipped, report.ship_failures, report.divergences_repaired = (
-        _counter(counters, f"replication_{name}_total")
-        for name in ("batches_shipped", "ship_failures", "divergence")
+    report.batches_shipped = _counter(
+        counters, REPLICATION_BATCHES_SHIPPED_TOTAL
     )
-    for labels, count in counters.get("replication_catchups_total", {}).items():
+    report.ship_failures = _counter(counters, REPLICATION_SHIP_FAILURES_TOTAL)
+    report.divergences_repaired = _counter(
+        counters, REPLICATION_DIVERGENCE_TOTAL
+    )
+    for labels, count in counters.get(REPLICATION_CATCHUPS_TOTAL, {}).items():
         node = dict(parse_label_text(labels)).get("node", "?")
         report.catchups[node] = report.catchups.get(node, 0) + int(count)
+    report.refusals = {"behind": 0, "past": 0}
+    for labels, count in counters.get(BACKEND_REQUESTS_TOTAL, {}).items():
+        outcome = dict(parse_label_text(labels)).get("outcome")
+        if outcome in report.refusals:
+            report.refusals[outcome] += int(count)
 
     run.require_200("warmup", "during warmup with every replica healthy")
     run.check_kill("replica")

@@ -31,9 +31,9 @@ Three fault modes:
 * ``corrupt`` — deterministically flip bytes in the payload flowing
   through the point (only points that pass data, e.g. storage reads).
 
-Every fire lands in the ``fault_injections_total{point,mode}`` counter
-of the registry's metrics registry (the process-global one by default),
-so ``/metrics`` tells you exactly what the chaos harness did.
+Every fire is counted per ``(point, mode)`` (:meth:`FaultRegistry.fires`,
+and ``/healthz``'s ``faults`` snapshot), so the chaos harness can tell
+exactly what it did.
 """
 
 from __future__ import annotations
@@ -43,12 +43,9 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import sleep
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
 from repro.errors import FaultInjected, ReproError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "FAULT_POINTS",
@@ -140,9 +137,7 @@ class FaultRegistry:
     matter — the *disabled* path never takes it).
     """
 
-    def __init__(self, seed: int = 0, metrics: "MetricsRegistry | None" = None):
-        from repro.obs.metrics import FAULT_INJECTIONS_TOTAL, global_registry
-
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
@@ -150,9 +145,6 @@ class FaultRegistry:
         self._spec_fires: list[int] = []
         self._spec_skips: list[int] = []
         self._fires: dict[tuple[str, str], int] = {}
-        self._counter = (metrics or global_registry()).counter(
-            FAULT_INJECTIONS_TOTAL, help="injected faults by point and mode"
-        )
 
     # ------------------------------------------------------------------
 
@@ -195,7 +187,6 @@ class FaultRegistry:
         """
         delay = 0.0
         raise_exc: ReproError | None = None
-        fired: list[str] = []
         with self._lock:
             for i, spec in enumerate(self._specs):
                 if spec.point != point:
@@ -213,7 +204,6 @@ class FaultRegistry:
                 self._spec_fires[i] += 1
                 key = (point, spec.mode)
                 self._fires[key] = self._fires.get(key, 0) + 1
-                fired.append(spec.mode)
                 if spec.mode == "latency":
                     delay += spec.latency
                 elif spec.mode == "corrupt":
@@ -227,8 +217,6 @@ class FaultRegistry:
                         else error(f"injected fault at {point!r}")
                     )
                     break
-        for mode in fired:
-            self._counter.inc(point=point, mode=mode)
         if delay > 0:
             sleep(delay)
         if raise_exc is not None:
@@ -304,9 +292,7 @@ def fire(point: str, data: bytes | None = None) -> bytes | None:
 
 
 @contextmanager
-def injected_faults(
-    *specs: FaultSpec, seed: int = 0, metrics: "MetricsRegistry | None" = None
-) -> Iterator[FaultRegistry]:
+def injected_faults(*specs: FaultSpec, seed: int = 0) -> Iterator[FaultRegistry]:
     """Scoped activation: arm ``specs``, yield the registry, deactivate.
 
     The unit tests' front door::
@@ -314,7 +300,7 @@ def injected_faults(
         with injected_faults(FaultSpec("storage.read", "error")) as reg:
             ...
     """
-    registry = FaultRegistry(seed=seed, metrics=metrics)
+    registry = FaultRegistry(seed=seed)
     for spec in specs:
         registry.arm(spec)
     activate(registry)

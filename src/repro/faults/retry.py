@@ -75,9 +75,8 @@ def retry_call(
 
     Only exceptions in ``retry_on`` are retried; anything else
     propagates immediately.  ``on_retry(retry_index, delay, exc)`` runs
-    before each backoff sleep (the service hooks metrics there);
-    ``on_exhausted(exc)`` runs once when giving up, after which the last
-    exception is re-raised.
+    before each backoff sleep; ``on_exhausted(exc)`` runs once when
+    giving up, after which the last exception is re-raised.
     """
     policy = policy if policy is not None else RetryPolicy()
     retry_on = tuple(retry_on)
@@ -121,16 +120,13 @@ class CircuitBreaker:
       one.
 
     ``on_transition(old, new)`` fires under the lock whenever the state
-    changes — the service mirrors it into ``breaker_state`` /
-    ``breaker_transitions_total`` metrics.
+    changes — the service turns a breaker that is not closed into
+    health pressure.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-    #: Gauge encoding used by the metrics mirror.
-    STATE_VALUES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
     def __init__(
         self,

@@ -414,6 +414,8 @@ class Run:
         )
         self.server_config: ServerConfig | None = None
         self.service = self.server = self.handle = self.oracle = None
+        #: the counters of the services a restart replaced
+        self.retired: dict[str, dict[str, float]] = {}
         # The collector's state; ``phase`` labels everything it counts.
         self.lock = threading.Lock()
         self.phase = ""
@@ -430,6 +432,8 @@ class Run:
         same settings, so a restart reopens the same directory."""
         if self.server_config is None:
             self.server_config = self.scenario.server(self)
+        if self.service is not None:
+            self.retired = self.counters()
         self.service = QueryService(self.server_config)
         self.server = create_server(self.service, port=0)
         self.server.serve_in_background()
@@ -570,7 +574,16 @@ class Run:
             self.report.violations.append(message)
 
     def counters(self) -> dict[str, dict[str, float]]:
-        return self.service.metrics_snapshot()["metrics"]["counters"]
+        """Every counter over the whole run: a restarted service starts
+        a fresh registry, so the counts of the ones it replaced are
+        added in."""
+        merged = {name: dict(series) for name, series in self.retired.items()}
+        current = self.service.metrics_snapshot()["metrics"]["counters"]
+        for name, series in current.items():
+            into = merged.setdefault(name, {})
+            for labels, value in series.items():
+                into[labels] = into.get(labels, 0.0) + value
+        return merged
 
     def breakers(self) -> dict[str, str]:
         nodes = self.service.frontier.nodes

@@ -36,14 +36,6 @@ from typing import Any, Iterator
 
 from repro.errors import CorruptIndexError, StorageError
 from repro.faults import registry as _faults
-from repro.obs.metrics import (
-    WAL_BYTES_TOTAL,
-    WAL_RECORDS_TOTAL,
-    WAL_REPLAYED_RECORDS_TOTAL,
-    WAL_TRUNCATIONS_TOTAL,
-    MetricsRegistry,
-    global_registry,
-)
 
 __all__ = ["WriteAheadLog", "wal_checksum"]
 
@@ -78,7 +70,6 @@ class WriteAheadLog:
         corpus: str,
         *,
         fsync: bool = True,
-        metrics: MetricsRegistry | None = None,
     ):
         self.directory = Path(directory)
         self.corpus = corpus
@@ -86,19 +77,6 @@ class WriteAheadLog:
         self.path = self.directory / f"{corpus}.wal"
         self.snapshot_path = self.directory / f"{corpus}.snapshot.json"
         self.directory.mkdir(parents=True, exist_ok=True)
-        metrics = metrics if metrics is not None else global_registry()
-        self._records = metrics.counter(
-            WAL_RECORDS_TOTAL, help="WAL records written, by kind"
-        )
-        self._bytes = metrics.counter(
-            WAL_BYTES_TOTAL, help="WAL bytes written"
-        )
-        self._replayed = metrics.counter(
-            WAL_REPLAYED_RECORDS_TOTAL, help="WAL records re-applied at startup"
-        )
-        self._truncations = metrics.counter(
-            WAL_TRUNCATIONS_TOTAL, help="WAL truncations after checkpoint"
-        )
         self._next_seq = self._scan_next_seq()
 
     # ------------------------------------------------------------------
@@ -141,8 +119,6 @@ class WriteAheadLog:
         record["checksum"] = wal_checksum(record)
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         handle.write(line + "\n")
-        self._records.inc(kind=record["kind"])
-        self._bytes.inc(len(line) + 1)
 
     # ------------------------------------------------------------------
     # Reading.
@@ -208,7 +184,6 @@ class WriteAheadLog:
                 continue  # commit without all its ops: treat as torn
             batch = [ops[i] for i in range(count)]
             batches.append((seq, batch))
-            self._replayed.inc(count + 1)
         return batches
 
     # ------------------------------------------------------------------
@@ -286,7 +261,6 @@ class WriteAheadLog:
             except OSError:
                 pass
             raise
-        self._truncations.inc()
 
     def size_bytes(self) -> int:
         try:

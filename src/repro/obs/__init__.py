@@ -32,31 +32,16 @@ from typing import Any
 
 from repro.obs.context import TraceContext, new_trace_id
 from repro.obs.metrics import (
-    CARDINALITY_BUCKETS,
-    EVAL_NODE_SECONDS,
-    EVAL_NODES_TOTAL,
     INDEX_BUILD_SECONDS,
-    MEMO_HITS_TOTAL,
-    OPTIMIZE_SECONDS,
-    OPTIMIZER_RULE_FIRES_TOTAL,
-    PARSE_SECONDS,
-    QUERIES_TOTAL,
-    RESULT_CARDINALITY,
     SECONDS_BUCKETS,
-    SERVER_CACHE_EVICTIONS_TOTAL,
     SERVER_CACHE_HITS_TOTAL,
     SERVER_CACHE_MISSES_TOTAL,
-    SERVER_INFLIGHT,
-    SERVER_QUEUE_DEPTH,
-    SERVER_REJECTED_TOTAL,
     SERVER_REQUEST_SECONDS,
     SERVER_REQUESTS_TOTAL,
-    SERVER_TIMEOUTS_TOTAL,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
 )
 from repro.obs.querylog import QueryLog, QueryRecord
 from repro.obs.sampling import HeadSampler, KeptTrace, TraceStore
@@ -83,29 +68,14 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "global_registry",
     "QueryLog",
     "QueryRecord",
     "SECONDS_BUCKETS",
-    "CARDINALITY_BUCKETS",
-    "QUERIES_TOTAL",
-    "PARSE_SECONDS",
-    "OPTIMIZE_SECONDS",
-    "EVAL_NODE_SECONDS",
-    "EVAL_NODES_TOTAL",
-    "MEMO_HITS_TOTAL",
-    "RESULT_CARDINALITY",
     "INDEX_BUILD_SECONDS",
-    "OPTIMIZER_RULE_FIRES_TOTAL",
     "SERVER_REQUESTS_TOTAL",
     "SERVER_REQUEST_SECONDS",
-    "SERVER_QUEUE_DEPTH",
-    "SERVER_INFLIGHT",
     "SERVER_CACHE_HITS_TOTAL",
     "SERVER_CACHE_MISSES_TOTAL",
-    "SERVER_CACHE_EVICTIONS_TOTAL",
-    "SERVER_REJECTED_TOTAL",
-    "SERVER_TIMEOUTS_TOTAL",
 ]
 
 

@@ -1,28 +1,34 @@
-"""A process-wide metrics registry: counters, gauges, histograms.
+"""A metrics registry: counters, gauges, histograms.
 
 The quantitative half of the observability layer (the qualitative half —
 traces — lives in :mod:`repro.obs.trace`).  All instruments support
-label sets (``histogram.observe(t, op="Union")``), stored per sorted
-label tuple, and render into a plain-dict snapshot for JSON output.
+label sets (``histogram.observe(t, endpoint="query")``), stored per
+sorted label tuple, and render into a plain-dict snapshot for JSON
+output and the Prometheus exposition.
 
-The engine's well-known metric names are module constants so the
-instrumented call sites, the CLI, and the tests agree on spelling:
+A family exists only while something reads it: a ``repro top`` row, a
+CLI row, a CI assertion or a chaos report.  Its name is a module
+constant, so the call site that records it and the reader agree on
+spelling (``tests/obs/test_metric_readers.py`` holds the table):
 
-==========================  =============================================
-``queries_total``           counter, per :meth:`Engine.query`/``explain``
-``parse_seconds``           histogram, query-text parsing + view expansion
-``optimize_seconds``        histogram, one :func:`optimize` call
-``eval_node_seconds``       histogram ``{op=...}``, one evaluator node
-``memo_hits_total``         counter, common-sub-expression cache hits
-``eval_nodes_total``        counter, evaluator nodes visited
-``result_cardinality``      histogram, regions returned per query
-``index_build_seconds``     histogram ``{kind=...}``, parse/load an index
-``optimizer_rule_fires_total``  counter ``{rule=...}``, rewrites applied
-==========================  =============================================
+=====================================  =====================================
+``server_requests_total``              ``repro top`` (rates, errors), CI
+``server_request_seconds``             ``repro top`` (latency quantiles)
+``server_cache_hits_total``            ``repro top`` (cache hit ratio)
+``server_cache_misses_total``          ``repro top`` (cache hit ratio)
+``backend_requests_total``             ``repro top``; chaos ``refusals``
+``index_build_seconds``                ``repro stats --telemetry``
+``index_rebuilds_total``               chaos report ``rebuilds``
+``backend_failovers_total``            chaos report ``failovers``
+``backend_hedges_total``               chaos report ``hedges``
+``frontier_fallback_total``            chaos report ``local_fallbacks``
+``replication_batches_shipped_total``  chaos report ``batches_shipped``
+``replication_ship_failures_total``    chaos report ``ship_failures``
+``replication_divergence_total``       chaos report ``divergences_repaired``
+``replication_catchups_total``         chaos report ``catchups``
+=====================================  =====================================
 
-A registry is cheap; engines carry their own.  The module-level
-:func:`global_registry` aggregates call sites that run before any engine
-exists (the index builders).
+A registry is cheap; engines and services carry their own.
 """
 
 from __future__ import annotations
@@ -37,170 +43,52 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "global_registry",
     "parse_label_text",
     "SECONDS_BUCKETS",
-    "CARDINALITY_BUCKETS",
-    "QUERIES_TOTAL",
-    "PARSE_SECONDS",
-    "OPTIMIZE_SECONDS",
-    "EVAL_NODE_SECONDS",
-    "MEMO_HITS_TOTAL",
-    "EVAL_NODES_TOTAL",
-    "RESULT_CARDINALITY",
-    "INDEX_BUILD_SECONDS",
-    "OPTIMIZER_RULE_FIRES_TOTAL",
-    "VM_COMPILE_TOTAL",
-    "VM_KERNEL_INVOCATIONS_TOTAL",
-    "VM_EXEC_SECONDS",
     "SERVER_REQUESTS_TOTAL",
     "SERVER_REQUEST_SECONDS",
-    "SERVER_QUEUE_DEPTH",
-    "SERVER_INFLIGHT",
     "SERVER_CACHE_HITS_TOTAL",
     "SERVER_CACHE_MISSES_TOTAL",
-    "SERVER_CACHE_EVICTIONS_TOTAL",
-    "SERVER_REJECTED_TOTAL",
-    "SERVER_TIMEOUTS_TOTAL",
-    "SERVER_SHED_TOTAL",
-    "SERVER_STALE_SERVED_TOTAL",
-    "SERVER_HEALTH_STATE",
-    "SERVER_HEALTH_TRANSITIONS_TOTAL",
-    "FAULT_INJECTIONS_TOTAL",
-    "RETRY_ATTEMPTS_TOTAL",
-    "RETRY_EXHAUSTED_TOTAL",
-    "BREAKER_STATE",
-    "BREAKER_TRANSITIONS_TOTAL",
-    "STORAGE_QUARANTINED_TOTAL",
-    "INDEX_REBUILDS_TOTAL",
     "BACKEND_REQUESTS_TOTAL",
-    "BACKEND_RPC_SECONDS",
+    "INDEX_BUILD_SECONDS",
+    "INDEX_REBUILDS_TOTAL",
     "BACKEND_FAILOVERS_TOTAL",
     "BACKEND_HEDGES_TOTAL",
-    "BACKEND_HEDGE_WINS_TOTAL",
-    "BACKEND_RESPAWNS_TOTAL",
     "FRONTIER_FALLBACK_TOTAL",
     "REPLICATION_BATCHES_SHIPPED_TOTAL",
     "REPLICATION_SHIP_FAILURES_TOTAL",
-    "REPLICATION_APPLY_SECONDS",
-    "REPLICATION_LAG",
-    "REPLICATION_LAGGING_READS_TOTAL",
-    "REPLICATION_CATCHUPS_TOTAL",
-    "REPLICATION_ANTI_ENTROPY_RUNS_TOTAL",
     "REPLICATION_DIVERGENCE_TOTAL",
-    "INGEST_OPS_TOTAL",
-    "INGEST_BATCHES_TOTAL",
-    "INGEST_COMMIT_SECONDS",
-    "INGEST_DOCUMENTS",
-    "INGEST_SEGMENTS",
-    "INGEST_TOMBSTONES",
-    "WAL_RECORDS_TOTAL",
-    "WAL_BYTES_TOTAL",
-    "WAL_REPLAYED_RECORDS_TOTAL",
-    "WAL_TRUNCATIONS_TOTAL",
-    "COMPACTION_RUNS_TOTAL",
-    "COMPACTION_MERGED_SEGMENTS_TOTAL",
-    "COMPACTION_SECONDS",
-    "TRACES_KEPT_TOTAL",
-    "TRACES_DROPPED_TOTAL",
-    "SLO_EVENTS_TOTAL",
-    "SLO_BAD_EVENTS_TOTAL",
-    "SLO_BURN_RATE",
-    "SLO_FAST_BURN_ACTIVE",
+    "REPLICATION_CATCHUPS_TOTAL",
 ]
-
-QUERIES_TOTAL = "queries_total"
-PARSE_SECONDS = "parse_seconds"
-OPTIMIZE_SECONDS = "optimize_seconds"
-EVAL_NODE_SECONDS = "eval_node_seconds"
-MEMO_HITS_TOTAL = "memo_hits_total"
-EVAL_NODES_TOTAL = "eval_nodes_total"
-RESULT_CARDINALITY = "result_cardinality"
-INDEX_BUILD_SECONDS = "index_build_seconds"
-OPTIMIZER_RULE_FIRES_TOTAL = "optimizer_rule_fires_total"
-
-# The compiled execution engine (repro.vm) — see docs/internals.md.
-VM_COMPILE_TOTAL = "vm_compile_total"
-VM_KERNEL_INVOCATIONS_TOTAL = "vm_kernel_invocations_total"
-VM_EXEC_SECONDS = "vm_exec_seconds"
 
 # The serving layer (repro.server) — see docs/server.md.
 SERVER_REQUESTS_TOTAL = "server_requests_total"
 SERVER_REQUEST_SECONDS = "server_request_seconds"
-SERVER_QUEUE_DEPTH = "server_queue_depth"
-SERVER_INFLIGHT = "server_inflight"
 SERVER_CACHE_HITS_TOTAL = "server_cache_hits_total"
 SERVER_CACHE_MISSES_TOTAL = "server_cache_misses_total"
-SERVER_CACHE_EVICTIONS_TOTAL = "server_cache_evictions_total"
-SERVER_REJECTED_TOTAL = "server_rejected_total"
-SERVER_TIMEOUTS_TOTAL = "server_timeouts_total"
 
-# The resilience layer (repro.faults + server hardening) —
-# see docs/robustness.md.
-SERVER_SHED_TOTAL = "server_shed_total"
-SERVER_STALE_SERVED_TOTAL = "server_stale_served_total"
-SERVER_HEALTH_STATE = "server_health_state"
-SERVER_HEALTH_TRANSITIONS_TOTAL = "server_health_transitions_total"
-FAULT_INJECTIONS_TOTAL = "fault_injections_total"
-RETRY_ATTEMPTS_TOTAL = "retry_attempts_total"
-RETRY_EXHAUSTED_TOTAL = "retry_exhausted_total"
-BREAKER_STATE = "breaker_state"
-BREAKER_TRANSITIONS_TOTAL = "breaker_transitions_total"
-STORAGE_QUARANTINED_TOTAL = "storage_quarantined_total"
+# Index builds, on an engine's own registry, and rebuilds of a corrupt
+# index from source (docs/robustness.md).
+INDEX_BUILD_SECONDS = "index_build_seconds"
 INDEX_REBUILDS_TOTAL = "index_rebuilds_total"
 
 # The scatter-gather frontier (repro.backend), behind both
 # ShardExecutor and the service topology — see docs/server.md
 # ("Topology & failover") and docs/robustness.md.
 BACKEND_REQUESTS_TOTAL = "backend_requests_total"
-BACKEND_RPC_SECONDS = "backend_rpc_seconds"
 BACKEND_FAILOVERS_TOTAL = "backend_failovers_total"
 BACKEND_HEDGES_TOTAL = "backend_hedges_total"
-BACKEND_HEDGE_WINS_TOTAL = "backend_hedge_wins_total"
-BACKEND_RESPAWNS_TOTAL = "backend_respawns_total"
 FRONTIER_FALLBACK_TOTAL = "frontier_fallback_total"
 
 # WAL log shipping to backend replicas (repro.backend.replication) —
 # see docs/robustness.md ("Replication & anti-entropy").
 REPLICATION_BATCHES_SHIPPED_TOTAL = "replication_batches_shipped_total"
 REPLICATION_SHIP_FAILURES_TOTAL = "replication_ship_failures_total"
-REPLICATION_APPLY_SECONDS = "replication_apply_seconds"
-REPLICATION_LAG = "replication_lag"
-REPLICATION_LAGGING_READS_TOTAL = "replication_lagging_reads_total"
-REPLICATION_CATCHUPS_TOTAL = "replication_catchups_total"
-REPLICATION_ANTI_ENTROPY_RUNS_TOTAL = "replication_anti_entropy_runs_total"
 REPLICATION_DIVERGENCE_TOTAL = "replication_divergence_total"
-
-# The live-ingestion layer (repro.ingest) — see docs/internals.md
-# ("Segments, generations, and the WAL") and docs/server.md.
-INGEST_OPS_TOTAL = "ingest_ops_total"
-INGEST_BATCHES_TOTAL = "ingest_batches_total"
-INGEST_COMMIT_SECONDS = "ingest_commit_seconds"
-INGEST_DOCUMENTS = "ingest_documents"
-INGEST_SEGMENTS = "ingest_segments"
-INGEST_TOMBSTONES = "ingest_tombstones"
-WAL_RECORDS_TOTAL = "wal_records_total"
-WAL_BYTES_TOTAL = "wal_bytes_total"
-WAL_REPLAYED_RECORDS_TOTAL = "wal_replayed_records_total"
-WAL_TRUNCATIONS_TOTAL = "wal_truncations_total"
-COMPACTION_RUNS_TOTAL = "compaction_runs_total"
-COMPACTION_MERGED_SEGMENTS_TOTAL = "compaction_merged_segments_total"
-COMPACTION_SECONDS = "compaction_seconds"
-
-# The tracing/SLO layer (repro.obs.sampling + repro.obs.slo) —
-# see docs/observability.md.
-TRACES_KEPT_TOTAL = "traces_kept_total"
-TRACES_DROPPED_TOTAL = "traces_dropped_total"
-SLO_EVENTS_TOTAL = "slo_events_total"
-SLO_BAD_EVENTS_TOTAL = "slo_bad_events_total"
-SLO_BURN_RATE = "slo_burn_rate"
-SLO_FAST_BURN_ACTIVE = "slo_fast_burn_active"
+REPLICATION_CATCHUPS_TOTAL = "replication_catchups_total"
 
 #: Upper bucket bounds for wall-time histograms (seconds; +inf implied).
 SECONDS_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-
-#: Upper bucket bounds for cardinality histograms (+inf implied).
-CARDINALITY_BUCKETS = (0.0, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -522,10 +410,3 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
 
-
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide registry (index builders record here)."""
-    return _GLOBAL

@@ -28,12 +28,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.obs.trace import Span, span_to_dict
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "HeadSampler",
@@ -128,7 +125,6 @@ class TraceStore:
         capacity: int = 256,
         tail_capacity: int = 256,
         slow_threshold: float = 0.25,
-        metrics: "MetricsRegistry | None" = None,
     ):
         if capacity < 1 or tail_capacity < 1:
             raise ValueError("trace store capacities must be >= 1")
@@ -141,17 +137,6 @@ class TraceStore:
         self.kept = 0
         self.dropped = 0
         self.evicted = 0
-        self._kept_counter = None
-        self._dropped_counter = None
-        if metrics is not None:
-            from repro.obs import metrics as m
-
-            self._kept_counter = metrics.counter(
-                m.TRACES_KEPT_TOTAL, "request traces retained, by reason"
-            )
-            self._dropped_counter = metrics.counter(
-                m.TRACES_DROPPED_TOTAL, "request traces discarded at request end"
-            )
 
     # ------------------------------------------------------------------
 
@@ -187,8 +172,6 @@ class TraceStore:
             reasons.append(KEEP_SAMPLED)
         if not reasons:
             self.dropped += 1
-            if self._dropped_counter is not None:
-                self._dropped_counter.inc()
             return ()
 
         kept = KeptTrace(
@@ -211,8 +194,6 @@ class TraceStore:
                 ring.popitem(last=False)
                 self.evicted += 1
         self.kept += 1
-        if self._kept_counter is not None:
-            self._kept_counter.inc(reason=reasons[0])
         return kept.reasons
 
     # ------------------------------------------------------------------

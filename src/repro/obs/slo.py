@@ -18,20 +18,16 @@ clear) exceed the burn threshold with enough samples — the long window
 suppresses blips, the short window makes recovery prompt.
 
 The :class:`SLOObservatory` owns one monitor per objective, classifies
-each finished request into good/bad per SLI, and reports through three
-channels: counters/gauges in the shared registry (``slo_*``), a JSON
-snapshot for the ``/slo`` endpoint and ``repro top``, and an
-``on_burn_change`` callback the query service wires to
+each finished request into good/bad per SLI, and reports through two
+channels: a JSON snapshot for the ``/slo`` endpoint and ``repro top``,
+and an ``on_burn_change`` callback the query service wires to
 :meth:`HealthMonitor.set_pressure` so a fast burn degrades (or, if
 configured, sheds) the service before the budget is gone.
 
 The per-request cost is deliberately tiny — two bucket increments and
 O(1) window arithmetic, in memory that does not grow with the request
 rate (:class:`SlidingWindow`) — because :mod:`bench_e15` holds the whole
-request path to <1% overhead with tracing disabled.  Burn *gauges* and the
-``slo_events_total`` / ``slo_bad_events_total`` counters are therefore
-refreshed on :meth:`SLOObservatory.snapshot` (scrape time), not per
-request.
+request path to <1% overhead with tracing disabled.
 """
 
 from __future__ import annotations
@@ -40,10 +36,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from time import monotonic
-from typing import TYPE_CHECKING, Any, Callable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import MetricsRegistry
+from typing import Any, Callable
 
 __all__ = [
     "SLObjective",
@@ -296,7 +289,6 @@ class SLOObservatory:
         slow_window: float = 300.0,
         burn_threshold: float = 10.0,
         min_samples: int = 10,
-        metrics: "MetricsRegistry | None" = None,
         clock: Callable[[], float] = monotonic,
         on_burn_change: Callable[[str, bool], None] | None = None,
     ):
@@ -318,33 +310,11 @@ class SLOObservatory:
                 clock=clock,
                 on_change=callback,
             )
-        self._events = None
-        self._bad_events = None
-        self._burn_gauge = None
-        self._active_gauge = None
-        #: per-monitor event totals already mirrored into the counters.
-        self._synced: dict[str, tuple[int, int]] = {}
-        if metrics is not None:
-            from repro.obs import metrics as m
-
-            self._events = metrics.counter(
-                m.SLO_EVENTS_TOTAL, "requests counted toward each SLO"
-            )
-            self._bad_events = metrics.counter(
-                m.SLO_BAD_EVENTS_TOTAL, "budget-burning requests per SLO"
-            )
-            self._burn_gauge = metrics.gauge(
-                m.SLO_BURN_RATE, "burn rate per SLO and window (at scrape)"
-            )
-            self._active_gauge = metrics.gauge(
-                m.SLO_FAST_BURN_ACTIVE, "1 while the fast-burn alert is firing"
-            )
 
     @classmethod
     def from_config(
         cls,
         config: Any,
-        metrics: "MetricsRegistry | None" = None,
         on_burn_change: Callable[[str, bool], None] | None = None,
     ) -> "SLOObservatory":
         """Build the standard two objectives from a ``ServerConfig``."""
@@ -367,7 +337,6 @@ class SLOObservatory:
             slow_window=config.slo_slow_window,
             burn_threshold=config.slo_burn_threshold,
             min_samples=config.slo_min_samples,
-            metrics=metrics,
             on_burn_change=on_burn_change,
         )
 
@@ -399,27 +368,9 @@ class SLOObservatory:
         }
 
     def snapshot(self) -> dict[str, Any]:
-        """Every monitor's state; also refreshes the ``slo_*`` gauges so
-        scrape-time metrics match what the endpoint reports."""
+        """Every monitor's state, polled first so a quiet spell decays."""
         out: dict[str, Any] = {}
         for name, monitor in self.monitors.items():
             monitor.poll()
-            snap = monitor.snapshot()
-            out[name] = snap
-            if self._events is not None:
-                # Counters catch up to the monitors' running totals here
-                # rather than per request: label-key construction is too
-                # expensive for the hot path's <1% overhead budget.
-                seen_events, seen_bad = self._synced.get(name, (0, 0))
-                if snap["events"] > seen_events:
-                    self._events.inc(snap["events"] - seen_events, slo=name)
-                if snap["bad_events"] > seen_bad:
-                    self._bad_events.inc(snap["bad_events"] - seen_bad, slo=name)
-                self._synced[name] = (snap["events"], snap["bad_events"])
-            if self._burn_gauge is not None:
-                self._burn_gauge.set(snap["fast"]["burn"], slo=name, window="fast")
-                self._burn_gauge.set(snap["slow"]["burn"], slo=name, window="slow")
-                self._active_gauge.set(
-                    1.0 if snap["fast_burn_active"] else 0.0, slo=name
-                )
+            out[name] = monitor.snapshot()
         return out

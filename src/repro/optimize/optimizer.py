@@ -19,7 +19,6 @@ optimizer is layered:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.algebra import ast as A
@@ -32,7 +31,6 @@ from repro.rig.graph import RegionInclusionGraph
 from repro.rig.rog import RegionOrderGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
 __all__ = ["OptimizationResult", "optimize"]
@@ -62,7 +60,6 @@ def optimize(
     seed: int = 0,
     rog: "RegionOrderGraph | None" = None,
     tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
 ) -> OptimizationResult:
     """Optimize ``expr``; see the module docstring for the passes.
 
@@ -73,40 +70,29 @@ def optimize(
 
     A ``tracer`` gets one span per rewrite pass (``rule.identities``,
     ``rule.chains``, ``rule.prune``, ``rule.exhaustive``) under an
-    ``optimize`` root; a ``metrics`` registry records the call into
-    ``optimize_seconds`` and counts applied rewrites in
-    ``optimizer_rule_fires_total{rule=...}``.  Both default to absent
-    and cost nothing then.
+    ``optimize`` root; it defaults to absent and costs nothing then.
     """
     price = cost_model.price if cost_model is not None else operation_count
     original_cost = price(expr)
     steps: list[str] = []
-    started = perf_counter()
-
-    def fired(rule: str) -> None:
-        steps.append(rule)
-        if metrics is not None:
-            from repro.obs.metrics import OPTIMIZER_RULE_FIRES_TOTAL
-
-            metrics.counter(OPTIMIZER_RULE_FIRES_TOTAL).inc(rule=rule)
 
     with maybe_span(tracer, "optimize", original_cost=original_cost) as root:
         with maybe_span(tracer, "rule.identities"):
             best = simplify_deep(expr)
         if best != expr:
-            fired("algebraic identities")
+            steps.append("algebraic identities")
         if rig is not None:
             with maybe_span(tracer, "rule.chains"):
                 chained = simplify_chains(best, rig)
             if chained != best:
-                fired("RIG chain simplification")
+                steps.append("RIG chain simplification")
                 best = chained
             from repro.optimize.static import prune_with_rig
 
             with maybe_span(tracer, "rule.prune"):
                 pruned = prune_with_rig(best, rig, rog)
             if pruned != best:
-                fired("RIG static pruning")
+                steps.append("RIG static pruning")
                 best = pruned
 
         if exhaustive:
@@ -130,16 +116,12 @@ def optimize(
                     )
                     if verdict.equivalent:
                         best = candidate
-                        fired("exhaustive search")
+                        steps.append("exhaustive search")
 
         optimized_cost = price(best)
         if root is not None:
             root.set("optimized_cost", optimized_cost)
             root.set("rewrites", len(steps))
-    if metrics is not None:
-        from repro.obs.metrics import OPTIMIZE_SECONDS
-
-        metrics.histogram(OPTIMIZE_SECONDS).observe(perf_counter() - started)
 
     return OptimizationResult(
         expression=best,

@@ -21,10 +21,9 @@ spiral).
 Clock-injectable, and the window is the SLO monitors' bucketed
 :class:`~repro.obs.slo.SlidingWindow` (so health can take up to one
 bucket, 1/60 of the window, longer than ``window_seconds`` to heal, and
-its memory does not grow with the request rate); the service mirrors
-state into ``server_health_state`` / ``server_health_transitions_total``
-and keeps the transition history that the chaos harness asserts on
-(healthy → degraded → healthy across a fault burst).
+its memory does not grow with the request rate); the monitor keeps the
+transition history that the chaos harness asserts on (healthy →
+degraded → healthy across a fault burst).
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ __all__ = ["HealthMonitor", "HEALTHY", "DEGRADED", "UNHEALTHY"]
 HEALTHY = "healthy"
 DEGRADED = "degraded"
 UNHEALTHY = "unhealthy"
-
-#: Gauge encoding for ``server_health_state``.
-STATE_VALUES = {HEALTHY: 0, DEGRADED: 1, UNHEALTHY: 2}
 
 
 class HealthMonitor:
@@ -62,7 +58,6 @@ class HealthMonitor:
         min_samples: int = 10,
         probe_interval: int = 10,
         clock: Callable[[], float] = monotonic,
-        on_transition: Callable[[str, str], None] | None = None,
     ):
         if not (0.0 < degraded_threshold <= unhealthy_threshold <= 1.0):
             raise ValueError(
@@ -76,7 +71,6 @@ class HealthMonitor:
         self.min_samples = max(1, min_samples)
         self.probe_interval = max(2, probe_interval)
         self._clock = clock
-        self._on_transition = on_transition
         self._lock = threading.Lock()
         #: worker-path outcomes, failed ones counted as bad.
         self._window = SlidingWindow(window_seconds)
@@ -135,8 +129,6 @@ class HealthMonitor:
         if new != self._state:
             old, self._state = self._state, new
             self._transitions.append((now, old, new))
-            if self._on_transition is not None:
-                self._on_transition(old, new)
 
     # ------------------------------------------------------------------
 

@@ -21,19 +21,9 @@ __all__ = ["AdmissionGate"]
 class AdmissionGate:
     """At most ``workers`` requests run at once (run slots) and at most
     ``queue_depth`` more wait for a slot.
-
-    ``on_depth_change``, when given, is called with the number of
-    waiting requests whenever it changes — how the service keeps the
-    ``server_queue_depth`` gauge current without the gate knowing about
-    metrics.
     """
 
-    def __init__(
-        self,
-        workers: int = 4,
-        queue_depth: int = 16,
-        on_depth_change: Callable[[int], None] | None = None,
-    ):
+    def __init__(self, workers: int = 4, queue_depth: int = 16):
         if workers < 1:
             raise ValueError("admission gate needs at least one run slot")
         if queue_depth < 0:
@@ -42,7 +32,6 @@ class AdmissionGate:
         self.queue_depth = queue_depth
         self._admission = threading.Semaphore(workers + queue_depth)
         self._slots = threading.Semaphore(workers)
-        self._on_depth_change = on_depth_change
         self._lock = threading.Lock()
         self._closed = False
         self._waiting = self._inflight = 0
@@ -104,8 +93,6 @@ class AdmissionGate:
     def _note_waiting(self, delta: int) -> None:
         with self._lock:
             self._waiting += delta
-            if self._on_depth_change is not None:
-                self._on_depth_change(self._waiting)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

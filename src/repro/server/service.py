@@ -58,7 +58,6 @@ from repro.errors import (
     IngestError,
     IngestUnreplicatedError,
     QueryTimeout,
-    ReplicaLaggingError,
     ReproError,
     ServerOverloadedError,
     ServiceUnhealthyError,
@@ -79,39 +78,15 @@ from repro.ingest import (
     wal_checksum,
 )
 from repro.obs.metrics import (
-    BREAKER_STATE,
-    BREAKER_TRANSITIONS_TOTAL,
-    COMPACTION_MERGED_SEGMENTS_TOTAL,
-    COMPACTION_RUNS_TOTAL,
-    COMPACTION_SECONDS,
     INDEX_REBUILDS_TOTAL,
-    INGEST_BATCHES_TOTAL,
-    INGEST_COMMIT_SECONDS,
-    INGEST_DOCUMENTS,
-    INGEST_OPS_TOTAL,
-    INGEST_SEGMENTS,
-    INGEST_TOMBSTONES,
-    REPLICATION_LAGGING_READS_TOTAL,
-    RETRY_ATTEMPTS_TOTAL,
-    RETRY_EXHAUSTED_TOTAL,
-    SERVER_CACHE_EVICTIONS_TOTAL,
     SERVER_CACHE_HITS_TOTAL,
     SERVER_CACHE_MISSES_TOTAL,
-    SERVER_HEALTH_STATE,
-    SERVER_HEALTH_TRANSITIONS_TOTAL,
-    SERVER_INFLIGHT,
-    SERVER_QUEUE_DEPTH,
-    SERVER_REJECTED_TOTAL,
     SERVER_REQUEST_SECONDS,
     SERVER_REQUESTS_TOTAL,
-    SERVER_SHED_TOTAL,
-    SERVER_STALE_SERVED_TOTAL,
-    SERVER_TIMEOUTS_TOTAL,
 )
 from repro.server.cache import ResultCache
 from repro.server.config import CorpusSpec, ServerConfig
 from repro.server.health import DEGRADED, HEALTHY, UNHEALTHY, HealthMonitor
-from repro.server.health import STATE_VALUES as _HEALTH_VALUES
 from repro.server.pool import AdmissionGate
 
 __all__ = ["QueryService", "UnknownCorpusError"]
@@ -352,42 +327,8 @@ class QueryService:
         self._request_seconds = metrics.histogram(
             SERVER_REQUEST_SECONDS, help="request wall time by endpoint"
         )
-        self._queue_gauge = metrics.gauge(
-            SERVER_QUEUE_DEPTH, help="requests waiting for a run slot"
-        )
-        self._inflight_gauge = metrics.gauge(
-            SERVER_INFLIGHT, help="requests currently evaluating"
-        )
         self._cache_hits = metrics.counter(SERVER_CACHE_HITS_TOTAL)
         self._cache_misses = metrics.counter(SERVER_CACHE_MISSES_TOTAL)
-        self._cache_evictions = metrics.counter(SERVER_CACHE_EVICTIONS_TOTAL)
-        self._rejected = metrics.counter(
-            SERVER_REJECTED_TOTAL, help="admission rejections by reason"
-        )
-        self._timeouts = metrics.counter(SERVER_TIMEOUTS_TOTAL)
-        self._shed = metrics.counter(
-            SERVER_SHED_TOTAL, help="requests shed while unhealthy"
-        )
-        self._stale_served = metrics.counter(
-            SERVER_STALE_SERVED_TOTAL,
-            help="cache misses answered by an older generation",
-        )
-        self._retry_attempts = metrics.counter(
-            RETRY_ATTEMPTS_TOTAL, help="retries by operation"
-        )
-        self._retry_exhausted = metrics.counter(
-            RETRY_EXHAUSTED_TOTAL, help="retry budgets exhausted by operation"
-        )
-        self._breaker_state = metrics.gauge(
-            BREAKER_STATE, help="0 closed, 1 half-open, 2 open"
-        )
-        self._breaker_transitions = metrics.counter(BREAKER_TRANSITIONS_TOTAL)
-        self._health_state = metrics.gauge(
-            SERVER_HEALTH_STATE, help="0 healthy, 1 degraded, 2 unhealthy"
-        )
-        self._health_transitions = metrics.counter(
-            SERVER_HEALTH_TRANSITIONS_TOTAL
-        )
         self._rebuilds = metrics.counter(
             INDEX_REBUILDS_TOTAL, help="indexes rebuilt from source text"
         )
@@ -397,9 +338,7 @@ class QueryService:
             unhealthy_threshold=self.config.unhealthy_threshold,
             min_samples=self.config.health_min_samples,
             probe_interval=self.config.probe_interval,
-            on_transition=self._on_health_transition,
         )
-        self._health_state.set(0)
         self._retry_policy = RetryPolicy(
             attempts=self.config.retry_attempts,
             base_delay=self.config.retry_base_delay,
@@ -410,13 +349,12 @@ class QueryService:
         self.pool = AdmissionGate(
             workers=self.config.workers,
             queue_depth=self.config.queue_depth,
-            on_depth_change=self._queue_gauge.set,
         )
         # SLO observatory: always on (it only reads request outcomes);
         # a fast burn becomes health pressure, which degrades — or, if
         # configured, sheds — before the error budget is gone.
         self.slo = SLOObservatory.from_config(
-            self.config, metrics=metrics, on_burn_change=self._on_burn_change
+            self.config, on_burn_change=self._on_burn_change
         )
         # Trace retention only exists when tracing is on; `None` is the
         # request path's single cheap "is tracing off?" check.
@@ -426,38 +364,10 @@ class QueryService:
             self.traces = TraceStore(
                 tail_capacity=self.config.trace_tail_capacity,
                 slow_threshold=self.config.trace_slow_seconds,
-                metrics=metrics,
             )
         # Live ingestion (docs/internals.md, "Segments, generations, and
         # the WAL"): each handle's live state, plus the WAL directory — a
         # private temporary one when the config names none.
-        self._ingest_ops = metrics.counter(
-            INGEST_OPS_TOTAL, help="ingest operations applied, by kind"
-        )
-        self._ingest_batches = metrics.counter(
-            INGEST_BATCHES_TOTAL, help="ingest batches by outcome"
-        )
-        self._ingest_commit_seconds = metrics.histogram(
-            INGEST_COMMIT_SECONDS, help="ingest batch commit wall time"
-        )
-        self._ingest_documents = metrics.gauge(
-            INGEST_DOCUMENTS, help="live ingested documents per corpus"
-        )
-        self._ingest_segments = metrics.gauge(
-            INGEST_SEGMENTS, help="segments per corpus"
-        )
-        self._ingest_tombstones = metrics.gauge(
-            INGEST_TOMBSTONES, help="tombstoned documents per corpus"
-        )
-        self._compaction_runs = metrics.counter(
-            COMPACTION_RUNS_TOTAL, help="compactions that merged segments"
-        )
-        self._compaction_merged = metrics.counter(
-            COMPACTION_MERGED_SEGMENTS_TOTAL, help="segments merged away"
-        )
-        self._compaction_seconds = metrics.histogram(
-            COMPACTION_SECONDS, help="compaction wall time"
-        )
         self._ingest_tmpdir: tempfile.TemporaryDirectory | None = None
         self._ingest_dir: Path | None = None
         if self.config.ingest_enabled:
@@ -472,8 +382,12 @@ class QueryService:
         self._corpora: dict[str, _CorpusHandle] = {}
         self._corpora_lock = threading.Lock()
         self._started_at = monotonic()
-        self._evictions_seen = 0
         self._closed = False
+        # The topology starts after the corpora load, so a recovered
+        # corpus publishes with no replicas to reach.
+        self.frontier: FrontierExecutor | None = None
+        self.supervisor = None
+        self.replication = None
         for spec in self.config.corpora:
             self.add_corpus(spec)
         # Backend topology (docs/server.md, "Topology & failover").  The
@@ -483,13 +397,6 @@ class QueryService:
         self._slice_provider = SliceProvider(
             self._slice_lookup, tracer=self.telemetry.tracer
         )
-        self._replication_lagging_reads = metrics.counter(
-            REPLICATION_LAGGING_READS_TOTAL,
-            help="shard reads refused for not being at the read's generation",
-        )
-        self.frontier: FrontierExecutor | None = None
-        self.supervisor = None
-        self.replication = None
         if self.config.backend_nodes > 0:
             self._start_frontier()
 
@@ -497,26 +404,19 @@ class QueryService:
     # Health / breaker plumbing.
     # ------------------------------------------------------------------
 
-    def _on_health_transition(self, old: str, new: str) -> None:
-        self._health_state.set(_HEALTH_VALUES[new])
-        self._health_transitions.inc(**{"from": old, "to": new})
-
     def _on_burn_change(self, name: str, active: bool) -> None:
         severity = (
             UNHEALTHY if self.config.slo_shed_on_fast_burn else DEGRADED
         )
         self.health.set_pressure(f"slo:{name}", active, severity=severity)
 
-    def _make_breaker(self, pressure: str, **label: str) -> CircuitBreaker:
-        """A breaker reported under ``label`` (``corpus=`` or ``node=``)
-        in the ``breaker_*`` metrics.  While it is not closed it is
-        external pressure named ``pressure``: the service is at least
-        degraded while a corpus cannot be reloaded or a backend is down
-        (never unhealthy on that account — queries still work)."""
+    def _make_breaker(self, pressure: str) -> CircuitBreaker:
+        """A breaker that, while it is not closed, is external pressure
+        named ``pressure``: the service is at least degraded while a
+        corpus cannot be reloaded or a backend is down (never unhealthy
+        on that account — queries still work)."""
 
-        def on_transition(old: str, new: str) -> None:
-            self._breaker_state.set(CircuitBreaker.STATE_VALUES[new], **label)
-            self._breaker_transitions.inc(**label, **{"from": old, "to": new})
+        def on_transition(_old: str, new: str) -> None:
             self.health.set_pressure(pressure, new != CircuitBreaker.CLOSED)
 
         return CircuitBreaker(
@@ -561,7 +461,6 @@ class QueryService:
                 host=config.host,
                 respawn_delay=config.backend_respawn_delay,
                 extra_args=extra_args,
-                metrics=self.telemetry.metrics,
             )
             backends = [
                 HTTPBackend(node_id, host, port)
@@ -577,9 +476,7 @@ class QueryService:
         nodes = [
             BackendNode(
                 backend,
-                self._make_breaker(
-                    f"backend:{backend.node_id}", node=backend.node_id
-                ),
+                self._make_breaker(f"backend:{backend.node_id}"),
             )
             for backend in backends
         ]
@@ -686,9 +583,6 @@ class QueryService:
                 deadline=deadline,
                 floor=floor,
             )
-        except ReplicaLaggingError:
-            self._replication_lagging_reads.inc(corpus=name)
-            raise
         finally:
             if token is not None:
                 _trace_context.restore(token)
@@ -829,21 +723,12 @@ class QueryService:
     def _load_engine(self, spec: CorpusSpec) -> Engine:
         """Build a corpus engine under retry; quarantine + rebuild from
         source when corruption survives the retries."""
-
-        def on_retry(_attempt: int, _delay: float, _exc: BaseException) -> None:
-            self._retry_attempts.inc(op="load", corpus=spec.name)
-
-        def on_exhausted(_exc: BaseException) -> None:
-            self._retry_exhausted.inc(op="load", corpus=spec.name)
-
         try:
             return retry_call(
                 lambda: _build_engine(spec, self.telemetry),
                 policy=self._retry_policy,
                 retry_on=_RETRYABLE_LOAD,
                 op=f"load:{spec.name}",
-                on_retry=on_retry,
-                on_exhausted=on_exhausted,
             )
         except CorruptIndexError:
             if spec.kind != "index" or not spec.source:
@@ -863,21 +748,18 @@ class QueryService:
         handle = _CorpusHandle(
             spec,
             engine,
-            self._make_breaker(f"breaker:{spec.name}", corpus=spec.name),
+            self._make_breaker(f"breaker:{spec.name}"),
         )
         if self.config.ingest_enabled:
             handle.state = state = self._recover(spec, engine)
-            if state is not None:
-                live = state.live
+            if state is not None and (
+                state.live.document_count or state.live.tombstone_count
+            ):
+                # Generation 1 is the base every blank replica loads, so
+                # recovered writes are published as a later generation:
+                # one number never names two contents across a restart.
                 with state.lock:
-                    if live.document_count or live.tombstone_count:
-                        # Generation 1 is the base every blank replica
-                        # loads, so recovered writes are published as a
-                        # later generation: one number never names two
-                        # contents across a restart.
-                        self._publish(handle, state)
-                    else:
-                        self._sync_ingest_gauges(spec.name, state)
+                    self._publish(handle, state)
         with self._corpora_lock:
             if spec.name in self._corpora:
                 raise ReproError(f"corpus {spec.name!r} is already served")
@@ -900,7 +782,6 @@ class QueryService:
             self._ingest_dir,
             spec.name,
             fsync=self.config.ingest_fsync,
-            metrics=self.telemetry.metrics,
         )
         snapshot = state.wal.load_snapshot()
         through = 0
@@ -924,15 +805,26 @@ class QueryService:
 
         ``generation`` forces the number (a replica's, the frontier's);
         else a corpus with a WAL mints the next and a replica keeps its
-        own.  ``batch``, a committed ``(seq, ops)``, is shipped before
-        the install, so no read is stamped with a generation whose ship
-        is in flight.  Returns the generation and the ship summary.
+        own.  A minted generation reaches the replicas before the
+        install, so no read is stamped with a generation still in
+        flight: ``batch``, a committed ``(seq, ops)``, is shipped, and
+        without one (a reload) the replicas get a snapshot.  Returns the
+        generation and the ship summary.
         """
         if generation is None:
             generation = handle.generation + (state.wal is not None)
         shipped = None
-        if batch is not None and self.replication is not None:
-            shipped = self.replication.ship(handle.spec.name, *batch, generation)
+        replication = self.replication
+        if replication is not None and state.wal is not None:
+            name = handle.spec.name
+            if batch is not None:
+                shipped = replication.ship(name, *batch, generation)
+            else:
+                shipped = replication.resync(
+                    name,
+                    generation,
+                    state.live.state(through_batch=state.wal.last_seq),
+                )
         handle.install(
             Engine.from_live(
                 state.live,
@@ -942,7 +834,6 @@ class QueryService:
             ),
             generation,
         )
-        self._sync_ingest_gauges(handle.spec.name, state)
         self._start_compactor()
         return generation, shipped
 
@@ -987,11 +878,6 @@ class QueryService:
             if handle.state is not None
         )
 
-    def _sync_ingest_gauges(self, name: str, state: _LiveState) -> None:
-        self._ingest_documents.set(state.live.document_count, corpus=name)
-        self._ingest_segments.set(state.live.segment_count, corpus=name)
-        self._ingest_tombstones.set(state.live.tombstone_count, corpus=name)
-
     def ingest(
         self, corpus: str | None, ops: list[dict[str, Any]]
     ) -> dict[str, Any]:
@@ -1027,16 +913,8 @@ class QueryService:
             ops=count,
         ):
             with state.lock:
-                try:
-                    prepared = state.live.prepare(ops)
-                except IngestError:
-                    self._ingest_batches.inc(outcome="rejected")
-                    raise
-                try:
-                    seq = state.wal.append_batch(prepared.ops)
-                except Exception:
-                    self._ingest_batches.inc(outcome="wal_failed")
-                    raise
+                prepared = state.live.prepare(ops)
+                seq = state.wal.append_batch(prepared.ops)
                 state.live.commit(prepared)
                 state.batches += 1
                 # Shipped inside the writer lock: batches leave in commit
@@ -1051,11 +929,7 @@ class QueryService:
         invalidated = self.cache.invalidate_generations_below(
             handle.spec.name, floor
         )
-        for op in prepared.ops:
-            self._ingest_ops.inc(kind=op["op"])
-        self._ingest_batches.inc(outcome="committed")
         elapsed = perf_counter() - started
-        self._ingest_commit_seconds.observe(elapsed, corpus=handle.spec.name)
         response = {
             "corpus": handle.spec.name,
             "generation": generation,
@@ -1102,13 +976,6 @@ class QueryService:
                 if summary is not None:
                     state.compactions += 1
         elapsed = perf_counter() - started
-        if summary is not None:
-            self._compaction_runs.inc(corpus=handle.spec.name)
-            self._compaction_merged.inc(
-                summary["merged_segments"], corpus=handle.spec.name
-            )
-        self._compaction_seconds.observe(elapsed, corpus=handle.spec.name)
-        self._sync_ingest_gauges(handle.spec.name, state)
         return {
             "corpus": handle.spec.name,
             "compacted": summary is not None,
@@ -1187,8 +1054,9 @@ class QueryService:
                 generation = handle.install(engine)
         if state is not None:
             # A corpus with a WAL publishes its rebased overlay as its
-            # next generation; a replica re-publishes the one it holds,
-            # which only its frontier's ships move.
+            # next generation, once its replicas hold it; a replica
+            # re-publishes the one it holds, which only its frontier's
+            # ships move.
             with state.lock:
                 state.rebase(engine)
                 generation, _ = self._publish(handle, state)
@@ -1237,21 +1105,12 @@ class QueryService:
             response = self._execute(endpoint, query, corpus, deadline, use_cache)
         except Exception as exc:
             status, error = str(http_status(exc)), exc
-            if isinstance(exc, ServiceUnhealthyError):
-                # The monitor's own shed decision: neither a success nor
-                # an evaluation failure, so it does not feed back into
-                # state.
-                self._shed.inc()
-                self._rejected.inc(reason="unhealthy")
-            elif isinstance(exc, ServerOverloadedError):
-                self._rejected.inc(reason="saturated")
-            elif isinstance(exc, QueryTimeout):
-                self._timeouts.inc()
+            # Only a timeout or an injected fault is a health signal.  A
+            # shed or an overload is the monitor's and the gate's own
+            # decision; everything else is the client's (parse,
+            # validation, an unknown corpus) or unexpected.
+            if isinstance(exc, (QueryTimeout, FaultInjected)):
                 self.health.record_failure()
-            elif isinstance(exc, FaultInjected):
-                self.health.record_failure()
-            # Everything else is the client's (parse, validation, an
-            # unknown corpus) or unexpected: not a health signal.
             raise
         else:
             self.health.record_success()
@@ -1404,7 +1263,6 @@ class QueryService:
             if degraded:
                 stale = self._stale_lookup(handle.spec.name, plan_key)
                 if stale is not None:
-                    self._stale_served.inc()
                     return {**stale, "cached": True, "stale": True}
         # ``engine`` is the snapshot captured alongside ``generation``;
         # the evaluation must use it rather than re-read ``handle.engine``,
@@ -1484,7 +1342,6 @@ class QueryService:
         def evaluate_locally() -> Any:
             return engine.query(expr, deadline=remaining, text=query)
 
-        self._inflight_gauge.inc()
         backend_info = None
         try:
             eval_started = perf_counter()
@@ -1500,8 +1357,6 @@ class QueryService:
             # Report the client's budget, not what queueing left of it.
             elapsed = None if exc.elapsed is None else queued + exc.elapsed
             raise QueryTimeout(budget, elapsed) from None
-        finally:
-            self._inflight_gauge.dec()
         response = {
             "regions": result.pairs(),
             "cardinality": len(result),
@@ -1543,8 +1398,8 @@ class QueryService:
 
         A read the frontier answers is logged through the captured
         engine's :meth:`~repro.engine.session.Engine.record`, as a local
-        read is by ``engine.query``: it counts in ``queries_total`` and
-        lands in the query log with its trace id.
+        read is by ``engine.query``: it lands in the query log with its
+        trace id.
 
         In-process groups cut their slices from the captured ``engine``
         itself, handed to :meth:`_slice_lookup` through
@@ -1579,7 +1434,6 @@ class QueryService:
             plan=None,
             result=result,
             seconds=perf_counter() - started,
-            parse_seconds=0.0,
             stats=None,
         )
         return result, {
@@ -1619,16 +1473,7 @@ class QueryService:
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """The shared registry + query log, JSON-ready (``/metrics``)."""
-        # Mirror cache/pool state into instruments so one registry
-        # snapshot tells the whole story.
-        snapshot = self.cache.snapshot()
-        metrics = self.telemetry.metrics
-        metrics.gauge("server_cache_entries").set(snapshot["entries"])
-        new_evictions = snapshot["evictions"] - self._evictions_seen
-        if new_evictions > 0:
-            self._cache_evictions.inc(new_evictions)
-            self._evictions_seen = snapshot["evictions"]
-        self.slo.snapshot()  # refresh the slo_* gauges at scrape time
+        self.slo.poll()  # a scrape lets a fast burn clear when traffic stops
         return self.telemetry.snapshot()
 
     def slo_snapshot(self) -> dict[str, Any]:

@@ -5,11 +5,10 @@ deadline/cancel limits, fires the ``evaluator.step`` and ``vm.kernel``
 fault points, and dispatches to the operator's indexed body — a
 :class:`~repro.core.regionset.RegionSet` method, the instance's word
 index for ``σ_p`` and match points, or its forest for the direct
-operators.  With a metrics histogram attached each instruction is timed
-under its per-op label; with a tracer attached (the caller passes one
-only for detail-sampled requests) each instruction also records one
-``eval.<label>`` span carrying its expression, output cardinality and
-kernel time under the caller's open span.  Register re-reads (CSE)
+operators.  Instructions run untimed unless a tracer is attached (the
+caller passes one only for detail-sampled requests): then each records
+one ``eval.<label>`` span carrying its expression, output cardinality
+and kernel time under the caller's open span.  Register re-reads (CSE)
 record nothing: nothing ran.
 """
 
@@ -34,12 +33,10 @@ def execute(
     program: Program,
     instance: "Instance",
     limits: Any = None,
-    node_hist: Any = None,
     tracer: Any = None,
 ) -> RegionSet:
     """Run ``program`` against ``instance`` and return the final register."""
     regs: list[RegionSet | None] = [None] * len(program.instructions)
-    timed = node_hist is not None or tracer is not None
     for ins in program.instructions:
         if limits is not None:
             limits.check()
@@ -47,21 +44,17 @@ def execute(
         if active is not None:
             active.fire("evaluator.step")
             active.fire("vm.kernel")
-        if not timed:
+        if tracer is None:
             regs[ins.dest] = _step(ins, regs, instance, program.constants)
             continue
         started = perf_counter()
         regs[ins.dest] = result = _step(ins, regs, instance, program.constants)
-        elapsed = perf_counter() - started
-        if node_hist is not None:
-            node_hist.observe(elapsed, op=ins.label)
-        if tracer is not None:
-            tracer.record_span(
-                f"eval.{ins.label}",
-                elapsed,
-                expression=ins.expr,
-                cardinality=len(result),
-            )
+        tracer.record_span(
+            f"eval.{ins.label}",
+            perf_counter() - started,
+            expression=ins.expr,
+            cardinality=len(result),
+        )
     return regs[-1]
 
 

@@ -20,6 +20,7 @@ from repro.errors import (
 )
 from repro.faults.registry import FaultSpec, injected_faults
 from repro.faults.retry import CircuitBreaker
+from repro.obs.metrics import BACKEND_REQUESTS_TOTAL, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.workloads.corpora import generate_play
 from repro.workloads.queries import PLAY_QUERIES
@@ -250,6 +251,34 @@ class TestGeneration:
             frontier.close()
         assert list(result) == list(expected)
         assert (stats.fallback, stats.degraded) == (fallback, degraded)
+
+    def test_refusals_are_counted_behind_or_past(self, generations):
+        # b0 has already moved past the read's generation and b1 has not
+        # reached it: one outcome label each, never the other's.
+        older, newer = generations
+        at = {0: (newer, 8), 1: (older, 6)}
+        backends = [
+            InProcessBackend(f"b{i}", SliceProvider(lambda name, i=i: at[i]))
+            for i in range(2)
+        ]
+        metrics = MetricsRegistry()
+        frontier = FrontierExecutor(
+            [BackendNode(b, CircuitBreaker(failure_threshold=5)) for b in backends],
+            groups=1, replicas=2, metrics=metrics,
+        )
+        expr = parse("speech")
+        try:
+            frontier.query(
+                "play", expr, lambda: Evaluator("indexed").evaluate(expr, older),
+                floor=7,
+            )
+        finally:
+            frontier.close()
+        requests = metrics.counter(BACKEND_REQUESTS_TOTAL)
+        assert requests.value(node="b0", outcome="past") >= 1
+        assert requests.value(node="b1", outcome="behind") >= 1
+        assert requests.value(node="b0", outcome="behind") == 0
+        assert requests.value(node="b1", outcome="past") == 0
 
 
 class TestHedging:

@@ -10,7 +10,6 @@ from repro.faults import (
     injected_faults,
 )
 from repro.faults import registry as registry_module
-from repro.obs.metrics import MetricsRegistry
 
 
 class TestFaultSpec:
@@ -35,7 +34,7 @@ class TestFaultSpec:
 
 class TestFire:
     def test_error_mode_raises_typed_fault(self):
-        registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=1)
         registry.arm(FaultSpec("storage.read", "error"))
         with pytest.raises(FaultInjected) as excinfo:
             registry.fire("storage.read")
@@ -43,13 +42,13 @@ class TestFire:
         assert excinfo.value.point == "storage.read"
 
     def test_custom_error_type(self):
-        registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=1)
         registry.arm(FaultSpec("storage.read", "error", error=StorageError))
         with pytest.raises(StorageError):
             registry.fire("storage.read")
 
     def test_corrupt_mode_flips_bytes(self):
-        registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=1)
         registry.arm(FaultSpec("storage.read", "corrupt"))
         data = b"x" * 100
         mangled = registry.fire("storage.read", data)
@@ -57,12 +56,12 @@ class TestFire:
         assert len(mangled) == len(data)
 
     def test_unarmed_point_passes_data_through(self):
-        registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=1)
         registry.arm(FaultSpec("storage.read", "error"))
         assert registry.fire("cache.get", b"payload") == b"payload"
 
     def test_max_fires_budget(self):
-        registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=1)
         registry.arm(FaultSpec("cache.get", "error", max_fires=2))
         for _ in range(2):
             with pytest.raises(FaultInjected):
@@ -74,7 +73,7 @@ class TestFire:
 
     def test_seed_determinism(self):
         def outcomes(seed: int) -> list[bool]:
-            registry = FaultRegistry(seed=seed, metrics=MetricsRegistry())
+            registry = FaultRegistry(seed=seed)
             registry.arm(FaultSpec("evaluator.step", "error", probability=0.3))
             results = []
             for _ in range(200):
@@ -89,7 +88,7 @@ class TestFire:
         assert outcomes(7) != outcomes(8)
 
     def test_probability_roughly_respected(self):
-        registry = FaultRegistry(seed=3, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=3)
         registry.arm(FaultSpec("evaluator.step", "error", probability=0.25))
         hits = 0
         for _ in range(1000):
@@ -100,8 +99,7 @@ class TestFire:
         assert 150 < hits < 350
 
     def test_fires_counted_per_point_and_mode(self):
-        metrics = MetricsRegistry()
-        registry = FaultRegistry(seed=1, metrics=metrics)
+        registry = FaultRegistry(seed=1)
         registry.arm(FaultSpec("storage.read", "corrupt"))
         registry.arm(FaultSpec("backend.rpc", "error"))
         registry.fire("storage.read", b"abc")
@@ -110,11 +108,9 @@ class TestFire:
         assert registry.fires() == 2
         assert registry.fires(point="storage.read") == 1
         assert registry.fires(mode="error") == 1
-        counted = metrics.counter("fault_injections_total").snapshot()
-        assert sum(counted.values()) == 2
 
     def test_snapshot_lists_armed_and_fired(self):
-        registry = FaultRegistry(seed=5, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=5)
         registry.arm(FaultSpec("cache.get", "error", max_fires=1))
         with pytest.raises(FaultInjected):
             registry.fire("cache.get")
@@ -125,7 +121,7 @@ class TestFire:
         assert snapshot["fires"] == {"cache.get:error": 1}
 
     def test_disarm_by_point(self):
-        registry = FaultRegistry(seed=1, metrics=MetricsRegistry())
+        registry = FaultRegistry(seed=1)
         registry.arm(FaultSpec("cache.get", "error"))
         registry.arm(FaultSpec("storage.read", "error"))
         registry.disarm("cache.get")
@@ -140,9 +136,7 @@ class TestScoping:
         assert registry_module.fire("storage.read", b"data") == b"data"
 
     def test_injected_faults_context_manager(self):
-        with injected_faults(
-            FaultSpec("storage.read", "error"), metrics=MetricsRegistry()
-        ) as registry:
+        with injected_faults(FaultSpec("storage.read", "error")) as registry:
             assert active() is registry
             with pytest.raises(FaultInjected):
                 registry_module.fire("storage.read")
@@ -151,6 +145,6 @@ class TestScoping:
 
     def test_context_manager_deactivates_on_error(self):
         with pytest.raises(RuntimeError):
-            with injected_faults(metrics=MetricsRegistry()):
+            with injected_faults():
                 raise RuntimeError("boom")
         assert active() is None

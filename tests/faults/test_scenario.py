@@ -20,6 +20,7 @@ from repro.faults.chaos import (
     IngestReport,
     ReplicationReport,
 )
+from repro.faults import scenario
 from repro.faults.scenario import Run, _Mirror, _Oracles
 from repro.workloads.corpora import generate_play
 from repro.workloads.queries import PLAY_QUERIES
@@ -292,12 +293,13 @@ SUMMARY_KEYS = {
     ],
     ReplicationReport: [
         "ok", "seed", "duration_seconds", "topology", "responses",
-        "verified_responses", "corrupted_responses", "degraded", "writes",
-        "writes_acked", "writes_failed", "ship_fault_fires", "ship_failures",
-        "batches_shipped", "catchups", "divergences_repaired",
-        "replayed_batches", "restart_bit_identical", "killed_node",
-        "kill_availability", "respawns", "final_breakers", "final_sweep",
-        "final_lag", "final_bit_identical", "documents_final", "violations",
+        "verified_responses", "corrupted_responses", "degraded", "fallbacks",
+        "refusals", "writes", "writes_acked", "writes_failed",
+        "ship_fault_fires", "ship_failures", "batches_shipped", "catchups",
+        "divergences_repaired", "replayed_batches", "restart_bit_identical",
+        "killed_node", "kill_availability", "respawns", "final_breakers",
+        "final_sweep", "final_lag", "final_bit_identical", "documents_final",
+        "violations",
     ],
 }
 
@@ -353,6 +355,38 @@ class _Restarted(Run):
         self.service = SimpleNamespace(ingest_info=lambda: info)
         engine = SimpleNamespace(instance=self._instance)
         self.handle = SimpleNamespace(engine=engine, generation=0)
+
+
+def test_counters_cover_the_services_a_restart_replaced(tmp_path, monkeypatch):
+    # A restart replaces the service and its registry; what the run
+    # reports must still count what happened before it.
+    registries = iter([
+        {"x_total": {"a=1": 2.0}},
+        {"x_total": {"a=1": 1.0, "a=2": 1.0}, "y_total": {"": 3.0}},
+    ])
+
+    class Service:
+        def __init__(self, config):
+            self.counters = next(registries)
+
+        def metrics_snapshot(self):
+            return {"metrics": {"counters": self.counters}}
+
+        def _handle(self, name):
+            return None
+
+    server = SimpleNamespace(serve_in_background=lambda: None, stop=lambda: None)
+    monkeypatch.setattr(scenario, "QueryService", Service)
+    monkeypatch.setattr(scenario, "create_server", lambda service, port: server)
+    run = Run(SCENARIOS["replication"], ChaosConfig(mode="replication"), tmp_path)
+    run.server_config = object()
+    run.start()
+    run.stop()
+    run.start()
+    assert run.counters() == {
+        "x_total": {"a=1": 3.0, "a=2": 1.0},
+        "y_total": {"": 3.0},
+    }
 
 
 @pytest.mark.parametrize("lost_write", [False, True])

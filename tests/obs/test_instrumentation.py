@@ -52,8 +52,6 @@ class TestEvaluatorObserved:
         assert evaluator.last_stats.memo_hits == 1
         # Union, IncludedIn, Var, Proc evaluated; second IncludedIn cached.
         assert evaluator.last_stats.nodes_evaluated == 5
-        assert metrics.counter("memo_hits_total").total() == 1
-        assert metrics.counter("eval_nodes_total").total() == 5
 
     def test_no_memo_hits_without_memoization(self, engine):
         metrics = MetricsRegistry()
@@ -61,15 +59,6 @@ class TestEvaluatorObserved:
         evaluator.evaluate(SHARED, engine.instance)
         assert evaluator.last_stats.memo_hits == 0
         assert evaluator.last_stats.nodes_evaluated == 7
-
-    def test_node_histogram_labeled_by_op(self, engine):
-        metrics = MetricsRegistry()
-        evaluator = Evaluator("indexed", metrics=metrics)
-        evaluator.evaluate(SHARED, engine.instance)
-        hist = metrics.histogram("eval_node_seconds")
-        assert hist.count(op="Union") == 1
-        assert hist.count(op="IncludedIn") == 1  # second one was cached
-        assert hist.count(op="NameRef") == 2
 
     def test_span_tree_mirrors_expression(self, engine):
         # One eval.* span per executed instruction, in execution order,
@@ -116,12 +105,8 @@ class TestOptimizerObserved:
         assert root.attributes["rewrites"] == 1
 
     def test_rule_fires_counted(self):
-        metrics = MetricsRegistry()
-        result = optimize(parse(self.QUERY), rig=figure_1_rig(), metrics=metrics)
-        assert "RIG chain simplification" in result.steps
-        fires = metrics.counter("optimizer_rule_fires_total")
-        assert fires.value(rule="RIG chain simplification") == 1
-        assert metrics.histogram("optimize_seconds").total_count() == 1
+        result = optimize(parse(self.QUERY), rig=figure_1_rig())
+        assert result.steps.count("RIG chain simplification") == 1
 
     def test_uninstrumented_call_unchanged(self):
         plain = optimize(parse(self.QUERY), rig=figure_1_rig())
@@ -129,7 +114,6 @@ class TestOptimizerObserved:
             parse(self.QUERY),
             rig=figure_1_rig(),
             tracer=Tracer(),
-            metrics=MetricsRegistry(),
         )
         assert plain.expression == traced.expression
         assert plain.steps == traced.steps
@@ -139,14 +123,12 @@ class TestEngineTelemetry:
     def test_query_counts(self, engine):
         engine.query("Var within Proc")
         engine.explain("Var within Proc")
-        snapshot = engine.telemetry()
-        counters = snapshot["metrics"]["counters"]
-        assert counters["queries_total"] == {"kind=query": 1.0, "kind=explain": 1.0}
+        kinds = [record.kind for record in engine.query_log.records()]
+        assert kinds == ["query", "explain"]
 
     def test_memo_hits_surface_in_telemetry(self, engine):
         engine.query(SHARED)
         snapshot = engine.telemetry()
-        assert snapshot["metrics"]["counters"]["memo_hits_total"][""] == 1.0
         assert snapshot["query_log"]["memo_hits"] == 1
 
     def test_optimized_query_records_cardinality_error(self, engine):

@@ -6,12 +6,10 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    CARDINALITY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
 )
 
 
@@ -111,7 +109,7 @@ class TestHistogramBuckets:
             Histogram("h", buckets=())
 
     def test_cardinality_buckets_cover_zero(self):
-        hist = Histogram("h", buckets=CARDINALITY_BUCKETS)
+        hist = Histogram("h", buckets=(0.0, 1.0, 10.0, 100.0))
         hist.observe(0)
         assert hist.snapshot()[""]["buckets"]["0.0"] == 1
 
@@ -156,9 +154,6 @@ class TestRegistry:
             "gauges": {},
             "histograms": {},
         }
-
-    def test_global_registry_is_a_singleton(self):
-        assert global_registry() is global_registry()
 
 
 class TestLabelEscaping:

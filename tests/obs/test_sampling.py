@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampling import (
     KEEP_ERROR,
     KEEP_FAULT,
@@ -131,12 +130,11 @@ class TestListing:
 
 class TestMetrics:
     def test_kept_and_dropped_counters(self):
-        registry = MetricsRegistry()
-        store = TraceStore(slow_threshold=1.0, metrics=registry)
-        store.offer("a", finished_span(), sampled=True)
-        store.offer("b", finished_span(), sampled=False, error=True)
-        store.offer("c", finished_span(), sampled=False)
-        kept = registry.counter("traces_kept_total")
-        assert kept.value(reason=KEEP_SAMPLED) == 1
-        assert kept.value(reason=KEEP_ERROR) == 1
-        assert registry.counter("traces_dropped_total").value() == 1
+        store = TraceStore(slow_threshold=1.0)
+        assert store.offer("a", finished_span(), sampled=True) == (KEEP_SAMPLED,)
+        assert store.offer(
+            "b", finished_span(), sampled=False, error=True
+        ) == (KEEP_ERROR,)
+        assert store.offer("c", finished_span(), sampled=False) == ()
+        stats = store.stats()
+        assert (stats["kept"], stats["dropped"]) == (2, 1)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     WINDOW_BUCKETS,
     BurnRateMonitor,
@@ -179,33 +178,6 @@ class TestObservatory:
         for _ in range(4):
             observatory.record("query", "500", 0.01)
         assert changes == [("availability", True)]
-
-    def test_snapshot_refreshes_gauges(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        observatory = SLOObservatory(
-            (
-                SLObjective(
-                    name="availability", sli="availability", objective=0.9
-                ),
-            ),
-            burn_threshold=2.0,
-            min_samples=2,
-            metrics=registry,
-            clock=clock,
-        )
-        for _ in range(4):
-            observatory.record("query", "500", 0.01)
-        observatory.snapshot()
-        burn = registry.gauge("slo_burn_rate")
-        assert burn.value(slo="availability", window="fast") == pytest.approx(
-            10.0
-        )
-        active = registry.gauge("slo_fast_burn_active")
-        assert active.value(slo="availability") == 1.0
-        assert registry.counter("slo_events_total").value(
-            slo="availability"
-        ) == 4
 
     def test_from_config_builds_both_objectives(self):
         from repro.server.config import ServerConfig

@@ -510,6 +510,32 @@ class TestPublishAfterShip:
         assert response["generation"] == 2
         assert service.execute("speech", use_cache=False)["generation"] == 2
 
+    def test_a_reload_reaches_the_replicas_before_it_publishes(self, service):
+        # A reload has no batch to ship: the replicas get a snapshot of
+        # the rebased state at the new generation, and no read sees that
+        # generation before they have been asked to take it.
+        service.ingest("play", [_append("a", "prophecy")])
+        asked = []
+
+        class Coordinator:
+            def resync(self, corpus, generation, state):
+                read = service.execute("speech", use_cache=False)
+                asked.append(
+                    (corpus, generation, state["through_batch"],
+                     [doc_id for doc_id, _ in state["docs"]],
+                     read["generation"])
+                )
+                return {"nodes": 0, "applied": 0, "failed": 0}
+
+            def close(self):
+                pass
+
+        service.replication = Coordinator()
+        response = service.reload_corpus("play")
+        assert asked == [("play", 3, 1, ["a"], 2)]
+        assert response["generation"] == 3
+        assert service.execute("speech", use_cache=False)["generation"] == 3
+
 
 class TestHttpAdapters:
     @pytest.fixture

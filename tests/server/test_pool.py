@@ -173,23 +173,6 @@ class TestAdmission:
         assert gate.run(lambda _queued: "ok", 1.0) == "ok"
         assert gate.stats()["rejected"] == 1
 
-    def test_depth_hook_sees_queue_growth(self):
-        depths = []
-        gate = AdmissionGate(
-            workers=1, queue_depth=4, on_depth_change=depths.append
-        )
-        blocker = Blocker(gate)
-        try:
-            blocker.start()
-            assert blocker.running.acquire(timeout=5)
-            for _ in range(3):
-                blocker.start()
-            blocker.wait_waiting(3)
-        finally:
-            blocker.finish()
-        assert max(depths) == 3
-        assert depths[-1] == 0
-
     def test_waiter_out_of_budget_times_out_and_leaks_nothing(self):
         gate = AdmissionGate(workers=1, queue_depth=1)
         blocker = Blocker(gate)

@@ -13,7 +13,6 @@ from repro.algebra import ast as A
 from repro.algebra.evaluator import Evaluator
 from repro.errors import FaultInjected
 from repro.faults.registry import FAULT_POINTS, FaultSpec, injected_faults
-from repro.obs.metrics import MetricsRegistry
 from repro.workloads.generators import random_instance
 
 SHARED = A.Union(
@@ -37,9 +36,7 @@ def test_vm_kernel_is_a_registered_point():
 
 def test_error_mode_aborts_compiled_execution(instance):
     ev = Evaluator("indexed")
-    with injected_faults(
-        FaultSpec("vm.kernel", "error"), metrics=MetricsRegistry()
-    ) as registry:
+    with injected_faults(FaultSpec("vm.kernel", "error")) as registry:
         with pytest.raises(FaultInjected):
             ev.evaluate(SHARED, instance)
         assert registry.fires(point="vm.kernel", mode="error") == 1
@@ -53,7 +50,6 @@ def test_interpreter_never_traverses_vm_kernel(instance):
     with injected_faults(
         FaultSpec("vm.kernel", "error"),
         FaultSpec("evaluator.step", "error"),
-        metrics=MetricsRegistry(),
     ) as registry:
         assert ev.evaluate(SHARED, instance) == expected
         assert registry.fires() == 0
@@ -64,7 +60,6 @@ def test_latency_mode_zero_divergence(instance):
     ev = Evaluator("indexed")
     with injected_faults(
         FaultSpec("vm.kernel", "latency", latency=0.0),
-        metrics=MetricsRegistry(),
     ) as registry:
         got = ev.evaluate(SHARED, instance)
         assert registry.fires(point="vm.kernel", mode="latency") == 4
@@ -78,7 +73,6 @@ def test_evaluator_step_parity_with_interpreter(instance):
     def count_steps(evaluator):
         with injected_faults(
             FaultSpec("evaluator.step", "latency", latency=0.0),
-            metrics=MetricsRegistry(),
         ) as registry:
             evaluator.evaluate(SHARED, instance)
             return registry.fires(point="evaluator.step")
@@ -93,7 +87,6 @@ def test_error_spec_with_budget_then_clean_run(instance):
     oracle = Evaluator("naive").evaluate(SHARED, instance)
     with injected_faults(
         FaultSpec("vm.kernel", "error", max_fires=1),
-        metrics=MetricsRegistry(),
     ):
         with pytest.raises(FaultInjected):
             ev.evaluate(SHARED, instance)

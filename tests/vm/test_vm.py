@@ -13,11 +13,7 @@ from repro.algebra.evaluator import EvalStats, Evaluator
 from repro.core.regionset import RegionSet
 from repro.engine.session import Engine
 from repro.errors import EvaluationError
-from repro.obs.metrics import (
-    VM_COMPILE_TOTAL,
-    VM_KERNEL_INVOCATIONS_TOTAL,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.vm import compile_expr, execute
 from repro.workloads.generators import random_instance
@@ -74,8 +70,7 @@ class TestCompiler:
 
     def test_op_counts(self):
         program = compile_expr(SHARED)
-        # Keyed by AST node label so vm_kernel_invocations_total lines
-        # up with the eval_node_seconds{op=...} labels.
+        # Keyed by AST node label, as the eval.<label> spans are.
         assert program.op_counts == {
             "NameRef": 2,
             "IncludedIn": 1,
@@ -159,8 +154,6 @@ class TestEvaluatorIntegration:
         again, cached = ev.compiled_program(SHARED)
         assert again is program and cached
         assert ev.program_cached(SHARED)
-        assert ev.metrics.counter(VM_COMPILE_TOTAL).value(outcome="hit") == 1
-        assert ev.metrics.counter(VM_COMPILE_TOTAL).value(outcome="compiled") == 1
 
     def test_cache_evicts_lru(self):
         ev = Evaluator("indexed")
@@ -196,7 +189,6 @@ class TestEvaluatorIntegration:
             with pytest.raises(EvaluationError, match="cannot evaluate node Exotic"):
                 ev.evaluate(Exotic(), instance)
         assert not ev.program_cached(Exotic())
-        assert ev.metrics.counter(VM_COMPILE_TOTAL).total() == 0
 
     def test_detail_tracing_runs_the_cached_program(self, instance):
         tracer = Tracer(enabled=True)
@@ -217,14 +209,6 @@ class TestEvaluatorIntegration:
         assert [span.attributes["expression"] for span in spans] == [
             ins.expr for ins in program.instructions
         ]
-
-    def test_kernel_invocation_metrics(self, instance):
-        ev = Evaluator("indexed", metrics=MetricsRegistry())
-        ev.evaluate(SHARED, instance)
-        counter = ev.metrics.counter(VM_KERNEL_INVOCATIONS_TOTAL)
-        assert counter.value(op="NameRef") == 2
-        assert counter.value(op="IncludedIn") == 1
-        assert counter.value(op="Union") == 1
 
 
 class TestEngineExplain:
