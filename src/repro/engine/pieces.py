@@ -261,7 +261,8 @@ class _Part:
     preceding: tuple[bool, ...]  #: per inner node: ``<`` rather than ``>``
 
     @classmethod
-    def of(cls, expr: A.Expr) -> "_Part":
+    def of(cls, expr: A.Expr, text: str | None = None) -> "_Part":
+        """``expr``'s part; ``text`` is its printed form, when known."""
         inner = tuple(
             dict.fromkeys(
                 node
@@ -271,7 +272,7 @@ class _Part:
         )
         return cls(
             expr,
-            to_text(expr),
+            to_text(expr) if text is None else text,
             A.region_names(expr),
             inner,
             tuple(isinstance(node, A.Preceding) for node in inner),
@@ -387,12 +388,14 @@ class PieceReader:
     def evaluate(
         self,
         expr: A.Expr,
+        text: str,
         deadline: float | None = None,
         cancel: "CancelToken | None" = None,
     ) -> RegionSet:
-        """``expr`` over the whole corpus (see the module docstring)."""
+        """``expr``, whose printed form is ``text``, over the whole
+        corpus (see the module docstring)."""
         read = _Read(self, limits_for(deadline, cancel))
-        shape = self._shape(expr)
+        shape = self._shape(expr, text)
         bounds = (
             resolve_bounds(shape.plan, read.extremes_for(shape))
             if shape.plan.boundary
@@ -409,8 +412,7 @@ class PieceReader:
         self.evaluator.account(read.programs)
         return result
 
-    def _shape(self, expr: A.Expr) -> _Shape:
-        text = to_text(expr)
+    def _shape(self, expr: A.Expr, text: str) -> _Shape:
         shape = self._shapes.get(text)
         if shape is None:
             plan = classify(expr)
@@ -423,7 +425,7 @@ class PieceReader:
                 else:
                     first = True
                 rights[right] = (part, last, first)
-            shape = _Shape(plan, _Part.of(expr), rights)
+            shape = _Shape(plan, _Part.of(expr, text), rights)
             with self._shapes_lock:
                 shapes = self._shapes
                 if len(shapes) >= Evaluator.PROGRAM_CACHE_CAPACITY:

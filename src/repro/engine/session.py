@@ -5,7 +5,8 @@ an optional RIG, and the evaluator/optimizer into the interface a text
 retrieval system exposes:
 
 * ``query("Name within Proc_header within Proc")`` — parse, (optionally)
-  optimize, evaluate;
+  optimize, evaluate; each query text is prepared once per engine
+  (:meth:`Engine.prepared`);
 * ``match_points('x*')`` — the PAT word index as a region set;
 * ``define_view`` — named derived sets.  The full PAT algebra constructs
   region sets dynamically; the paper treats those as *views* (footnote
@@ -27,6 +28,7 @@ estimated-vs-actual cardinality error — to ``engine.query_log``.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +36,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 from repro.algebra import ast as A
-from repro.algebra.cost import CostModel
+from repro.algebra.cost import CostEstimate, CostModel
 from repro.algebra.evaluator import CancelToken, EvalStats, Evaluator
 from repro.algebra.parser import parse
 from repro.algebra.printer import to_text
@@ -55,7 +57,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.pieces import Assembly, PieceReader
     from repro.ingest.live import LiveCorpus
 
-__all__ = ["Engine", "QueryPlan"]
+__all__ = ["Engine", "PreparedQuery", "QueryPlan"]
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedQuery:
+    """One query as an engine runs it: the tree (parsed, views expanded,
+    every region name checked), its printed text and its cost estimate.
+
+    The text is the plan's key wherever one is needed: the query
+    service's result cache, the query log's ``plan`` and a live corpus's
+    per-piece answers.  A plan is a function of the query and the
+    engine's names and views, never of the data (the paper's footnote
+    1), so an engine keeps one per query text (:meth:`Engine.prepared`).
+    The estimate comes from the engine's region counts and is ``None``
+    for a tree outside the cost model.  An entry holds no answers and no
+    region sets.
+    """
+
+    expr: A.Expr
+    text: str
+    estimate: CostEstimate | None
 
 
 @dataclass(frozen=True)
@@ -111,6 +133,10 @@ class Engine:
         )
         self._views: dict[str, A.Expr] = {}
         self._cost_model: CostModel | None = None
+        #: Query text -> its :class:`PreparedQuery`, oldest first; see
+        #: :meth:`prepared`.  :meth:`define_view` replaces the dict.
+        self._prepared: dict[str, PreparedQuery] = {}
+        self._prepared_lock = threading.Lock()
         #: Set, with ``instance`` None, only by :meth:`from_live`.
         self._assembly: "Assembly | None" = None
         self._reader: "PieceReader | None" = None
@@ -197,7 +223,8 @@ class Engine:
         (navigation, ``save``, slices) or by a read whose misses run
         once over the whole corpus.  ``previous`` is the engine of the
         generation before: its compiled programs and plan shapes carry
-        over, since they only name region sets.
+        over, since they only name region sets.  Its prepared queries do
+        not: a generation's names can differ from the one before.
         """
         from repro.engine.pieces import PieceReader
 
@@ -297,13 +324,14 @@ class Engine:
 
     def query(
         self,
-        query: str | A.Expr,
+        query: "str | A.Expr | PreparedQuery",
         optimize_query: bool = False,
         deadline: float | None = None,
         cancel: "CancelToken | None" = None,
         text: str | None = None,
     ) -> RegionSet:
-        """Evaluate a query (text or expression tree) against the index.
+        """Evaluate a query (text, expression tree, or what
+        :meth:`prepared` returned) against the index.
 
         ``deadline`` (seconds) and ``cancel`` (a
         :class:`threading.Event`-like token) bound the evaluation; see
@@ -311,27 +339,30 @@ class Engine:
         raises :class:`~repro.errors.QueryTimeout` and is not logged.
         ``text`` is the spelling the query log records for a tree (by
         default its printed form): the text a client sent, when the
-        caller has already parsed it.
+        caller has already prepared it.
         """
         tracer = self._telemetry.tracer
         started = perf_counter()
         with maybe_span(tracer, "query", optimize=optimize_query) as root:
             with maybe_span(tracer, "parse"):
-                expr = self.prepare(query)
-            plan = self._plan(expr) if optimize_query else None
-            executed = plan.optimized if plan is not None else expr
+                prepared = self.prepared(query)
+            plan = self._plan(prepared.expr) if optimize_query else None
+            executed = prepared if plan is None else self._entry(plan.optimized)
             if root is not None:
-                root.set("text", to_text(expr))
+                root.set("text", prepared.text)
             if self._reader is not None:
                 with maybe_span(
                     tracer, "pieces", pieces=len(self._reader.pieces)
                 ):
                     result = self._reader.evaluate(
-                        executed, deadline=deadline, cancel=cancel
+                        executed.expr,
+                        executed.text,
+                        deadline=deadline,
+                        cancel=cancel,
                     )
             else:
                 result = self._evaluator.evaluate(
-                    executed, self._instance, deadline=deadline, cancel=cancel
+                    executed.expr, self._instance, deadline=deadline, cancel=cancel
                 )
             if root is not None:
                 root.set("cardinality", len(result))
@@ -346,7 +377,7 @@ class Engine:
         )
         return result
 
-    def explain(self, query: str | A.Expr) -> QueryPlan:
+    def explain(self, query: "str | A.Expr | PreparedQuery") -> QueryPlan:
         """The optimizer's plan for a query, without running it.
 
         Built by the same :meth:`plan` path :meth:`query` executes, so
@@ -355,7 +386,7 @@ class Engine:
         return self.explain_with_caches(query)[0]
 
     def explain_with_caches(
-        self, query: str | A.Expr, text: str | None = None
+        self, query: "str | A.Expr | PreparedQuery", text: str | None = None
     ) -> tuple[QueryPlan, dict[str, bool]]:
         """:meth:`explain` plus which engine caches the call hit
         (``text`` as for :meth:`query`).
@@ -372,12 +403,12 @@ class Engine:
         started = perf_counter()
         with maybe_span(tracer, "explain"):
             with maybe_span(tracer, "parse"):
-                expr = self.prepare(query)
-            plan, program_cache_hit = self._plan_ex(expr)
+                prepared = self.prepared(query)
+            plan, program_cache_hit = self._plan_ex(prepared.expr)
         self.record(
             kind="explain",
             query=text if text is not None else query,
-            executed=plan.optimized,
+            executed=self._entry(plan.optimized),
             plan=plan,
             result=None,
             seconds=perf_counter() - started,
@@ -388,16 +419,9 @@ class Engine:
             "program_cache_hit": program_cache_hit,
         }
 
-    def plan(self, query: str | A.Expr) -> QueryPlan:
+    def plan(self, query: "str | A.Expr | PreparedQuery") -> QueryPlan:
         """The plan ``query(..., optimize_query=True)`` would execute."""
-        return self._plan(self.prepare(query))
-
-    def normalize(self, query: str | A.Expr) -> str:
-        """The canonical text of a query after parsing and view
-        expansion — equal for syntactically different spellings of the
-        same plan, which makes it the result-cache key the query
-        service uses (see ``docs/server.md``)."""
-        return to_text(self.prepare(query))
+        return self._plan(self.prepared(query).expr)
 
     def _plan(self, expr: A.Expr) -> QueryPlan:
         """The single plan-construction path shared by query/explain."""
@@ -442,8 +466,8 @@ class Engine:
     def record(
         self,
         kind: str,
-        query: str | A.Expr,
-        executed: A.Expr,
+        query: "str | A.Expr | PreparedQuery",
+        executed: PreparedQuery,
         plan: QueryPlan | None,
         result: RegionSet | None,
         seconds: float,
@@ -452,14 +476,9 @@ class Engine:
         """Log one answered query or explain: append a
         :class:`QueryRecord` stamped with the current trace id.
         :meth:`query` and :meth:`explain` call it; so does a caller that
-        answered a plan of this engine's some other way, such as the
-        query service's frontier topology."""
-        try:
-            estimate = self._ensure_cost_model().estimate(executed)
-        except TypeError:
-            # The cost model covers the core algebra; word queries
-            # (match points) and extended nodes fall outside it.
-            estimate = None
+        answered a prepared query of this engine's some other way, such
+        as the query service's frontier topology."""
+        estimate = executed.estimate
         cardinality = error = None
         if result is not None:
             cardinality = len(result)
@@ -467,11 +486,15 @@ class Engine:
                 error = (
                     abs(estimate.cardinality - cardinality) / max(cardinality, 1)
                 )
+        if isinstance(query, PreparedQuery):
+            query = query.text
+        elif not isinstance(query, str):
+            query = to_text(query)
         self._telemetry.query_log.append(
             QueryRecord(
                 kind=kind,
-                query=query if isinstance(query, str) else to_text(query),
-                plan=to_text(executed),
+                query=query,
+                plan=executed.text,
                 optimized=plan is not None,
                 seconds=seconds,
                 cardinality=cardinality,
@@ -564,17 +587,58 @@ class Engine:
         expr = parse(query) if isinstance(query, str) else query
         self._check_names(expr, allow_view=name)
         self._views[name] = expr
+        # After the view is in place: a preparation still running under
+        # the old views inserts into the dict this drops.
+        self._prepared = {}
 
-    def prepare(self, query: str | A.Expr) -> A.Expr:
+    def prepare(self, query: "str | A.Expr | PreparedQuery") -> A.Expr:
         """The tree a query evaluates as: parsed (when given as text),
-        views expanded, every region name checked.  Every method that
-        takes a query also takes this tree, so a caller that needs it
-        more than once — the query service, for its cache key — parses
-        once."""
-        expr = parse(query) if isinstance(query, str) else query
+        views expanded, every region name checked."""
+        return self.prepared(query).expr
+
+    def prepared(self, query: "str | A.Expr | PreparedQuery") -> PreparedQuery:
+        """A query as this engine runs it (see :class:`PreparedQuery`).
+
+        Query text is prepared once per engine: the entry is kept, up to
+        :attr:`Evaluator.PROGRAM_CACHE_CAPACITY` texts with the oldest
+        leaving first, until :meth:`define_view` changes what names
+        mean.  Only a preparation that succeeds is kept, so a parse
+        error or an unknown name is raised on every call.  A tree is
+        prepared afresh on each call; every method that takes a query
+        also takes the entry this returns, so a caller that needs the
+        plan more than once prepares it once.
+        """
+        if isinstance(query, PreparedQuery):
+            return query
+        if not isinstance(query, str):
+            return self._prepare_tree(query)
+        cache = self._prepared
+        entry = cache.get(query)
+        if entry is None:
+            entry = self._prepare_tree(parse(query))
+            with self._prepared_lock:
+                if query not in cache and (
+                    len(cache) >= Evaluator.PROGRAM_CACHE_CAPACITY
+                ):
+                    del cache[next(iter(cache))]
+                cache[query] = entry
+        return entry
+
+    def _prepare_tree(self, expr: A.Expr) -> PreparedQuery:
         expr = self._expand_views(expr, frozenset())
         self._check_names(expr)
-        return expr
+        return self._entry(expr)
+
+    def _entry(self, expr: A.Expr) -> PreparedQuery:
+        """A prepared tree (or a plan the optimizer made of one) with its
+        text and estimate."""
+        try:
+            estimate = self._ensure_cost_model().estimate(expr)
+        except TypeError:
+            # The cost model covers the algebra's node types; a tree
+            # built by hand may hold a node outside it.
+            estimate = None
+        return PreparedQuery(expr, to_text(expr), estimate)
 
     def _expand_views(self, expr: A.Expr, expanding: frozenset[str]) -> A.Expr:
         if isinstance(expr, A.NameRef) and expr.name in self._views:

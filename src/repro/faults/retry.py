@@ -67,16 +67,13 @@ def retry_call(
     retry_on: Iterable[type[BaseException]] = (Exception,),
     op: str = "",
     rng: random.Random | None = None,
-    on_retry: Callable[[int, float, BaseException], None] | None = None,
-    on_exhausted: Callable[[BaseException], None] | None = None,
     sleep: Callable[[float], None] = _sleep,
 ) -> Any:
     """Call ``fn`` until it succeeds or the policy is exhausted.
 
     Only exceptions in ``retry_on`` are retried; anything else
-    propagates immediately.  ``on_retry(retry_index, delay, exc)`` runs
-    before each backoff sleep; ``on_exhausted(exc)`` runs once when
-    giving up, after which the last exception is re-raised.
+    propagates immediately.  Once the policy gives up, the last
+    exception is re-raised.
     """
     policy = policy if policy is not None else RetryPolicy()
     retry_on = tuple(retry_on)
@@ -92,13 +89,9 @@ def retry_call(
             delay = policy.delay(attempt, rng)
             if policy.budget is not None and slept + delay > policy.budget:
                 break
-            if on_retry is not None:
-                on_retry(attempt, delay, exc)
             sleep(delay)
             slept += delay
     assert last is not None  # the loop either returned or set ``last``
-    if on_exhausted is not None:
-        on_exhausted(last)
     raise last
 
 

@@ -27,12 +27,11 @@ instances satisfying the graphs) is property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Callable
 
 from repro.algebra import ast as A
 from repro.optimize.rewrite import simplify
-from repro.rig.graph import RegionInclusionGraph
+from repro.rig.graph import NameGraph, RegionInclusionGraph
 from repro.rig.rog import RegionOrderGraph
 
 __all__ = ["NameBounds", "infer_name_bounds", "prune_with_rig"]
@@ -40,21 +39,24 @@ __all__ = ["NameBounds", "infer_name_bounds", "prune_with_rig"]
 
 @dataclass(frozen=True)
 class NameBounds:
-    """An upper bound on the names an expression's result can use."""
+    """An upper bound on the names an expression's result can use;
+    ``None`` when the result can hold regions no name bound covers (word
+    match points), so it proves nothing."""
 
-    names: frozenset[str]
+    names: frozenset[str] | None
 
     @property
     def is_empty(self) -> bool:
-        return not self.names
+        return self.names is not None and not self.names
 
 
 class _Reachability:
-    """Transitive one-or-more-edge reachability over a schema graph."""
+    """Transitive one-or-more-edge reachability over a schema graph: a
+    name on a cycle reaches itself."""
 
-    def __init__(self, graph: nx.DiGraph):
+    def __init__(self, graph: NameGraph):
         self._down: dict[str, frozenset[str]] = {
-            node: frozenset(nx.descendants(graph, node)) for node in graph.nodes
+            node: graph.descendants(node) for node in graph.names
         }
         self._graph = graph
 
@@ -63,6 +65,21 @@ class _Reachability:
 
     def has_edge(self, source: str, target: str) -> bool:
         return self._graph.has_edge(source, target)
+
+
+def _semi_join(
+    left: frozenset[str] | None,
+    right: frozenset[str] | None,
+    related: Callable[[str, str], bool],
+) -> frozenset[str] | None:
+    """The bound of a semi-join: the names of ``left`` that ``related``
+    ties to some name of ``right``.  An unknown side proves nothing
+    about the other, except that an empty ``right`` empties the join."""
+    if right is not None and not right:
+        return frozenset()
+    if left is None or right is None:
+        return left
+    return frozenset(a for a in left if any(related(a, b) for b in right))
 
 
 def infer_name_bounds(
@@ -76,74 +93,80 @@ def infer_name_bounds(
     conforming instance (Definition 2.4 as implemented by
     :meth:`RegionInclusionGraph.satisfied_by`), so it survives as a
     plain leaf bound but can never witness a structural relationship.
+    Word match points carry no region name: their bound is unknown
+    (``None``), and so is that of whatever keeps them.
     """
-    inclusion = _Reachability(rig.as_networkx())
-    order = _Reachability(rog.as_networkx()) if rog is not None else None
+    inclusion = _Reachability(rig)
+    order = _Reachability(rog) if rog is not None else None
 
-    def visit(e: A.Expr) -> frozenset[str]:
+    def visit(e: A.Expr) -> frozenset[str] | None:
         if isinstance(e, A.NameRef):
             return frozenset({e.name})
         if isinstance(e, A.Empty):
             return frozenset()
+        if isinstance(e, A.MatchPoints):
+            return None
         if isinstance(e, A.Select):
             return visit(e.child)
         if isinstance(e, A.Union):
-            return visit(e.left) | visit(e.right)
+            left, right = visit(e.left), visit(e.right)
+            return None if left is None or right is None else left | right
         if isinstance(e, A.Intersection):
-            return visit(e.left) & visit(e.right)
+            left, right = visit(e.left), visit(e.right)
+            if left is None or right is None:
+                return right if left is None else left
+            return left & right
         if isinstance(e, A.Difference):
             return visit(e.left)
         if isinstance(e, A.Including):
-            left, right = visit(e.left), visit(e.right)
-            return frozenset(
-                a for a in left if any(inclusion.can_reach(a, b) for b in right)
-            )
+            return _semi_join(visit(e.left), visit(e.right), inclusion.can_reach)
         if isinstance(e, A.IncludedIn):
-            left, right = visit(e.left), visit(e.right)
-            return frozenset(
-                a for a in left if any(inclusion.can_reach(b, a) for b in right)
+            return _semi_join(
+                visit(e.left), visit(e.right), lambda a, b: inclusion.can_reach(b, a)
             )
         if isinstance(e, A.DirectlyIncluding):
-            left, right = visit(e.left), visit(e.right)
-            return frozenset(
-                a for a in left if any(inclusion.has_edge(a, b) for b in right)
-            )
+            return _semi_join(visit(e.left), visit(e.right), inclusion.has_edge)
         if isinstance(e, A.DirectlyIncluded):
-            left, right = visit(e.left), visit(e.right)
-            return frozenset(
-                a for a in left if any(inclusion.has_edge(b, a) for b in right)
+            return _semi_join(
+                visit(e.left), visit(e.right), lambda a, b: inclusion.has_edge(b, a)
             )
-        if isinstance(e, A.Preceding):
-            left, right = visit(e.left), visit(e.right)
-            if not right:
-                return frozenset()
-            if order is None:
-                return left
-            return frozenset(
-                a for a in left if any(order.can_reach(a, b) for b in right)
-            )
-        if isinstance(e, A.Following):
-            left, right = visit(e.left), visit(e.right)
-            if not right:
-                return frozenset()
-            if order is None:
-                return left
-            return frozenset(
-                a for a in left if any(order.can_reach(b, a) for b in right)
-            )
+        if isinstance(e, (A.Preceding, A.Following)):
+            if order is None:  # any name may precede any other
+                related = lambda a, b: True  # noqa: E731
+            elif isinstance(e, A.Preceding):
+                related = order.can_reach
+            else:
+                related = lambda a, b: order.can_reach(b, a)  # noqa: E731
+            return _semi_join(visit(e.left), visit(e.right), related)
         if isinstance(e, A.BothIncluded):
             source = visit(e.source)
             first, second = visit(e.first), visit(e.second)
+            if (first is not None and not first) or (
+                second is not None and not second
+            ):
+                return frozenset()
+            if source is None:
+                return None
             out = set()
             for a in source:
-                below_first = [b for b in first if inclusion.can_reach(a, b)]
-                below_second = [c for c in second if inclusion.can_reach(a, c)]
-                if not below_first or not below_second:
-                    continue
-                if order is not None and not any(
-                    order.can_reach(b, c)
-                    for b in below_first
-                    for c in below_second
+                below_first = below_second = None
+                if first is not None:
+                    below_first = [b for b in first if inclusion.can_reach(a, b)]
+                    if not below_first:
+                        continue
+                if second is not None:
+                    below_second = [c for c in second if inclusion.can_reach(a, c)]
+                    if not below_second:
+                        continue
+                if (
+                    order is not None
+                    and below_first is not None
+                    and below_second is not None
+                    and not any(
+                        order.can_reach(b, c)
+                        for b in below_first
+                        for c in below_second
+                    )
                 ):
                     continue
                 out.add(a)

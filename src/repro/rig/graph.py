@@ -10,101 +10,163 @@ uses it to drop redundant inclusion tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.instance import Instance
 from repro.errors import UnknownRegionNameError
 
-__all__ = ["RegionInclusionGraph", "figure_1_rig"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
+__all__ = ["NameGraph", "RegionInclusionGraph", "figure_1_rig"]
+
+#: Adjacency: each name's neighbours, in insertion order.
+_Adjacency = dict[str, dict[str, None]]
 
 
-class RegionInclusionGraph:
-    """An immutable directed graph over region names."""
+def _reachable(graph: _Adjacency, name: str) -> set[str]:
+    """Names reached from ``name`` by walks of one or more edges (BFS):
+    ``name`` itself only when a cycle passes through it."""
+    seen: set[str] = set()
+    frontier = list(graph[name])
+    while frontier:
+        node = frontier.pop()
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(graph[node])
+    return seen
 
-    __slots__ = ("_graph",)
+
+class NameGraph:
+    """An immutable directed graph over region names, kept as successor
+    and predecessor dicts; the shape a RIG and a ROG share."""
+
+    __slots__ = ("_succ", "_pred")
+
+    #: How errors name the graph.
+    KIND = "graph"
 
     def __init__(self, names: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        graph = nx.DiGraph()
-        graph.add_nodes_from(names)
-        for parent, child in edges:
-            for name in (parent, child):
-                if name not in graph:
-                    raise UnknownRegionNameError(name, tuple(graph.nodes))
-            graph.add_edge(parent, child)
-        self._graph = graph
-
-    # ------------------------------------------------------------------
+        succ: _Adjacency = {name: {} for name in names}
+        pred: _Adjacency = {name: {} for name in succ}
+        for source, target in edges:
+            for name in (source, target):
+                if name not in succ:
+                    raise UnknownRegionNameError(name, tuple(succ))
+            succ[source][target] = None
+            pred[target][source] = None
+        self._succ, self._pred = succ, pred
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._graph.nodes)
+        return tuple(self._succ)
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._graph.edges)
+        return tuple(
+            (source, target)
+            for source, targets in self._succ.items()
+            for target in targets
+        )
 
-    def has_edge(self, parent: str, child: str) -> bool:
-        return self._graph.has_edge(parent, child)
+    def has_edge(self, source: str, target: str) -> bool:
+        return target in self._succ.get(source, ())
 
-    def successors(self, name: str) -> tuple[str, ...]:
+    def descendants(self, name: str) -> frozenset[str]:
+        """Names reached from ``name`` by walks of one or more edges:
+        ``name`` itself only when a cycle passes through it."""
         self._require(name)
-        return tuple(self._graph.successors(name))
-
-    def predecessors(self, name: str) -> tuple[str, ...]:
-        self._require(name)
-        return tuple(self._graph.predecessors(name))
+        return frozenset(_reachable(self._succ, name))
 
     def _require(self, name: str) -> None:
-        if name not in self._graph:
-            raise UnknownRegionNameError(name, tuple(self._graph.nodes))
+        if name not in self._succ:
+            raise UnknownRegionNameError(name, tuple(self._succ))
 
-    def as_networkx(self) -> nx.DiGraph:
-        """A *copy* of the underlying graph, for external algorithms."""
-        return self._graph.copy()
+    def as_networkx(self) -> "nx.DiGraph":
+        """A *copy* of the graph as a :mod:`networkx` ``DiGraph``, for
+        external algorithms (networkx is imported on this call)."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._succ)
+        graph.add_edges_from(self.edges)
+        return graph
 
     def __contains__(self, name: object) -> bool:
-        return name in self._graph
+        return name in self._succ
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RegionInclusionGraph):
+        if type(other) is not type(self):
             return NotImplemented
-        return (
-            set(self._graph.nodes) == set(other._graph.nodes)
-            and set(self._graph.edges) == set(other._graph.edges)
+        return set(self._succ) == set(other._succ) and set(self.edges) == set(
+            other.edges
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (frozenset(self._graph.nodes), frozenset(self._graph.edges))
-        )
+        return hash((frozenset(self._succ), frozenset(self.edges)))
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return (
-            f"RegionInclusionGraph({len(self._graph)} names, "
-            f"{self._graph.number_of_edges()} edges)"
+            f"{type(self).__name__}({len(self._succ)} names, "
+            f"{len(self.edges)} edges)"
         )
+
+    def is_acyclic(self) -> bool:
+        """Acyclic RIGs bound the nesting depth of satisfying instances
+        (the premise of Proposition 5.2), acyclic ROGs the number of
+        pairwise non-overlapping regions (Proposition 5.4)."""
+        return self._topological_order() is not None
+
+    def longest_path_length(self) -> int:
+        """Number of nodes on the longest path (acyclic graphs only).
+
+        On a RIG this bounds the nesting depth of any satisfying
+        instance; on a ROG the length of any ``<``-chain — hence the
+        number of pairwise non-overlapping regions — which is the
+        ``width_bound`` of Proposition 5.4.
+        """
+        order = self._topological_order()
+        if order is None:
+            raise ValueError(f"longest path is unbounded on a cyclic {self.KIND}")
+        depth: dict[str, int] = {}
+        for node in order:
+            depth[node] = 1 + max((depth[p] for p in self._pred[node]), default=0)
+        return max(depth.values(), default=0)
+
+    def _topological_order(self) -> list[str] | None:
+        """The names in an order where every edge points forward (Kahn's
+        algorithm), or ``None`` when the graph has a cycle."""
+        indegree = {name: len(sources) for name, sources in self._pred.items()}
+        ready = [name for name, degree in indegree.items() if not degree]
+        order: list[str] = []
+        while ready:
+            node = ready.pop()
+            order.append(node)
+            for target in self._succ[node]:
+                indegree[target] -= 1
+                if not indegree[target]:
+                    ready.append(target)
+        return order if len(order) == len(self._succ) else None
+
+
+class RegionInclusionGraph(NameGraph):
+    """An immutable directed graph over region names."""
+
+    __slots__ = ()
+
+    KIND = "RIG"
+
+    def successors(self, name: str) -> tuple[str, ...]:
+        self._require(name)
+        return tuple(self._succ[name])
+
+    def predecessors(self, name: str) -> tuple[str, ...]:
+        self._require(name)
+        return tuple(self._pred[name])
 
     # ------------------------------------------------------------------
     # Structural properties used by the theory.
     # ------------------------------------------------------------------
-
-    def is_acyclic(self) -> bool:
-        """Acyclic RIGs bound the nesting depth of satisfying instances
-        (the premise of Proposition 5.2)."""
-        return nx.is_directed_acyclic_graph(self._graph)
-
-    def longest_path_length(self) -> int:
-        """Number of nodes on the longest path (acyclic RIGs only).
-
-        This bounds the nesting depth of any instance satisfying the RIG.
-        """
-        if not self.is_acyclic():
-            raise ValueError("longest path is unbounded on a cyclic RIG")
-        if not self._graph:
-            return 0
-        return nx.dag_longest_path_length(self._graph) + 1
 
     def self_nesting_bound(self, name: str) -> int | None:
         """Max number of ``name``-regions on a nesting chain, or ``None``
@@ -113,16 +175,10 @@ class RegionInclusionGraph:
         This is the ``depth_bound`` Proposition 5.2's expansion needs for
         the left side of a direct inclusion.
         """
-        self._require(name)
         # A nesting chain visiting `name` twice is a RIG walk from `name`
         # back to itself, i.e. a cycle through `name`; without one the
         # bound is exactly 1.
-        if self._graph.has_edge(name, name):
-            return None
-        for component in nx.strongly_connected_components(self._graph):
-            if name in component and len(component) > 1:
-                return None
-        return 1
+        return None if name in self.descendants(name) else 1
 
     def paths_avoiding(
         self, source: str, target: str, blocked: Iterable[str]
@@ -137,12 +193,12 @@ class RegionInclusionGraph:
         self._require(target)
         barred = set(blocked)
         frontier = [
-            v for v in self._graph.successors(source) if v not in barred and v != target
+            v for v in self._succ[source] if v not in barred and v != target
         ]
         seen = set(frontier)
         while frontier:
             node = frontier.pop()
-            for succ in self._graph.successors(node):
+            for succ in self._succ[node]:
                 if succ == target:
                     return True
                 if succ not in barred and succ not in seen:
@@ -153,24 +209,22 @@ class RegionInclusionGraph:
     def interior_nodes(self, source: str, target: str) -> frozenset[str]:
         """Names that can appear strictly inside a ``source → target``
         nesting chain: interior nodes of walks from ``source`` to
-        ``target``."""
+        ``target``, the endpoints themselves excepted."""
         self._require(source)
         self._require(target)
-        reachable_from_source = set(nx.descendants(self._graph, source))
-        reaching_target = set(nx.ancestors(self._graph, target))
+        reachable_from_source = _reachable(self._succ, source) - {source}
+        reaching_target = _reachable(self._pred, target) - {target}
         return frozenset(reachable_from_source & reaching_target)
 
     def satisfied_by(self, instance: Instance) -> bool:
         """Definition 2.4: every direct inclusion in the instance is an
         edge of this RIG (and every region name is known)."""
         for name in instance.names:
-            if name not in self._graph and len(instance.region_set(name)):
+            if name not in self._succ and len(instance.region_set(name)):
                 return False
         forest = instance.forest()
         for parent, child in forest.iter_edges():
-            if not self._graph.has_edge(
-                instance.name_of(parent), instance.name_of(child)
-            ):
+            if not self.has_edge(instance.name_of(parent), instance.name_of(child)):
                 return False
         return True
 
@@ -181,7 +235,7 @@ class RegionInclusionGraph:
         forest = instance.forest()
         for parent, child in forest.iter_edges():
             pair = (instance.name_of(parent), instance.name_of(child))
-            if not self._graph.has_edge(*pair):
+            if not self.has_edge(*pair):
                 yield pair
 
 

@@ -11,8 +11,8 @@ least one name on the interior of every RIG walk from ``R_i`` to
 * :func:`minimal_set_bruteforce` — exact search by increasing size (the
   "guess" made deterministic); exponential, fine for RIG-sized graphs.
 * :func:`minimal_set_single_pair` — the polynomial single-operation case
-  via a minimum vertex cut (the paper points to min-cut; we use max-flow
-  node connectivity).
+  via a minimum vertex cut (the paper points to min-cut; we use
+  networkx's max-flow node connectivity).
 * :func:`minimal_set_greedy` — a polynomial heuristic for long chains:
   the union of per-pair minimum cuts.
 * :func:`vertex_cover_to_minimal_set` — the Proposition 6.1 hardness
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from repro.errors import OptimizationError
 from repro.rig.graph import RegionInclusionGraph
@@ -97,8 +95,11 @@ def minimal_set_single_pair(
     ``target`` in the RIG with any direct ``source → target`` edge
     removed (that edge is an interior-free walk, vacuously covered).
     Cycles through the endpoints are handled by splitting them into an
-    exit-only source copy and an entry-only target copy.
+    exit-only source copy and an entry-only target copy.  This is the one
+    place the package needs :mod:`networkx`, imported on the call.
     """
+    import networkx as nx
+
     graph = rig.as_networkx()
     if graph.has_edge(source, target):
         graph.remove_edge(source, target)

@@ -9,13 +9,11 @@ Proposition 5.4's ``BI`` expansion).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import Iterator
 
 from repro.core.instance import Instance
 from repro.core.region import Region
-from repro.errors import UnknownRegionNameError
+from repro.rig.graph import NameGraph
 
 __all__ = ["RegionOrderGraph", "direct_precedence_pairs"]
 
@@ -47,85 +45,25 @@ def direct_precedence_pairs(instance: Instance) -> Iterator[tuple[Region, Region
             j += 1
 
 
-class RegionOrderGraph:
+class RegionOrderGraph(NameGraph):
     """An immutable directed graph of possible direct precedences."""
 
-    __slots__ = ("_graph",)
+    __slots__ = ()
 
-    def __init__(self, names: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        graph = nx.DiGraph()
-        graph.add_nodes_from(names)
-        for before, after in edges:
-            for name in (before, after):
-                if name not in graph:
-                    raise UnknownRegionNameError(name, tuple(graph.nodes))
-            graph.add_edge(before, after)
-        self._graph = graph
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._graph.nodes)
-
-    @property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._graph.edges)
-
-    def has_edge(self, before: str, after: str) -> bool:
-        return self._graph.has_edge(before, after)
-
-    def as_networkx(self) -> nx.DiGraph:
-        return self._graph.copy()
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._graph
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RegionOrderGraph):
-            return NotImplemented
-        return (
-            set(self._graph.nodes) == set(other._graph.nodes)
-            and set(self._graph.edges) == set(other._graph.edges)
-        )
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self._graph.nodes), frozenset(self._graph.edges)))
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        return (
-            f"RegionOrderGraph({len(self._graph)} names, "
-            f"{self._graph.number_of_edges()} edges)"
-        )
-
-    def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self._graph)
-
-    def longest_path_length(self) -> int:
-        """Number of nodes on the longest path (acyclic ROGs only).
-
-        Bounds the length of any ``<``-chain — hence the number of
-        pairwise non-overlapping regions — in a satisfying instance,
-        which is the ``width_bound`` of Proposition 5.4.
-        """
-        if not self.is_acyclic():
-            raise ValueError("longest path is unbounded on a cyclic ROG")
-        if not self._graph:
-            return 0
-        return nx.dag_longest_path_length(self._graph) + 1
+    KIND = "ROG"
 
     def satisfied_by(self, instance: Instance) -> bool:
         """Every direct precedence in the instance is an edge here."""
         for name in instance.names:
-            if name not in self._graph and len(instance.region_set(name)):
+            if name not in self._succ and len(instance.region_set(name)):
                 return False
         for before, after in direct_precedence_pairs(instance):
-            if not self._graph.has_edge(
-                instance.name_of(before), instance.name_of(after)
-            ):
+            if not self.has_edge(instance.name_of(before), instance.name_of(after)):
                 return False
         return True
 
     def violations(self, instance: Instance) -> Iterator[tuple[str, str]]:
         for before, after in direct_precedence_pairs(instance):
             pair = (instance.name_of(before), instance.name_of(after))
-            if not self._graph.has_edge(*pair):
+            if not self.has_edge(*pair):
                 yield pair

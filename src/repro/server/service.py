@@ -22,8 +22,10 @@ Every query request carries a deadline.  The clock starts at admission:
 time spent waiting for a run slot counts against the budget, and the
 remaining budget is handed to the evaluator's cooperative
 deadline/cancellation check — a waiting request whose budget runs out
-gives up its place instead of taking a slot.  A query is parsed once, on
-arrival; the cache key and the evaluation both come from that tree.
+gives up its place instead of taking a slot.  A query text is parsed
+and planned once per engine (:meth:`~repro.engine.Engine.prepared`); on
+arrival a request looks its plan up, and the cache key and the
+evaluation both come from that entry.
 
 Resilience (``docs/robustness.md``): corpus (re)loads run under a
 bounded-backoff retry and a per-corpus circuit breaker; a persistently
@@ -45,11 +47,9 @@ from pathlib import Path
 from time import monotonic, perf_counter
 from typing import Any, Callable, Iterator
 
-from repro.algebra import ast as A
-from repro.algebra.printer import to_text
 from repro.backend.base import SliceProvider
 from repro.backend.frontier import BackendNode, FrontierExecutor
-from repro.engine.session import Engine
+from repro.engine.session import Engine, PreparedQuery
 from repro.errors import (
     CorpusUnavailableError,
     CorruptIndexError,
@@ -1225,13 +1225,14 @@ class QueryService:
         handle = self._handle(corpus)
         engine, generation = handle.snapshot()
         budget = self._clamp_deadline(deadline)
-        # The one parse (+ view expansion and name check) of the request:
-        # errors turn into 400s without taking a run slot, and the cache
-        # key and the evaluation both come from this tree.
-        expr = engine.prepare(query)
+        # The request's one lookup of its plan (parsed, views expanded,
+        # names checked once per engine): errors turn into 400s without
+        # taking a run slot, and the cache key and the evaluation both
+        # come from this entry.
+        prepared = engine.prepared(query)
         if endpoint == "explain":
             plan, cache_hits = self.pool.run(
-                lambda _queued: engine.explain_with_caches(expr, text=query),
+                lambda _queued: engine.explain_with_caches(prepared, text=query),
                 budget,
             )
             # Cache hits are reported distinctly: "plan_cache_hit" is the
@@ -1252,7 +1253,7 @@ class QueryService:
                 "program_cache_hit": cache_hits["program_cache_hit"],
             }
         caching = use_cache and self.config.cache_enabled
-        plan_key = to_text(expr)
+        plan_key = prepared.text
         key = (handle.spec.name, generation, plan_key)
         if caching:
             cached = self._cache_get(key)
@@ -1276,7 +1277,7 @@ class QueryService:
                 engine,
                 generation,
                 query,
-                expr,
+                prepared,
                 budget,
                 queued,
             ),
@@ -1326,7 +1327,7 @@ class QueryService:
         engine: Engine,
         generation: int,
         query: str,
-        expr: A.Expr,
+        prepared: PreparedQuery,
         budget: float,
         queued: float,
     ) -> dict[str, Any]:
@@ -1340,14 +1341,14 @@ class QueryService:
             raise QueryTimeout(budget)
 
         def evaluate_locally() -> Any:
-            return engine.query(expr, deadline=remaining, text=query)
+            return engine.query(prepared, deadline=remaining, text=query)
 
         backend_info = None
         try:
             eval_started = perf_counter()
             if self.frontier is not None:
                 result, backend_info = self._frontier_query(
-                    corpus, engine, generation, query, expr, remaining,
+                    corpus, engine, generation, query, prepared, remaining,
                     evaluate_locally,
                 )
             else:
@@ -1373,7 +1374,7 @@ class QueryService:
         engine: Engine,
         generation: int,
         query: str,
-        expr: A.Expr,
+        prepared: PreparedQuery,
         remaining: float,
         evaluate_locally: Callable[[], Any],
     ) -> tuple[Any, dict[str, Any]]:
@@ -1414,7 +1415,11 @@ class QueryService:
         token = _READ_SNAPSHOT.set((corpus, engine, generation))
         try:
             result, stats = frontier.query(
-                corpus, expr, evaluate_locally, deadline=remaining, floor=floor
+                corpus,
+                prepared.expr,
+                evaluate_locally,
+                deadline=remaining,
+                floor=floor,
             )
         finally:
             _READ_SNAPSHOT.reset(token)
@@ -1426,11 +1431,11 @@ class QueryService:
                 "detail": stats.detail,
                 "degraded": stats.degraded,
             }
-        # The request's one parse happened at admission.
+        # The request's plan was looked up at admission.
         engine.record(
             kind="query",
             query=query,
-            executed=expr,
+            executed=prepared,
             plan=None,
             result=result,
             seconds=perf_counter() - started,

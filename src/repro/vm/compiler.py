@@ -78,14 +78,10 @@ def compile_expr(expr: A.Expr, cse: bool = True) -> Program:
         return reg
 
     lower(expr)
-    op_counts: dict[str, int] = {}
-    for ins in instrs:
-        op_counts[ins.label] = op_counts.get(ins.label, 0) + 1
     return Program(
         instructions=tuple(instrs),
         constants=tuple(constants),
         cse_hits=cse_hits,
-        op_counts=op_counts,
     )
 
 

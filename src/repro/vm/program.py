@@ -11,7 +11,7 @@ as memo hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Instr", "Program", "OP_NAMES"]
@@ -98,7 +98,6 @@ class Program:
     instructions: tuple[Instr, ...]
     constants: tuple[Any, ...] = ()
     cse_hits: int = 0
-    op_counts: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def size(self) -> int:

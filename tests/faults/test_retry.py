@@ -56,20 +56,22 @@ class TestRetryCall:
         assert len(slept) == 2
 
     def test_exhaustion_reraises_last_error(self):
-        def doomed():
-            raise StorageError("persistent")
+        raised = []
 
-        exhausted = []
-        with pytest.raises(StorageError, match="persistent"):
+        def doomed():
+            raised.append(StorageError(f"persistent {len(raised)}"))
+            raise raised[-1]
+
+        with pytest.raises(StorageError, match="persistent 2") as caught:
             retry_call(
                 doomed,
                 policy=RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0),
                 retry_on=(StorageError,),
                 rng=random.Random(0),
-                on_exhausted=lambda exc: exhausted.append(exc),
                 sleep=lambda _: None,
             )
-        assert len(exhausted) == 1
+        assert len(raised) == 3
+        assert caught.value is raised[-1]
 
     def test_non_retryable_error_propagates_immediately(self):
         calls = {"n": 0}
@@ -90,22 +92,24 @@ class TestRetryCall:
 
     def test_on_retry_called_per_attempt(self):
         attempts = []
+        slept = []
 
         def flaky():
-            if len(attempts) < 2:
+            attempts.append(len(slept))  # sleeps before this attempt
+            if len(attempts) < 3:
                 raise StorageError("again")
             return 1
 
-        retry_call(
+        assert retry_call(
             flaky,
-            policy=RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0),
+            policy=RetryPolicy(attempts=3, base_delay=0.01, jitter=0.0),
             retry_on=(StorageError,),
             op="load",
             rng=random.Random(0),
-            on_retry=lambda i, delay, exc: attempts.append(i),
-            sleep=lambda _: None,
-        )
-        assert attempts == [0, 1]
+            sleep=slept.append,
+        ) == 1
+        assert attempts == [0, 1, 2]
+        assert slept == [0.01, 0.02]
 
     def test_budget_stops_early(self):
         calls = {"n": 0}

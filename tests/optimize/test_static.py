@@ -98,6 +98,22 @@ class TestPruning:
         expr = parse('Proc dcontaining Proc_body dcontaining (Var @ "x")')
         assert prune_with_rig(expr, rig) == expr
 
+    def test_match_points_are_unanalysable(self, rig):
+        # Match points carry no name: nothing that keeps them is pruned,
+        # while a provably empty sibling still is.
+        assert infer_name_bounds(parse('"x" within Var'), rig).names is None
+        kept = parse('Proc containing ("x" within Var)')
+        assert prune_with_rig(kept, rig) == kept
+        expr = parse('(Var containing Proc) union ("x" within Var)')
+        assert prune_with_rig(expr, rig) == parse('"x" within Var')
+        assert prune_with_rig(parse('"x" within (Name within Var)'), rig) == A.Empty()
+
+    def test_a_name_on_a_cycle_can_include_itself(self, rig):
+        # Proc -> Proc_body -> Proc: nested procedures.
+        expr = parse("Proc containing Proc")
+        assert infer_name_bounds(expr, rig).names == {"Proc"}
+        assert prune_with_rig(expr, rig) == expr
+
     def test_prunes_within_nested_expressions(self, rig):
         expr = parse("Proc containing (Name within Var)")
         # Name can never sit inside a Var, so the whole thing is empty.
@@ -129,6 +145,26 @@ class TestPruning:
 
 
 class TestOptimizerIntegration:
+    @pytest.mark.parametrize(
+        "query",
+        [
+            'Proc containing ("x" within Var)',
+            '(Var containing Proc) union ("x" within Var)',
+            "Proc containing Proc",
+        ],
+    )
+    def test_engine_explain_answers_as_unoptimized(self, query):
+        from repro.engine.session import Engine
+
+        engine = Engine.from_source(
+            "program Main { var x; proc Alpha { var y; proc Beta { var x; } } }"
+        )
+        expected = engine.query(query)
+        assert len(expected) > 0
+        plan = engine.explain(query)
+        assert engine.query(plan.optimized) == expected
+        assert engine.query(query, optimize_query=True) == expected
+
     def test_optimizer_reports_static_pruning(self):
         from repro.optimize.optimizer import optimize
 

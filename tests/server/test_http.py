@@ -127,6 +127,37 @@ class TestEndpoints:
         assert status == 200
         assert "plan" in body and "regions" not in body
 
+    def test_explain_word_query_over_a_rig_corpus(self, tmp_path):
+        # A source corpus carries the Figure 1 RIG, so /explain prunes;
+        # its optimized plan must answer as the query does.
+        program = tmp_path / "main.pas"
+        program.write_text(
+            "program Main { var x; proc Alpha { var y; proc Beta { var x; } } }"
+        )
+        spec = CorpusSpec(name="src", kind="source", path=str(program))
+        srv = create_server(QueryService(ServerConfig(corpora=(spec,))), port=0)
+        srv.serve_in_background()
+        try:
+            query = '(Var containing Proc) union ("x" within Var)'
+            status, _, explained = request(
+                srv, "POST", "/explain", {"query": query}
+            )
+            assert status == 200, explained
+            (line,) = [
+                line for line in explained["plan"].splitlines()
+                if line.startswith("plan:")
+            ]
+            optimized = line[len("plan:"):].strip()
+            _, _, plain = request(srv, "POST", "/query", {"query": query})
+            status, _, pruned = request(
+                srv, "POST", "/query", {"query": optimized}
+            )
+            assert status == 200
+            assert plain["cardinality"] > 0
+            assert pruned["regions"] == plain["regions"]
+        finally:
+            srv.stop()
+
     def test_corpora_listing_and_reload(self, server):
         status, _, body = request(server, "GET", "/corpora")
         assert status == 200

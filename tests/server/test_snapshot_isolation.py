@@ -174,7 +174,7 @@ class TestTopologySnapshot:
             assert service._handle("play").generation == generation + 1
             response = service._run_query(
                 "play", engine, generation, "speech",
-                engine.prepare("speech"), 5.0, 0.0,
+                engine.prepared("speech"), 5.0, 0.0,
             )
             assert "fallback" not in response["backend"]
             assert response["regions"] == expected

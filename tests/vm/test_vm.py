@@ -68,15 +68,6 @@ class TestCompiler:
         assert listing[2] == "r2 = included_in r0, r1"
         assert listing[3] == "r3 = union r2, r2"
 
-    def test_op_counts(self):
-        program = compile_expr(SHARED)
-        # Keyed by AST node label, as the eval.<label> spans are.
-        assert program.op_counts == {
-            "NameRef": 2,
-            "IncludedIn": 1,
-            "Union": 1,
-        }
-
     def test_unknown_node_is_uncompilable(self):
         class Exotic(A.Expr):
             pass
